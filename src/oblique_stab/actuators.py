@@ -151,37 +151,18 @@ def all_breakpoints(aset: ActuatorSet) -> list[float]:
     return sorted(pts)
 
 
-def indicator(aset: ActuatorSet, j: int, x):
-    """Value of 1_omega_j at x: 1 strictly inside the open interval, else 0.
+def indicators(aset: ActuatorSet, x) -> np.ndarray:
+    """Values of 1_omega_1, ..., 1_omega_M at x; shape of x + (M,).
 
-    The endpoints themselves map to 0 (a measure-zero convention; no L2
-    quantity depends on it).
+    Each indicator is 1 strictly inside its open support and 0 elsewhere; the
+    endpoints themselves map to 0 (a measure-zero convention; no L2 quantity
+    depends on it).
     """
-    lo, hi = support_bounds(aset, j)
-    arr = np.asarray(x, dtype=float)
-    out = ((arr > lo) & (arr < hi)).astype(float)
-    return float(out) if np.ndim(x) == 0 else out
+    arr = np.asarray(x, dtype=float)[..., None]
+    c = aset.centers
+    return ((arr > c - aset.half_width) & (arr < c + aset.half_width)).astype(float)
 
 
 def normalized_indicator_coeff(aset: ActuatorSet) -> float:
     """Scalar making coeff * 1_omega_j a unit L2 vector: sqrt(M/(r*L))."""
     return math.sqrt(aset.M / (aset.r * aset.L))
-
-
-def normalized_indicator(aset: ActuatorSet, j: int, x):
-    """Value of the L2-normalised indicator of omega_j at x."""
-    coeff = normalized_indicator_coeff(aset)
-    val = indicator(aset, j, x)
-    return coeff * val
-
-
-def to_csv_line(aset: ActuatorSet) -> str:
-    """One-line serialization: L, M, r, scheme, centers, 17 significant digits."""
-    fields = [
-        format(aset.L, ".17g"),
-        str(aset.M),
-        format(aset.r, ".17g"),
-        aset.scheme.value,
-    ]
-    fields.extend(format(c, ".17g") for c in aset.centers)
-    return ",".join(fields)

@@ -364,10 +364,8 @@ def cmd_project(args: argparse.Namespace) -> int:
     lines.append(f"# oblique_residual_l2: {_fmt(residual(oblique))}")
     lines.append(f"# orthogonal_residual_l2: {_fmt(residual(orth))}")
     lines.append("x,input,oblique,orthogonal")
-    for x in xs:
-        lines.append(
-            f"{_fmt(x)},{_fmt(f(x))},{_fmt(oblique(np.array(x)))},{_fmt(orth(np.array(x)))}"
-        )
+    for row in zip(xs, f(xs), oblique(xs), orth(xs)):
+        lines.append(",".join(map(_fmt, row)))
     _emit(lines, s.get("output"))
     return 0
 

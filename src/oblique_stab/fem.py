@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .actuators import ActuatorSet, indicator
+from .actuators import ActuatorSet, indicators
 from .errors import (
     DirectSumFailureError,
     InvalidArgumentError,
@@ -45,7 +45,7 @@ from .linalg import (
     sym_eigen,
     tridiag_combine,
 )
-from .spectral import BoundaryCondition, build_basis, eval_eigenfunction
+from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
 
 @dataclass(frozen=True)
@@ -232,12 +232,9 @@ def feedback_matrices(
         raise InvalidArgumentError(
             f"grid length {grid.L} and actuator domain length {aset.L} differ"
         )
-    M = aset.M
-    basis = build_basis(bc, grid.L, M)
-    U = np.column_stack([indicator(aset, j, grid.nodes) for j in range(1, M + 1)])
-    E = np.column_stack(
-        [eval_eigenfunction(basis, i, grid.nodes) for i in range(1, M + 1)]
-    )
+    basis = build_basis(bc, grid.L, aset.M)
+    U = indicators(aset, grid.nodes)
+    E = eigenfunctions(basis, grid.nodes)
     A = E.T @ _mat_matvec(fem.mass, U)
     try:
         P = solve_dense(A, E.T)

@@ -120,14 +120,6 @@ class SymTridiagonal:
             y[1:] += self.off * x[:-1]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        if self.n > 1:
-            idx = np.arange(self.n - 1)
-            out[idx, idx + 1] = self.off
-            out[idx + 1, idx] = self.off
-        return out
-
 
 def tridiag_combine(a: float, X: SymTridiagonal, b: float, Y: SymTridiagonal) -> SymTridiagonal:
     """Linear combination a*X + b*Y of two equally sized tridiagonals."""
@@ -159,8 +151,3 @@ class SpdTridiagFactor:
         if rhs.shape[0] != self.n:
             raise InvalidArgumentError(f"right-hand side length {rhs.shape[0]} != {self.n}")
         return scipy.linalg.cho_solve_banded((self._cb, False), rhs, check_finite=False)
-
-
-def solve_spd_tridiag(T: SymTridiagonal, b: np.ndarray) -> np.ndarray:
-    """Solve T x = b for symmetric positive definite tridiagonal T."""
-    return SpdTridiagFactor(T).solve(b)

@@ -18,9 +18,11 @@ placements Theta is diagonal and vartheta has closed forms; those analytic
 expressions, their common large-M limit 4/(r pi^2) sin^2(r pi/2), and the
 stabilisability margin test built on ||P|| all live here.
 
-Everything is computed at L = pi internally: the rescaling x -> pi*x/L leaves
-cross-Gram entries, Theta, and operator norms invariant, so general L is
-handled by mapping centers onto (0, pi).
+The cross-Gram closed forms are evaluated at L = pi: the rescaling
+x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
+so general L is handled by mapping centers onto (0, pi).  The projections of
+a function integrate it against a whole basis at once, on one quadrature node
+set over [0, L] split at every actuator support endpoint.
 """
 
 from __future__ import annotations
@@ -32,14 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .actuators import (
-    ActuatorSet,
-    Scheme,
-    all_breakpoints,
-    normalized_indicator,
-    normalized_indicator_coeff,
-    support_bounds,
-)
+from .actuators import ActuatorSet, Scheme, all_breakpoints, indicators, normalized_indicator_coeff
 from .errors import (
     ConstraintViolationError,
     DirectSumFailureError,
@@ -47,7 +42,7 @@ from .errors import (
     SingularConfigurationError,
 )
 from .linalg import solve_dense, sym_eigen
-from .spectral import BoundaryCondition, EigenBasis, build_basis, eval_eigenfunction
+from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
 # Below this, the smallest eigenvalue of Theta is treated as zero: the
 # direct sum has failed.  Exact failures (coincident centers) give exact
@@ -118,34 +113,8 @@ def _closed_form_entries(bc: BoundaryCondition, M: int, r: float, cm: np.ndarray
     return G
 
 
-def _antiderivative_entries(bc: BoundaryCondition, M: int, r: float, cm: np.ndarray) -> np.ndarray:
-    """Same entries via endpoint antiderivative differences; a distinct rounding path."""
-    delta = r * math.pi / (2 * M)
-    norm_coef = math.sqrt(M / (r * math.pi))
-    lo = cm - delta
-    hi = cm + delta
-    G = np.empty((M, M))
-    if bc is BoundaryCondition.DIRICHLET:
-        amp = norm_coef * math.sqrt(2 / math.pi)
-        for row, i in enumerate(range(1, M + 1)):
-            G[row, :] = amp * (np.cos(i * lo) - np.cos(i * hi)) / i
-    else:
-        G[0, :] = norm_coef * math.sqrt(1 / math.pi) * (hi - lo)
-        amp = norm_coef * math.sqrt(2 / math.pi)
-        for row, i in enumerate(range(2, M + 1), start=1):
-            m = i - 1
-            G[row, :] = amp * (np.sin(m * hi) - np.sin(m * lo)) / m
-    return G
-
-
-def assemble_cross_gram(
-    bc: BoundaryCondition, aset: ActuatorSet, *, validate: bool = False
-) -> CrossGram:
+def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     """Assemble the M x M cross-Gram matrix from closed forms (no quadrature).
-
-    validate=True recomputes every entry through the antiderivative route and
-    insists on agreement to 1e-12; useful as a self-check in tests and when
-    debugging new placements.
 
     Raises SingularConfigurationError for (near-)coincident centers, for
     which two columns coincide and the matrix is exactly singular.
@@ -157,13 +126,6 @@ def assemble_cross_gram(
             "coincident actuator centers make the cross-Gram matrix singular"
         )
     G = _closed_form_entries(bc, M, aset.r, cm)
-    if validate:
-        G2 = _antiderivative_entries(bc, M, aset.r, cm)
-        err = float(np.max(np.abs(G - G2)))
-        if err > 1e-12:
-            raise AssertionError(
-                f"closed-form and antiderivative entries disagree by {err:.3e}"
-            )
     G.flags.writeable = False
     basis = build_basis(bc, aset.L, M)
     return CrossGram(bc=bc, actuators=aset, basis=basis, M=M, entries=G)
@@ -271,61 +233,49 @@ def op_norm_limit(r: float) -> float:
     return vartheta_limit(r) ** -0.5
 
 
-def _default_panels(basis: EigenBasis) -> int:
-    top = basis.M if basis.bc is BoundaryCondition.DIRICHLET else basis.M - 1
-    return quadrature.oscillation_panels(top * math.pi / basis.L, basis.L)
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
-def _eigen_inner_products(
-    data: ProjectionData,
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints,
-    n_panels: int | None,
-) -> np.ndarray:
-    basis = data.gram.basis
-    panels = _default_panels(basis) if n_panels is None else n_panels
-    return np.array(
-        [
-            quadrature.integrate(
-                lambda x, i=i: eval_eigenfunction(basis, i, x) * np.asarray(f(x), dtype=float),
-                0.0,
-                basis.L,
-                n_panels=panels,
-                breakpoints=breakpoints,
-            )
-            for i in range(1, basis.M + 1)
-        ]
-    )
+def _eigen_family(data: ProjectionData) -> Evaluator:
+    return lambda x: eigenfunctions(data.gram.basis, x)
 
 
-def _actuator_inner_products(
-    data: ProjectionData,
-    f: Callable[[np.ndarray], np.ndarray],
-    breakpoints,
-    n_panels: int | None,
-) -> np.ndarray:
+def _actuator_family(data: ProjectionData) -> Evaluator:
     aset = data.gram.actuators
-    basis = data.gram.basis
-    panels = _default_panels(basis) if n_panels is None else n_panels
     coeff = normalized_indicator_coeff(aset)
-    vals = np.empty(aset.M)
-    for j in range(1, aset.M + 1):
-        lo, hi = support_bounds(aset, j)
-        inner = [p for p in breakpoints if lo < p < hi]
-        local = max(2, int(math.ceil(panels * (hi - lo) / basis.L)))
-        vals[j - 1] = coeff * quadrature.integrate(
-            f, lo, hi, n_panels=local, breakpoints=inner
-        )
-    return vals
+    return lambda x: coeff * indicators(aset, x)
+
+
+def _inner_products(
+    data: ProjectionData, family: Evaluator, f: Evaluator, breakpoints, n_panels: int | None
+) -> np.ndarray:
+    """[(phi_k, f)] for the family phi_1..phi_M, on one node set over [0, L].
+
+    The nodes are split at the caller's breakpoints and at every support
+    endpoint; the default panel count resolves the highest eigenfunction.
+    """
+    basis = data.gram.basis
+    if n_panels is None:
+        top = basis.M if basis.bc is BoundaryCondition.DIRICHLET else basis.M - 1
+        n_panels = quadrature.oscillation_panels(top * math.pi / basis.L, basis.L)
+    cuts = (*breakpoints, *all_breakpoints(data.gram.actuators))
+    x, w = quadrature.panel_nodes_weights(0.0, basis.L, n_panels, cuts)
+    return (w * np.asarray(f(x), dtype=float)) @ family(x)
+
+
+def _expansion(coeffs: np.ndarray, family: Evaluator) -> Evaluator:
+    """Evaluator of sum_k coeffs[k] * phi_k; a float for scalar x."""
+
+    def evaluator(x):
+        out = family(x) @ coeffs
+        return float(out) if np.ndim(x) == 0 else out
+
+    return evaluator
 
 
 def apply_projection(
-    data: ProjectionData,
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    breakpoints=(),
-    n_panels: int | None = None,
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
+) -> tuple[np.ndarray, Evaluator]:
     """Apply the oblique projection onto the actuator span to a function.
 
     f must be a vectorized evaluator on [0, L]; pass its known discontinuity
@@ -334,27 +284,14 @@ def apply_projection(
     and an evaluator of P f = sum_j alpha_j u_j.  The solve G alpha = [(e_i, f)]
     raises through solve_dense if the cross-Gram is singular.
     """
-    rhs = _eigen_inner_products(data, f, tuple(breakpoints), n_panels)
+    rhs = _inner_products(data, _eigen_family(data), f, breakpoints, n_panels)
     alpha = solve_dense(data.gram.entries, rhs)
-    aset = data.gram.actuators
-
-    def evaluator(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        for j in range(1, aset.M + 1):
-            out += alpha[j - 1] * normalized_indicator(aset, j, arr)
-        return float(out) if np.ndim(x) == 0 else out
-
-    return alpha, evaluator
+    return alpha, _expansion(alpha, _actuator_family(data))
 
 
 def apply_adjoint_projection(
-    data: ProjectionData,
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    breakpoints=(),
-    n_panels: int | None = None,
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
+) -> tuple[np.ndarray, Evaluator]:
     """Apply the adjoint projection, onto the eigenspace along the actuator
     complement.
 
@@ -363,27 +300,14 @@ def apply_adjoint_projection(
     transposed Gram system G^T beta = [(u_j, f)].  Returns beta and an
     evaluator of sum_i beta_i e_i.
     """
-    rhs = _actuator_inner_products(data, f, tuple(breakpoints), n_panels)
+    rhs = _inner_products(data, _actuator_family(data), f, breakpoints, n_panels)
     beta = solve_dense(data.gram.entries.T, rhs)
-    basis = data.gram.basis
-
-    def evaluator(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        for i in range(1, basis.M + 1):
-            out += beta[i - 1] * eval_eigenfunction(basis, i, arr)
-        return float(out) if np.ndim(x) == 0 else out
-
-    return beta, evaluator
+    return beta, _expansion(beta, _eigen_family(data))
 
 
 def orthogonal_projection_actuators(
-    data: ProjectionData,
-    f: Callable[[np.ndarray], np.ndarray],
-    *,
-    breakpoints=(),
-    n_panels: int | None = None,
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
+) -> tuple[np.ndarray, Evaluator]:
     """Orthogonal projection onto the actuator span, for comparison with P.
 
     Solves the normal equations N gamma = [(u_j, f)] where N is the Gram
@@ -392,26 +316,15 @@ def orthogonal_projection_actuators(
     projection's residual is never smaller than this one's.
     """
     aset = data.gram.actuators
-    rhs = _actuator_inner_products(data, f, tuple(breakpoints), n_panels)
-    coeff2 = normalized_indicator_coeff(aset) ** 2
-    N = np.eye(aset.M)
-    for a in range(aset.M):
-        for b in range(a + 1, aset.M):
-            lo_a, hi_a = support_bounds(aset, a + 1)
-            lo_b, hi_b = support_bounds(aset, b + 1)
-            overlap = min(hi_a, hi_b) - max(lo_a, lo_b)
-            if overlap > 0.0:
-                N[a, b] = N[b, a] = coeff2 * overlap
+    family = _actuator_family(data)
+    rhs = _inner_products(data, family, f, breakpoints, n_panels)
+    lo = aset.centers - aset.half_width
+    hi = aset.centers + aset.half_width
+    overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo)
+    N = normalized_indicator_coeff(aset) ** 2 * np.maximum(overlap, 0.0)
+    np.fill_diagonal(N, 1.0)
     gamma = solve_dense(N, rhs)
-
-    def evaluator(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        for j in range(1, aset.M + 1):
-            out += gamma[j - 1] * normalized_indicator(aset, j, arr)
-        return float(out) if np.ndim(x) == 0 else out
-
-    return gamma, evaluator
+    return gamma, _expansion(gamma, family)
 
 
 def check_theta_diagonal(data: ProjectionData) -> tuple[bool, float]:
@@ -437,14 +350,6 @@ def cosine_sum(aset: ActuatorSet, m: int) -> float:
     return float(np.sum(np.cos(m * _pi_centers(aset))))
 
 
-def a_bound_from_sup(sup_abs_a: float) -> float:
-    """Conservative reaction-size bound: the sup of |a| dominates the operator
-    norm of multiplication by a from L2 into the dual space."""
-    if sup_abs_a < 0.0:
-        raise InvalidArgumentError(f"sup|a| must be nonnegative, got {sup_abs_a}")
-    return float(sup_abs_a)
-
-
 def check_sufficient_condition(
     nu: float,
     bc: BoundaryCondition,
@@ -455,8 +360,8 @@ def check_sufficient_condition(
 ) -> SufficientConditionReport:
     """Test the stabilisability margin nu*alpha_{M+1} > (6 + 4||P||^2) * a_bound^2.
 
-    a_bound is the caller's bound on the reaction operator norm (see
-    a_bound_from_sup for a conservative choice); margin is lhs - rhs.
+    a_bound is the caller's bound on the reaction operator norm (the sup of
+    |a| is a conservative choice); margin is lhs - rhs.
     """
     if nu <= 0.0:
         raise InvalidArgumentError(f"diffusion must be positive, got {nu}")

@@ -1,11 +1,13 @@
-"""Composite Gauss-Legendre quadrature on subdivided intervals.
+"""Composite 16-point Gauss-Legendre quadrature split at discontinuities.
 
 The integrands of this library are products of Laplacian eigenfunctions and
 indicator functions: smooth oscillations at wavenumbers up to M*pi/L, broken
-by jump discontinuities at actuator endpoints.  A fixed high-order rule per
-panel, with the panel count scaling with the highest wavenumber (at least
-four panels per oscillation period) and panels split at every known
-discontinuity, integrates these to near machine precision.
+by jump discontinuities at actuator endpoints.  One node set covers [a, b]:
+the interval is cut at every breakpoint, each piece gets a share of the panel
+budget in proportion to its length (at least one panel), and each panel
+carries the 16-point rule.  With the budget scaling with the highest
+wavenumber (at least four panels per oscillation period) this integrates
+such integrands to near machine precision.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-DEFAULT_ORDER = 16
+_BASE_X, _BASE_W = np.polynomial.legendre.leggauss(16)
 
 
 def oscillation_panels(max_wavenumber: float, length: float) -> int:
@@ -34,19 +36,28 @@ def oscillation_panels(max_wavenumber: float, length: float) -> int:
 
 
 def panel_nodes_weights(
-    a: float, b: float, n_panels: int, order: int = DEFAULT_ORDER
+    a: float, b: float, n_panels: int, breakpoints: Iterable[float] = ()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite rule on [a, b] with equal panels."""
+    """Nodes and weights of the composite rule on [a, b].
+
+    Interior breakpoints cut the interval so that discontinuities land on
+    panel boundaries; the n_panels budget is distributed over the pieces in
+    proportion to their length, with at least one equal-width panel each.
+    """
     if not b > a:
         raise InvalidArgumentError(f"empty interval [{a}, {b}]")
     if n_panels < 1:
         raise InvalidArgumentError(f"need at least one panel, got {n_panels}")
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
+    cuts = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
+    pieces = [
+        np.linspace(lo, hi, max(1, math.ceil(n_panels * (hi - lo) / (b - a))) + 1)[:-1]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    edges = np.append(np.concatenate(pieces), b)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _BASE_X[None, :]).ravel()
+    weights = (half[:, None] * _BASE_W[None, :]).ravel()
     return nodes, weights
 
 
@@ -56,22 +67,8 @@ def integrate(
     b: float,
     *,
     n_panels: int = 8,
-    order: int = DEFAULT_ORDER,
     breakpoints: Iterable[float] = (),
 ) -> float:
-    """Integrate a vectorized callable over [a, b].
-
-    Interior breakpoints split the interval so that discontinuities of f land
-    on panel boundaries; the panel budget is distributed over the pieces in
-    proportion to their length, with at least one panel each.
-    """
-    cuts = [a]
-    cuts.extend(sorted(p for p in set(breakpoints) if a < p < b))
-    cuts.append(b)
-    total = 0.0
-    span = b - a
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        m = max(1, int(math.ceil(n_panels * (hi - lo) / span)))
-        x, w = panel_nodes_weights(lo, hi, m, order)
-        total += float(np.dot(w, np.asarray(f(x), dtype=float)))
-    return total
+    """Integrate a vectorized callable over [a, b] (see panel_nodes_weights)."""
+    x, w = panel_nodes_weights(a, b, n_panels, breakpoints)
+    return float(w @ np.asarray(f(x), dtype=float))

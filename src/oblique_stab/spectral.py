@@ -1,16 +1,14 @@
-"""Laplacian eigenpairs on an interval, for both boundary condition kinds.
+"""Laplacian eigenpairs on an interval (0, L), for both boundary condition kinds.
 
-On (0, pi) the closed forms are
+With k = pi/L the closed forms are
 
-    Dirichlet:  alpha_i = i**2,          e_i(x) = sqrt(2/pi) * sin(i x),    i >= 1,
-    Neumann:    alpha_i = (i - 1)**2,    e_1(x) = sqrt(1/pi),
-                                         e_i(x) = sqrt(2/pi) * cos((i-1) x), i >= 2.
+    Dirichlet:  alpha_i = (i k)**2,        e_i(x) = sqrt(2/L) * sin(i k x),      i >= 1,
+    Neumann:    alpha_i = ((i - 1) k)**2,  e_1(x) = sqrt(1/L),
+                                           e_i(x) = sqrt(2/L) * cos((i-1) k x),  i >= 2,
 
-A general interval (0, L) is reached through the rescaling substitution
-x -> pi*x/L: eigenfunctions pick up the factor sqrt(pi/L) to stay
-L2(0, L)-normalised and eigenvalues scale by (pi/L)**2.  Indices are 1-based,
-following the natural ordering of the spectrum; alpha_1 is the smallest
-eigenvalue (positive for Dirichlet, zero for Neumann).
+each e_i normalised in L2(0, L).  Indices are 1-based, following the natural
+ordering of the spectrum; alpha_1 is the smallest eigenvalue (positive for
+Dirichlet, zero for Neumann).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ class EigenBasis:
     """First M Laplacian eigenpairs on (0, L) for one boundary condition.
 
     alphas is ascending, shape (M,).  Eigenfunctions are kept as closed-form
-    evaluators (see eval_eigenfunction), never as sampled arrays, so inner
+    evaluators (see eigenfunctions), never as sampled arrays, so inner
     products against them can be computed to quadrature precision at any
     resolution.
     """
@@ -47,16 +45,11 @@ class EigenBasis:
     alphas: np.ndarray
 
 
-def _validate_positive_length(L: float) -> float:
+def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
+    """Construct the first M eigenpairs on (0, L)."""
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
         raise InvalidArgumentError(f"interval length must be positive and finite, got {L}")
-    return L
-
-
-def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
-    """Construct the first M eigenpairs on (0, L)."""
-    L = _validate_positive_length(L)
     if int(M) != M or M < 1:
         raise InvalidArgumentError(f"eigenpair count must be a positive integer, got {M}")
     M = int(M)
@@ -70,13 +63,6 @@ def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
     return EigenBasis(bc=bc, L=L, M=M, alphas=alphas)
 
 
-def wavenumber(basis: EigenBasis, i: int) -> float:
-    """Spatial wavenumber of e_i: i*pi/L (Dirichlet) or (i-1)*pi/L (Neumann)."""
-    _check_index(basis, i)
-    base = i if basis.bc is BoundaryCondition.DIRICHLET else i - 1
-    return base * math.pi / basis.L
-
-
 def _check_index(basis: EigenBasis, i: int) -> None:
     if int(i) != i or not 1 <= i <= basis.M:
         raise InvalidArgumentError(f"eigenfunction index must lie in 1..{basis.M}, got {i}")
@@ -87,58 +73,25 @@ def _check_coords(basis: EigenBasis, x: np.ndarray) -> None:
         raise InvalidArgumentError(f"coordinates must lie in [0, {basis.L}]")
 
 
+def _modes(basis: EigenBasis, i, x) -> np.ndarray:
+    """Values of e_i at x for 1-based indices i broadcast against x."""
+    arr = np.asarray(x, dtype=float)
+    _check_coords(basis, arr)
+    L = basis.L
+    if basis.bc is BoundaryCondition.DIRICHLET:
+        return math.sqrt(2.0 / L) * np.sin(i * math.pi * arr / L)
+    amp = np.where(i == 1, math.sqrt(1.0 / L), math.sqrt(2.0 / L))
+    return amp * np.cos((i - 1) * math.pi * arr / L)
+
+
+def eigenfunctions(basis: EigenBasis, x) -> np.ndarray:
+    """Values of e_1, ..., e_M at x in [0, L]; shape of x + (M,)."""
+    i = np.arange(1, basis.M + 1, dtype=float)
+    return _modes(basis, i, np.asarray(x, dtype=float)[..., None])
+
+
 def eval_eigenfunction(basis: EigenBasis, i: int, x):
     """Pointwise closed-form value of e_i at x (scalar or array), x in [0, L]."""
     _check_index(basis, i)
-    arr = np.asarray(x, dtype=float)
-    _check_coords(basis, arr)
-    L = basis.L
-    if basis.bc is BoundaryCondition.DIRICHLET:
-        out = math.sqrt(2.0 / L) * np.sin(i * math.pi * arr / L)
-    elif i == 1:
-        out = np.full_like(arr, math.sqrt(1.0 / L))
-    else:
-        out = math.sqrt(2.0 / L) * np.cos((i - 1) * math.pi * arr / L)
+    out = _modes(basis, i, x)
     return float(out) if np.ndim(x) == 0 else out
-
-
-def eval_eigenfunction_derivative(basis: EigenBasis, i: int, x):
-    """Closed-form spatial derivative of e_i at x, x in [0, L]."""
-    _check_index(basis, i)
-    arr = np.asarray(x, dtype=float)
-    _check_coords(basis, arr)
-    L = basis.L
-    if basis.bc is BoundaryCondition.DIRICHLET:
-        k = i * math.pi / L
-        out = math.sqrt(2.0 / L) * k * np.cos(k * arr)
-    elif i == 1:
-        out = np.zeros_like(arr)
-    else:
-        k = (i - 1) * math.pi / L
-        out = -math.sqrt(2.0 / L) * k * np.sin(k * arr)
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def rescale_function(samples: np.ndarray, L: float) -> np.ndarray:
-    """Push samples on a uniform grid over (0, pi) to the matching grid on (0, L).
-
-    The map is (S f)(y) = f(pi*y/L).  On uniform grids with the same node
-    count the image grid point y_i corresponds exactly to the source point
-    x_i = pi*y_i/L, so the sample values pass through unchanged; what changes
-    is the measure of the underlying interval, and with it every L2 quantity:
-    the squared norm scales by L/pi.
-    """
-    _validate_positive_length(L)
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidArgumentError("expected a 1-D array of samples")
-    return arr.copy()
-
-
-def inverse_rescale_function(samples: np.ndarray, L: float) -> np.ndarray:
-    """Inverse of rescale_function: samples on (0, L) back to (0, pi)."""
-    _validate_positive_length(L)
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 1:
-        raise InvalidArgumentError("expected a 1-D array of samples")
-    return arr.copy()

@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from oblique_stab.actuators import Scheme, all_breakpoints, normalized_indicator, place
+from oblique_stab.actuators import (
+    Scheme,
+    all_breakpoints,
+    indicators,
+    normalized_indicator_coeff,
+    place,
+)
 from oblique_stab.errors import ConstraintViolationError
 from oblique_stab.fem import (
     FeedbackConfig,
@@ -175,7 +181,7 @@ def test_criterion_05_projector_laws():
             assert data.op_norm > 1.0
 
             # range: the first actuator is reproduced with unit coefficients
-            f_u = lambda x: normalized_indicator(aset, 1, x)
+            f_u = lambda x: normalized_indicator_coeff(aset) * indicators(aset, x)[..., 0]
             alpha, proj = apply_projection(data, f_u, breakpoints=bps, n_panels=64)
             dev = max(abs(alpha[0] - 1.0), float(np.max(np.abs(alpha[1:]), initial=0.0)))
             worst = max(worst, dev)

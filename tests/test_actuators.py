@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from oblique_stab.actuators import (
     Scheme,
     all_breakpoints,
-    indicator,
-    normalized_indicator,
+    indicators,
     normalized_indicator_coeff,
     place,
     support_bounds,
-    to_csv_line,
 )
 from oblique_stab.errors import ConstraintViolationError, InvalidArgumentError
 
@@ -125,16 +123,18 @@ def test_invalid_count_and_length():
 def test_indicator_is_open_interval():
     aset = place(Scheme.MXE, math.pi, 2, 0.5)
     lo, hi = support_bounds(aset, 1)
-    vals = indicator(aset, 1, np.array([lo, 0.5 * (lo + hi), hi]))
-    assert vals[0] == 0.0
-    assert vals[1] == 1.0
-    assert vals[2] == 0.0
+    vals = indicators(aset, np.array([lo, 0.5 * (lo + hi), hi]))
+    assert vals.shape == (3, 2)
+    assert vals[0, 0] == 0.0
+    assert vals[1, 0] == 1.0
+    assert vals[2, 0] == 0.0
+    assert not vals[:, 1].any()
 
 
 def test_indicator_scalar_input():
     aset = place(Scheme.MXE, math.pi, 1, 0.5)
-    assert indicator(aset, 1, float(aset.centers[0])) == 1.0
-    assert indicator(aset, 1, 0.0) == 0.0
+    assert indicators(aset, float(aset.centers[0])).tolist() == [1.0]
+    assert indicators(aset, 0.0).tolist() == [0.0]
 
 
 def test_normalized_indicator_coefficient():
@@ -142,7 +142,7 @@ def test_normalized_indicator_coefficient():
     aset = place(Scheme.MXE, L, M, r)
     assert normalized_indicator_coeff(aset) == pytest.approx(math.sqrt(M / (r * L)))
     mid = float(aset.centers[1])
-    val = normalized_indicator(aset, 2, np.array([mid]))[0]
+    val = normalized_indicator_coeff(aset) * indicators(aset, np.array([mid]))[0, 1]
     assert val == pytest.approx(math.sqrt(M / (r * L)))
 
 
@@ -166,15 +166,6 @@ def test_actuator_index_bounds_checked():
     for j in (0, 4):
         with pytest.raises(InvalidArgumentError):
             support_bounds(aset, j)
-
-
-def test_csv_line_fields():
-    aset = place(Scheme.MXE, math.pi, 2, 0.5)
-    fields = to_csv_line(aset).split(",")
-    assert fields[1] == "2"
-    assert fields[3] == "mxe"
-    assert float(fields[4]) == pytest.approx(aset.centers[0])
-    assert float(fields[5]) == pytest.approx(aset.centers[1])
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblique_stab.actuators import Scheme, all_breakpoints, normalized_indicator, place
+from oblique_stab.actuators import (
+    Scheme,
+    all_breakpoints,
+    indicators,
+    normalized_indicator_coeff,
+    place,
+)
 from oblique_stab.errors import (
     ConstraintViolationError,
     DirectSumFailureError,
@@ -34,8 +40,33 @@ D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
 
 
-def _build(bc, scheme, M, r, **kw):
-    return build_projection(assemble_cross_gram(bc, place(scheme, math.pi, M, r), **kw))
+def _build(bc, scheme, M, r):
+    return build_projection(assemble_cross_gram(bc, place(scheme, math.pi, M, r)))
+
+
+def _antiderivative_entries(bc, M, r, cm):
+    """Cross-Gram entries at L = pi from endpoint antiderivative differences."""
+    delta = r * math.pi / (2 * M)
+    norm_coef = math.sqrt(M / (r * math.pi))
+    lo = cm - delta
+    hi = cm + delta
+    G = np.empty((M, M))
+    if bc is BoundaryCondition.DIRICHLET:
+        amp = norm_coef * math.sqrt(2 / math.pi)
+        for row, i in enumerate(range(1, M + 1)):
+            G[row, :] = amp * (np.cos(i * lo) - np.cos(i * hi)) / i
+    else:
+        G[0, :] = norm_coef * math.sqrt(1 / math.pi) * (hi - lo)
+        amp = norm_coef * math.sqrt(2 / math.pi)
+        for row, i in enumerate(range(2, M + 1), start=1):
+            m = i - 1
+            G[row, :] = amp * (np.sin(m * hi) - np.sin(m * lo)) / m
+    return G
+
+
+def _normalized(aset, j):
+    """Evaluator of the L2-normalised indicator of omega_j, 1-based j."""
+    return lambda x: normalized_indicator_coeff(aset) * indicators(aset, x)[..., j - 1]
 
 
 # ---------------------------------------------------------------- assembly
@@ -70,9 +101,12 @@ def test_coincident_centers_rejected():
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
 def test_antiderivative_validation_path(bc, scheme):
-    # validate=True recomputes every entry by exact integration
-    gram = assemble_cross_gram(bc, place(scheme, math.pi, 6, 0.35), validate=True)
+    # the closed forms agree with exact integration by antiderivatives
+    aset = place(scheme, math.pi, 6, 0.35)
+    gram = assemble_cross_gram(bc, aset)
     assert gram.entries.shape == (6, 6)
+    oracle = _antiderivative_entries(bc, 6, 0.35, np.asarray(aset.centers))
+    assert np.max(np.abs(gram.entries - oracle)) <= 1e-12
 
 
 def test_entries_match_quadrature():
@@ -84,9 +118,9 @@ def test_entries_match_quadrature():
         basis = build_basis(bc, math.pi, 3)
         for i in (1, 3):
             for j in (1, 2):
+                u_j = _normalized(aset, j)
                 val = integrate(
-                    lambda x: eval_eigenfunction(basis, i, x)
-                    * normalized_indicator(aset, j, x),
+                    lambda x: eval_eigenfunction(basis, i, x) * u_j(x),
                     0.0,
                     math.pi,
                     n_panels=64,
@@ -210,7 +244,7 @@ def test_projection_annihilates_higher_eigenfunction():
 def test_projection_fixes_first_actuator():
     aset = place(Scheme.MXE, math.pi, 3, 0.4)
     data = build_projection(assemble_cross_gram(D, aset))
-    f = lambda x: normalized_indicator(aset, 1, x)
+    f = _normalized(aset, 1)
     alpha, _ = apply_projection(data, f, breakpoints=all_breakpoints(aset), n_panels=64)
     assert abs(alpha[0] - 1.0) <= 1e-10
     assert np.max(np.abs(alpha[1:])) <= 1e-10
@@ -238,6 +272,41 @@ def test_orthogonal_projection_residual_for_constant():
             lambda x: (f0 - proj(x)) ** 2, 0.0, math.pi, n_panels=64, breakpoints=bps
         )
         assert math.sqrt(resid_sq) == pytest.approx(f0 * math.sqrt(0.9 * math.pi), rel=1e-12)
+
+
+def test_orthogonal_projection_with_overlapping_supports():
+    # the supports (1 -+ d) and (1.3 -+ d), d = pi/8, share the interval
+    # (1.3 - d, 1 + d); the normal equations carry that overlap
+    aset = place(Scheme.CUSTOM, math.pi, 2, 0.5, centers=(1.0, 1.3))
+    assert not aset.disjoint
+    data = build_projection(assemble_cross_gram(D, aset))
+    assert data.vartheta == pytest.approx(0.032, abs=5e-4)
+    d = math.pi / 8
+    lo = np.array([1.0 - d, 1.3 - d])
+    hi = np.array([1.0 + d, 1.3 + d])
+    coeff = math.sqrt(2 / (0.5 * math.pi))
+    shared = coeff**2 * (1.0 + d - (1.3 - d))
+    normal = np.array([[1.0, shared], [shared, 1.0]])
+    support_integrals = coeff * (hi**3 - lo**3) / 3
+    exact = np.linalg.solve(normal, support_integrals)
+    gamma, proj = orthogonal_projection_actuators(data, lambda x: x**2)
+    assert np.max(np.abs(gamma - exact)) <= 1e-12
+    assert proj(1.2) == pytest.approx(coeff * (exact[0] + exact[1]), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "project", [apply_projection, apply_adjoint_projection, orthogonal_projection_actuators]
+)
+def test_evaluators_return_float_for_scalar_and_array_for_array(project):
+    data = _build(N, Scheme.MXE, 3, 0.4)
+    _, proj = project(data, np.cos)
+    xs = np.linspace(0.0, math.pi, 12)
+    value = proj(1.0)
+    assert type(value) is float
+    grid = proj(xs.reshape(3, 4))
+    assert isinstance(grid, np.ndarray) and grid.shape == (3, 4)
+    assert proj(xs) == pytest.approx(grid.ravel(), abs=1e-15)
+    assert proj(float(xs[5])) == pytest.approx(grid[1, 1], abs=1e-15)
 
 
 def test_adjoint_annihilates_actuator_orthogonal_function():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from oblique_stab.errors import InvalidArgumentError
-from oblique_stab.quadrature import integrate, oscillation_panels
+from oblique_stab.quadrature import integrate, oscillation_panels, panel_nodes_weights
 
 
 def test_polynomial_exactness():
-    # degree 2*order-1 polynomials integrate exactly on one panel
+    # polynomials up to degree 31 = 2*16 - 1 integrate exactly on one panel
     val = integrate(lambda x: x**7 - 3 * x**3 + 2, 0.0, 2.0, n_panels=1)
     exact = 2.0**8 / 8 - 3 * 2.0**4 / 4 + 2 * 2.0
     assert val == pytest.approx(exact, rel=1e-14)
@@ -28,6 +28,15 @@ def test_breakpoints_resolve_kinks():
     split = integrate(f, 0.0, 1.0, n_panels=4, breakpoints=(0.3,))
     assert abs(split - exact) < abs(smooth - exact)
     assert split == pytest.approx(exact, rel=1e-14)
+
+
+def test_nodes_split_at_breakpoints():
+    # pieces [0, 0.25] and [0.25, 1] get 1 and 3 of the 4 panels
+    x, w = panel_nodes_weights(0.0, 1.0, 4, breakpoints=(0.25, 0.25, 2.0))
+    assert x.shape == w.shape == (4 * 16,)
+    assert np.sum(w) == pytest.approx(1.0, rel=1e-15)
+    assert np.all(x[:16] < 0.25) and np.all(x[16:] > 0.25)
+    assert np.sum(w[:16]) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_oscillation_panels_scale_with_frequency():
