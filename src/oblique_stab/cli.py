@@ -267,8 +267,10 @@ class _Settings:
         return value
 
     def config_comment(self, command: str) -> str:
+        # The worker count changes no row, so leaving it out keeps a sweep
+        # file byte-identical whatever --jobs is.
         parts = [f"command={command}"] + [
-            f"{k}={self.used[k]}" for k in sorted(self.used)
+            f"{k}={self.used[k]}" for k in sorted(self.used) if k != "jobs"
         ]
         return "# config: " + " ".join(parts)
 

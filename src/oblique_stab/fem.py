@@ -20,7 +20,14 @@ Time stepping is Crank-Nicolson with the reaction and feedback treated as an
 external force h(y) = -R y + M f.  The implicit force value is replaced by
 the linear extrapolation 2 h(y_prev) - h(y_prev2), so each step solves one
 symmetric positive definite tridiagonal system with a fixed matrix
-2 M + k nu S (its interior block under Dirichlet conditions), factored once.
+2 M + k nu S (its interior block under Dirichlet conditions), factored once
+by LAPACK dpttrf and solved by dpttrs.
+
+Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
+MU = M [U] (N x M) and W0 = P_M (-nu S + lambda M - R) (M x N), folding R in
+only when the reaction is static.  Each step then costs one product R y, one
+W0 product (less P_M (R y) when R varies), one MU product, one
+(2 M - k nu S) y, one dpttrs solve, and one mass product for the norm.
 """
 
 from __future__ import annotations
@@ -39,11 +46,11 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    SpdTridiagFactor,
-    SymTridiagonal,
     solve_dense,
     sym_eigen,
-    tridiag_combine,
+    tridiag_factor,
+    tridiag_matvec,
+    tridiag_solve,
 )
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
@@ -70,13 +77,17 @@ def make_grid(L: float, N: int) -> FemGrid:
     return FemGrid(L=L, N=N, h=h, nodes=nodes)
 
 
+Tridiag = tuple[np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class FemMatrices:
-    """Mass and stiffness matrices of the hat basis on a uniform grid."""
+    """Mass and stiffness matrices of the hat basis on a uniform grid, each a
+    (diag, off) pair."""
 
     grid: FemGrid
-    mass: SymTridiagonal
-    stiffness: SymTridiagonal
+    mass: Tridiag
+    stiffness: Tridiag
 
 
 def assemble_fem(grid: FemGrid) -> FemMatrices:
@@ -94,23 +105,18 @@ def assemble_fem(grid: FemGrid) -> FemMatrices:
     sdiag = np.full(N, 2.0 / h)
     sdiag[0] = sdiag[-1] = 1.0 / h
     soff = np.full(N - 1, -1.0 / h)
-    return FemMatrices(
-        grid=grid,
-        mass=SymTridiagonal(diag=mdiag, off=moff),
-        stiffness=SymTridiagonal(diag=sdiag, off=soff),
-    )
+    return FemMatrices(grid=grid, mass=(mdiag, moff), stiffness=(sdiag, soff))
 
 
-def reaction_matrix(fem: FemMatrices, a_nodes: np.ndarray) -> SymTridiagonal:
+def reaction_matrix(fem: FemMatrices, a_nodes: np.ndarray) -> Tridiag:
     """Symmetrised reaction matrix (M Diag(a) + Diag(a) M) / 2 for nodal a."""
     a = np.asarray(a_nodes, dtype=float)
     if a.shape != (fem.grid.N,):
         raise InvalidArgumentError(
             f"reaction values must have shape ({fem.grid.N},), got {a.shape}"
         )
-    diag = fem.mass.diag * a
-    off = fem.mass.off * 0.5 * (a[:-1] + a[1:])
-    return SymTridiagonal(diag=diag, off=off)
+    mdiag, moff = fem.mass
+    return mdiag * a, moff * 0.5 * (a[:-1] + a[1:])
 
 
 @dataclass(frozen=True)
@@ -211,13 +217,6 @@ class FeedbackOperator:
     P: np.ndarray
 
 
-def _mat_matvec(T: SymTridiagonal, X: np.ndarray) -> np.ndarray:
-    out = np.empty_like(X)
-    for j in range(X.shape[1]):
-        out[:, j] = T.matvec(X[:, j])
-    return out
-
-
 def feedback_matrices(
     fem: FemMatrices, bc: BoundaryCondition, aset: ActuatorSet
 ) -> FeedbackOperator:
@@ -235,7 +234,8 @@ def feedback_matrices(
     basis = build_basis(bc, grid.L, aset.M)
     U = indicators(aset, grid.nodes)
     E = eigenfunctions(basis, grid.nodes)
-    A = E.T @ _mat_matvec(fem.mass, U)
+    # einsum sums without BLAS, so A does not depend on the BLAS thread count.
+    A = np.einsum("ni,nj->ij", E, tridiag_matvec(*fem.mass, U))
     try:
         P = solve_dense(A, E.T)
     except SingularMatrixError as exc:
@@ -252,7 +252,7 @@ def feedback_matrices(
 def project_nodal(fem: FemMatrices, op: FeedbackOperator, z: np.ndarray) -> np.ndarray:
     """Nodal values of the discrete oblique projection: U P M z."""
     z = np.asarray(z, dtype=float)
-    return op.U @ (op.P @ fem.mass.matvec(z))
+    return op.U @ (op.P @ tridiag_matvec(*fem.mass, z))
 
 
 def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
@@ -262,8 +262,8 @@ def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
     eigenvalue of G_E^{1/2} A^{-T} N_U A^{-1} G_E^{1/2}; this is exact for
     the discrete operator, no sampling involved.
     """
-    G_E = op.E.T @ _mat_matvec(fem.mass, op.E)
-    N_U = op.U.T @ _mat_matvec(fem.mass, op.U)
+    G_E = op.E.T @ tridiag_matvec(*fem.mass, op.E)
+    N_U = op.U.T @ tridiag_matvec(*fem.mass, op.U)
     w, V = sym_eigen(G_E)
     if w[0] <= 0.0:
         raise NumericalFailureError(
@@ -280,16 +280,21 @@ def feedback_apply(
     op: FeedbackOperator,
     nu: float,
     lam: float,
-    R: SymTridiagonal,
+    R: Tridiag,
     y: np.ndarray,
 ) -> np.ndarray:
     """Nodal feedback force f = -U P (-nu S y - R y + lam M y).
 
     This is the force before multiplication by the mass matrix; the closed
-    loop adds M f to the reaction part -R y of the external force.
+    loop adds M f to the reaction part -R y of the external force.  It is
+    the readable form of the product that run_closed_loop fuses.
     """
     y = np.asarray(y, dtype=float)
-    resid = -nu * fem.stiffness.matvec(y) - R.matvec(y) + lam * fem.mass.matvec(y)
+    resid = (
+        -nu * tridiag_matvec(*fem.stiffness, y)
+        - tridiag_matvec(*R, y)
+        + lam * tridiag_matvec(*fem.mass, y)
+    )
     return -(op.U @ (op.P @ resid))
 
 
@@ -310,59 +315,6 @@ class FeedbackConfig:
             return True
         t0, t1 = self.feed_on
         return t0 - 1e-9 <= t <= t1 + 1e-9
-
-
-class CrankNicolsonStepper:
-    """One fixed-step Crank-Nicolson solve of 2 M dy = -k nu S (y + y_prev) + force.
-
-    The matrix 2 M + k nu S is factored once; under Dirichlet conditions only
-    its interior block is solved and the boundary values stay at zero.
-    """
-
-    def __init__(
-        self, bc: BoundaryCondition, fem: FemMatrices, nu: float, k: float
-    ) -> None:
-        if nu <= 0.0:
-            raise InvalidArgumentError(f"diffusion must be positive, got {nu}")
-        if k <= 0.0:
-            raise InvalidArgumentError(f"time step must be positive, got {k}")
-        self.bc = bc
-        self.fem = fem
-        self.nu = nu
-        self.k = k
-        B_plus = tridiag_combine(2.0, fem.mass, k * nu, fem.stiffness)
-        self.B_minus = tridiag_combine(2.0, fem.mass, -k * nu, fem.stiffness)
-        if bc is BoundaryCondition.DIRICHLET:
-            interior = SymTridiagonal(diag=B_plus.diag[1:-1], off=B_plus.off[1:-1])
-            self._factor = SpdTridiagFactor(interior)
-            self._edge_plus = (float(B_plus.off[0]), float(B_plus.off[-1]))
-        else:
-            self._factor = SpdTridiagFactor(B_plus)
-
-    def step(
-        self,
-        y_prev: np.ndarray,
-        force: np.ndarray,
-        boundary_values: tuple[float, float] = (0.0, 0.0),
-    ) -> np.ndarray:
-        """Advance one step; force carries k (3 h_prev - h_prev2) and any
-        boundary flux contribution, already multiplied by k.
-
-        boundary_values are the Dirichlet values imposed at the new time
-        (ignored under Neumann conditions); the matvec of the previous state
-        already carries the old boundary coupling.
-        """
-        rhs = self.B_minus.matvec(y_prev) + force
-        if self.bc is BoundaryCondition.DIRICHLET:
-            b0, b1 = boundary_values
-            y_new = np.empty_like(y_prev)
-            y_new[0], y_new[-1] = b0, b1
-            inner = rhs[1:-1]
-            inner[0] -= self._edge_plus[0] * b0
-            inner[-1] -= self._edge_plus[1] * b1
-            y_new[1:-1] = self._factor.solve(inner)
-            return y_new
-        return self._factor.solve(rhs)
 
 
 @dataclass(frozen=True)
@@ -386,9 +338,14 @@ class ClosedLoopRun:
 
 
 def nodal_l2_norm(fem: FemMatrices, y: np.ndarray) -> float:
-    """L2(0, L) norm of the hat interpolant with nodal values y."""
+    """L2(0, L) norm of the hat interpolant with nodal values y.
+
+    The sum is numpy's pairwise reduction rather than a BLAS dot product, so
+    it does not depend on the BLAS thread count.  A non-finite y gives a
+    non-finite norm.
+    """
     y = np.asarray(y, dtype=float)
-    return float(np.sqrt(max(y @ fem.mass.matvec(y), 0.0)))
+    return float(np.sqrt(np.maximum(np.add.reduce(y * tridiag_matvec(*fem.mass, y)), 0.0)))
 
 
 def run_closed_loop(
@@ -411,17 +368,26 @@ def run_closed_loop(
     The reaction and feedback enter as the external force
     h(y, t) = -R(t) y + M f(y, t) with
     f = -U P (-nu S y - R(t) y + lambda M y) while the feedback is active and
-    f = 0 otherwise.  Time stepping replaces the implicit force value by the
+    f = 0 otherwise.  Time stepping solves
+    (2 M + k nu S) y_new = (2 M - k nu S) y + k (3 h_prev - h_prev2), that is
+    Crank-Nicolson with the implicit force value replaced by the
     extrapolation 2 h_prev - h_prev2, with the ghost value h_prev2 := h_prev
     on the first step.  y0 is kept as given at t = 0 even when it violates a
     Dirichlet boundary condition; the boundary values are imposed from the
-    first step on.
+    first step on, and only the interior block of 2 M + k nu S is solved.
 
     neumann_flux(t) may supply boundary derivative data (y_x(0,t), y_x(L,t))
     under Neumann conditions, and dirichlet_data(t) boundary values
     (y(0,t), y(L,t)) under Dirichlet conditions; omitted or None means
     homogeneous.
+
+    Raises NumericalFailureError, naming the step and its time, at the first
+    state whose norm is not finite.
     """
+    if nu <= 0.0:
+        raise InvalidArgumentError(f"diffusion must be positive, got {nu}")
+    if k <= 0.0:
+        raise InvalidArgumentError(f"time step must be positive, got {k}")
     if T <= 0.0:
         raise InvalidArgumentError(f"final time must be positive, got {T}")
     y = np.array(y0, dtype=float)
@@ -438,35 +404,43 @@ def run_closed_loop(
     if n_steps < 1:
         raise InvalidArgumentError(f"final time {T} is shorter than one step {k}")
     times = np.arange(n_steps + 1) * k
-    stepper = CrankNicolsonStepper(bc, fem, nu, k)
     nodes = fem.grid.nodes
+    (mdiag, moff), (sdiag, soff) = fem.mass, fem.stiffness
+
+    B_minus = (2.0 * mdiag - k * nu * sdiag, 2.0 * moff - k * nu * soff)
+    plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    if dirichlet:
+        factor = tridiag_factor(plus_diag[1:-1], plus_off[1:-1])
+        edge0, edge1 = plus_off[0], plus_off[-1]
+    else:
+        factor = tridiag_factor(plus_diag, plus_off)
 
     R_static = None
     if not reaction.time_dependent:
         R_static = reaction_matrix(fem, reaction.values(nodes, 0.0))
 
-    def reaction_at(t: float) -> SymTridiagonal:
+    if feedback is not None:
+        P = feedback.operator.P
+        MU = tridiag_matvec(*fem.mass, feedback.operator.U)
+        K = (feedback.lam * mdiag - nu * sdiag, feedback.lam * moff - nu * soff)
         if R_static is not None:
-            return R_static
-        return reaction_matrix(fem, reaction.values(nodes, t))
+            K = (K[0] - R_static[0], K[1] - R_static[1])
+        # W0 = P K = (K P^T)^T, because K is symmetric.
+        W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
 
-    def force_terms(state: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
-        R = reaction_at(t)
-        h = -R.matvec(state)
-        active = feedback is not None and feedback.active(t)
-        if active:
-            f = feedback_apply(fem, feedback.operator, nu, feedback.lam, R, state)
-            h = h + fem.mass.matvec(f)
-        return h, active
-
-    def flux_vector(t: float) -> np.ndarray | None:
-        if neumann_flux is None:
-            return None
-        g1, g2 = neumann_flux(t)
-        G = np.zeros(fem.grid.N)
-        G[0] = g1
-        G[-1] = -g2
-        return G
+    def force(state: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
+        """h = -R y - MU P_M (-nu S + lambda M - R) y while the feedback acts,
+        else -R y; and whether it acts."""
+        R = R_static if R_static is not None else reaction_matrix(fem, reaction.values(nodes, t))
+        h = tridiag_matvec(*R, state)
+        if feedback is None or not feedback.active(t):
+            return -h, False
+        c = W0 @ state
+        if R_static is None:
+            c -= P @ h
+        h += MU @ c
+        return -h, True
 
     norms = np.empty(n_steps + 1)
     feedback_flags = np.zeros(n_steps + 1, dtype=bool)
@@ -479,31 +453,50 @@ def run_closed_loop(
     snapshots = np.empty((len(snap_times), fem.grid.N)) if snap_times else None
 
     def record(j: int, state: np.ndarray) -> None:
-        norms[j] = nodal_l2_norm(fem, state)
+        norm = nodal_l2_norm(fem, state)
+        if not math.isfinite(norm):
+            raise NumericalFailureError(
+                f"solution norm is {norm} at step {j}, t = {times[j]:.12g}; "
+                "the run blew up (reduce the time step or the reaction)"
+            )
+        norms[j] = norm
         if trajectory is not None:
             trajectory[j] = state
         if snapshots is not None and j in snap_index:
             snapshots[snap_index[j]] = state
 
-    record(0, y)
-    h_prev, feedback_flags[0] = force_terms(y, 0.0)
-    h_prev2 = h_prev
-    G_prev = flux_vector(0.0)
+    # A blow-up overflows before it produces NaN; record() reports it with
+    # the step and its time, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0, y)
+        h_prev, feedback_flags[0] = force(y, 0.0)
+        h_prev2 = h_prev
+        g_prev = neumann_flux(0.0) if neumann_flux is not None else None
 
-    for j in range(1, n_steps + 1):
-        force = k * (3.0 * h_prev - h_prev2)
-        if G_prev is not None:
-            G_new = flux_vector(times[j])
-            force = force + k * (G_new + G_prev)
-            G_prev = G_new
-        bvals = dirichlet_data(times[j]) if dirichlet_data is not None else (0.0, 0.0)
-        y = stepper.step(y, force, boundary_values=bvals)
-        record(j, y)
-        if j < n_steps:
-            h_new, feedback_flags[j] = force_terms(y, times[j])
-            h_prev2, h_prev = h_prev, h_new
-        else:
-            feedback_flags[j] = feedback is not None and feedback.active(times[j])
+        for j in range(1, n_steps + 1):
+            t = times[j]
+            rhs = tridiag_matvec(*B_minus, y)
+            rhs += k * (3.0 * h_prev - h_prev2)
+            if g_prev is not None:
+                g_new = neumann_flux(t)
+                rhs[0] += k * (g_new[0] + g_prev[0])
+                rhs[-1] -= k * (g_new[1] + g_prev[1])
+                g_prev = g_new
+            if dirichlet:
+                b0, b1 = dirichlet_data(t) if dirichlet_data is not None else (0.0, 0.0)
+                rhs[1] -= edge0 * b0
+                rhs[-2] -= edge1 * b1
+                rhs[1:-1] = tridiag_solve(factor, rhs[1:-1])
+                rhs[0], rhs[-1] = b0, b1
+                y = rhs
+            else:
+                y = tridiag_solve(factor, rhs)
+            record(j, y)
+            if j < n_steps:
+                h_prev2 = h_prev
+                h_prev, feedback_flags[j] = force(y, t)
+            else:
+                feedback_flags[j] = feedback is not None and feedback.active(t)
 
     for arr in (times, norms, feedback_flags):
         arr.flags.writeable = False

@@ -1,4 +1,4 @@
-"""Dense and banded linear algebra used by the projection and FEM layers.
+"""Dense and tridiagonal linear algebra used by the projection and FEM layers.
 
 A thin validation layer over LAPACK drivers: the operations add the domain
 checks the callers rely on (finiteness, symmetry within 1e-10 relative, pivot
@@ -11,10 +11,10 @@ ill-conditioning.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     InvalidArgumentError,
@@ -89,65 +89,48 @@ def solve_dense(A, B) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
-@dataclass(frozen=True)
-class SymTridiagonal:
-    """Symmetric tridiagonal matrix stored as diagonal and off-diagonal."""
+def tridiag_matvec(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """T X for the symmetric tridiagonal T = (diag, off); X is (n,) or (n, B).
 
-    diag: np.ndarray
-    off: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        e = np.asarray(self.off, dtype=float)
-        if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
-            raise InvalidArgumentError(
-                f"need n diagonal and n-1 off-diagonal entries, got {d.size} and {e.size}"
-            )
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise InvalidArgumentError("tridiagonal entries must be finite")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "off", e)
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = self.diag * x
-        if self.n > 1:
-            y[:-1] += self.off * x[1:]
-            y[1:] += self.off * x[:-1]
-        return y
-
-
-def tridiag_combine(a: float, X: SymTridiagonal, b: float, Y: SymTridiagonal) -> SymTridiagonal:
-    """Linear combination a*X + b*Y of two equally sized tridiagonals."""
-    if X.n != Y.n:
-        raise InvalidArgumentError(f"size mismatch: {X.n} vs {Y.n}")
-    return SymTridiagonal(a * X.diag + b * Y.diag, a * X.off + b * Y.off)
-
-
-class SpdTridiagFactor:
-    """Reusable Cholesky factorization of an SPD tridiagonal matrix.
-
-    Factoring costs O(n) and each solve costs O(n); time stepping factors the
-    implicit matrix once and solves thousands of times.
+    The products are elementwise, so the result does not depend on how many
+    threads the BLAS library uses.
     """
+    if X.ndim == 2:
+        diag, off = diag[:, None], off[:, None]
+    out = diag * X
+    out[:-1] += off * X[1:]
+    out[1:] += off * X[:-1]
+    return out
 
-    def __init__(self, T: SymTridiagonal):
-        ab = np.zeros((2, T.n))
-        ab[1, :] = T.diag
-        if T.n > 1:
-            ab[0, 1:] = T.off
-        try:
-            self._cb = scipy.linalg.cholesky_banded(ab, lower=False, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
-        self.n = T.n
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(b, dtype=float)
-        if rhs.shape[0] != self.n:
-            raise InvalidArgumentError(f"right-hand side length {rhs.shape[0]} != {self.n}")
-        return scipy.linalg.cho_solve_banded((self._cb, False), rhs, check_finite=False)
+def tridiag_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L D L^T factor of the SPD tridiagonal (diag, off) by LAPACK dpttrf.
+
+    Factoring costs O(n) and each tridiag_solve costs O(n); time stepping
+    factors the implicit matrix once and solves thousands of times.
+    """
+    d = np.asarray(diag, dtype=float)
+    e = np.asarray(off, dtype=float)
+    if d.ndim != 1 or e.ndim != 1 or e.size != max(d.size - 1, 0):
+        raise InvalidArgumentError(
+            f"need n diagonal and n-1 off-diagonal entries, got {d.size} and {e.size}"
+        )
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise InvalidArgumentError("tridiagonal entries must be finite")
+    fd, fe, info = dpttrf(d, e)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"tridiagonal matrix is not positive definite: pivot {info} is not positive"
+        )
+    return fd, fe
+
+
+def tridiag_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
+    """Solve T x = b with the tridiag_factor of T; b is (n,) or (n, B)."""
+    d, e = factor
+    if b.shape[0] != d.size:
+        raise InvalidArgumentError(f"right-hand side length {b.shape[0]} != {d.size}")
+    x, info = dpttrs(d, e, b)
+    if info < 0:
+        raise InvalidArgumentError(f"dpttrs rejected argument {-info}")
+    return x

@@ -1,14 +1,19 @@
 """Tests for the hat-function discretization and the closed-loop driver."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oblique_stab.actuators import Scheme, place
-from oblique_stab.errors import DirectSumFailureError, InvalidArgumentError
+from oblique_stab.errors import (
+    DirectSumFailureError,
+    InvalidArgumentError,
+    NumericalFailureError,
+)
 from oblique_stab.fem import (
-    CrankNicolsonStepper,
     FeedbackConfig,
     assemble_fem,
     constant_reaction,
@@ -24,6 +29,7 @@ from oblique_stab.fem import (
     run_closed_loop,
     tabulated_reaction,
 )
+from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import assemble_cross_gram, build_projection
 from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
 
@@ -32,7 +38,8 @@ N = BoundaryCondition.NEUMANN
 
 
 def _dense(tri):
-    return np.diag(tri.diag) + np.diag(tri.off, 1) + np.diag(tri.off, -1)
+    diag, off = tri
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 # ---------------------------------------------------------------- matrices
@@ -46,20 +53,22 @@ def test_grid_nodes_uniform():
 def test_mass_matrix_three_nodes():
     fem = assemble_fem(make_grid(math.pi, 3))
     h = math.pi / 2
-    assert np.allclose(fem.mass.diag, [h / 3, 2 * h / 3, h / 3], rtol=1e-15)
-    assert np.allclose(fem.mass.off, [h / 6, h / 6], rtol=1e-15)
+    diag, off = fem.mass
+    assert np.allclose(diag, [h / 3, 2 * h / 3, h / 3], rtol=1e-15)
+    assert np.allclose(off, [h / 6, h / 6], rtol=1e-15)
 
 
 def test_stiffness_matrix_three_nodes():
     fem = assemble_fem(make_grid(math.pi, 3))
     h = math.pi / 2
-    assert np.allclose(fem.stiffness.diag, [1 / h, 2 / h, 1 / h], rtol=1e-15)
-    assert np.allclose(fem.stiffness.off, [-1 / h, -1 / h], rtol=1e-15)
+    diag, off = fem.stiffness
+    assert np.allclose(diag, [1 / h, 2 / h, 1 / h], rtol=1e-15)
+    assert np.allclose(off, [-1 / h, -1 / h], rtol=1e-15)
 
 
 def test_stiffness_annihilates_constants():
     fem = assemble_fem(make_grid(2.0, 17))
-    out = fem.stiffness.matvec(np.ones(17))
+    out = tridiag_matvec(*fem.stiffness, np.ones(17))
     assert np.max(np.abs(out)) == 0.0
 
 
@@ -72,12 +81,12 @@ def test_too_few_nodes_rejected():
 
 def test_reaction_matrix_zero_and_constant():
     fem = assemble_fem(make_grid(math.pi, 9))
-    R0 = reaction_matrix(fem, np.zeros(9))
-    assert np.max(np.abs(R0.diag)) == 0.0 and np.max(np.abs(R0.off)) == 0.0
+    R0_diag, R0_off = reaction_matrix(fem, np.zeros(9))
+    assert np.max(np.abs(R0_diag)) == 0.0 and np.max(np.abs(R0_off)) == 0.0
     c = -3.5
-    Rc = reaction_matrix(fem, np.full(9, c))
-    assert np.allclose(Rc.diag, c * fem.mass.diag, rtol=1e-15)
-    assert np.allclose(Rc.off, c * fem.mass.off, rtol=1e-15)
+    Rc_diag, Rc_off = reaction_matrix(fem, np.full(9, c))
+    assert np.allclose(Rc_diag, c * fem.mass[0], rtol=1e-15)
+    assert np.allclose(Rc_off, c * fem.mass[1], rtol=1e-15)
 
 
 def test_reaction_matrix_offdiagonal_average():
@@ -85,10 +94,10 @@ def test_reaction_matrix_offdiagonal_average():
     grid = make_grid(math.pi, 3)
     fem = assemble_fem(grid)
     a = grid.nodes.copy()
-    R = reaction_matrix(fem, a)
+    _, R_off = reaction_matrix(fem, a)
     h = grid.h
-    assert R.off[0] == pytest.approx((h / 6) * (a[0] + a[1]) / 2, rel=1e-14)
-    assert R.off[1] == pytest.approx((h / 6) * (a[1] + a[2]) / 2, rel=1e-14)
+    assert R_off[0] == pytest.approx((h / 6) * (a[0] + a[1]) / 2, rel=1e-14)
+    assert R_off[1] == pytest.approx((h / 6) * (a[1] + a[2]) / 2, rel=1e-14)
 
 
 def test_reaction_matrix_symmetric_for_any_field():
@@ -141,7 +150,7 @@ def test_nodal_projection_annihilates_next_eigenfunction(bc, M=6):
 def test_nodal_projection_fixes_first_actuator(bc):
     fem = assemble_fem(make_grid(math.pi, 2001))
     op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, 6, 0.1))
-    coeffs = op.P @ fem.mass.matvec(op.U[:, 0])
+    coeffs = op.P @ tridiag_matvec(*fem.mass, op.U[:, 0])
     assert abs(coeffs[0] - 1.0) <= 1e-6
     assert np.max(np.abs(coeffs[1:])) <= 1e-6
 
@@ -273,9 +282,9 @@ def test_convergence_second_order():
 def test_stepper_rejects_bad_parameters():
     fem = assemble_fem(make_grid(math.pi, 11))
     with pytest.raises(InvalidArgumentError):
-        CrankNicolsonStepper(D, fem, 0.0, 1e-3)
+        run_closed_loop(D, fem, 0.0, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3)
     with pytest.raises(InvalidArgumentError):
-        CrankNicolsonStepper(D, fem, 0.1, -1e-3)
+        run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, -1e-3)
     with pytest.raises(InvalidArgumentError):
         run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.zeros(11), -1.0, 1e-3)
 
@@ -331,7 +340,7 @@ def test_neumann_mass_conservation():
         N, fem, 0.1, constant_reaction(0.0), y0, 1.0, 2e-3, store_trajectory=True
     )
     ones = np.ones(grid.N)
-    masses = [float(ones @ fem.mass.matvec(state)) for state in run.trajectory[::50]]
+    masses = [float(ones @ tridiag_matvec(*fem.mass, state)) for state in run.trajectory[::50]]
     spread = (max(masses) - min(masses)) / abs(masses[0])
     assert spread <= 1e-9
 
@@ -414,3 +423,105 @@ def test_log_norm_slope_of_pure_heat():
     fem = assemble_fem(grid)
     run = run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 1.0, 2e-3)
     assert log_norm_slope(run, 0.2, 0.8) == pytest.approx(-0.1, abs=1e-4)
+
+
+def test_blow_up_raises_with_step_and_time():
+    grid = make_grid(math.pi, 101)
+    fem = assemble_fem(grid)
+    y0, react, k = np.sin(grid.nodes), constant_reaction(-1e6), 1e-3
+    with pytest.raises(NumericalFailureError) as exc:
+        run_closed_loop(D, fem, 0.1, react, y0, 0.5, k)
+    found = re.search(r"at step (\d+), t = ([^;]+);", str(exc.value))
+    assert found is not None, str(exc.value)
+    j, t = int(found.group(1)), float(found.group(2))
+    assert 2 <= j <= 500
+    assert t == pytest.approx(j * k, rel=1e-12)
+    # every state before step j is finite, so j is the first failure
+    before = run_closed_loop(D, fem, 0.1, react, y0, (j - 1) * k, k)
+    assert np.all(np.isfinite(before.norms)) and len(before.norms) == j
+
+
+# ---------------------------------------------------------------- fused kernel
+
+def _reference_run(bc, fem, nu, reaction, y0, T, k, feedback=None,
+                   neumann_flux=None, dirichlet_data=None):
+    """The closed loop written step by step with dense matrices.
+
+    The force is -R y + M f with f from feedback_apply, re-assembled every
+    step, and each step solves 2 M + k nu S (its interior block under
+    Dirichlet conditions) by a dense LU factorization.
+    """
+    Md, Sd = _dense(fem.mass), _dense(fem.stiffness)
+    B_plus, B_minus = 2 * Md + k * nu * Sd, 2 * Md - k * nu * Sd
+    inner = slice(1, -1) if bc is D else slice(None)
+    lu = scipy.linalg.lu_factor(B_plus[inner, inner])
+    nodes = fem.grid.nodes
+    n_steps = int(math.floor(T / k + 1e-9))
+
+    def force(y, t):
+        R = reaction_matrix(fem, reaction.values(nodes, t))
+        h = -_dense(R) @ y
+        on = feedback is not None and feedback.active(t)
+        if on:
+            f = feedback_apply(fem, feedback.operator, nu, feedback.lam, R, y)
+            h = h + Md @ f
+        return h, on
+
+    def flux(t):
+        G = np.zeros(fem.grid.N)
+        if neumann_flux is not None:
+            g0, g1 = neumann_flux(t)
+            G[0], G[-1] = g0, -g1
+        return G
+
+    y = np.array(y0, dtype=float)
+    norms = [math.sqrt(y @ Md @ y)]
+    h_prev, on = force(y, 0.0)
+    h_prev2, flags = h_prev, [on]
+    for j in range(1, n_steps + 1):
+        t = j * k
+        rhs = B_minus @ y + k * (3 * h_prev - h_prev2) + k * (flux(t) + flux((j - 1) * k))
+        if bc is D:
+            b0, b1 = dirichlet_data(t) if dirichlet_data is not None else (0.0, 0.0)
+            rhs = rhs - B_plus[:, 0] * b0 - B_plus[:, -1] * b1
+            y = np.concatenate([[b0], scipy.linalg.lu_solve(lu, rhs[inner]), [b1]])
+        else:
+            y = scipy.linalg.lu_solve(lu, rhs)
+        norms.append(math.sqrt(y @ Md @ y))
+        h_prev2 = h_prev
+        h_prev, on = force(y, t)
+        flags.append(on)
+    return y, np.array(norms), np.array(flags)
+
+
+def _rel(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "bc, react, M, feed_on, boundary",
+    [
+        (D, "static", 6, None, {}),
+        (N, "oscillating", 8, (0.0, 0.3), {}),
+        (D, "static", 6, None, {"dirichlet_data": lambda t: (0.1 * math.sin(3 * t), 0.2)}),
+        (N, "static", 6, None, {"neumann_flux": lambda t: (0.1 * math.cos(2 * t), -0.05)}),
+    ],
+    ids=["dirichlet-static", "neumann-oscillating-window", "dirichlet-data", "neumann-flux"],
+)
+def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on, boundary):
+    grid = make_grid(math.pi, 301)
+    fem = assemble_fem(grid)
+    nu, k, T = 0.1, 2e-3, 0.6
+    reaction = constant_reaction(-3.5) if react == "static" else oscillating_reaction(nu, math.pi)
+    op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, M, 0.1))
+    feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
+    y0 = 0.1 * grid.nodes + 0.05
+    run = run_closed_loop(bc, fem, nu, reaction, y0, T, k, feedback=feedback, **boundary)
+    y_ref, norms_ref, flags_ref = _reference_run(
+        bc, fem, nu, reaction, y0, T, k, feedback=feedback, **boundary
+    )
+    assert _rel(run.final_state, y_ref) <= 1e-10
+    assert _rel(run.norms, norms_ref) <= 1e-10
+    assert np.array_equal(run.feedback_on, flags_ref)
+    if feed_on is not None:
+        assert run.feedback_on.any() and not run.feedback_on.all()
