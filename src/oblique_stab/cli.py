@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +114,13 @@ def _parse_float_list(key: str, text: str) -> list[float]:
     if not items:
         raise InvalidArgumentError(f"--{key} list is empty")
     return [_parse_float(key, s) for s in items]
+
+
+def _single(command: str, key: str, values: list):
+    """The value of a flag that takes a single value in this command."""
+    if len(values) != 1:
+        raise InvalidArgumentError(f"{command} expects a single --{key}, not a range or list")
+    return values[0]
 
 
 def _parse_feed_on(text: str) -> tuple[float, float] | None:
@@ -267,8 +272,8 @@ class _Settings:
         return value
 
     def config_comment(self, command: str) -> str:
-        # The worker count changes no row, so leaving it out keeps a sweep
-        # file byte-identical whatever --jobs is.
+        # --jobs changes no row, so leaving it out keeps a sweep file
+        # byte-identical whatever --jobs is.
         parts = [f"command={command}"] + [
             f"{k}={self.used[k]}" for k in sorted(self.used) if k != "jobs"
         ]
@@ -295,21 +300,17 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     bc, scheme, L, centers = _common_geometry(s)
     m_values = _parse_m_values(s.get("M", required=True))
     r_values = _parse_float_list("r", s.get("r", required=True))
-    jobs = _parse_int("jobs", s.get("jobs", "0"))
-    if jobs <= 0:
-        jobs = min(8, os.cpu_count() or 1)
+    # --jobs is validated but unused: a thread pool never beat this loop.
+    _parse_int("jobs", s.get("jobs", "1"))
 
-    def one(work: tuple[int, float]):
-        M, r = work
-        aset = place(scheme, L, M, r, centers=centers)
-        data = build_projection(assemble_cross_gram(bc, aset))
-        ana = analytic_vartheta(bc, scheme, M, r)
-        _, max_off = check_theta_diagonal(data)
-        return (M, r, data.vartheta, ana, data.op_norm, vartheta_limit(r), max_off)
-
-    items = [(M, r) for r in r_values for M in m_values]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(one, items))
+    rows = []
+    for r in r_values:
+        for M in m_values:
+            aset = place(scheme, L, M, r, centers=centers)
+            data = build_projection(assemble_cross_gram(bc, aset))
+            ana = analytic_vartheta(bc, scheme, M, r)
+            _, max_off = check_theta_diagonal(data)
+            rows.append((M, r, data.vartheta, ana, data.op_norm, vartheta_limit(r), max_off))
     rows.sort(key=lambda row: (row[1], row[0]))
 
     lines = [s.config_comment(args.command)]
@@ -334,13 +335,8 @@ def cmd_eigs(args: argparse.Namespace) -> int:
 def cmd_project(args: argparse.Namespace) -> int:
     s = _Settings(args)
     bc, scheme, L, centers = _common_geometry(s)
-    m_values = _parse_m_values(s.get("M", required=True))
-    if len(m_values) != 1:
-        raise InvalidArgumentError("project expects a single --M, not a range")
-    r_values = _parse_float_list("r", s.get("r", required=True))
-    if len(r_values) != 1:
-        raise InvalidArgumentError("project expects a single --r, not a list")
-    M, r = m_values[0], r_values[0]
+    M = _single("project", "M", _parse_m_values(s.get("M", required=True)))
+    r = _single("project", "r", _parse_float_list("r", s.get("r", required=True)))
     xs, vals = _load_samples(s.get("input", required=True))
     if xs[0] < -1e-12 or xs[-1] > L * (1 + 1e-12):
         raise InvalidArgumentError("input samples must lie inside [0, L]")
@@ -375,13 +371,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     s = _Settings(args)
     bc, scheme, L, centers = _common_geometry(s)
-    m_values = _parse_m_values(s.get("M", "6"))
-    if len(m_values) != 1:
-        raise InvalidArgumentError("simulate expects a single --M, not a range")
-    r_values = _parse_float_list("r", s.get("r", "0.1"))
-    if len(r_values) != 1:
-        raise InvalidArgumentError("simulate expects a single --r, not a list")
-    M, r = m_values[0], r_values[0]
+    M = _single("simulate", "M", _parse_m_values(s.get("M", "6")))
+    r = _single("simulate", "r", _parse_float_list("r", s.get("r", "0.1")))
     nu = _parse_float("nu", s.get("nu", "0.1"))
     lam = _parse_float("lam", s.get("lam", "1.0"))
     N = _parse_int("N", s.get("N", "1001"))
@@ -445,10 +436,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_suffcond(args: argparse.Namespace) -> int:
     s = _Settings(args)
     bc, scheme, L, centers = _common_geometry(s)
-    r_values = _parse_float_list("r", s.get("r", "0.1"))
-    if len(r_values) != 1:
-        raise InvalidArgumentError("suffcond expects a single --r")
-    r = r_values[0]
+    r = _single("suffcond", "r", _parse_float_list("r", s.get("r", "0.1")))
     nu = _parse_float("nu", s.get("nu", "0.1"))
     a_bound = _parse_float("a-bound", s.get("a-bound", required=True))
     max_m = _parse_int("max-M", s.get("max-M", "200"))
@@ -519,7 +507,7 @@ _HELP = {
     "M": "actuator count, a single value or an inclusive range lo..hi",
     "r": "volume fraction(s) in (0, 1), comma-separated where a list is allowed",
     "L": "domain length (default pi)",
-    "jobs": "worker threads for sweeps (default: auto)",
+    "jobs": "accepted for compatibility; sweeps run serially and this has no effect",
     "nu": "diffusion coefficient (default 0.1)",
     "lam": "feedback shift lambda (default 1.0)",
     "N": "grid node count (default 1001)",

@@ -48,6 +48,7 @@ from .errors import (
 from .linalg import (
     solve_dense,
     sym_eigen,
+    sym_eigvals,
     tridiag_factor,
     tridiag_matvec,
     tridiag_solve,
@@ -272,7 +273,7 @@ def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
     root = (V * np.sqrt(w)) @ V.T
     X = solve_dense(op.coupling, root)
     Q = X.T @ N_U @ X
-    return float(np.sqrt(sym_eigen(Q)[0][-1]))
+    return float(np.sqrt(sym_eigvals(Q)[-1]))
 
 
 def feedback_apply(

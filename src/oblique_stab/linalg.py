@@ -26,34 +26,39 @@ SYMMETRY_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
 
 
-def _as_matrix(A, name: str = "matrix") -> np.ndarray:
+def _square_matrix(A, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(A, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidArgumentError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidArgumentError(f"{name} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return arr
 
 
-def sym_eigen(A) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix.
+def _symmetrized(A) -> np.ndarray:
+    """(A + A^T)/2 of a square A that is symmetric within 1e-10 relative.
 
-    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
-    Input must be symmetric within 1e-10 relative in the Frobenius norm; the
-    decomposition is taken of the symmetrized matrix so the result is exactly
-    independent of which triangle carried the rounding noise.
+    Decomposing the symmetrized matrix makes the result exactly independent
+    of which triangle carried the rounding noise.
     """
-    arr = _as_matrix(A)
-    if arr.shape[0] != arr.shape[1]:
-        raise InvalidArgumentError(f"matrix must be square, got shape {arr.shape}")
-    norm = np.linalg.norm(arr)
+    arr = _square_matrix(A)
     skew = np.linalg.norm(arr - arr.T)
-    if skew > SYMMETRY_RTOL * max(norm, 1e-300):
+    if skew > SYMMETRY_RTOL * max(np.linalg.norm(arr), 1e-300):
         raise InvalidArgumentError(
             f"matrix is not symmetric: asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:g} relative"
         )
-    w, v = np.linalg.eigh(0.5 * (arr + arr.T))
+    return 0.5 * (arr + arr.T)
+
+
+def sym_eigen(A) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of a symmetric A."""
+    w, v = np.linalg.eigh(_symmetrized(A))
     return w, v
+
+
+def sym_eigvals(A) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric A, without eigenvectors."""
+    return np.linalg.eigvalsh(_symmetrized(A))
 
 
 def solve_dense(A, B) -> np.ndarray:
@@ -63,9 +68,7 @@ def solve_dense(A, B) -> np.ndarray:
     Frobenius norm of A; for this library that is the signal that a direct-sum
     splitting fails.
     """
-    arr = _as_matrix(A, "A")
-    if arr.shape[0] != arr.shape[1]:
-        raise InvalidArgumentError(f"A must be square, got shape {arr.shape}")
+    arr = _square_matrix(A, "A")
     rhs = np.asarray(B, dtype=float)
     if rhs.ndim not in (1, 2):
         raise InvalidArgumentError(f"right-hand side must be 1-D or 2-D, got shape {rhs.shape}")

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import quadrature
 from .actuators import ActuatorSet, Scheme, all_breakpoints, indicators, normalized_indicator_coeff
@@ -41,7 +42,7 @@ from .errors import (
     InvalidArgumentError,
     SingularConfigurationError,
 )
-from .linalg import solve_dense, sym_eigen
+from .linalg import solve_dense, sym_eigvals
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
 # Below this, the smallest eigenvalue of Theta is treated as zero: the
@@ -51,6 +52,10 @@ from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 VARTHETA_THRESHOLD = 1e-13
 
 _DIAG_RTOL = 1e-10
+
+# Below this ratio of extreme Theta eigenvalues the spectrum comes from the
+# singular values of G; above it eigvalsh is within about 1e-10 relative.
+_SVD_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,12 @@ def _closed_form_entries(bc: BoundaryCondition, M: int, r: float, cm: np.ndarray
     """Product-form entries at L = pi: rank-1 frequency factors times center factors."""
     delta = r * math.pi / (2 * M)
     coef = math.sqrt(8 * M / (r * math.pi**2))
-    G = np.empty((M, M))
-    if bc is BoundaryCondition.DIRICHLET:
-        for row, i in enumerate(range(1, M + 1)):
-            G[row, :] = coef * math.sin(i * delta) * np.sin(i * cm) / i
-    else:
-        G[0, :] = math.sqrt(r / M)
-        for row, i in enumerate(range(2, M + 1), start=1):
-            m = i - 1
-            G[row, :] = coef * math.sin(m * delta) * np.cos(m * cm) / m
-    return G
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    m = np.arange(1.0, M + 1 if dirichlet else M)
+    trig = np.sin if dirichlet else np.cos
+    G = (coef * np.sin(m * delta))[:, None] * trig(np.multiply.outer(m, cm)) / m[:, None]
+    # Neumann: the constant eigenfunction's row sits above the cosine rows
+    return G if dirichlet else np.vstack((np.full((1, M), math.sqrt(r / M)), G))
 
 
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
@@ -132,16 +133,20 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
-    """Form Theta, its spectrum, vartheta, and the operator norm 1/sqrt(vartheta).
+    """Form Theta = G G^T, its spectrum, vartheta, and the operator norm 1/sqrt(vartheta).
 
-    Theta is formed explicitly (rather than through singular values of the
-    cross-Gram) so the diagonality statements can be asserted entrywise.
+    Theta is formed explicitly so the diagonality statements can be asserted
+    entrywise.  Its eigenvalues are the spectrum unless the smallest falls
+    below 1e-6 of the largest: forming G G^T squares the condition number,
+    so the spectrum is then taken as the squared singular values of G.
     Raises DirectSumFailureError when vartheta is numerically zero.
     """
     G = gram.entries
     theta = G @ G.T
     theta = 0.5 * (theta + theta.T)
-    w, _ = sym_eigen(theta)
+    w = sym_eigvals(theta)
+    if w[0] < _SVD_RATIO * w[-1]:
+        w = scipy.linalg.svdvals(G)[::-1] ** 2
     vartheta = float(w[0])
     if vartheta <= VARTHETA_THRESHOLD:
         raise DirectSumFailureError(

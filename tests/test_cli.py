@@ -72,9 +72,10 @@ def test_eigs_deterministic_and_jobs_independent(tmp_path):
     first = out.read_bytes()
     assert main(args + ["--output", str(out)]) == 0
     assert out.read_bytes() == first  # identical invocation, identical bytes
-    # the worker count changes neither a row nor the config comment
+    # --jobs is accepted and changes neither a row nor the config comment
     assert main(args + ["--jobs", "4", "--output", str(out)]) == 0
     assert out.read_bytes() == first
+    assert main(args + ["--jobs", "x", "--output", str(out)]) == 2
 
 
 def test_norm_alias(tmp_path):

@@ -13,6 +13,7 @@ from oblique_stab.errors import (
 from oblique_stab.linalg import (
     solve_dense,
     sym_eigen,
+    sym_eigvals,
     tridiag_factor,
     tridiag_matvec,
     tridiag_solve,
@@ -45,6 +46,29 @@ def test_sym_eigen_rejects_nonsymmetric():
 def test_sym_eigen_sorted_ascending():
     vals, _ = sym_eigen(_random_sym(9))
     assert np.all(np.diff(vals) >= 0)
+
+
+def test_sym_eigvals_matches_sym_eigen():
+    a = _random_sym(8)
+    assert np.allclose(sym_eigvals(a), sym_eigen(a)[0], rtol=0.0, atol=1e-12)
+
+
+def test_sym_eigvals_sorted_ascending():
+    assert np.all(np.diff(sym_eigvals(_random_sym(9))) >= 0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[1.0, 2.0], [0.0, 1.0]]),
+        np.ones((2, 3)),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    ],
+    ids=["nonsymmetric", "nonsquare", "nonfinite"],
+)
+def test_sym_eigvals_rejects_invalid_input(bad):
+    with pytest.raises(InvalidArgumentError):
+        sym_eigvals(bad)
 
 
 def test_solve_dense_matches_numpy():

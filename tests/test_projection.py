@@ -129,6 +129,38 @@ def test_entries_match_quadrature():
                 assert gram.entries[i - 1, j - 1] == pytest.approx(val, abs=1e-12)
 
 
+def _row_loop_entries(bc, M, r, cm):
+    """The closed-form cross-Gram built one row at a time with scalar sines."""
+    delta = r * math.pi / (2 * M)
+    coef = math.sqrt(8 * M / (r * math.pi**2))
+    G = np.empty((M, M))
+    if bc is BoundaryCondition.DIRICHLET:
+        for row, i in enumerate(range(1, M + 1)):
+            G[row, :] = coef * math.sin(i * delta) * np.sin(i * cm) / i
+    else:
+        G[0, :] = math.sqrt(r / M)
+        for row, i in enumerate(range(2, M + 1), start=1):
+            m = i - 1
+            G[row, :] = coef * math.sin(m * delta) * np.cos(m * cm) / m
+    return G
+
+
+def _custom_centers(M):
+    j = np.arange(1, M + 1)
+    return math.pi * (j - 0.5 + 0.2 * np.sin(j)) / M
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON, Scheme.CUSTOM])
+@pytest.mark.parametrize("M", [1, 2, 7, 50, 200])
+@pytest.mark.parametrize("r", [0.1, 0.5])
+def test_cross_gram_bit_identical_to_row_loop(bc, scheme, M, r):
+    centers = _custom_centers(M) if scheme is Scheme.CUSTOM else None
+    aset = place(scheme, math.pi, M, r, centers=centers)
+    oracle = _row_loop_entries(bc, M, r, np.asarray(aset.centers))
+    assert np.array_equal(assemble_cross_gram(bc, aset).entries, oracle)
+
+
 # ---------------------------------------------------------------- build
 
 def test_build_projection_reference_values():
@@ -171,6 +203,39 @@ def test_theta_eigenvalues_sorted_and_consistent():
     assert np.all(np.diff(vals) >= 0)
     assert data.vartheta == pytest.approx(vals[0])
     assert data.op_norm == pytest.approx(1.0 / math.sqrt(vals[0]))
+
+
+def _mp_vartheta_con(bc, M, r):
+    """vartheta of the con placement from a 60-digit SVD of the cross-Gram."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        r, pi = mpmath.mpf(r), mpmath.pi
+        delta = r * pi / (2 * M)
+        coef = mpmath.sqrt(8 * M / (r * pi**2))
+        cm = [(1 - r) * pi / 2 + (2 * j - 1) * r * pi / (2 * M) for j in range(1, M + 1)]
+        G = mpmath.matrix(M, M)
+        for i in range(M):
+            for j in range(M):
+                if bc is D:
+                    k = i + 1
+                    G[i, j] = coef * mpmath.sin(k * delta) * mpmath.sin(k * cm[j]) / k
+                elif i == 0:
+                    G[i, j] = mpmath.sqrt(r / M)
+                else:
+                    G[i, j] = coef * mpmath.sin(i * delta) * mpmath.cos(i * cm[j]) / i
+        return float(min(mpmath.svd_r(G, compute_uv=False)) ** 2)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("M", [4, 5, 6])
+def test_small_vartheta_matches_high_precision_svd(bc, M):
+    # con at r = 0.1 takes vartheta from 3e-7 down to 6e-13 here; the
+    # eigenvalues of G G^T alone are off by up to 4e-5 relative at M = 6
+    exact = _mp_vartheta_con(bc, M, 0.1)
+    data = _build(bc, Scheme.CON, M, 0.1)
+    assert data.vartheta == pytest.approx(exact, rel=1e-9, abs=0.0)
+    assert data.op_norm == pytest.approx(exact**-0.5, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------- closed forms
