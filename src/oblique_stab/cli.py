@@ -26,7 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .actuators import Scheme, all_breakpoints, place
-from .errors import InvalidArgumentError, NumericalFailureError
+from .errors import (
+    DirectSumFailureError,
+    InvalidArgumentError,
+    NumericalFailureError,
+    SingularConfigurationError,
+)
 from .fem import (
     FeedbackConfig,
     assemble_fem,
@@ -52,6 +57,12 @@ from .quadrature import integrate
 from .spectral import BoundaryCondition
 
 _SLOPE_WINDOWS = ((10, 20), (50, 60), (110, 120))
+
+# Failures that cost a sweep one row, with the status that row reports.
+_ROW_STATUS = {
+    DirectSumFailureError: "direct_sum_failure",
+    SingularConfigurationError: "singular_configuration",
+}
 
 
 def _fmt(x: float) -> str:
@@ -304,24 +315,33 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     _parse_int("jobs", s.get("jobs", "1"))
 
     rows = []
+    failures = []
     for r in r_values:
         for M in m_values:
             aset = place(scheme, L, M, r, centers=centers)
-            data = build_projection(assemble_cross_gram(bc, aset))
+            try:
+                data = build_projection(assemble_cross_gram(bc, aset))
+            except tuple(_ROW_STATUS) as exc:
+                failures.append(f"M={M} r={_cfmt(r)}: {exc}")
+                # a failed row keeps its M and r and leaves every numeric cell empty
+                rows.append((M, r, (None,) * 5, _ROW_STATUS[type(exc)]))
+                continue
             ana = analytic_vartheta(bc, scheme, M, r)
             _, max_off = check_theta_diagonal(data)
-            rows.append((M, r, data.vartheta, ana, data.op_norm, vartheta_limit(r), max_off))
+            cells = (data.vartheta, ana, data.op_norm, vartheta_limit(r), max_off)
+            rows.append((M, r, cells, "ok"))
     rows.sort(key=lambda row: (row[1], row[0]))
 
     lines = [s.config_comment(args.command)]
-    lines.append("M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta")
+    lines.append(
+        "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta,status"
+    )
     by_r: dict[float, dict[int, float]] = {}
-    for M, r, vt, ana, norm, lim, off in rows:
-        by_r.setdefault(r, {})[M] = vt
-        ana_cell = "" if ana is None else _fmt(ana)
-        lines.append(
-            f"{M},{_fmt(r)},{_fmt(vt)},{ana_cell},{_fmt(norm)},{_fmt(lim)},{_fmt(off)}"
-        )
+    for M, r, cells, status in rows:
+        if status == "ok":
+            by_r.setdefault(r, {})[M] = cells[0]
+        text = ",".join("" if x is None else _fmt(x) for x in cells)
+        lines.append(f"{M},{_fmt(r)},{text},{status}")
     for r in sorted(by_r):
         table = by_r[r]
         for lo, hi in _SLOPE_WINDOWS:
@@ -329,6 +349,10 @@ def cmd_eigs(args: argparse.Namespace) -> int:
                 slope = (table[hi] - table[lo]) / (hi - lo)
                 lines.append(f"# slope r={_cfmt(r)} M[{lo},{hi}]: {_fmt(slope)}")
     _emit(lines, s.get("output"))
+    if failures:
+        raise NumericalFailureError(
+            f"{len(failures)} of {len(rows)} sweep rows failed, the first at {failures[0]}"
+        )
     return 0
 
 

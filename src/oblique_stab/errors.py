@@ -39,6 +39,7 @@ class SingularConfigurationError(NumericalFailureError):
 class DirectSumFailureError(NumericalFailureError):
     """The actuator span and the spectral complement fail to split the space.
 
-    Equivalent to the smallest eigenvalue of Theta being (numerically) zero,
-    i.e. the oblique projection is undefined for this configuration.
+    Equivalent to the smallest eigenvalue of Theta being (numerically) zero
+    relative to its largest, i.e. the oblique projection is undefined for
+    this configuration.
     """

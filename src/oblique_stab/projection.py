@@ -18,6 +18,11 @@ placements Theta is diagonal and vartheta has closed forms; those analytic
 expressions, their common large-M limit 4/(r pi^2) sin^2(r pi/2), and the
 stabilisability margin test built on ||P|| all live here.
 
+The spectrum of Theta is its sorted diagonal where Weyl's inequality
+certifies that to 1e-10 relative (mxe, and uni under Dirichlet conditions),
+otherwise eigvalsh of Theta, or the squared singular values of G when Theta
+is ill-conditioned.
+
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
 so general L is handled by mapping centers onto (0, pi).  The projections of
@@ -45,13 +50,20 @@ from .errors import (
 from .linalg import solve_dense, sym_eigvals
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
-# Below this, the smallest eigenvalue of Theta is treated as zero: the
-# direct sum has failed.  Exact failures (coincident centers) give exact
-# zeros; every well-posed configuration in the shipped sweeps keeps
-# vartheta above 1e-3.
-VARTHETA_THRESHOLD = 1e-13
+# At or below this sigma_min/sigma_max of G the direct sum counts as failed.
+# The rounding of G's entries and svdvals each move sigma_min by a small
+# multiple of eps * sigma_max, a relative error of about 2e-16 / ratio: near
+# 1e-8 vartheta = sigma_min^2 is still good to about 4e-8 relative (measured
+# 1.6e-8 against a 60-digit SVD).  Below it the digits run out: centers 1e-8
+# apart (ratio 3.9e-9) fail, while con at r = 0.1, M = 7 (ratio 2.3e-7)
+# gives vartheta = 3.47e-14 to 2e-10 relative.
+SIGMA_RATIO_THRESHOLD = 1e-8
 
 _DIAG_RTOL = 1e-10
+
+# Gershgorin radius over smallest diagonal entry at or below which the
+# sorted diagonal of Theta is its spectrum to this relative accuracy.
+_WEYL_RTOL = 1e-10
 
 # Below this ratio of extreme Theta eigenvalues the spectrum comes from the
 # singular values of G; above it eigvalsh is within about 1e-10 relative.
@@ -75,13 +87,15 @@ class CrossGram:
 
 @dataclass(frozen=True)
 class ProjectionData:
-    """Assembled projector data: Theta, its spectrum, and the operator norm."""
+    """Assembled projector data: Theta, its spectrum, the operator norm, and
+    the largest off-diagonal magnitude of Theta."""
 
     gram: CrossGram
     theta: np.ndarray
     theta_eigenvalues: np.ndarray
     vartheta: float
     op_norm: float
+    max_offdiag: float
 
 
 @dataclass(frozen=True)
@@ -136,23 +150,39 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     """Form Theta = G G^T, its spectrum, vartheta, and the operator norm 1/sqrt(vartheta).
 
     Theta is formed explicitly so the diagonality statements can be asserted
-    entrywise.  Its eigenvalues are the spectrum unless the smallest falls
-    below 1e-6 of the largest: forming G G^T squares the condition number,
-    so the spectrum is then taken as the squared singular values of G.
-    Raises DirectSumFailureError when vartheta is numerically zero.
+    entrywise.  Its spectrum is chosen three ways:
+
+    * the sorted diagonal, when the largest Gershgorin radius of Theta is at
+      most 1e-10 of its smallest diagonal entry; by Weyl's inequality every
+      eigenvalue then lies within that radius of a diagonal entry;
+    * otherwise eigvalsh of Theta;
+    * and, when the smallest eigenvalue so found is below 1e-6 of the
+      largest, the squared singular values of G instead, since forming
+      G G^T squares the condition number.
+
+    Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
+    SIGMA_RATIO_THRESHOLD.
     """
     G = gram.entries
     theta = G @ G.T
     theta = 0.5 * (theta + theta.T)
-    w = sym_eigvals(theta)
+    off = np.abs(theta)
+    np.fill_diagonal(off, 0.0)
+    d = np.diag(theta)
+    if np.all(np.isfinite(theta)) and off.sum(axis=1).max() <= _WEYL_RTOL * d.min():
+        w = np.sort(d)
+    else:
+        w = sym_eigvals(theta)
     if w[0] < _SVD_RATIO * w[-1]:
         w = scipy.linalg.svdvals(G)[::-1] ** 2
-    vartheta = float(w[0])
-    if vartheta <= VARTHETA_THRESHOLD:
+    ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
+    if ratio <= SIGMA_RATIO_THRESHOLD:
         raise DirectSumFailureError(
-            f"smallest Theta eigenvalue {vartheta:.3e} is numerically zero; "
-            "the actuator span does not complement the spectral subspace"
+            f"sigma_min/sigma_max {ratio:.3e} of the cross-Gram is at most "
+            f"{SIGMA_RATIO_THRESHOLD:g}; the actuator span does not complement "
+            "the spectral subspace"
         )
+    vartheta = float(w[0])
     theta.flags.writeable = False
     w.flags.writeable = False
     return ProjectionData(
@@ -161,6 +191,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
         theta_eigenvalues=w,
         vartheta=vartheta,
         op_norm=vartheta**-0.5,
+        max_offdiag=float(off.max()),
     )
 
 
@@ -337,11 +368,8 @@ def check_theta_diagonal(data: ProjectionData) -> tuple[bool, float]:
 
     Returns (is_diagonal, max_offdiagonal_magnitude).
     """
-    theta = data.theta
-    off = theta - np.diag(np.diag(theta))
-    max_off = float(np.max(np.abs(off))) if theta.size else 0.0
-    max_diag = float(np.max(np.abs(np.diag(theta)))) if theta.size else 0.0
-    return max_off <= _DIAG_RTOL * max_diag, max_off
+    max_diag = float(np.max(np.abs(np.diag(data.theta))))
+    return data.max_offdiag <= _DIAG_RTOL * max_diag, data.max_offdiag
 
 
 def cosine_sum(aset: ActuatorSet, m: int) -> float:

@@ -31,9 +31,12 @@ def test_eigs_sweep_csv(tmp_path):
     ])
     assert rc == 0
     rows = _data_rows(out)
-    assert rows[0] == "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta"
+    assert rows[0] == (
+        "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta,status"
+    )
     body = [r.split(",") for r in rows[1:]]
     assert [int(r[0]) for r in body] == [2, 3, 4, 5, 6]
+    assert [r[-1] for r in body] == ["ok"] * 5
     first = body[0]
     # closed form at M=2, r=0.5 appears in both numeric and analytic columns
     exact = 16.0 / (0.5 * math.pi**2) * math.sin(math.pi / 8) ** 2
@@ -76,6 +79,26 @@ def test_eigs_deterministic_and_jobs_independent(tmp_path):
     assert main(args + ["--jobs", "4", "--output", str(out)]) == 0
     assert out.read_bytes() == first
     assert main(args + ["--jobs", "x", "--output", str(out)]) == 2
+
+
+def test_con_sweep_degrades_row_by_row(tmp_path, capsys):
+    # con at r = 0.1 loses the direct sum from M = 9 on: those rows carry a
+    # status and empty cells, the file is still written, and the exit is 3
+    out = tmp_path / "con.csv"
+    rc = main(["eigs", "--scheme", "con", "--M", "2..20", "--r", "0.1", "--output", str(out)])
+    assert rc == 3
+    assert "sweep rows failed" in capsys.readouterr().err
+    body = [row.split(",") for row in _data_rows(out)[1:]]
+    assert [int(row[0]) for row in body] == list(range(2, 21))
+    for row in body:
+        numeric = [cell for cell in row[:-1] if cell]
+        assert all(math.isfinite(float(cell)) for cell in numeric)
+        if row[-1] == "ok":
+            assert row[2] and row[4]
+        else:
+            assert row[-1] == "direct_sum_failure"
+            assert numeric == row[:2]
+    assert [row[-1] for row in body].count("ok") == 7
 
 
 def test_norm_alias(tmp_path):
@@ -352,9 +375,9 @@ def test_simulate_blow_up_exits_three_without_output(tmp_path, capsys):
     assert "numerical failure" in err and "at step" in err and "Warning" not in err
 
 
-def _simulate_rows_at_blas_threads(tmp_path, threads, actuators):
-    """Data rows of a short N=10001 Neumann run in a fresh interpreter whose
-    BLAS library is limited to `threads` threads."""
+def _rows_at_blas_threads(tmp_path, threads, argv):
+    """Data rows of a CLI run in a fresh interpreter whose BLAS library is
+    limited to `threads` threads."""
     out = tmp_path / f"threads{threads}.csv"
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -362,16 +385,21 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, actuators):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(oblique_stab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
-    argv = (
-        f"simulate --bc neumann --reaction oscillating {actuators} --feed-on 0:0.02 "
-        "--N 10001 --k 4e-4 --T 0.04"
-    ).split()
     proc = subprocess.run(
         [sys.executable, "-m", "oblique_stab.cli", *argv, "--output", str(out)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return [ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")]
+
+
+def _simulate_rows_at_blas_threads(tmp_path, threads, actuators):
+    """Data rows of a short N=10001 Neumann run at `threads` BLAS threads."""
+    argv = (
+        f"simulate --bc neumann --reaction oscillating {actuators} --feed-on 0:0.02 "
+        "--N 10001 --k 4e-4 --T 0.04"
+    ).split()
+    return _rows_at_blas_threads(tmp_path, threads, argv)
 
 
 # With 24 actuators a threaded dgemm rounds the coupling E^T M U differently
@@ -382,6 +410,18 @@ def test_simulate_rows_independent_of_blas_threads(tmp_path, actuators):
     two = _simulate_rows_at_blas_threads(tmp_path, 2, actuators)
     assert len(one) == 102
     assert one == two
+
+
+def test_mxe_sweep_spectrum_independent_of_blas_threads(tmp_path):
+    # Theta is certified diagonal for every mxe row, so its spectrum is the
+    # sorted diagonal and no threaded eigvalsh touches these columns
+    argv = "eigs --scheme mxe --M 2..200 --r 0.1,0.5".split()
+    one, two = (
+        [row.split(b",") for row in _rows_at_blas_threads(tmp_path, n, argv)] for n in (1, 2)
+    )
+    assert len(one) == len(two) == 399
+    cols = [one[0].index(name) for name in (b"vartheta_numeric", b"op_norm")]
+    assert [[row[j] for j in cols] for row in one] == [[row[j] for j in cols] for row in two]
 
 
 def test_numerical_failure_exits_three():

@@ -19,6 +19,7 @@ from oblique_stab.errors import (
     DirectSumFailureError,
     SingularConfigurationError,
 )
+from oblique_stab.linalg import sym_eigvals
 from oblique_stab.projection import (
     analytic_theta_spectrum,
     analytic_vartheta,
@@ -228,10 +229,11 @@ def _mp_vartheta_con(bc, M, r):
 
 
 @pytest.mark.parametrize("bc", [D, N])
-@pytest.mark.parametrize("M", [4, 5, 6])
+@pytest.mark.parametrize("M", [4, 5, 6, 7])
 def test_small_vartheta_matches_high_precision_svd(bc, M):
-    # con at r = 0.1 takes vartheta from 3e-7 down to 6e-13 here; the
-    # eigenvalues of G G^T alone are off by up to 4e-5 relative at M = 6
+    # con at r = 0.1 takes vartheta from 3e-7 down to 2e-15 here; the
+    # eigenvalues of G G^T alone are off by up to 4e-5 relative at M = 6,
+    # and at M = 7 vartheta is below 1e-13 yet sigma_min/sigma_max >= 6e-8
     exact = _mp_vartheta_con(bc, M, 0.1)
     data = _build(bc, Scheme.CON, M, 0.1)
     assert data.vartheta == pytest.approx(exact, rel=1e-9, abs=0.0)
@@ -268,11 +270,50 @@ def test_analytic_uni_constraint_violation():
 
 
 def test_analytic_spectrum_matches_numeric():
+    # these Theta pass the Weyl certificate at every M, so the spectrum is
+    # the sorted diagonal, and it matches the closed form entry by entry
     for bc, scheme in ((D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)):
-        predicted = analytic_theta_spectrum(bc, scheme, 6, 0.3)
-        data = _build(bc, scheme, 6, 0.3)
-        assert np.allclose(predicted, data.theta_eigenvalues, rtol=1e-10)
+        for r in (0.1, 0.3, 0.5):
+            for M in range(1, 201):
+                data = _build(bc, scheme, M, r)
+                assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.theta)))
+                predicted = analytic_theta_spectrum(bc, scheme, M, r)
+                err = np.abs(data.theta_eigenvalues - predicted) / predicted
+                assert err.max() <= 1e-12, (bc, scheme, M, r)
     assert analytic_theta_spectrum(N, Scheme.UNI, 6, 0.3) is None
+
+
+def _nudged_mxe(bc, nudge, M=8, r=0.3):
+    """Projection data for mxe centers moved apart by nudge * (0, 1, ..., M-1)."""
+    centers = place(Scheme.MXE, math.pi, M, r).centers + nudge * np.arange(M)
+    return build_projection(
+        assemble_cross_gram(bc, place(Scheme.CUSTOM, math.pi, M, r, centers=centers))
+    )
+
+
+def _weyl_ratio(theta):
+    """Largest Gershgorin radius of theta over its smallest diagonal entry."""
+    off = np.abs(theta - np.diag(np.diag(theta)))
+    return off.sum(axis=1).max() / np.diag(theta).min()
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("nudge", [1e-3, 1e-11])
+def test_nearly_diagonal_theta_spectrum_from_eigvalsh(bc, nudge):
+    # the nudge lifts Theta's radius ratio to about 7e-2 and 7e-10, past the
+    # 1e-10 certificate, so the spectrum is eigvalsh's, bit for bit
+    data = _nudged_mxe(bc, nudge)
+    assert _weyl_ratio(data.theta) > 1e-10
+    assert np.array_equal(data.theta_eigenvalues, sym_eigvals(data.theta))
+
+
+@pytest.mark.parametrize("bc", [D, N])
+def test_barely_nudged_theta_spectrum_is_its_sorted_diagonal(bc):
+    # a 1e-12 nudge leaves the radius ratio near 7e-11, inside the certificate
+    data = _nudged_mxe(bc, 1e-12)
+    assert _weyl_ratio(data.theta) <= 1e-10
+    assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.theta)))
+    assert np.allclose(data.theta_eigenvalues, sym_eigvals(data.theta), rtol=1e-10, atol=0.0)
 
 
 def test_vartheta_limit_reference_values():
