@@ -45,7 +45,6 @@ from .projection import (
     build_projection,
     check_sufficient_condition,
     check_theta_diagonal,
-    cosine_sum,
     op_norm_limit,
     orthogonal_projection_actuators,
     vartheta_limit,
@@ -83,7 +82,6 @@ __all__ = [
     "check_sufficient_condition",
     "check_theta_diagonal",
     "constant_reaction",
-    "cosine_sum",
     "discrete_projection_norm",
     "eval_eigenfunction",
     "feedback_apply",

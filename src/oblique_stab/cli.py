@@ -315,21 +315,21 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     _parse_int("jobs", s.get("jobs", "1"))
 
     rows = []
-    failures = []
-    for r in r_values:
-        for M in m_values:
+    # M outside, r inside: the rows of one M share the cross-Gram's trig factor
+    for M in m_values:
+        for r in r_values:
             aset = place(scheme, L, M, r, centers=centers)
             try:
                 data = build_projection(assemble_cross_gram(bc, aset))
             except tuple(_ROW_STATUS) as exc:
-                failures.append(f"M={M} r={_cfmt(r)}: {exc}")
                 # a failed row keeps its M and r and leaves every numeric cell empty
-                rows.append((M, r, (None,) * 5, _ROW_STATUS[type(exc)]))
+                failure = f"M={M} r={_cfmt(r)}: {exc}"
+                rows.append((M, r, (None,) * 5, _ROW_STATUS[type(exc)], failure))
                 continue
             ana = analytic_vartheta(bc, scheme, M, r)
             _, max_off = check_theta_diagonal(data)
             cells = (data.vartheta, ana, data.op_norm, vartheta_limit(r), max_off)
-            rows.append((M, r, cells, "ok"))
+            rows.append((M, r, cells, "ok", None))
     rows.sort(key=lambda row: (row[1], row[0]))
 
     lines = [s.config_comment(args.command)]
@@ -337,7 +337,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta,status"
     )
     by_r: dict[float, dict[int, float]] = {}
-    for M, r, cells, status in rows:
+    for M, r, cells, status, _ in rows:
         if status == "ok":
             by_r.setdefault(r, {})[M] = cells[0]
         text = ",".join("" if x is None else _fmt(x) for x in cells)
@@ -349,6 +349,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
                 slope = (table[hi] - table[lo]) / (hi - lo)
                 lines.append(f"# slope r={_cfmt(r)} M[{lo},{hi}]: {_fmt(slope)}")
     _emit(lines, s.get("output"))
+    failures = [row[4] for row in rows if row[4] is not None]
     if failures:
         raise NumericalFailureError(
             f"{len(failures)} of {len(rows)} sweep rows failed, the first at {failures[0]}"

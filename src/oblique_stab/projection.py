@@ -18,10 +18,13 @@ placements Theta is diagonal and vartheta has closed forms; those analytic
 expressions, their common large-M limit 4/(r pi^2) sin^2(r pi/2), and the
 stabilisability margin test built on ||P|| all live here.
 
-The spectrum of Theta is its sorted diagonal where Weyl's inequality
-certifies that to 1e-10 relative (mxe, and uni under Dirichlet conditions),
-otherwise eigvalsh of Theta, or the squared singular values of G when Theta
-is ill-conditioned.
+G[i, j] = s_i trig(m_i c_j) with a row scale s that depends only on r, so
+assemble_cross_gram forms Theta = (s s^T) o (T T^T).  T and T T^T are kept
+for the latest (bc, M, centers), so a sweep over r at one M (mxe, uni,
+custom) computes them once.  The spectrum of Theta is its sorted diagonal
+where Weyl's inequality certifies that to 1e-10 relative (mxe, and uni under
+Dirichlet conditions), otherwise eigvalsh of Theta, or the squared singular
+values of G when Theta is ill-conditioned.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -32,6 +35,7 @@ set over [0, L] split at every actuator support endpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -75,7 +79,8 @@ class CrossGram:
     """Cross-Gram matrix between the eigenbasis and the normalised actuators.
 
     entries[i, j] = (e_{i+1}, u_{j+1})_{L2} with u_j the unit-norm indicator;
-    rows follow the eigenfunction index, columns the actuator index.
+    rows follow the eigenfunction index, columns the actuator index.  theta
+    is Theta = G G^T, formed from the factors of G and exactly symmetric.
     """
 
     bc: BoundaryCondition
@@ -83,6 +88,7 @@ class CrossGram:
     basis: EigenBasis
     M: int
     entries: np.ndarray
+    theta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -116,21 +122,30 @@ def _pi_centers(aset: ActuatorSet) -> np.ndarray:
     return aset.centers * (math.pi / aset.L)
 
 
-def _closed_form_entries(bc: BoundaryCondition, M: int, r: float, cm: np.ndarray) -> np.ndarray:
-    """Product-form entries at L = pi: rank-1 frequency factors times center factors."""
-    delta = r * math.pi / (2 * M)
-    coef = math.sqrt(8 * M / (r * math.pi**2))
-    dirichlet = bc is BoundaryCondition.DIRICHLET
-    m = np.arange(1.0, M + 1 if dirichlet else M)
-    trig = np.sin if dirichlet else np.cos
-    G = (coef * np.sin(m * delta))[:, None] * trig(np.multiply.outer(m, cm)) / m[:, None]
-    # Neumann: the constant eigenfunction's row sits above the cosine rows
-    return G if dirichlet else np.vstack((np.full((1, M), math.sqrt(r / M)), G))
+@functools.lru_cache(maxsize=1)
+def _trig_factor(bc: BoundaryCondition, M: int, cm_bytes: bytes) -> tuple[np.ndarray, ...]:
+    """Read-only trig factor T of the cross-Gram at L = pi, and T T^T.
+
+    T[i, j] = sin(m_i c_j) (Dirichlet) or cos(m_i c_j) below a row of ones
+    (Neumann), for the centers cm_bytes on (0, pi), which r does not enter.
+    """
+    cm = np.frombuffer(cm_bytes)
+    if bc is BoundaryCondition.DIRICHLET:
+        T = np.sin(np.multiply.outer(np.arange(1.0, M + 1), cm))
+    else:
+        T = np.vstack((np.ones((1, M)), np.cos(np.multiply.outer(np.arange(1.0, M), cm))))
+    TT = T @ T.T
+    TT = 0.5 * (TT + TT.T)
+    T.flags.writeable = False
+    TT.flags.writeable = False
+    return T, TT
 
 
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
-    """Assemble the M x M cross-Gram matrix from closed forms (no quadrature).
+    """Assemble the M x M cross-Gram matrix and Theta from closed forms.
 
+    G = s_i * T[i, j], with the rank-1 frequency factor s and the trig factor
+    T of _trig_factor; Theta = (s s^T) o (T T^T).  No quadrature is used.
     Raises SingularConfigurationError for (near-)coincident centers, for
     which two columns coincide and the matrix is exactly singular.
     """
@@ -140,17 +155,31 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
         raise SingularConfigurationError(
             "coincident actuator centers make the cross-Gram matrix singular"
         )
-    G = _closed_form_entries(bc, M, aset.r, cm)
+    T, TT = _trig_factor(bc, M, cm.tobytes())
+    r = aset.r
+    delta = r * math.pi / (2 * M)
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    m = np.arange(1.0, M + 1 if dirichlet else M)
+    a = math.sqrt(8 * M / (r * math.pi**2)) * np.sin(m * delta)
+    s = a / m
+    G = a[:, None] * (T if dirichlet else T[1:]) / m[:, None]
+    if not dirichlet:
+        # the constant eigenfunction's row sits above the cosine rows
+        s = np.append(math.sqrt(r / M), s)
+        G = np.vstack((np.full((1, M), s[0]), G))
+    theta = np.multiply.outer(s, s) * TT
     G.flags.writeable = False
+    theta.flags.writeable = False
     basis = build_basis(bc, aset.L, M)
-    return CrossGram(bc=bc, actuators=aset, basis=basis, M=M, entries=G)
+    return CrossGram(bc=bc, actuators=aset, basis=basis, M=M, entries=G, theta=theta)
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
-    """Form Theta = G G^T, its spectrum, vartheta, and the operator norm 1/sqrt(vartheta).
+    """Take Theta = G G^T, its spectrum, vartheta, and the operator norm 1/sqrt(vartheta).
 
-    Theta is formed explicitly so the diagonality statements can be asserted
-    entrywise.  Its spectrum is chosen three ways:
+    Theta is the cross-Gram's own, formed by assemble_cross_gram from the
+    factors of G, so the diagonality statements can be asserted entrywise.
+    Its spectrum is chosen three ways:
 
     * the sorted diagonal, when the largest Gershgorin radius of Theta is at
       most 1e-10 of its smallest diagonal entry; by Weyl's inequality every
@@ -163,9 +192,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
     SIGMA_RATIO_THRESHOLD.
     """
-    G = gram.entries
-    theta = G @ G.T
-    theta = 0.5 * (theta + theta.T)
+    theta = gram.theta
     off = np.abs(theta)
     np.fill_diagonal(off, 0.0)
     d = np.diag(theta)
@@ -174,7 +201,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     else:
         w = sym_eigvals(theta)
     if w[0] < _SVD_RATIO * w[-1]:
-        w = scipy.linalg.svdvals(G)[::-1] ** 2
+        w = scipy.linalg.svdvals(gram.entries)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
     if ratio <= SIGMA_RATIO_THRESHOLD:
         raise DirectSumFailureError(
@@ -183,7 +210,6 @@ def build_projection(gram: CrossGram) -> ProjectionData:
             "the spectral subspace"
         )
     vartheta = float(w[0])
-    theta.flags.writeable = False
     w.flags.writeable = False
     return ProjectionData(
         gram=gram,
@@ -370,17 +396,6 @@ def check_theta_diagonal(data: ProjectionData) -> tuple[bool, float]:
     """
     max_diag = float(np.max(np.abs(np.diag(data.theta))))
     return data.max_offdiag <= _DIAG_RTOL * max_diag, data.max_offdiag
-
-
-def cosine_sum(aset: ActuatorSet, m: int) -> float:
-    """Sum over actuators of cos(m * c_k), centers mapped onto (0, pi).
-
-    For the mxe placement this vanishes for every 1 <= m <= 2M - 1; for uni
-    it equals 0 for odd m and -1 for even m (and M at m = 0 for any set).
-    """
-    if int(m) != m or m < 0:
-        raise InvalidArgumentError(f"frequency must be a nonnegative integer, got {m}")
-    return float(np.sum(np.cos(m * _pi_centers(aset))))
 
 
 def check_sufficient_condition(

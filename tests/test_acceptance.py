@@ -36,12 +36,13 @@ from oblique_stab.projection import (
     assemble_cross_gram,
     build_projection,
     check_theta_diagonal,
-    cosine_sum,
     op_norm_limit,
     vartheta_limit,
 )
 from oblique_stab.quadrature import integrate
 from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
+
+from oracles import cosine_sum
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN

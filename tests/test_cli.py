@@ -101,6 +101,48 @@ def test_con_sweep_degrades_row_by_row(tmp_path, capsys):
     assert [row[-1] for row in body].count("ok") == 7
 
 
+def test_failure_message_names_first_failed_row_of_file(tmp_path, capsys):
+    # the file lists rows by (r, M), so its first row is r = 0.1, whatever
+    # order --r gives and the sweep computes them in
+    out = tmp_path / "fail.csv"
+    rc = main([
+        "eigs", "--scheme", "custom", "--centers", "1.0,1.00000001",
+        "--M", "2", "--r", "0.5,0.1", "--output", str(out),
+    ])
+    assert rc == 3
+    body = [row.split(",") for row in _data_rows(out)[1:]]
+    assert [(row[1], row[-1]) for row in body] == [
+        ("0.10000000000000001", "direct_sum_failure"),
+        ("0.5", "direct_sum_failure"),
+    ]
+    assert "2 of 2 sweep rows failed, the first at M=2 r=0.1:" in capsys.readouterr().err
+
+
+_SWEEP_GEOMETRY = {
+    "mxe": ["--M", "2..12"],
+    "uni": ["--M", "2..12"],
+    "con": ["--M", "2..12"],  # fails from M = 9 on at r = 0.1
+    "custom": ["--centers", "0.5,1.2,1.9,2.6", "--M", "4"],
+}
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("scheme", sorted(_SWEEP_GEOMETRY))
+def test_multi_r_sweep_rows_match_single_r_runs(tmp_path, bc, scheme):
+    # the rows of one M share the cross-Gram's trig factor across r; a
+    # single-r run shares nothing, yet its rows must be the same bytes
+    argv = ["eigs", "--bc", bc, "--scheme", scheme, *_SWEEP_GEOMETRY[scheme]]
+    out = tmp_path / "all.csv"
+    rc = main(argv + ["--r", "0.1,0.3,0.5", "--output", str(out)])
+    joined, codes = [], []
+    for r in ("0.1", "0.3", "0.5"):
+        one = tmp_path / f"r{r}.csv"
+        codes.append(main(argv + ["--r", r, "--output", str(one)]))
+        joined += _data_rows(one)[1:]
+    assert rc == max(codes)
+    assert _data_rows(out)[1:] == joined
+
+
 def test_norm_alias(tmp_path):
     out = tmp_path / "norm.csv"
     assert main(["norm", "--M", "3", "--r", "0.5", "--output", str(out)]) == 0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oblique_stab import projection
 from oblique_stab.actuators import (
     Scheme,
     all_breakpoints,
@@ -29,13 +30,14 @@ from oblique_stab.projection import (
     build_projection,
     check_sufficient_condition,
     check_theta_diagonal,
-    cosine_sum,
     op_norm_limit,
     orthogonal_projection_actuators,
     vartheta_limit,
 )
 from oblique_stab.quadrature import integrate
 from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
+
+from oracles import cosine_sum
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -162,6 +164,60 @@ def test_cross_gram_bit_identical_to_row_loop(bc, scheme, M, r):
     assert np.array_equal(assemble_cross_gram(bc, aset).entries, oracle)
 
 
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON, Scheme.CUSTOM])
+@pytest.mark.parametrize("M", [1, 2, 7, 50, 200])
+@pytest.mark.parametrize("r", [0.1, 0.5])
+def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
+    centers = _custom_centers(M) if scheme is Scheme.CUSTOM else None
+    aset = place(scheme, math.pi, M, r, centers=centers)
+    gram = assemble_cross_gram(bc, aset)
+    eps = np.finfo(float).eps
+    # product to sum: (T T^T)_ik = (C(m_i - m_k) -+ C(m_i + m_k)) / 2 with
+    # C(p) = sum_j cos(p c_j), - for the sines and + for the cosines; the
+    # Neumann row of ones is the cosine row m = 0
+    cm = projection._pi_centers(aset)
+    _, TT = projection._trig_factor(bc, M, cm.tobytes())
+    m = np.arange(1, M + 1) if bc is D else np.arange(M)
+    C = np.array([cosine_sum(aset, p) for p in range(2 * M + 1)])
+    sign = -1.0 if bc is D else 1.0
+    oracle = 0.5 * (C[np.abs(np.subtract.outer(m, m))] + sign * C[np.add.outer(m, m)])
+    # the two sides take sin and cos of differently rounded arguments, whose
+    # absolute error grows with the argument (m_i + m_k) c_j, up to 2 M pi
+    scale = 1.0 + np.add.outer(m, m) * np.max(cm)
+    assert np.all(np.abs(TT - oracle) <= 4 * M * eps * scale)
+    # Theta = (s s^T) o (T T^T) against the product of the entries
+    G = gram.entries
+    assert np.all(np.abs(gram.theta - G @ G.T) <= 4 * M * eps * (np.abs(G) @ np.abs(G).T))
+    assert np.array_equal(gram.theta, gram.theta.T)
+
+
+@pytest.mark.parametrize("L", [math.pi, 2.0])
+def test_cross_gram_memo_matches_cold_build(L):
+    aset = place(Scheme.MXE, L, 7, 0.3)
+    warm = [assemble_cross_gram(bc, aset) for bc in (D, D, N, D)]
+    for gram in warm:
+        projection._trig_factor.cache_clear()
+        cold = assemble_cross_gram(gram.bc, aset)
+        assert np.array_equal(gram.entries, cold.entries)
+        assert np.array_equal(gram.theta, cold.theta)
+    # another r at the same M and centers reuses the factor
+    hits = projection._trig_factor.cache_info().hits
+    assemble_cross_gram(D, place(Scheme.MXE, L, 7, 0.5))
+    assert projection._trig_factor.cache_info().hits == hits + 1
+
+
+def test_cross_gram_arrays_are_read_only():
+    aset = place(Scheme.UNI, math.pi, 5, 0.3)
+    for bc in (D, N):
+        gram = assemble_cross_gram(bc, aset)
+        cached = projection._trig_factor(bc, 5, projection._pi_centers(aset).tobytes())
+        for arr in (*cached, gram.entries, gram.theta):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------- build
 
 def test_build_projection_reference_values():
@@ -187,6 +243,7 @@ def test_identity_gram_gives_norm_one():
         basis=gram.basis,
         M=gram.M,
         entries=np.eye(3),
+        theta=np.eye(3),
     )
     data = build_projection(ident)
     assert data.op_norm == pytest.approx(1.0, rel=1e-14)
