@@ -24,12 +24,10 @@ from .fem import (
     assemble_fem,
     constant_reaction,
     discrete_projection_norm,
-    feedback_apply,
     feedback_matrices,
     make_grid,
     nodal_l2_norm,
     oscillating_reaction,
-    project_nodal,
     run_closed_loop,
     tabulated_reaction,
 )
@@ -84,7 +82,6 @@ __all__ = [
     "constant_reaction",
     "discrete_projection_norm",
     "eval_eigenfunction",
-    "feedback_apply",
     "feedback_matrices",
     "make_grid",
     "nodal_l2_norm",
@@ -92,7 +89,6 @@ __all__ = [
     "orthogonal_projection_actuators",
     "oscillating_reaction",
     "place",
-    "project_nodal",
     "run_closed_loop",
     "tabulated_reaction",
     "vartheta_limit",

@@ -442,8 +442,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     lines = [s.config_comment(args.command)]
     lines.append("t,l2_norm,feedback_on")
-    for t, nrm, on in zip(run.times, run.norms, run.feedback_on):
-        lines.append(f"{_fmt(t)},{_fmt(nrm)},{int(on)}")
+    rows = zip(run.times.tolist(), run.norms.tolist(), run.feedback_on.tolist())
+    lines.extend("%.17g,%.17g,%d" % row for row in rows)
     _emit(lines, output)
 
     if snapshot_times:

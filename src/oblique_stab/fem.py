@@ -24,10 +24,16 @@ symmetric positive definite tridiagonal system with a fixed matrix
 by LAPACK dpttrf and solved by dpttrs.
 
 Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
-MU = M [U] (N x M) and W0 = P_M (-nu S + lambda M - R) (M x N), folding R in
-only when the reaction is static.  Each step then costs one product R y, one
-W0 product (less P_M (R y) when R varies), one MU product, one
-(2 M - k nu S) y, one dpttrs solve, and one mass product for the norm.
+(M [U])^T (M x N, contiguous) and W0 = P_M (-nu S + lambda M - R) (M x N),
+folding R in only when the reaction is static.  Since
+(2 M + k nu S) + (2 M - k nu S) = 4 M, a step solves for z = y_new + y and
+needs no product with 2 M - k nu S.  Each state's mass product M y is formed
+once and serves its norm, the next right-hand side and a time-dependent
+reaction, R y = (a o M y + M (a o y)) / 2, so no R is assembled per step.
+A step costs that mass product, one reaction product (none for a constant
+a, where R y = a M y; R y for another static R; else M (a o y)), one W0
+product (less P_M (R y) when R varies), one (M [U])^T product, and one
+dpttrs solve.
 """
 
 from __future__ import annotations
@@ -154,7 +160,14 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
 
     def values(x: np.ndarray, t: float) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
-        return base - 2.0 * np.abs(np.cos(4.0 * t) * np.cos(arr * t) * arr)
+        out = arr * t
+        np.cos(out, out=out)
+        out *= np.cos(4.0 * t)
+        out *= arr
+        np.abs(out, out=out)
+        out *= -2.0
+        out += base
+        return out
 
     return ReactionField(values=values, time_dependent=True, label="oscillating")
 
@@ -250,12 +263,6 @@ def feedback_matrices(
     return FeedbackOperator(bc=bc, actuators=aset, U=U, E=E, coupling=A, P=P)
 
 
-def project_nodal(fem: FemMatrices, op: FeedbackOperator, z: np.ndarray) -> np.ndarray:
-    """Nodal values of the discrete oblique projection: U P M z."""
-    z = np.asarray(z, dtype=float)
-    return op.U @ (op.P @ tridiag_matvec(*fem.mass, z))
-
-
 def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
     """Operator norm of the discrete projection in the mass inner product.
 
@@ -274,29 +281,6 @@ def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
     X = solve_dense(op.coupling, root)
     Q = X.T @ N_U @ X
     return float(np.sqrt(sym_eigvals(Q)[-1]))
-
-
-def feedback_apply(
-    fem: FemMatrices,
-    op: FeedbackOperator,
-    nu: float,
-    lam: float,
-    R: Tridiag,
-    y: np.ndarray,
-) -> np.ndarray:
-    """Nodal feedback force f = -U P (-nu S y - R y + lam M y).
-
-    This is the force before multiplication by the mass matrix; the closed
-    loop adds M f to the reaction part -R y of the external force.  It is
-    the readable form of the product that run_closed_loop fuses.
-    """
-    y = np.asarray(y, dtype=float)
-    resid = (
-        -nu * tridiag_matvec(*fem.stiffness, y)
-        - tridiag_matvec(*R, y)
-        + lam * tridiag_matvec(*fem.mass, y)
-    )
-    return -(op.U @ (op.P @ resid))
 
 
 @dataclass(frozen=True)
@@ -338,15 +322,20 @@ class ClosedLoopRun:
     snapshots: np.ndarray | None
 
 
-def nodal_l2_norm(fem: FemMatrices, y: np.ndarray) -> float:
-    """L2(0, L) norm of the hat interpolant with nodal values y.
+def _mass_norm(y: np.ndarray, My: np.ndarray) -> float:
+    """sqrt(y^T M y) from y and its mass product My.
 
     The sum is numpy's pairwise reduction rather than a BLAS dot product, so
     it does not depend on the BLAS thread count.  A non-finite y gives a
     non-finite norm.
     """
+    return math.sqrt(max(float(np.add.reduce(y * My)), 0.0))
+
+
+def nodal_l2_norm(fem: FemMatrices, y: np.ndarray) -> float:
+    """L2(0, L) norm of the hat interpolant with nodal values y."""
     y = np.asarray(y, dtype=float)
-    return float(np.sqrt(np.maximum(np.add.reduce(y * tridiag_matvec(*fem.mass, y)), 0.0)))
+    return _mass_norm(y, tridiag_matvec(*fem.mass, y))
 
 
 def run_closed_loop(
@@ -373,9 +362,11 @@ def run_closed_loop(
     (2 M + k nu S) y_new = (2 M - k nu S) y + k (3 h_prev - h_prev2), that is
     Crank-Nicolson with the implicit force value replaced by the
     extrapolation 2 h_prev - h_prev2, with the ghost value h_prev2 := h_prev
-    on the first step.  y0 is kept as given at t = 0 even when it violates a
-    Dirichlet boundary condition; the boundary values are imposed from the
-    first step on, and only the interior block of 2 M + k nu S is solved.
+    on the first step.  It is solved as
+    (2 M + k nu S) z = 4 M y + k (3 h_prev - h_prev2), y_new = z - y.
+    y0 is kept as given at t = 0 even when it violates a Dirichlet boundary
+    condition; the boundary values are imposed from the first step on, and
+    only the interior block of 2 M + k nu S is solved.
 
     neumann_flux(t) may supply boundary derivative data (y_x(0,t), y_x(L,t))
     under Neumann conditions, and dirichlet_data(t) boundary values
@@ -406,9 +397,9 @@ def run_closed_loop(
         raise InvalidArgumentError(f"final time {T} is shorter than one step {k}")
     times = np.arange(n_steps + 1) * k
     nodes = fem.grid.nodes
-    (mdiag, moff), (sdiag, soff) = fem.mass, fem.stiffness
+    mass = fem.mass
+    (mdiag, moff), (sdiag, soff) = mass, fem.stiffness
 
-    B_minus = (2.0 * mdiag - k * nu * sdiag, 2.0 * moff - k * nu * soff)
     plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
     dirichlet = bc is BoundaryCondition.DIRICHLET
     if dirichlet:
@@ -417,31 +408,42 @@ def run_closed_loop(
     else:
         factor = tridiag_factor(plus_diag, plus_off)
 
-    R_static = None
+    R_static = a_const = None
     if not reaction.time_dependent:
-        R_static = reaction_matrix(fem, reaction.values(nodes, 0.0))
+        a_nodes = reaction.values(nodes, 0.0)
+        R_static = reaction_matrix(fem, a_nodes)
+        if np.all(a_nodes == a_nodes[0]):
+            # A constant a gives R = a M, so R y reuses the mass product.
+            a_const = float(a_nodes[0])
 
     if feedback is not None:
         P = feedback.operator.P
-        MU = tridiag_matvec(*fem.mass, feedback.operator.U)
+        MUt = np.ascontiguousarray(tridiag_matvec(*mass, feedback.operator.U).T)
         K = (feedback.lam * mdiag - nu * sdiag, feedback.lam * moff - nu * soff)
         if R_static is not None:
             K = (K[0] - R_static[0], K[1] - R_static[1])
         # W0 = P K = (K P^T)^T, because K is symmetric.
         W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
 
-    def force(state: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
-        """h = -R y - MU P_M (-nu S + lambda M - R) y while the feedback acts,
-        else -R y; and whether it acts."""
-        R = R_static if R_static is not None else reaction_matrix(fem, reaction.values(nodes, t))
-        h = tridiag_matvec(*R, state)
+    def force(state: np.ndarray, Mstate: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
+        """q = -h = R y + M [U] P_M (-nu S + lambda M - R) y while the feedback
+        acts, else R y; and whether it acts."""
+        if a_const is not None:
+            q = a_const * Mstate
+        elif R_static is not None:
+            q = tridiag_matvec(*R_static, state)
+        else:
+            a = reaction.values(nodes, t)
+            q = a * Mstate
+            q += tridiag_matvec(*mass, a * state)
+            q *= 0.5
         if feedback is None or not feedback.active(t):
-            return -h, False
+            return q, False
         c = W0 @ state
         if R_static is None:
-            c -= P @ h
-        h += MU @ c
-        return -h, True
+            c -= P @ q
+        q += c @ MUt
+        return q, True
 
     norms = np.empty(n_steps + 1)
     feedback_flags = np.zeros(n_steps + 1, dtype=bool)
@@ -453,8 +455,8 @@ def run_closed_loop(
     }
     snapshots = np.empty((len(snap_times), fem.grid.N)) if snap_times else None
 
-    def record(j: int, state: np.ndarray) -> None:
-        norm = nodal_l2_norm(fem, state)
+    def record(j: int, state: np.ndarray, Mstate: np.ndarray) -> None:
+        norm = _mass_norm(state, Mstate)
         if not math.isfinite(norm):
             raise NumericalFailureError(
                 f"solution norm is {norm} at step {j}, t = {times[j]:.12g}; "
@@ -469,35 +471,36 @@ def run_closed_loop(
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0, y)
-        h_prev, feedback_flags[0] = force(y, 0.0)
-        h_prev2 = h_prev
         g_prev = neumann_flux(0.0) if neumann_flux is not None else None
-
-        for j in range(1, n_steps + 1):
+        for j in range(n_steps + 1):
             t = times[j]
-            rhs = tridiag_matvec(*B_minus, y)
-            rhs += k * (3.0 * h_prev - h_prev2)
+            My = tridiag_matvec(*mass, y)
+            record(j, y, My)
+            if j == n_steps:
+                feedback_flags[j] = feedback is not None and feedback.active(t)
+                break
+            q, feedback_flags[j] = force(y, My, t)
+            if j == 0:
+                q_prev = q
+            rhs = 4.0 * My
+            rhs -= k * (3.0 * q - q_prev)
+            q_prev = q
+            t_new = times[j + 1]
             if g_prev is not None:
-                g_new = neumann_flux(t)
+                g_new = neumann_flux(t_new)
                 rhs[0] += k * (g_new[0] + g_prev[0])
                 rhs[-1] -= k * (g_new[1] + g_prev[1])
                 g_prev = g_new
             if dirichlet:
-                b0, b1 = dirichlet_data(t) if dirichlet_data is not None else (0.0, 0.0)
-                rhs[1] -= edge0 * b0
-                rhs[-2] -= edge1 * b1
-                rhs[1:-1] = tridiag_solve(factor, rhs[1:-1])
+                b0, b1 = dirichlet_data(t_new) if dirichlet_data is not None else (0.0, 0.0)
+                rhs[1] -= edge0 * (b0 + y[0])
+                rhs[-2] -= edge1 * (b1 + y[-1])
+                np.subtract(tridiag_solve(factor, rhs[1:-1]), y[1:-1], out=rhs[1:-1])
                 rhs[0], rhs[-1] = b0, b1
-                y = rhs
             else:
-                y = tridiag_solve(factor, rhs)
-            record(j, y)
-            if j < n_steps:
-                h_prev2 = h_prev
-                h_prev, feedback_flags[j] = force(y, t)
-            else:
-                feedback_flags[j] = feedback is not None and feedback.active(t)
+                rhs = tridiag_solve(factor, rhs)
+                rhs -= y
+            y = rhs
 
     for arr in (times, norms, feedback_flags):
         arr.flags.writeable = False

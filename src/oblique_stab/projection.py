@@ -93,11 +93,11 @@ class CrossGram:
 
 @dataclass(frozen=True)
 class ProjectionData:
-    """Assembled projector data: Theta, its spectrum, the operator norm, and
-    the largest off-diagonal magnitude of Theta."""
+    """Assembled projector data: the cross-Gram (which holds Theta), the
+    spectrum of Theta, the operator norm, and the largest off-diagonal
+    magnitude of Theta."""
 
     gram: CrossGram
-    theta: np.ndarray
     theta_eigenvalues: np.ndarray
     vartheta: float
     op_norm: float
@@ -213,7 +213,6 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     w.flags.writeable = False
     return ProjectionData(
         gram=gram,
-        theta=theta,
         theta_eigenvalues=w,
         vartheta=vartheta,
         op_norm=vartheta**-0.5,
@@ -394,7 +393,7 @@ def check_theta_diagonal(data: ProjectionData) -> tuple[bool, float]:
 
     Returns (is_diagonal, max_offdiagonal_magnitude).
     """
-    max_diag = float(np.max(np.abs(np.diag(data.theta))))
+    max_diag = float(np.max(np.abs(np.diag(data.gram.theta))))
     return data.max_offdiag <= _DIAG_RTOL * max_diag, data.max_offdiag
 
 

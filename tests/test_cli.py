@@ -318,6 +318,20 @@ def test_simulate_y0_samples(tmp_path):
     assert np.allclose(got, want, rtol=1e-12)
 
 
+def test_simulate_defaults_match_benchmark_reference_norms(tmp_path):
+    # The benchmark checks every 10th norm of the default run against this
+    # file at 1e-9 relative; a change to the time step must hold it too.
+    ref_path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "closed_loop_norms.csv"
+    reference = [ln.split(",") for ln in _data_rows(ref_path)]
+    assert len(reference) == 451
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--output", str(out)]) == 0
+    norms = {float(t): float(n) for t, n, _ in (r.split(",") for r in _data_rows(out)[1:])}
+    assert len(norms) == 4501
+    worst = max(abs(norms[float(t)] - float(n)) / float(n) for t, n in reference)
+    assert worst <= 1e-9
+
+
 # ---------------------------------------------------------------- suffcond
 
 def test_suffcond_reports_minimal_m(tmp_path):
@@ -435,21 +449,28 @@ def _rows_at_blas_threads(tmp_path, threads, argv):
     return [ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")]
 
 
-def _simulate_rows_at_blas_threads(tmp_path, threads, actuators):
-    """Data rows of a short N=10001 Neumann run at `threads` BLAS threads."""
-    argv = (
-        f"simulate --bc neumann --reaction oscillating {actuators} --feed-on 0:0.02 "
-        "--N 10001 --k 4e-4 --T 0.04"
-    ).split()
+def _simulate_rows_at_blas_threads(tmp_path, threads, case):
+    """Data rows of a short N=10001 run at `threads` BLAS threads."""
+    argv = f"simulate {case} --N 10001 --k 4e-4 --T 0.04".split()
     return _rows_at_blas_threads(tmp_path, threads, argv)
 
 
 # With 24 actuators a threaded dgemm rounds the coupling E^T M U differently
-# at 1 and 2 threads, so this case fails unless the product avoids BLAS.
-@pytest.mark.parametrize("actuators", ["--M 8", "--M 24"])
-def test_simulate_rows_independent_of_blas_threads(tmp_path, actuators):
-    one = _simulate_rows_at_blas_threads(tmp_path, 1, actuators)
-    two = _simulate_rows_at_blas_threads(tmp_path, 2, actuators)
+# at 1 and 2 threads, so those cases fail unless the product avoids BLAS.
+# The Dirichlet case is the static path of the default run: the reaction
+# folded into W0 and no feedback window.
+@pytest.mark.parametrize(
+    "case",
+    [
+        "--bc neumann --reaction oscillating --M 8 --feed-on 0:0.02",
+        "--bc neumann --reaction oscillating --M 24 --feed-on 0:0.02",
+        "--bc dirichlet --M 47",
+    ],
+    ids=["--M 8", "--M 24", "dirichlet --M 47"],
+)
+def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
+    one = _simulate_rows_at_blas_threads(tmp_path, 1, case)
+    two = _simulate_rows_at_blas_threads(tmp_path, 2, case)
     assert len(one) == 102
     assert one == two
 

@@ -18,13 +18,11 @@ from oblique_stab.fem import (
     assemble_fem,
     constant_reaction,
     discrete_projection_norm,
-    feedback_apply,
     feedback_matrices,
     log_norm_slope,
     make_grid,
     nodal_l2_norm,
     oscillating_reaction,
-    project_nodal,
     reaction_matrix,
     run_closed_loop,
     tabulated_reaction,
@@ -32,6 +30,7 @@ from oblique_stab.fem import (
 from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import assemble_cross_gram, build_projection
 from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
+from oracles import feedback_apply, project_nodal
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -505,14 +504,23 @@ def _rel(got, ref):
         (N, "oscillating", 8, (0.0, 0.3), {}),
         (D, "static", 6, None, {"dirichlet_data": lambda t: (0.1 * math.sin(3 * t), 0.2)}),
         (N, "static", 6, None, {"neumann_flux": lambda t: (0.1 * math.cos(2 * t), -0.05)}),
+        (D, "varying", 6, None, {}),
     ],
-    ids=["dirichlet-static", "neumann-oscillating-window", "dirichlet-data", "neumann-flux"],
+    ids=[
+        "dirichlet-static", "neumann-oscillating-window", "dirichlet-data", "neumann-flux",
+        "dirichlet-static-varying",
+    ],
 )
 def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on, boundary):
     grid = make_grid(math.pi, 301)
     fem = assemble_fem(grid)
     nu, k, T = 0.1, 2e-3, 0.6
-    reaction = constant_reaction(-3.5) if react == "static" else oscillating_reaction(nu, math.pi)
+    reaction = {
+        "static": constant_reaction(-3.5),
+        "oscillating": oscillating_reaction(nu, math.pi),
+        # a static reaction that varies in x takes the R y product, not a M y
+        "varying": tabulated_reaction([0.0], grid.nodes, [np.cos(grid.nodes) - 3.5]),
+    }[react]
     op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, M, 0.1))
     feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
     y0 = 0.1 * grid.nodes + 0.05

@@ -333,7 +333,7 @@ def test_analytic_spectrum_matches_numeric():
         for r in (0.1, 0.3, 0.5):
             for M in range(1, 201):
                 data = _build(bc, scheme, M, r)
-                assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.theta)))
+                assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.gram.theta)))
                 predicted = analytic_theta_spectrum(bc, scheme, M, r)
                 err = np.abs(data.theta_eigenvalues - predicted) / predicted
                 assert err.max() <= 1e-12, (bc, scheme, M, r)
@@ -360,17 +360,17 @@ def test_nearly_diagonal_theta_spectrum_from_eigvalsh(bc, nudge):
     # the nudge lifts Theta's radius ratio to about 7e-2 and 7e-10, past the
     # 1e-10 certificate, so the spectrum is eigvalsh's, bit for bit
     data = _nudged_mxe(bc, nudge)
-    assert _weyl_ratio(data.theta) > 1e-10
-    assert np.array_equal(data.theta_eigenvalues, sym_eigvals(data.theta))
+    assert _weyl_ratio(data.gram.theta) > 1e-10
+    assert np.array_equal(data.theta_eigenvalues, sym_eigvals(data.gram.theta))
 
 
 @pytest.mark.parametrize("bc", [D, N])
 def test_barely_nudged_theta_spectrum_is_its_sorted_diagonal(bc):
     # a 1e-12 nudge leaves the radius ratio near 7e-11, inside the certificate
     data = _nudged_mxe(bc, 1e-12)
-    assert _weyl_ratio(data.theta) <= 1e-10
-    assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.theta)))
-    assert np.allclose(data.theta_eigenvalues, sym_eigvals(data.theta), rtol=1e-10, atol=0.0)
+    assert _weyl_ratio(data.gram.theta) <= 1e-10
+    assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.gram.theta)))
+    assert np.allclose(data.theta_eigenvalues, sym_eigvals(data.gram.theta), rtol=1e-10, atol=0.0)
 
 
 def test_vartheta_limit_reference_values():
@@ -518,8 +518,8 @@ def test_theta_not_diagonal_for_clustered_placement():
     ok, _ = check_theta_diagonal(data)
     assert not ok
     expected = -16 * math.sin(math.pi / 12) * math.sin(math.pi / 4) / math.pi**2
-    assert data.theta[0, 2] == pytest.approx(expected, abs=1e-13)
-    assert data.theta[0, 2] == pytest.approx(-0.29667, abs=2e-5)
+    assert data.gram.theta[0, 2] == pytest.approx(expected, abs=1e-13)
+    assert data.gram.theta[0, 2] == pytest.approx(-0.29667, abs=2e-5)
 
 
 def test_theta_not_diagonal_for_neumann_uniform():
@@ -527,7 +527,7 @@ def test_theta_not_diagonal_for_neumann_uniform():
     ok, _ = check_theta_diagonal(data)
     assert not ok
     # corner entry has the closed form -sqrt(2)/(2 pi) at these parameters
-    assert data.theta[0, 2] == pytest.approx(-math.sqrt(2) / (2 * math.pi), abs=1e-13)
+    assert data.gram.theta[0, 2] == pytest.approx(-math.sqrt(2) / (2 * math.pi), abs=1e-13)
 
 
 # ---------------------------------------------------------------- cosine sums
