@@ -25,8 +25,8 @@ from .fem import (
     constant_reaction,
     discrete_projection_norm,
     feedback_matrices,
+    log_norm_slope,
     make_grid,
-    nodal_l2_norm,
     oscillating_reaction,
     run_closed_loop,
     tabulated_reaction,
@@ -37,17 +37,15 @@ from .projection import (
     SufficientConditionReport,
     analytic_theta_spectrum,
     analytic_vartheta,
-    apply_adjoint_projection,
     apply_projection,
     assemble_cross_gram,
     build_projection,
     check_sufficient_condition,
-    check_theta_diagonal,
     op_norm_limit,
     orthogonal_projection_actuators,
     vartheta_limit,
 )
-from .spectral import BoundaryCondition, EigenBasis, build_basis, eval_eigenfunction
+from .spectral import BoundaryCondition, EigenBasis, build_basis
 
 __version__ = "0.1.0"
 
@@ -71,20 +69,17 @@ __all__ = [
     "SufficientConditionReport",
     "analytic_theta_spectrum",
     "analytic_vartheta",
-    "apply_adjoint_projection",
     "apply_projection",
     "assemble_cross_gram",
     "assemble_fem",
     "build_basis",
     "build_projection",
     "check_sufficient_condition",
-    "check_theta_diagonal",
     "constant_reaction",
     "discrete_projection_norm",
-    "eval_eigenfunction",
     "feedback_matrices",
+    "log_norm_slope",
     "make_grid",
-    "nodal_l2_norm",
     "op_norm_limit",
     "orthogonal_projection_actuators",
     "oscillating_reaction",

@@ -14,6 +14,8 @@ Placement rules (centers c_1 < ... < c_M):
 plus free placement of user-supplied strictly increasing centers.  Supports
 are pairwise disjoint for mxe always, for uni exactly when M >= r/(1 - r), and
 for con the neighbouring supports touch (gap zero, still measure-disjoint).
+all_breakpoints returns the 2M support endpoints as one sorted array, the
+points where quadrature splits its panels.
 """
 
 from __future__ import annotations
@@ -82,14 +84,12 @@ def place(
         raise InvalidArgumentError(f"volume fraction must lie in (0, 1), got {r}")
     delta = r * L / (2 * M)
 
+    if (centers is not None) != (scheme is Scheme.CUSTOM):
+        raise InvalidArgumentError("only custom placement takes centers, and it needs them")
     j = np.arange(1, M + 1, dtype=float)
     if scheme is Scheme.MXE:
-        if centers is not None:
-            raise InvalidArgumentError("centers are only accepted for custom placement")
         c = (2 * j - 1) * L / (2 * M)
     elif scheme is Scheme.UNI:
-        if centers is not None:
-            raise InvalidArgumentError("centers are only accepted for custom placement")
         bound = r / (1.0 - r)
         if M < bound * (1.0 - _GEOM_RTOL):
             raise ConstraintViolationError(
@@ -97,12 +97,8 @@ def place(
             )
         c = j * L / (M + 1)
     elif scheme is Scheme.CON:
-        if centers is not None:
-            raise InvalidArgumentError("centers are only accepted for custom placement")
         c = (1.0 - r) * L / 2.0 + (2 * j - 1) * r * L / (2 * M)
     elif scheme is Scheme.CUSTOM:
-        if centers is None:
-            raise InvalidArgumentError("custom placement requires explicit centers")
         c = np.asarray(centers, dtype=float)
         if c.ndim != 1 or c.size != M:
             raise InvalidArgumentError(f"expected {M} centers, got shape {c.shape}")
@@ -130,25 +126,11 @@ def place(
     )
 
 
-def _check_actuator_index(aset: ActuatorSet, j: int) -> None:
-    if int(j) != j or not 1 <= j <= aset.M:
-        raise InvalidArgumentError(f"actuator index must lie in 1..{aset.M}, got {j}")
-
-
-def support_bounds(aset: ActuatorSet, j: int) -> tuple[float, float]:
-    """Endpoints (c_j - delta, c_j + delta) of the j-th support, 1-based j."""
-    _check_actuator_index(aset, j)
-    c = float(aset.centers[j - 1])
-    return c - aset.half_width, c + aset.half_width
-
-
-def all_breakpoints(aset: ActuatorSet) -> list[float]:
-    """Sorted support endpoints of every actuator; quadrature split points."""
-    pts: list[float] = []
-    for j in range(1, aset.M + 1):
-        lo, hi = support_bounds(aset, j)
-        pts.extend((lo, hi))
-    return sorted(pts)
+def all_breakpoints(aset: ActuatorSet) -> np.ndarray:
+    """Sorted support endpoints c_j -/+ delta of every actuator; quadrature
+    split points."""
+    c, delta = aset.centers, aset.half_width
+    return np.sort(np.concatenate((c - delta, c + delta)))
 
 
 def indicators(aset: ActuatorSet, x) -> np.ndarray:

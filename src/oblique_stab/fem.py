@@ -53,8 +53,6 @@ from .errors import (
 )
 from .linalg import (
     solve_dense,
-    sym_eigen,
-    sym_eigvals,
     tridiag_factor,
     tridiag_matvec,
     tridiag_solve,
@@ -136,7 +134,6 @@ class ReactionField:
 
     values: Callable[[np.ndarray, float], np.ndarray]
     time_dependent: bool
-    label: str
 
 
 def constant_reaction(value: float) -> ReactionField:
@@ -144,7 +141,6 @@ def constant_reaction(value: float) -> ReactionField:
     return ReactionField(
         values=lambda x, t: np.full_like(np.asarray(x, dtype=float), value),
         time_dependent=False,
-        label=f"constant:{value:g}",
     )
 
 
@@ -169,7 +165,7 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
         out += base
         return out
 
-    return ReactionField(values=values, time_dependent=True, label="oscillating")
+    return ReactionField(values=values, time_dependent=True)
 
 
 def tabulated_reaction(
@@ -210,7 +206,7 @@ def tabulated_reaction(
             row = (1.0 - w) * tab[i - 1] + w * tab[i]
         return np.interp(arr, xv, row)
 
-    return ReactionField(values=values, time_dependent=tv.size > 1, label="table")
+    return ReactionField(values=values, time_dependent=tv.size > 1)
 
 
 @dataclass(frozen=True)
@@ -264,23 +260,24 @@ def feedback_matrices(
 
 
 def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
-    """Operator norm of the discrete projection in the mass inner product.
+    """Operator norm of the discrete projection U A^{-1} E^T M in the mass
+    inner product.
 
-    With G_E = E^T M E and N_U = U^T M U the squared norm is the largest
-    eigenvalue of G_E^{1/2} A^{-T} N_U A^{-1} G_E^{1/2}; this is exact for
-    the discrete operator, no sampling involved.
+    With the Cholesky factors C C^T = E^T M E and L L^T = U^T M U the norm is
+    the largest singular value of L^T A^{-1} C, whose squared singular values
+    are the spectrum of A^{-T} (U^T M U) A^{-1} (E^T M E); this is exact for
+    the discrete operator, no sampling involved.  Raises NumericalFailureError
+    when either Gram matrix is not positive definite.
     """
     G_E = op.E.T @ tridiag_matvec(*fem.mass, op.E)
     N_U = op.U.T @ tridiag_matvec(*fem.mass, op.U)
-    w, V = sym_eigen(G_E)
-    if w[0] <= 0.0:
+    try:
+        C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(N_U)
+    except np.linalg.LinAlgError:
         raise NumericalFailureError(
-            "sampled eigenfunction Gram matrix is not positive definite"
-        )
-    root = (V * np.sqrt(w)) @ V.T
-    X = solve_dense(op.coupling, root)
-    Q = X.T @ N_U @ X
-    return float(np.sqrt(sym_eigvals(Q)[-1]))
+            "sampled eigenfunction or actuator Gram matrix is not positive definite"
+        ) from None
+    return float(np.linalg.norm(L.T @ solve_dense(op.coupling, C), 2))
 
 
 @dataclass(frozen=True)
@@ -308,8 +305,8 @@ class ClosedLoopRun:
 
     norms[j] is the L2 norm sqrt(y^T M y) at times[j]; feedback_on[j] records
     whether the feedback force was active when stepping from times[j].
-    trajectory is (n_steps+1) x N when stored, else None; snapshots holds the
-    states nearest to the requested snapshot times.
+    snapshots[s] is the state at the step nearest to snapshot_times[s], the
+    earlier step on a tie; None when no snapshot was asked for.
     """
 
     bc: BoundaryCondition
@@ -317,7 +314,6 @@ class ClosedLoopRun:
     norms: np.ndarray
     feedback_on: np.ndarray
     final_state: np.ndarray
-    trajectory: np.ndarray | None
     snapshot_times: tuple[float, ...]
     snapshots: np.ndarray | None
 
@@ -332,12 +328,6 @@ def _mass_norm(y: np.ndarray, My: np.ndarray) -> float:
     return math.sqrt(max(float(np.add.reduce(y * My)), 0.0))
 
 
-def nodal_l2_norm(fem: FemMatrices, y: np.ndarray) -> float:
-    """L2(0, L) norm of the hat interpolant with nodal values y."""
-    y = np.asarray(y, dtype=float)
-    return _mass_norm(y, tridiag_matvec(*fem.mass, y))
-
-
 def run_closed_loop(
     bc: BoundaryCondition,
     fem: FemMatrices,
@@ -350,7 +340,6 @@ def run_closed_loop(
     feedback: FeedbackConfig | None = None,
     neumann_flux: Callable[[float], tuple[float, float]] | None = None,
     dirichlet_data: Callable[[float], tuple[float, float]] | None = None,
-    store_trajectory: bool = False,
     snapshot_times: tuple[float, ...] = (),
 ) -> ClosedLoopRun:
     """Integrate the closed-loop (or free) dynamics from y0 to time T.
@@ -447,12 +436,10 @@ def run_closed_loop(
 
     norms = np.empty(n_steps + 1)
     feedback_flags = np.zeros(n_steps + 1, dtype=bool)
-    trajectory = np.empty((n_steps + 1, fem.grid.N)) if store_trajectory else None
     snap_times = tuple(float(t) for t in snapshot_times)
-    snap_index = {
-        min(range(n_steps + 1), key=lambda j, tt=tt: abs(times[j] - tt)): s
-        for s, tt in enumerate(snap_times)
-    }
+    snap_slots: dict[int, list[int]] = {}
+    for s, tt in enumerate(snap_times):
+        snap_slots.setdefault(int(np.argmin(np.abs(times - tt))), []).append(s)
     snapshots = np.empty((len(snap_times), fem.grid.N)) if snap_times else None
 
     def record(j: int, state: np.ndarray, Mstate: np.ndarray) -> None:
@@ -463,10 +450,8 @@ def run_closed_loop(
                 "the run blew up (reduce the time step or the reaction)"
             )
         norms[j] = norm
-        if trajectory is not None:
-            trajectory[j] = state
-        if snapshots is not None and j in snap_index:
-            snapshots[snap_index[j]] = state
+        if j in snap_slots:
+            snapshots[snap_slots[j]] = state
 
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
@@ -504,8 +489,6 @@ def run_closed_loop(
 
     for arr in (times, norms, feedback_flags):
         arr.flags.writeable = False
-    if trajectory is not None:
-        trajectory.flags.writeable = False
     if snapshots is not None:
         snapshots.flags.writeable = False
     return ClosedLoopRun(
@@ -514,7 +497,6 @@ def run_closed_loop(
         norms=norms,
         feedback_on=feedback_flags,
         final_state=y.copy(),
-        trajectory=trajectory,
         snapshot_times=snap_times,
         snapshots=snapshots,
     )

@@ -50,12 +50,6 @@ def _symmetrized(A) -> np.ndarray:
     return 0.5 * (arr + arr.T)
 
 
-def sym_eigen(A) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of a symmetric A."""
-    w, v = np.linalg.eigh(_symmetrized(A))
-    return w, v
-
-
 def sym_eigvals(A) -> np.ndarray:
     """Ascending eigenvalues of a symmetric A, without eigenvectors."""
     return np.linalg.eigvalsh(_symmetrized(A))

@@ -63,8 +63,6 @@ from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 # gives vartheta = 3.47e-14 to 2e-10 relative.
 SIGMA_RATIO_THRESHOLD = 1e-8
 
-_DIAG_RTOL = 1e-10
-
 # Gershgorin radius over smallest diagonal entry at or below which the
 # sorted diagonal of Theta is its spectrum to this relative accuracy.
 _WEYL_RTOL = 1e-10
@@ -350,22 +348,6 @@ def apply_projection(
     return alpha, _expansion(alpha, _actuator_family(data))
 
 
-def apply_adjoint_projection(
-    data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
-) -> tuple[np.ndarray, Evaluator]:
-    """Apply the adjoint projection, onto the eigenspace along the actuator
-    complement.
-
-    The adjoint of P (onto U_M along E_M-perp) is the oblique projection onto
-    E_M along U_M-perp; its coefficients beta in the eigenbasis solve the
-    transposed Gram system G^T beta = [(u_j, f)].  Returns beta and an
-    evaluator of sum_i beta_i e_i.
-    """
-    rhs = _inner_products(data, _actuator_family(data), f, breakpoints, n_panels)
-    beta = solve_dense(data.gram.entries.T, rhs)
-    return beta, _expansion(beta, _eigen_family(data))
-
-
 def orthogonal_projection_actuators(
     data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
 ) -> tuple[np.ndarray, Evaluator]:
@@ -386,15 +368,6 @@ def orthogonal_projection_actuators(
     np.fill_diagonal(N, 1.0)
     gamma = solve_dense(N, rhs)
     return gamma, _expansion(gamma, family)
-
-
-def check_theta_diagonal(data: ProjectionData) -> tuple[bool, float]:
-    """Whether Theta is diagonal to within 1e-10 of its largest diagonal entry.
-
-    Returns (is_diagonal, max_offdiagonal_magnitude).
-    """
-    max_diag = float(np.max(np.abs(np.diag(data.gram.theta))))
-    return data.max_offdiag <= _DIAG_RTOL * max_diag, data.max_offdiag
 
 
 def check_sufficient_condition(

@@ -8,7 +8,8 @@ With k = pi/L the closed forms are
 
 each e_i normalised in L2(0, L).  Indices are 1-based, following the natural
 ordering of the spectrum; alpha_1 is the smallest eigenvalue (positive for
-Dirichlet, zero for Neumann).
+Dirichlet, zero for Neumann).  eigenfunctions evaluates the whole family
+e_1, ..., e_M at once, the only way the library samples it.
 """
 
 from __future__ import annotations
@@ -63,35 +64,15 @@ def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
     return EigenBasis(bc=bc, L=L, M=M, alphas=alphas)
 
 
-def _check_index(basis: EigenBasis, i: int) -> None:
-    if int(i) != i or not 1 <= i <= basis.M:
-        raise InvalidArgumentError(f"eigenfunction index must lie in 1..{basis.M}, got {i}")
-
-
-def _check_coords(basis: EigenBasis, x: np.ndarray) -> None:
-    if x.size and (np.min(x) < 0.0 or np.max(x) > basis.L):
-        raise InvalidArgumentError(f"coordinates must lie in [0, {basis.L}]")
-
-
-def _modes(basis: EigenBasis, i, x) -> np.ndarray:
-    """Values of e_i at x for 1-based indices i broadcast against x."""
+def eigenfunctions(basis: EigenBasis, x) -> np.ndarray:
+    """Values of e_1, ..., e_M at x in [0, L]; shape of x + (M,)."""
     arr = np.asarray(x, dtype=float)
-    _check_coords(basis, arr)
     L = basis.L
+    if arr.size and (np.min(arr) < 0.0 or np.max(arr) > L):
+        raise InvalidArgumentError(f"coordinates must lie in [0, {L}]")
+    i = np.arange(1, basis.M + 1, dtype=float)
+    arr = arr[..., None]
     if basis.bc is BoundaryCondition.DIRICHLET:
         return math.sqrt(2.0 / L) * np.sin(i * math.pi * arr / L)
     amp = np.where(i == 1, math.sqrt(1.0 / L), math.sqrt(2.0 / L))
     return amp * np.cos((i - 1) * math.pi * arr / L)
-
-
-def eigenfunctions(basis: EigenBasis, x) -> np.ndarray:
-    """Values of e_1, ..., e_M at x in [0, L]; shape of x + (M,)."""
-    i = np.arange(1, basis.M + 1, dtype=float)
-    return _modes(basis, i, np.asarray(x, dtype=float)[..., None])
-
-
-def eval_eigenfunction(basis: EigenBasis, i: int, x):
-    """Pointwise closed-form value of e_i at x (scalar or array), x in [0, L]."""
-    _check_index(basis, i)
-    out = _modes(basis, i, x)
-    return float(out) if np.ndim(x) == 0 else out

@@ -25,24 +25,27 @@ from oblique_stab.fem import (
     constant_reaction,
     feedback_matrices,
     make_grid,
-    nodal_l2_norm,
     oscillating_reaction,
     run_closed_loop,
 )
 from oblique_stab.projection import (
     analytic_vartheta,
-    apply_adjoint_projection,
     apply_projection,
     assemble_cross_gram,
     build_projection,
-    check_theta_diagonal,
     op_norm_limit,
     vartheta_limit,
 )
 from oblique_stab.quadrature import integrate
-from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
+from oblique_stab.spectral import BoundaryCondition, build_basis
 
-from oracles import cosine_sum
+from oracles import (
+    apply_adjoint_projection,
+    check_theta_diagonal,
+    cosine_sum,
+    eval_eigenfunction,
+    nodal_l2_norm,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN

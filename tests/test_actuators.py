@@ -13,13 +13,14 @@ from oblique_stab.actuators import (
     indicators,
     normalized_indicator_coeff,
     place,
-    support_bounds,
 )
 from oblique_stab.errors import ConstraintViolationError, InvalidArgumentError
 
 
 def _bounds(aset):
-    return [support_bounds(aset, j) for j in range(1, aset.M + 1)]
+    """Support endpoints (c_j - delta, c_j + delta), in actuator order."""
+    c, delta = aset.centers, aset.half_width
+    return list(zip(c - delta, c + delta))
 
 
 def test_mxe_centers():
@@ -103,8 +104,11 @@ def test_custom_placement_requires_matching_count():
 
 
 def test_centers_only_for_custom():
+    for scheme in (Scheme.MXE, Scheme.UNI, Scheme.CON):
+        with pytest.raises(InvalidArgumentError):
+            place(scheme, math.pi, 2, 0.1, centers=(1.0, 2.0))
     with pytest.raises(InvalidArgumentError):
-        place(Scheme.MXE, math.pi, 2, 0.1, centers=(1.0, 2.0))
+        place(Scheme.CUSTOM, math.pi, 2, 0.1)
 
 
 def test_invalid_volume_fraction():
@@ -122,7 +126,7 @@ def test_invalid_count_and_length():
 
 def test_indicator_is_open_interval():
     aset = place(Scheme.MXE, math.pi, 2, 0.5)
-    lo, hi = support_bounds(aset, 1)
+    lo, hi = _bounds(aset)[0]
     vals = indicators(aset, np.array([lo, 0.5 * (lo + hi), hi]))
     assert vals.shape == (3, 2)
     assert vals[0, 0] == 0.0
@@ -148,8 +152,7 @@ def test_normalized_indicator_coefficient():
 
 def test_normalized_indicators_have_unit_l2_norm():
     aset = place(Scheme.UNI, 2.0, 3, 0.3)
-    for j in range(1, 4):
-        lo, hi = support_bounds(aset, j)
+    for lo, hi in _bounds(aset):
         norm_sq = normalized_indicator_coeff(aset) ** 2 * (hi - lo)
         assert norm_sq == pytest.approx(1.0, rel=1e-12)
 
@@ -157,15 +160,9 @@ def test_normalized_indicators_have_unit_l2_norm():
 def test_breakpoints_sorted_and_complete():
     aset = place(Scheme.UNI, math.pi, 3, 0.3)
     bps = all_breakpoints(aset)
-    assert bps == sorted(bps)
+    assert bps.tolist() == sorted(bps.tolist())
     assert len(bps) == 6
-
-
-def test_actuator_index_bounds_checked():
-    aset = place(Scheme.MXE, math.pi, 3, 0.2)
-    for j in (0, 4):
-        with pytest.raises(InvalidArgumentError):
-            support_bounds(aset, j)
+    assert bps.tolist() == sorted(x for bounds in _bounds(aset) for x in bounds)
 
 
 @settings(max_examples=60, deadline=None)

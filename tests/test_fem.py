@@ -1,5 +1,6 @@
 """Tests for the hat-function discretization and the closed-loop driver."""
 
+import dataclasses
 import math
 import re
 
@@ -21,7 +22,6 @@ from oblique_stab.fem import (
     feedback_matrices,
     log_norm_slope,
     make_grid,
-    nodal_l2_norm,
     oscillating_reaction,
     reaction_matrix,
     run_closed_loop,
@@ -29,8 +29,14 @@ from oblique_stab.fem import (
 )
 from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import assemble_cross_gram, build_projection
-from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
-from oracles import feedback_apply, project_nodal
+from oblique_stab.spectral import BoundaryCondition, build_basis
+from oracles import (
+    eigh_projection_norm,
+    eval_eigenfunction,
+    feedback_apply,
+    nodal_l2_norm,
+    project_nodal,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -170,6 +176,38 @@ def test_discrete_norm_close_to_continuous(bc):
     fem = assemble_fem(make_grid(math.pi, 2001))
     discrete = discrete_projection_norm(fem, feedback_matrices(fem, bc, aset))
     assert abs(discrete - continuous) <= 0.05 * continuous
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
+def test_discrete_norm_matches_eigh_square_root(bc, scheme):
+    # the Cholesky form against the symmetric-square-root form, wherever the
+    # discrete norm is small enough for either to carry digits; con at M = 47,
+    # r = 0.1 has no discrete direct sum on this grid
+    fem = assemble_fem(make_grid(math.pi, 1001))
+    compared = 0
+    for M in (1, 6, 47):
+        for r in (0.1, 0.5):
+            try:
+                op = feedback_matrices(fem, bc, place(scheme, math.pi, M, r))
+            except DirectSumFailureError:
+                continue
+            ref = eigh_projection_norm(fem, op)
+            if ref >= 1e8:
+                continue
+            assert discrete_projection_norm(fem, op) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            compared += 1
+    assert compared >= 4
+
+
+def test_discrete_norm_rejects_singular_eigenfunction_gram():
+    fem = assemble_fem(make_grid(math.pi, 201))
+    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
+    E = op.E.copy()
+    E[:, 2] = 0.0
+    with pytest.raises(NumericalFailureError) as exc:
+        discrete_projection_norm(fem, dataclasses.replace(op, E=E))
+    assert "positive definite" in str(exc.value)
 
 
 def test_coarse_mesh_direct_sum_failure():
@@ -336,10 +374,11 @@ def test_neumann_mass_conservation():
     fem = assemble_fem(grid)
     y0 = np.cos(grid.nodes) + 1.0
     run = run_closed_loop(
-        N, fem, 0.1, constant_reaction(0.0), y0, 1.0, 2e-3, store_trajectory=True
+        N, fem, 0.1, constant_reaction(0.0), y0, 1.0, 2e-3,
+        snapshot_times=tuple(0.1 * i for i in range(11)),
     )
     ones = np.ones(grid.N)
-    masses = [float(ones @ tridiag_matvec(*fem.mass, state)) for state in run.trajectory[::50]]
+    masses = [float(ones @ tridiag_matvec(*fem.mass, state)) for state in run.snapshots]
     spread = (max(masses) - min(masses)) / abs(masses[0])
     assert spread <= 1e-9
 
@@ -355,21 +394,34 @@ def test_energy_sign_dichotomy():
     assert decay.norms[-1] < decay.norms[0]
 
 
-def test_trajectory_and_snapshot_bookkeeping():
+def test_time_and_snapshot_bookkeeping():
     grid = make_grid(math.pi, 301)
     fem = assemble_fem(grid)
     run = run_closed_loop(
         D, fem, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 0.1, 2e-3,
-        store_trajectory=True, snapshot_times=(0.0, 0.05, 0.1),
+        snapshot_times=(0.0, 0.05, 0.1),
     )
     n_steps = int(0.1 / 2e-3)
-    assert len(run.trajectory) == n_steps + 1
     assert len(run.times) == n_steps + 1
     assert run.times[0] == 0.0
     assert run.times[-1] == pytest.approx(0.1)
     assert len(run.snapshots) == 3
     assert np.allclose(run.snapshot_times, (0.0, 0.05, 0.1))
     assert np.allclose(run.snapshots[0], np.sin(grid.nodes))
+
+
+def test_snapshots_sharing_a_step_are_all_written():
+    # 0 and 1e-4 both round to step 0 at k = 1e-3, so both rows hold y0
+    grid = make_grid(math.pi, 51)
+    fem = assemble_fem(grid)
+    y0 = np.sin(grid.nodes)
+    run = run_closed_loop(
+        D, fem, 0.1, constant_reaction(0.0), y0, 0.01, 1e-3,
+        snapshot_times=(0.0, 1e-4, 0.01),
+    )
+    assert np.array_equal(run.snapshots[0], y0)
+    assert np.array_equal(run.snapshots[1], y0)
+    assert np.array_equal(run.snapshots[2], run.final_state)
 
 
 # ---------------------------------------------------------------- closed loop

@@ -24,20 +24,18 @@ from oblique_stab.linalg import sym_eigvals
 from oblique_stab.projection import (
     analytic_theta_spectrum,
     analytic_vartheta,
-    apply_adjoint_projection,
     apply_projection,
     assemble_cross_gram,
     build_projection,
     check_sufficient_condition,
-    check_theta_diagonal,
     op_norm_limit,
     orthogonal_projection_actuators,
     vartheta_limit,
 )
 from oblique_stab.quadrature import integrate
-from oblique_stab.spectral import BoundaryCondition, build_basis, eval_eigenfunction
+from oblique_stab.spectral import BoundaryCondition, build_basis
 
-from oracles import cosine_sum
+from oracles import apply_adjoint_projection, check_theta_diagonal, cosine_sum, eval_eigenfunction
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 
 from oblique_stab.errors import InvalidArgumentError
 from oblique_stab.quadrature import integrate
-from oblique_stab.spectral import (
-    BoundaryCondition,
-    build_basis,
-    eigenfunctions,
-    eval_eigenfunction,
-)
+from oblique_stab.spectral import BoundaryCondition, build_basis, eigenfunctions
+
+from oracles import eval_eigenfunction
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -115,10 +112,6 @@ def test_invalid_inputs_rejected():
         build_basis(D, -1.0, 3)
     with pytest.raises(InvalidArgumentError):
         build_basis(D, math.pi, 0)
-    basis = build_basis(D, math.pi, 3)
-    for bad in (0, 4):
-        with pytest.raises(InvalidArgumentError):
-            eval_eigenfunction(basis, bad, 0.5)
 
 
 @settings(max_examples=40, deadline=None)
