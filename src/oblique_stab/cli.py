@@ -449,9 +449,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         snap_path = out.with_name(out.stem + "_snapshots" + (out.suffix or ".csv"))
         snap_lines = [s.config_comment(args.command)]
         snap_lines.append("x," + ",".join(f"t={_cfmt(t)}" for t in run.snapshot_times))
-        for i, x in enumerate(grid.nodes):
-            cells = ",".join(_fmt(run.snapshots[j][i]) for j in range(len(snapshot_times)))
-            snap_lines.append(f"{_fmt(x)},{cells}")
+        fmt = ",".join(["%.17g"] * (len(run.snapshots) + 1))
+        snap_lines.extend(fmt % row for row in zip(grid.nodes.tolist(), *run.snapshots.tolist()))
         _emit(snap_lines, str(snap_path))
     return 0
 

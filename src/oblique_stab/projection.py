@@ -18,13 +18,16 @@ placements Theta is diagonal and vartheta has closed forms; those analytic
 expressions, their common large-M limit 4/(r pi^2) sin^2(r pi/2), and the
 stabilisability margin test built on ||P|| all live here.
 
-G[i, j] = s_i trig(m_i c_j) with a row scale s that depends only on r, so
-assemble_cross_gram forms Theta = (s s^T) o (T T^T).  T and T T^T are kept
-for the latest (bc, M, centers), so a sweep over r at one M (mxe, uni,
-custom) computes them once.  The spectrum of Theta is its sorted diagonal
-where Weyl's inequality certifies that to 1e-10 relative (mxe, and uni under
-Dirichlet conditions), otherwise eigvalsh of Theta, or the squared singular
-values of G when Theta is ill-conditioned.
+G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
+trig factor T, sin or cos of m_i c_j.  For mxe and uni the angles are
+rational multiples of pi and T is gathered from one exact-angle sine table.
+T, T T^T and |T T^T| off the diagonal are kept for the latest (bc, M,
+centers), so a sweep over r at one M computes them once; G and Theta =
+(s s^T) o (T T^T) are formed only when something reads them.  The spectrum
+of Theta is its sorted diagonal where Weyl's inequality, applied to the
+factors, certifies that to 1e-10 relative (mxe, and uni under Dirichlet
+conditions), otherwise eigvalsh of Theta, or the squared singular values of
+G when Theta is ill-conditioned.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -76,22 +79,36 @@ _SVD_RATIO = 1e-6
 class CrossGram:
     """Cross-Gram matrix between the eigenbasis and the normalised actuators.
 
-    entries[i, j] = (e_{i+1}, u_{j+1})_{L2} with u_j the unit-norm indicator;
-    rows follow the eigenfunction index, columns the actuator index.  theta
-    is Theta = G G^T, formed from the factors of G and exactly symmetric.
+    entries[i, j] = (e_{i+1}, u_{j+1})_{L2} = a_i T[i, j] / m_i with u_j the
+    unit-norm indicator; rows follow the eigenfunction index, columns the
+    actuator index.  Kept as read-only factors a, m, T, T T^T and tt_off =
+    |T T^T| off the diagonal; entries and theta = (s s^T) o (T T^T) with
+    s = a / m > 0, exactly symmetric, are formed read-only on first read.
     """
 
     bc: BoundaryCondition
     actuators: ActuatorSet
     basis: EigenBasis
     M: int
-    entries: np.ndarray
-    theta: np.ndarray
+    a: np.ndarray
+    m: np.ndarray
+    T: np.ndarray
+    TT: np.ndarray
+    tt_off: np.ndarray
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        return _frozen(self.a[:, None] * self.T / self.m[:, None])
+
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        s = self.a / self.m
+        return _frozen(np.multiply.outer(s, s) * self.TT)
 
 
 @dataclass(frozen=True)
 class ProjectionData:
-    """Assembled projector data: the cross-Gram (which holds Theta), the
+    """Assembled projector data: the cross-Gram (whose factors give Theta), the
     spectrum of Theta, the operator norm, and the largest off-diagonal
     magnitude of Theta."""
 
@@ -120,69 +137,87 @@ def _pi_centers(aset: ActuatorSet) -> np.ndarray:
     return aset.centers * (math.pi / aset.L)
 
 
-@functools.lru_cache(maxsize=1)
-def _trig_factor(bc: BoundaryCondition, M: int, cm_bytes: bytes) -> tuple[np.ndarray, ...]:
-    """Read-only trig factor T of the cross-Gram at L = pi, and T T^T.
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
-    T[i, j] = sin(m_i c_j) (Dirichlet) or cos(m_i c_j) below a row of ones
-    (Neumann), for the centers cm_bytes on (0, pi), which r does not enter.
+
+@functools.lru_cache(maxsize=1)
+def _trig_factor(
+    bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes
+) -> tuple[np.ndarray, ...]:
+    """Read-only trig factor T of the cross-Gram at L = pi, T T^T, and
+    |T T^T| with a zeroed diagonal.
+
+    T[i, j] = sin(m_i c_j) (Dirichlet, m = 1..M) or cos(m_i c_j) (Neumann,
+    m = 0..M-1), which r does not enter.  For mxe and uni, m c_j = pi m n_j / d
+    with integers (n_j = 2j - 1 and d = 2M for mxe, n_j = j and d = M + 1 for
+    uni), and T is a gather from a table of sin(pi p / (2d)), p = 0..4d-1,
+    shifted by d for the cosines; cm_bytes is then empty.  Otherwise
+    cm_bytes holds the centers on (0, pi).
     """
-    cm = np.frombuffer(cm_bytes)
-    if bc is BoundaryCondition.DIRICHLET:
-        T = np.sin(np.multiply.outer(np.arange(1.0, M + 1), cm))
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    m = np.arange(1, M + 1) if dirichlet else np.arange(M)
+    if scheme in (Scheme.MXE, Scheme.UNI):
+        j = np.arange(1, M + 1)
+        n, d = (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
+        # sin on the first half of the first quadrant, cos of the complement on
+        # the second, then mirrored: mirrored angles give equal or opposite values
+        x = np.pi * np.arange(d + 1) / (2 * d)
+        quadrant = np.where(np.arange(d + 1) <= d // 2, np.sin(x), np.cos(x[::-1]))
+        half = np.concatenate((quadrant, quadrant[-2:0:-1]))  # sin(pi - x) = sin x
+        table = np.concatenate((half, -half))  # sin(x + pi) = -sin x
+        p = np.multiply.outer(2 * m, n) + (0 if dirichlet else d)
+        T = table[p - 4 * d * (p // (4 * d))]  # p mod 4d; // is faster than % here
     else:
-        T = np.vstack((np.ones((1, M)), np.cos(np.multiply.outer(np.arange(1.0, M), cm))))
+        mc = np.multiply.outer(m.astype(float), np.frombuffer(cm_bytes))
+        T = np.sin(mc) if dirichlet else np.cos(mc)
     TT = T @ T.T
     TT = 0.5 * (TT + TT.T)
-    T.flags.writeable = False
-    TT.flags.writeable = False
-    return T, TT
+    tt_off = np.abs(TT)
+    np.fill_diagonal(tt_off, 0.0)
+    return _frozen(T), _frozen(TT), _frozen(tt_off)
 
 
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
-    """Assemble the M x M cross-Gram matrix and Theta from closed forms.
+    """Assemble the M x M cross-Gram matrix from closed forms, as factors.
 
-    G = s_i * T[i, j], with the rank-1 frequency factor s and the trig factor
-    T of _trig_factor; Theta = (s s^T) o (T T^T).  No quadrature is used.
-    Raises SingularConfigurationError for (near-)coincident centers, for
-    which two columns coincide and the matrix is exactly singular.
+    G = a_i T[i, j] / m_i with the trig factor T of _trig_factor; for Neumann
+    conditions the constant eigenfunction's row has a = sqrt(r/M), m = 1.
+    No quadrature is used.  Raises SingularConfigurationError for
+    (near-)coincident centers, for which two columns coincide and the matrix
+    is exactly singular.
     """
     M = aset.M
     cm = _pi_centers(aset)
-    if M > 1 and np.min(np.diff(np.sort(cm))) <= 1e-12:
+    exact = aset.scheme in (Scheme.MXE, Scheme.UNI)  # never coincident
+    if not exact and M > 1 and np.min(np.diff(np.sort(cm))) <= 1e-12:
         raise SingularConfigurationError(
             "coincident actuator centers make the cross-Gram matrix singular"
         )
-    T, TT = _trig_factor(bc, M, cm.tobytes())
+    T, TT, tt_off = _trig_factor(bc, aset.scheme, M, b"" if exact else cm.tobytes())
     r = aset.r
     delta = r * math.pi / (2 * M)
     dirichlet = bc is BoundaryCondition.DIRICHLET
     m = np.arange(1.0, M + 1 if dirichlet else M)
     a = math.sqrt(8 * M / (r * math.pi**2)) * np.sin(m * delta)
-    s = a / m
-    G = a[:, None] * (T if dirichlet else T[1:]) / m[:, None]
     if not dirichlet:
-        # the constant eigenfunction's row sits above the cosine rows
-        s = np.append(math.sqrt(r / M), s)
-        G = np.vstack((np.full((1, M), s[0]), G))
-    theta = np.multiply.outer(s, s) * TT
-    G.flags.writeable = False
-    theta.flags.writeable = False
+        a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
     basis = build_basis(bc, aset.L, M)
-    return CrossGram(bc=bc, actuators=aset, basis=basis, M=M, entries=G, theta=theta)
+    return CrossGram(bc, aset, basis, M, _frozen(a), _frozen(m), T, TT, tt_off)
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
-    """Take Theta = G G^T, its spectrum, vartheta, and the operator norm 1/sqrt(vartheta).
+    """Take the spectrum of Theta = G G^T, vartheta, and the operator norm 1/sqrt(vartheta).
 
-    Theta is the cross-Gram's own, formed by assemble_cross_gram from the
-    factors of G, so the diagonality statements can be asserted entrywise.
-    Its spectrum is chosen three ways:
+    Since s > 0, |Theta| off the diagonal is (s s^T) o tt_off, and the
+    diagonal is s^2 o diag(T T^T); both come from the cross-Gram's factors.
+    The spectrum is chosen three ways:
 
     * the sorted diagonal, when the largest Gershgorin radius of Theta is at
       most 1e-10 of its smallest diagonal entry; by Weyl's inequality every
       eigenvalue then lies within that radius of a diagonal entry;
-    * otherwise eigvalsh of Theta;
+    * otherwise eigvalsh of Theta, which only this branch forms;
     * and, when the smallest eigenvalue so found is below 1e-6 of the
       largest, the squared singular values of G instead, since forming
       G G^T squares the condition number.
@@ -190,14 +225,15 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
     SIGMA_RATIO_THRESHOLD.
     """
-    theta = gram.theta
-    off = np.abs(theta)
-    np.fill_diagonal(off, 0.0)
-    d = np.diag(theta)
-    if np.all(np.isfinite(theta)) and off.sum(axis=1).max() <= _WEYL_RTOL * d.min():
+    s = gram.a / gram.m
+    off = np.multiply.outer(s, s) * gram.tt_off
+    radii = off.sum(axis=1)
+    d = s * s * np.diag(gram.TT)
+    # radii and d are nonnegative, so their sum is finite exactly when both are
+    if np.all(np.isfinite(radii + d)) and radii.max() <= _WEYL_RTOL * d.min():
         w = np.sort(d)
     else:
-        w = sym_eigvals(theta)
+        w = sym_eigvals(gram.theta)
     if w[0] < _SVD_RATIO * w[-1]:
         w = scipy.linalg.svdvals(gram.entries)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
@@ -208,10 +244,9 @@ def build_projection(gram: CrossGram) -> ProjectionData:
             "the spectral subspace"
         )
     vartheta = float(w[0])
-    w.flags.writeable = False
     return ProjectionData(
         gram=gram,
-        theta_eigenvalues=w,
+        theta_eigenvalues=_frozen(w),
         vartheta=vartheta,
         op_norm=vartheta**-0.5,
         max_offdiag=float(off.max()),

@@ -262,6 +262,31 @@ def test_simulate_snapshots(tmp_path):
     assert float(last[1]) == pytest.approx(0.1 * math.pi, rel=1e-12)
 
 
+def test_snapshot_rows_are_per_cell_formatting(tmp_path, monkeypatch):
+    # each row is the node then every snapshot's value there, "%.17g" per cell
+    import oblique_stab.cli as cli
+
+    runs = []
+    run_closed_loop = cli.run_closed_loop
+
+    def spy(bc, fm, *args, **kwargs):
+        runs.append((fm.grid.nodes, run_closed_loop(bc, fm, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(cli, "run_closed_loop", spy)
+    out = tmp_path / "run.csv"
+    rc = main([
+        "simulate", "--N", "101", "--k", "2e-3", "--T", "0.02",
+        "--snapshot-times", "0,0.01,0.02", "--output", str(out),
+    ])
+    assert rc == 0
+    ((nodes, run),) = runs
+    expected = [
+        ",".join("%.17g" % v for v in (nodes[i], *run.snapshots[:, i])) for i in range(nodes.size)
+    ]
+    assert _data_rows(tmp_path / "run_snapshots.csv")[1:] == expected
+
+
 def test_simulate_snapshots_need_output():
     assert main([
         "simulate", "--N", "101", "--k", "2e-3", "--T", "0.1",

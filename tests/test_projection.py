@@ -151,15 +151,59 @@ def _custom_centers(M):
     return math.pi * (j - 0.5 + 0.2 * np.sin(j)) / M
 
 
+def _exact_angle_entries(bc, scheme, M, r):
+    """mxe or uni cross-Gram at L = pi from 30-digit row scales and trig values.
+
+    The angles m c_j are pi m n_j / d with integers, so each trig value is
+    one of 2d reduced angles; the products are taken in np.longdouble.
+    """
+    import mpmath
+
+    d = 2 * M if scheme is Scheme.MXE else M + 1
+    j = np.arange(1, M + 1)
+    n = 2 * j - 1 if scheme is Scheme.MXE else j
+    m = np.arange(1, M + 1) if bc is D else np.arange(M)
+    trig = mpmath.sin if bc is D else mpmath.cos
+    with mpmath.workdps(30):
+        r_, pi = mpmath.mpf(r), mpmath.pi
+        coef = mpmath.sqrt(8 * M / (r_ * pi**2))
+        scale = [
+            coef * mpmath.sin(k * r_ * pi / (2 * M)) / k if k else mpmath.sqrt(r_ / M) for k in m
+        ]
+        table = [trig(pi * k / d) for k in range(2 * d)]
+        s, t = (np.array([np.longdouble(mpmath.nstr(x, 30)) for x in v]) for v in (scale, table))
+    return s[:, None] * t[np.multiply.outer(m, n) % (2 * d)]
+
+
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON, Scheme.CUSTOM])
 @pytest.mark.parametrize("M", [1, 2, 7, 50, 200])
 @pytest.mark.parametrize("r", [0.1, 0.5])
 def test_cross_gram_bit_identical_to_row_loop(bc, scheme, M, r):
+    # con and custom take sin/cos of float products, bit for bit as the row
+    # loop does; mxe and uni come from the exact-angle table, within 4 eps of
+    # each row's largest entry
     centers = _custom_centers(M) if scheme is Scheme.CUSTOM else None
     aset = place(scheme, math.pi, M, r, centers=centers)
-    oracle = _row_loop_entries(bc, M, r, np.asarray(aset.centers))
-    assert np.array_equal(assemble_cross_gram(bc, aset).entries, oracle)
+    G = assemble_cross_gram(bc, aset).entries
+    if scheme in (Scheme.CON, Scheme.CUSTOM):
+        assert np.array_equal(G, _row_loop_entries(bc, M, r, np.asarray(aset.centers)))
+        return
+    oracle = _exact_angle_entries(bc, scheme, M, r)
+    err = np.abs(G - oracle).max(axis=1) / np.abs(oracle).max(axis=1)
+    assert err.max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI])
+@pytest.mark.parametrize("M", [2, 7, 50, 200])
+def test_exact_angle_entries_mirror_exactly(bc, scheme, M):
+    # c -> pi - c takes sin(m c) to (-1)^(m+1) sin(m c) and cos(m c) to
+    # (-1)^m cos(m c); the mirrored sine table keeps that bit for bit
+    G = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)).entries
+    m = np.arange(1, M + 1) if bc is D else np.arange(M)
+    sign = (-1.0) ** (m + 1) if bc is D else (-1.0) ** m
+    assert np.array_equal(G[:, ::-1], sign[:, None] * G)
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -175,7 +219,7 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
     # C(p) = sum_j cos(p c_j), - for the sines and + for the cosines; the
     # Neumann row of ones is the cosine row m = 0
     cm = projection._pi_centers(aset)
-    _, TT = projection._trig_factor(bc, M, cm.tobytes())
+    TT = gram.TT
     m = np.arange(1, M + 1) if bc is D else np.arange(M)
     C = np.array([cosine_sum(aset, p) for p in range(2 * M + 1)])
     sign = -1.0 if bc is D else 1.0
@@ -209,8 +253,8 @@ def test_cross_gram_arrays_are_read_only():
     aset = place(Scheme.UNI, math.pi, 5, 0.3)
     for bc in (D, N):
         gram = assemble_cross_gram(bc, aset)
-        cached = projection._trig_factor(bc, 5, projection._pi_centers(aset).tobytes())
-        for arr in (*cached, gram.entries, gram.theta):
+        cached = projection._trig_factor(bc, Scheme.UNI, 5, b"")
+        for arr in (*cached, gram.a, gram.m, gram.entries, gram.theta):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
@@ -240,8 +284,11 @@ def test_identity_gram_gives_norm_one():
         actuators=gram.actuators,
         basis=gram.basis,
         M=gram.M,
-        entries=np.eye(3),
-        theta=np.eye(3),
+        a=np.ones(3),
+        m=np.ones(3),
+        T=np.eye(3),
+        TT=np.eye(3),
+        tt_off=np.zeros((3, 3)),
     )
     data = build_projection(ident)
     assert data.op_norm == pytest.approx(1.0, rel=1e-14)
@@ -336,6 +383,41 @@ def test_analytic_spectrum_matches_numeric():
                 err = np.abs(data.theta_eigenvalues - predicted) / predicted
                 assert err.max() <= 1e-12, (bc, scheme, M, r)
     assert analytic_theta_spectrum(N, Scheme.UNI, 6, 0.3) is None
+
+
+def test_weyl_certificate_from_factors_matches_formed_theta():
+    # the certificate reads Theta's factors; max_offdiag is still that of the
+    # formed Theta, bit for bit (test_analytic_spectrum_matches_numeric checks
+    # the spectrum), and the exact-angle table keeps vartheta within 4e-15 of
+    # the closed form
+    for M in range(2, 201):
+        for bc, scheme in ((D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)):
+            for r in (0.1, 0.3, 0.5):
+                data = _build(bc, scheme, M, r)
+                theta = data.gram.theta
+                assert data.max_offdiag == np.max(np.abs(theta - np.diag(np.diag(theta))))
+                exact = analytic_vartheta(bc, scheme, M, r)
+                assert abs(data.vartheta - exact) <= 4e-15 * exact, (bc, scheme, M, r)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.UNI, Scheme.CON, Scheme.CUSTOM])
+@pytest.mark.parametrize("M", [1, 7, 12])
+def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
+    centers = _custom_centers(M) if scheme is Scheme.CUSTOM else None
+    data = build_projection(assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3, centers=centers)))
+    theta = data.gram.theta
+    assert data.max_offdiag == np.max(np.abs(theta - np.diag(np.diag(theta))))
+
+
+def test_neumann_uni_vartheta_decays_like_one_over_m():
+    """Neumann uni: M * vartheta levels off, so ||P|| = vartheta^(-1/2) grows
+    like sqrt(M) and this placement lies outside the paper's bounded-norm
+    result."""
+    for r, level in ((0.1, 0.09973), (0.5, 0.46554)):
+        vals = np.array([M * _build(N, Scheme.UNI, M, r).vartheta for M in (20, 50, 100, 150, 200)])
+        assert vals.max() - vals.min() <= 1e-4 * vals.min()
+        assert np.all(np.abs(vals - level) <= 1e-4)
 
 
 def _nudged_mxe(bc, nudge, M=8, r=0.3):
