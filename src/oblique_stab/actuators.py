@@ -12,8 +12,8 @@ Placement rules (centers c_1 < ... < c_M):
     con:  c_j = (1-r) L/2 + (2j-1) r L/(2M)  packed around the domain center,
 
 plus free placement of user-supplied strictly increasing centers.  Supports
-are pairwise disjoint for mxe always, for uni exactly when M >= r/(1 - r), and
-for con the neighbouring supports touch (gap zero, still measure-disjoint).
+never overlap for mxe, for uni exactly when M >= r/(1 - r), and for con the
+neighbouring supports touch (gap zero, an overlap of measure zero).
 all_breakpoints returns the 2M support endpoints as one sorted array, the
 points where quadrature splits its panels.
 """
@@ -46,10 +46,9 @@ class Scheme(enum.Enum):
 class ActuatorSet:
     """M equal-width indicator actuators on (0, L).
 
-    disjoint records whether consecutive centers keep the distance r*L/M that
-    makes the supports (measure-)disjoint; Gram assembly stays valid for
-    overlapping custom placements, but the closed-form operator-norm results
-    assume this flag.
+    The supports overlap at most in a point when consecutive centers keep
+    the distance r*L/M; Gram assembly stays valid for overlapping custom
+    placements, but the closed-form operator-norm results assume they do not.
     """
 
     L: float
@@ -58,7 +57,6 @@ class ActuatorSet:
     scheme: Scheme
     centers: np.ndarray
     half_width: float
-    disjoint: bool
 
 
 def place(
@@ -113,17 +111,9 @@ def place(
             f"first starts at {c[0] - delta:.6g}, last ends at {c[-1] + delta:.6g}"
         )
 
-    if M == 1:
-        disjoint = True
-    else:
-        gap_needed = r * L / M
-        disjoint = bool(np.min(np.diff(c)) >= gap_needed * (1.0 - _GEOM_RTOL))
-
     c = c.copy()
     c.flags.writeable = False
-    return ActuatorSet(
-        L=L, M=M, r=r, scheme=scheme, centers=c, half_width=delta, disjoint=disjoint
-    )
+    return ActuatorSet(L=L, M=M, r=r, scheme=scheme, centers=c, half_width=delta)
 
 
 def all_breakpoints(aset: ActuatorSet) -> np.ndarray:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .actuators import Scheme, all_breakpoints, place
 from .errors import (
+    ConstraintViolationError,
     DirectSumFailureError,
     InvalidArgumentError,
     NumericalFailureError,
@@ -457,18 +458,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_suffcond(args: argparse.Namespace) -> int:
     s = _Settings(args)
-    bc, scheme, L, centers = _common_geometry(s)
+    bc, scheme, L, _ = _common_geometry(s)
+    if scheme is Scheme.CUSTOM:
+        raise InvalidArgumentError("suffcond sweeps M, which --scheme custom fixes")
     r = _single("suffcond", "r", _parse_float_list("r", s.get("r", "0.1")))
     nu = _parse_float("nu", s.get("nu", "0.1"))
     a_bound = _parse_float("a-bound", s.get("a-bound", required=True))
     max_m = _parse_int("max-M", s.get("max-M", "200"))
     if a_bound < 0.0:
         raise InvalidArgumentError(f"--a-bound must be nonnegative, got {a_bound}")
+    if max_m < 1:
+        raise InvalidArgumentError(f"--max-M must be positive, got {max_m}")
 
-    found = None
+    found = failure = None
     for M in range(1, max_m + 1):
-        aset = place(scheme, L, M, r, centers=centers)
-        data = build_projection(assemble_cross_gram(bc, aset))
+        try:
+            data = build_projection(assemble_cross_gram(bc, place(scheme, L, M, r)))
+        except ConstraintViolationError:
+            continue  # uni below M = r/(1-r)
+        except tuple(_ROW_STATUS) as exc:
+            # a failed M counts as not satisfied; the file names the first
+            failure = failure or f"M={M}: {exc}"
+            continue
         report = check_sufficient_condition(nu, bc, M, data.op_norm, a_bound, L=L)
         if report.satisfied:
             found = report
@@ -476,10 +487,7 @@ def cmd_suffcond(args: argparse.Namespace) -> int:
 
     norm_lim = op_norm_limit(r)
     X = (L / math.pi) * math.sqrt((6.0 + 4.0 * norm_lim**2) / nu) * a_bound
-    if bc is BoundaryCondition.DIRICHLET:
-        closed_form_m = max(1, math.ceil(X - 1.0))
-    else:
-        closed_form_m = max(1, math.ceil(X))
+    closed_form_m = max(1, math.ceil(X - 1.0 if bc is BoundaryCondition.DIRICHLET else X))
 
     lines = [s.config_comment(args.command)]
     if found is None:
@@ -492,7 +500,11 @@ def cmd_suffcond(args: argparse.Namespace) -> int:
         lines.append(f"margin={_fmt(found.margin)}")
     lines.append(f"closed_form_minimal_M={closed_form_m}")
     lines.append(f"op_norm_limit={_fmt(norm_lim)}")
+    if failure:
+        lines.append(f"# first failed {failure}")
     _emit(lines, s.get("output"))
+    if failure:
+        raise NumericalFailureError(f"the sweep failed first at {failure}")
     return 0
 
 
@@ -518,7 +530,7 @@ _FLAGS: dict[str, tuple[str, ...]] = {
         "snapshot-times",
         "output",
     ),
-    "suffcond": ("bc", "scheme", "centers", "r", "L", "nu", "a-bound", "max-M", "output"),
+    "suffcond": ("bc", "scheme", "r", "L", "nu", "a-bound", "max-M", "output"),
 }
 _CONFIG_KEYS = {key for flags in _FLAGS.values() for key in flags}
 

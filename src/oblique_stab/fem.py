@@ -21,7 +21,9 @@ external force h(y) = -R y + M f.  The implicit force value is replaced by
 the linear extrapolation 2 h(y_prev) - h(y_prev2), so each step solves one
 symmetric positive definite tridiagonal system with a fixed matrix
 2 M + k nu S (its interior block under Dirichlet conditions), factored once
-by LAPACK dpttrf and solved by dpttrs.
+by LAPACK dpttrf and solved by dpttrs.  Both boundary conditions are
+homogeneous, so no boundary data enter a step; only the boundary values of
+y0, which need not vanish, enter the first Dirichlet step.
 
 Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
 (M [U])^T (M x N, contiguous) and W0 = P_M (-nu S + lambda M - R) (M x N),
@@ -219,8 +221,6 @@ class FeedbackOperator:
     P:        A^{-1} E^T, so the nodal projection of z is U P M z
     """
 
-    bc: BoundaryCondition
-    actuators: ActuatorSet
     U: np.ndarray
     E: np.ndarray
     coupling: np.ndarray
@@ -256,7 +256,7 @@ def feedback_matrices(
         ) from exc
     for arr in (U, E, A, P):
         arr.flags.writeable = False
-    return FeedbackOperator(bc=bc, actuators=aset, U=U, E=E, coupling=A, P=P)
+    return FeedbackOperator(U=U, E=E, coupling=A, P=P)
 
 
 def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
@@ -309,11 +309,9 @@ class ClosedLoopRun:
     earlier step on a tie; None when no snapshot was asked for.
     """
 
-    bc: BoundaryCondition
     times: np.ndarray
     norms: np.ndarray
     feedback_on: np.ndarray
-    final_state: np.ndarray
     snapshot_times: tuple[float, ...]
     snapshots: np.ndarray | None
 
@@ -338,8 +336,6 @@ def run_closed_loop(
     k: float,
     *,
     feedback: FeedbackConfig | None = None,
-    neumann_flux: Callable[[float], tuple[float, float]] | None = None,
-    dirichlet_data: Callable[[float], tuple[float, float]] | None = None,
     snapshot_times: tuple[float, ...] = (),
 ) -> ClosedLoopRun:
     """Integrate the closed-loop (or free) dynamics from y0 to time T.
@@ -353,14 +349,10 @@ def run_closed_loop(
     extrapolation 2 h_prev - h_prev2, with the ghost value h_prev2 := h_prev
     on the first step.  It is solved as
     (2 M + k nu S) z = 4 M y + k (3 h_prev - h_prev2), y_new = z - y.
-    y0 is kept as given at t = 0 even when it violates a Dirichlet boundary
-    condition; the boundary values are imposed from the first step on, and
-    only the interior block of 2 M + k nu S is solved.
-
-    neumann_flux(t) may supply boundary derivative data (y_x(0,t), y_x(L,t))
-    under Neumann conditions, and dirichlet_data(t) boundary values
-    (y(0,t), y(L,t)) under Dirichlet conditions; omitted or None means
-    homogeneous.
+    Both boundary conditions are homogeneous.  y0 is kept as given at t = 0
+    even when it does not vanish on a Dirichlet boundary; the zero boundary
+    values are imposed from the first step on, and only the interior block
+    of 2 M + k nu S is solved.
 
     Raises NumericalFailureError, naming the step and its time, at the first
     state whose norm is not finite.
@@ -376,10 +368,6 @@ def run_closed_loop(
         raise InvalidArgumentError(
             f"initial state must have shape ({fem.grid.N},), got {y.shape}"
         )
-    if neumann_flux is not None and bc is not BoundaryCondition.NEUMANN:
-        raise InvalidArgumentError("boundary flux data requires Neumann conditions")
-    if dirichlet_data is not None and bc is not BoundaryCondition.DIRICHLET:
-        raise InvalidArgumentError("boundary value data requires Dirichlet conditions")
 
     n_steps = int(math.floor(T / k + 1e-9))
     if n_steps < 1:
@@ -456,7 +444,6 @@ def run_closed_loop(
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        g_prev = neumann_flux(0.0) if neumann_flux is not None else None
         for j in range(n_steps + 1):
             t = times[j]
             My = tridiag_matvec(*mass, y)
@@ -470,18 +457,12 @@ def run_closed_loop(
             rhs = 4.0 * My
             rhs -= k * (3.0 * q - q_prev)
             q_prev = q
-            t_new = times[j + 1]
-            if g_prev is not None:
-                g_new = neumann_flux(t_new)
-                rhs[0] += k * (g_new[0] + g_prev[0])
-                rhs[-1] -= k * (g_new[1] + g_prev[1])
-                g_prev = g_new
             if dirichlet:
-                b0, b1 = dirichlet_data(t_new) if dirichlet_data is not None else (0.0, 0.0)
-                rhs[1] -= edge0 * (b0 + y[0])
-                rhs[-2] -= edge1 * (b1 + y[-1])
+                # z = y on the boundary, where y is nonzero only in y0
+                rhs[1] -= edge0 * y[0]
+                rhs[-2] -= edge1 * y[-1]
                 np.subtract(tridiag_solve(factor, rhs[1:-1]), y[1:-1], out=rhs[1:-1])
-                rhs[0], rhs[-1] = b0, b1
+                rhs[0] = rhs[-1] = 0.0
             else:
                 rhs = tridiag_solve(factor, rhs)
                 rhs -= y
@@ -492,11 +473,9 @@ def run_closed_loop(
     if snapshots is not None:
         snapshots.flags.writeable = False
     return ClosedLoopRun(
-        bc=bc,
         times=times,
         norms=norms,
         feedback_on=feedback_flags,
-        final_state=y.copy(),
         snapshot_times=snap_times,
         snapshots=snapshots,
     )

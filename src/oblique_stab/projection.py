@@ -86,10 +86,8 @@ class CrossGram:
     s = a / m > 0, exactly symmetric, are formed read-only on first read.
     """
 
-    bc: BoundaryCondition
     actuators: ActuatorSet
     basis: EigenBasis
-    M: int
     a: np.ndarray
     m: np.ndarray
     T: np.ndarray
@@ -123,11 +121,9 @@ class ProjectionData:
 class SufficientConditionReport:
     """Outcome of the stabilisability margin test at one actuator count."""
 
-    nu: float
     M: int
     alpha_next: float
     op_norm: float
-    a_bound: float
     satisfied: bool
     margin: float
 
@@ -204,7 +200,7 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     if not dirichlet:
         a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
     basis = build_basis(bc, aset.L, M)
-    return CrossGram(bc, aset, basis, M, _frozen(a), _frozen(m), T, TT, tt_off)
+    return CrossGram(aset, basis, _frozen(a), _frozen(m), T, TT, tt_off)
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
@@ -389,8 +385,8 @@ def orthogonal_projection_actuators(
     """Orthogonal projection onto the actuator span, for comparison with P.
 
     Solves the normal equations N gamma = [(u_j, f)] where N is the Gram
-    matrix of the normalised indicators (the identity when supports are
-    disjoint; overlaps contribute their shared length).  The oblique
+    matrix of the normalised indicators (the identity when no supports
+    overlap; overlaps contribute their shared length).  The oblique
     projection's residual is never smaller than this one's.
     """
     aset = data.gram.actuators
@@ -426,11 +422,9 @@ def check_sufficient_condition(
     lhs = nu * alpha_next
     rhs = (6.0 + 4.0 * op_norm**2) * a_bound**2
     return SufficientConditionReport(
-        nu=nu,
         M=int(M),
         alpha_next=alpha_next,
         op_norm=float(op_norm),
-        a_bound=float(a_bound),
         satisfied=lhs > rhs,
         margin=lhs - rhs,
     )

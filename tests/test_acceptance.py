@@ -245,10 +245,11 @@ def test_criterion_07_fem_convergence_order():
         grid = make_grid(math.pi, n_nodes)
         fem = assemble_fem(grid)
         run = run_closed_loop(
-            D, fem, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k
+            D, fem, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k,
+            snapshot_times=(1.0,),
         )
         exact = math.exp(-1.0) * np.sin(grid.nodes)
-        return nodal_l2_norm(fem, run.final_state - exact)
+        return nodal_l2_norm(fem, run.snapshots[0] - exact)
 
     errors = [error_at(33, 0.05), error_at(65, 0.025), error_at(129, 0.0125)]
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]

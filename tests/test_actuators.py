@@ -75,11 +75,16 @@ def test_uni_boundary_of_constraint_admitted():
     assert bounds[-1][1] <= math.pi + 1e-12
 
 
-def test_disjointness_flag():
-    assert place(Scheme.MXE, math.pi, 5, 0.3).disjoint
-    assert place(Scheme.CON, math.pi, 4, 0.5).disjoint
+def _disjoint(aset) -> bool:
+    """Whether consecutive centers keep the support width 2 delta apart."""
+    return bool(np.all(np.diff(aset.centers) >= 2 * aset.half_width * (1 - 1e-12)))
+
+
+def test_disjointness_of_supports():
+    assert _disjoint(place(Scheme.MXE, math.pi, 5, 0.3))
+    assert _disjoint(place(Scheme.CON, math.pi, 4, 0.5))
     crowded = place(Scheme.CUSTOM, math.pi, 2, 0.5, centers=(1.4, 1.6))
-    assert not crowded.disjoint
+    assert not _disjoint(crowded)
 
 
 def test_custom_placement_roundtrip():
@@ -180,7 +185,7 @@ def test_supports_disjoint_and_inside_domain(scheme, L, M, r):
     assert bounds[-1][1] <= L + tol
     for (_, b0), (a1, _) in zip(bounds, bounds[1:]):
         assert b0 <= a1 + tol
-    assert aset.disjoint
+    assert _disjoint(aset)
 
 
 @settings(max_examples=40, deadline=None)

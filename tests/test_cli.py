@@ -402,6 +402,51 @@ def test_suffcond_requires_a_bound():
     assert main(["suffcond", "--nu", "0.1", "--r", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("max_m", ["0", "-5"])
+def test_suffcond_rejects_empty_sweep(tmp_path, capsys, max_m):
+    out = tmp_path / "s.csv"
+    assert main(["suffcond", "--a-bound", "3.5", "--max-M", max_m, "--output", str(out)]) == 2
+    assert "--max-M must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a_bound, minimal", [("3.5", "42"), ("0", "2")])
+def test_suffcond_skips_m_below_uni_constraint(tmp_path, a_bound, minimal):
+    # uni at r = 0.6 needs M >= r/(1-r) = 1.5, so the sweep starts at M = 2
+    out = tmp_path / "s.csv"
+    assert main([
+        "suffcond", "--scheme", "uni", "--r", "0.6", "--a-bound", a_bound,
+        "--output", str(out),
+    ]) == 0
+    assert f"swept_minimal_M={minimal}" in _lines(out)
+
+
+def test_suffcond_rejects_custom_scheme(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["suffcond", "--scheme", "custom", "--a-bound", "1", "--output", str(out)]) == 2
+    assert "suffcond sweeps M, which --scheme custom fixes" in capsys.readouterr().err
+    # custom centers fix M, so suffcond has no --centers flag
+    assert main([
+        "suffcond", "--scheme", "custom", "--centers", "1.0", "--a-bound", "1",
+        "--output", str(out),
+    ]) == 2
+    assert "unrecognized arguments: --centers" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_suffcond_direct_sum_failure_still_writes_file(tmp_path, capsys):
+    # con at r = 0.1 loses the direct sum from M = 9 on, before the margin holds
+    out = tmp_path / "s.csv"
+    assert main([
+        "suffcond", "--scheme", "con", "--r", "0.1", "--a-bound", "0.5",
+        "--output", str(out),
+    ]) == 3
+    lines = _lines(out)
+    assert "swept_minimal_M=-1" in lines
+    assert any(ln.startswith("# first failed M=9:") for ln in lines)
+    assert "the sweep failed first at M=9:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_merge_and_override(tmp_path):

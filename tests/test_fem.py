@@ -266,12 +266,13 @@ def test_inactive_feedback_equals_free_run():
     op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
     y0 = np.sin(grid.nodes)
     react = constant_reaction(-1.0)
-    free = run_closed_loop(D, fem, 0.1, react, y0, 1.0, 2e-3)
+    free = run_closed_loop(D, fem, 0.1, react, y0, 1.0, 2e-3, snapshot_times=(1.0,))
     gated = run_closed_loop(
         D, fem, 0.1, react, y0, 1.0, 2e-3,
         feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(2.0, 3.0)),
+        snapshot_times=(1.0,),
     )
-    assert np.array_equal(free.final_state, gated.final_state)
+    assert np.array_equal(free.snapshots, gated.snapshots)
 
 
 # ---------------------------------------------------------------- time stepping
@@ -287,8 +288,10 @@ def test_heat_decay_rate_dirichlet():
 def test_neumann_constant_steady_state():
     grid = make_grid(math.pi, 201)
     fem = assemble_fem(grid)
-    run = run_closed_loop(N, fem, 0.1, constant_reaction(0.0), np.ones(201), 1.0, 1e-3)
-    assert np.max(np.abs(run.final_state - 1.0)) <= 1e-10
+    run = run_closed_loop(
+        N, fem, 0.1, constant_reaction(0.0), np.ones(201), 1.0, 1e-3, snapshot_times=(1.0,)
+    )
+    assert np.max(np.abs(run.snapshots[0] - 1.0)) <= 1e-10
 
 
 def test_unstable_reaction_growth_rate():
@@ -307,9 +310,11 @@ def test_convergence_second_order():
     def error_at(n_nodes, k):
         grid = make_grid(math.pi, n_nodes)
         fem = assemble_fem(grid)
-        run = run_closed_loop(D, fem, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k)
+        run = run_closed_loop(
+            D, fem, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k, snapshot_times=(1.0,)
+        )
         exact = math.exp(-1.0) * np.sin(grid.nodes)
-        return nodal_l2_norm(fem, run.final_state - exact)
+        return nodal_l2_norm(fem, run.snapshots[0] - exact)
 
     e1 = error_at(33, 0.05)
     e2 = error_at(65, 0.025)
@@ -330,43 +335,6 @@ def test_initial_state_shape_checked():
     fem = assemble_fem(make_grid(math.pi, 11))
     with pytest.raises(InvalidArgumentError):
         run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.zeros(10), 1.0, 1e-3)
-
-
-def test_boundary_data_requires_matching_condition():
-    fem = assemble_fem(make_grid(math.pi, 11))
-    with pytest.raises(InvalidArgumentError):
-        run_closed_loop(
-            D, fem, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3,
-            neumann_flux=lambda t: (0.0, 0.0),
-        )
-    with pytest.raises(InvalidArgumentError):
-        run_closed_loop(
-            N, fem, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3,
-            dirichlet_data=lambda t: (0.0, 0.0),
-        )
-
-
-def test_nonhomogeneous_dirichlet_steady_state():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
-    y0 = 1.0 + grid.nodes / math.pi
-    run = run_closed_loop(
-        D, fem, 0.1, constant_reaction(0.0), y0, 0.5, 2e-3,
-        dirichlet_data=lambda t: (1.0, 2.0),
-    )
-    assert np.max(np.abs(run.final_state - y0)) <= 1e-10
-
-
-def test_zero_flux_callable_matches_homogeneous_run():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
-    y0 = np.cos(grid.nodes) + 1.0
-    base = run_closed_loop(N, fem, 0.1, constant_reaction(0.0), y0, 0.5, 2e-3)
-    flux = run_closed_loop(
-        N, fem, 0.1, constant_reaction(0.0), y0, 0.5, 2e-3,
-        neumann_flux=lambda t: (0.0, 0.0),
-    )
-    assert np.array_equal(base.final_state, flux.final_state)
 
 
 def test_neumann_mass_conservation():
@@ -421,7 +389,10 @@ def test_snapshots_sharing_a_step_are_all_written():
     )
     assert np.array_equal(run.snapshots[0], y0)
     assert np.array_equal(run.snapshots[1], y0)
-    assert np.array_equal(run.snapshots[2], run.final_state)
+    last = run_closed_loop(
+        D, fem, 0.1, constant_reaction(0.0), y0, 0.01, 1e-3, snapshot_times=(0.01,)
+    )
+    assert np.array_equal(run.snapshots[2], last.snapshots[0])
 
 
 # ---------------------------------------------------------------- closed loop
@@ -494,8 +465,7 @@ def test_blow_up_raises_with_step_and_time():
 
 # ---------------------------------------------------------------- fused kernel
 
-def _reference_run(bc, fem, nu, reaction, y0, T, k, feedback=None,
-                   neumann_flux=None, dirichlet_data=None):
+def _reference_run(bc, fem, nu, reaction, y0, T, k, feedback=None):
     """The closed loop written step by step with dense matrices.
 
     The force is -R y + M f with f from feedback_apply, re-assembled every
@@ -518,24 +488,15 @@ def _reference_run(bc, fem, nu, reaction, y0, T, k, feedback=None,
             h = h + Md @ f
         return h, on
 
-    def flux(t):
-        G = np.zeros(fem.grid.N)
-        if neumann_flux is not None:
-            g0, g1 = neumann_flux(t)
-            G[0], G[-1] = g0, -g1
-        return G
-
     y = np.array(y0, dtype=float)
     norms = [math.sqrt(y @ Md @ y)]
     h_prev, on = force(y, 0.0)
     h_prev2, flags = h_prev, [on]
     for j in range(1, n_steps + 1):
         t = j * k
-        rhs = B_minus @ y + k * (3 * h_prev - h_prev2) + k * (flux(t) + flux((j - 1) * k))
+        rhs = B_minus @ y + k * (3 * h_prev - h_prev2)
         if bc is D:
-            b0, b1 = dirichlet_data(t) if dirichlet_data is not None else (0.0, 0.0)
-            rhs = rhs - B_plus[:, 0] * b0 - B_plus[:, -1] * b1
-            y = np.concatenate([[b0], scipy.linalg.lu_solve(lu, rhs[inner]), [b1]])
+            y = np.concatenate([[0.0], scipy.linalg.lu_solve(lu, rhs[inner]), [0.0]])
         else:
             y = scipy.linalg.lu_solve(lu, rhs)
         norms.append(math.sqrt(y @ Md @ y))
@@ -550,20 +511,15 @@ def _rel(got, ref):
 
 
 @pytest.mark.parametrize(
-    "bc, react, M, feed_on, boundary",
+    "bc, react, M, feed_on",
     [
-        (D, "static", 6, None, {}),
-        (N, "oscillating", 8, (0.0, 0.3), {}),
-        (D, "static", 6, None, {"dirichlet_data": lambda t: (0.1 * math.sin(3 * t), 0.2)}),
-        (N, "static", 6, None, {"neumann_flux": lambda t: (0.1 * math.cos(2 * t), -0.05)}),
-        (D, "varying", 6, None, {}),
+        (D, "static", 6, None),
+        (N, "oscillating", 8, (0.0, 0.3)),
+        (D, "varying", 6, None),
     ],
-    ids=[
-        "dirichlet-static", "neumann-oscillating-window", "dirichlet-data", "neumann-flux",
-        "dirichlet-static-varying",
-    ],
+    ids=["dirichlet-static", "neumann-oscillating-window", "dirichlet-static-varying"],
 )
-def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on, boundary):
+def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
     grid = make_grid(math.pi, 301)
     fem = assemble_fem(grid)
     nu, k, T = 0.1, 2e-3, 0.6
@@ -576,11 +532,13 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on, boundary
     op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, M, 0.1))
     feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
     y0 = 0.1 * grid.nodes + 0.05
-    run = run_closed_loop(bc, fem, nu, reaction, y0, T, k, feedback=feedback, **boundary)
-    y_ref, norms_ref, flags_ref = _reference_run(
-        bc, fem, nu, reaction, y0, T, k, feedback=feedback, **boundary
+    run = run_closed_loop(
+        bc, fem, nu, reaction, y0, T, k, feedback=feedback, snapshot_times=(T,)
     )
-    assert _rel(run.final_state, y_ref) <= 1e-10
+    y_ref, norms_ref, flags_ref = _reference_run(
+        bc, fem, nu, reaction, y0, T, k, feedback=feedback
+    )
+    assert _rel(run.snapshots[0], y_ref) <= 1e-10
     assert _rel(run.norms, norms_ref) <= 1e-10
     assert np.array_equal(run.feedback_on, flags_ref)
     if feed_on is not None:
