@@ -5,16 +5,16 @@ checks the callers rely on (finiteness, symmetry within 1e-10 relative, pivot
 threshold 1e-14 relative, positive definiteness) and normalise failures to the
 shared exception types.  The pivot threshold separates genuinely singular
 configurations, which produce exact or near-exact zero pivots, from benign
-ill-conditioning.
+ill-conditioning.  No other module uses scipy, and this one imports it on
+the first LU or tridiagonal factor or solve, so eigs and suffcond never do.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     InvalidArgumentError,
@@ -24,6 +24,12 @@ from .errors import (
 
 SYMMETRY_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
+
+
+@functools.cache
+def _scipy_linalg():  # its import outweighs the rest of the package's
+    import scipy.linalg
+    return scipy.linalg
 
 
 def _square_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -72,10 +78,11 @@ def solve_dense(A, B) -> np.ndarray:
         raise InvalidArgumentError(
             f"incompatible shapes: A is {arr.shape}, B is {rhs.shape}"
         )
+    sla = _scipy_linalg()
     with warnings.catch_warnings():
         # An exactly zero pivot makes LAPACK warn before we raise below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(arr, check_finite=False)
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu, piv = sla.lu_factor(arr, check_finite=False)
     pivots = np.abs(np.diag(lu))
     threshold = PIVOT_RTOL * np.linalg.norm(arr)
     if arr.size and np.min(pivots) <= threshold:
@@ -83,7 +90,7 @@ def solve_dense(A, B) -> np.ndarray:
             f"matrix is numerically singular: pivot {np.min(pivots):.3e} "
             f"below threshold {threshold:.3e}"
         )
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return sla.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def tridiag_matvec(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -114,7 +121,7 @@ def tridiag_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.nd
         )
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise InvalidArgumentError("tridiagonal entries must be finite")
-    fd, fe, info = dpttrf(d, e)
+    fd, fe, info = _scipy_linalg().lapack.dpttrf(d, e)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"tridiagonal matrix is not positive definite: pivot {info} is not positive"
@@ -127,7 +134,7 @@ def tridiag_solve(factor: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.nd
     d, e = factor
     if b.shape[0] != d.size:
         raise InvalidArgumentError(f"right-hand side length {b.shape[0]} != {d.size}")
-    x, info = dpttrs(d, e, b)
+    x, info = _scipy_linalg().lapack.dpttrs(d, e, b)
     if info < 0:
         raise InvalidArgumentError(f"dpttrs rejected argument {-info}")
     return x

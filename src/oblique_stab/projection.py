@@ -27,7 +27,7 @@ centers), so a sweep over r at one M computes them once; G and Theta =
 of Theta is its sorted diagonal where Weyl's inequality, applied to the
 factors, certifies that to 1e-10 relative (mxe, and uni under Dirichlet
 conditions), otherwise eigvalsh of Theta, or the squared singular values of
-G when Theta is ill-conditioned.
+G from numpy's SVD when Theta is ill-conditioned; this module needs no scipy.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import quadrature
 from .actuators import ActuatorSet, Scheme, all_breakpoints, indicators, normalized_indicator_coeff
@@ -168,8 +167,7 @@ def _trig_factor(
     else:
         mc = np.multiply.outer(m.astype(float), np.frombuffer(cm_bytes))
         T = np.sin(mc) if dirichlet else np.cos(mc)
-    TT = T @ T.T
-    TT = 0.5 * (TT + TT.T)
+    TT = T @ T.T  # BLAS syrk: exactly symmetric
     tt_off = np.abs(TT)
     np.fill_diagonal(tt_off, 0.0)
     return _frozen(T), _frozen(TT), _frozen(tt_off)
@@ -215,7 +213,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
       eigenvalue then lies within that radius of a diagonal entry;
     * otherwise eigvalsh of Theta, which only this branch forms;
     * and, when the smallest eigenvalue so found is below 1e-6 of the
-      largest, the squared singular values of G instead, since forming
+      largest, the squared singular values of G (numpy's SVD), since forming
       G G^T squares the condition number.
 
     Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
@@ -231,7 +229,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     else:
         w = sym_eigvals(gram.theta)
     if w[0] < _SVD_RATIO * w[-1]:
-        w = scipy.linalg.svdvals(gram.entries)[::-1] ** 2
+        w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
     if ratio <= SIGMA_RATIO_THRESHOLD:
         raise DirectSumFailureError(

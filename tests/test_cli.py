@@ -567,3 +567,47 @@ def test_numerical_failure_exits_three():
 
 def test_unknown_command_exits_nonzero():
     assert main(["frobnicate"]) == 2
+
+
+# Each command runs in process, in one fresh interpreter, after which the
+# script prints whether scipy has been imported.
+_COLD_START = """
+import sys
+from oblique_stab.cli import main
+out = sys.argv[1]
+for argv, rc in {runs!r}:
+    assert main([*argv, "--output", out]) == rc, argv
+print("scipy" in sys.modules)
+"""
+
+
+def _loads_scipy(tmp_path, runs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(oblique_stab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    runs = [(argv.split(), rc) for argv, rc in runs]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START.format(runs=runs), str(tmp_path / "out.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_spectral_commands_never_load_scipy(tmp_path):
+    # main returns argparse's exit code for --help; the con sweep reaches the
+    # SVD branch of build_projection and fails the direct sum from M = 9 on
+    assert not _loads_scipy(tmp_path, [
+        ("--help", 0),
+        ("eigs --M 2..200 --r 0.1,0.5", 0),
+        ("eigs --bc neumann --scheme uni --M 2..60 --r 0.3", 0),
+        ("eigs --scheme con --M 2..20 --r 0.1", 3),
+        ("suffcond --a-bound 3.5", 0),
+    ])
+
+
+def test_simulate_loads_scipy(tmp_path):
+    # the tridiagonal factor and solves need LAPACK dpttrf/dpttrs from scipy,
+    # so the guard above can fail
+    assert _loads_scipy(tmp_path, [("simulate --T 0.01", 0)])

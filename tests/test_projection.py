@@ -408,6 +408,54 @@ def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
     assert data.max_offdiag == np.max(np.abs(theta - np.diag(np.diag(theta))))
 
 
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
+def test_trig_gram_product_is_exactly_symmetric(bc, scheme):
+    # _trig_factor keeps T @ T.T as BLAS syrk returns it, without
+    # symmetrising it, and CrossGram promises an exactly symmetric Theta
+    for M in range(2, 201):
+        TT = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)).TT
+        assert np.array_equal(TT, TT.T), (bc, scheme, M)
+
+
+def _svd_branch_grams(monkeypatch, asets):
+    """Cross-Grams whose spectrum build_projection takes from the SVD of G."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for bc, aset in asets:
+        try:
+            build_projection(assemble_cross_gram(bc, aset))
+        except DirectSumFailureError:
+            pass
+    monkeypatch.undo()
+    return seen
+
+
+def test_numpy_svd_matches_scipy_svdvals_on_svd_branch(monkeypatch):
+    import scipy.linalg
+
+    asets = [
+        (bc, place(Scheme.CON, math.pi, M, r))
+        for bc in (D, N) for r in (0.1, 0.3, 0.5) for M in range(2, 21)
+    ]
+    asets += [
+        (bc, place(Scheme.CUSTOM, math.pi, len(c), 0.2, centers=c))
+        for bc in (D, N) for c in ((1.0, 1.0 + 1e-6), (1.0, 1.0 + 1e-6, 2.0, 2.0 + 1e-6))
+    ]
+    grams = _svd_branch_grams(monkeypatch, asets)
+    assert len(grams) >= 80  # 87 of the 114 con grams and all 4 custom ones
+    eps = np.finfo(float).eps
+    for G in grams:
+        ours, ref = np.linalg.svd(G, compute_uv=False), scipy.linalg.svdvals(G)
+        assert np.all(np.abs(ours - ref) <= 2 * eps * ref[0]), G.shape
+
+
 def test_neumann_uni_vartheta_decays_like_one_over_m():
     """Neumann uni: M * vartheta levels off, so ||P|| = vartheta^(-1/2) grows
     like sqrt(M) and this placement lies outside the paper's bounded-norm
