@@ -59,6 +59,11 @@ class ActuatorSet:
     half_width: float
 
 
+def uni_min_count(r: float) -> int:
+    """Smallest M that uniform placement accepts: M >= r/(1 - r)."""
+    return math.ceil(r / (1.0 - r) * (1.0 - _GEOM_RTOL))
+
+
 def place(
     scheme: Scheme,
     L: float,
@@ -88,10 +93,9 @@ def place(
     if scheme is Scheme.MXE:
         c = (2 * j - 1) * L / (2 * M)
     elif scheme is Scheme.UNI:
-        bound = r / (1.0 - r)
-        if M < bound * (1.0 - _GEOM_RTOL):
+        if M < uni_min_count(r):
             raise ConstraintViolationError(
-                f"uniform placement requires M >= r/(1-r): M={M} < {bound:.6g} for r={r}"
+                f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g} for r={r}"
             )
         c = j * L / (M + 1)
     elif scheme is Scheme.CON:

@@ -46,7 +46,14 @@ from typing import Callable
 import numpy as np
 
 from . import quadrature
-from .actuators import ActuatorSet, Scheme, all_breakpoints, indicators, normalized_indicator_coeff
+from .actuators import (
+    ActuatorSet,
+    Scheme,
+    all_breakpoints,
+    indicators,
+    normalized_indicator_coeff,
+    uni_min_count,
+)
 from .errors import (
     ConstraintViolationError,
     DirectSumFailureError,
@@ -271,7 +278,7 @@ def analytic_vartheta(
         s = math.sin((M - 1) * r * math.pi / (2 * M))
         return 4.0 * M**2 / (r * math.pi**2 * (M - 1) ** 2) * s**2
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
-        if M < r / (1.0 - r) * (1.0 - 1e-12):
+        if M < uni_min_count(r):
             raise ConstraintViolationError(
                 f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g}"
             )

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import oblique_stab
+from oblique_stab import cli
 from oblique_stab.cli import main
 
 
@@ -141,12 +143,6 @@ def test_multi_r_sweep_rows_match_single_r_runs(tmp_path, bc, scheme):
         joined += _data_rows(one)[1:]
     assert rc == max(codes)
     assert _data_rows(out)[1:] == joined
-
-
-def test_norm_alias(tmp_path):
-    out = tmp_path / "norm.csv"
-    assert main(["norm", "--M", "3", "--r", "0.5", "--output", str(out)]) == 0
-    assert len(_data_rows(out)) == 2
 
 
 def test_eigs_custom_centers(tmp_path):
@@ -288,10 +284,10 @@ def test_snapshot_rows_are_per_cell_formatting(tmp_path, monkeypatch):
 
 
 def test_simulate_snapshots_need_output():
-    assert main([
-        "simulate", "--N", "101", "--k", "2e-3", "--T", "0.1",
-        "--snapshot-times", "0,0.1",
-    ]) == 2
+    argv = ["simulate", "--N", "101", "--k", "2e-3", "--T", "0.1", "--snapshot-times", "0,0.1"]
+    assert main(argv) == 2
+    # an empty --output writes to stdout, which has no snapshots file beside it
+    assert main(argv + ["--output", ""]) == 2
 
 
 def test_simulate_oscillating_reaction(tmp_path):
@@ -447,6 +443,21 @@ def test_suffcond_direct_sum_failure_still_writes_file(tmp_path, capsys):
     assert "the sweep failed first at M=9:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, closed_form",
+    [
+        # con at r = 0.1 fails the direct sum from M = 9 on: no closed form
+        ("--scheme con --r 0.1 --a-bound 0.5", ""),
+        # the limit norm gives M = 1, which uni placement at r = 0.6 rejects
+        ("--scheme uni --r 0.6 --a-bound 0", "2"),
+    ],
+)
+def test_suffcond_closed_form_only_where_placement_reaches_it(tmp_path, argv, closed_form):
+    out = tmp_path / "s.csv"
+    main(["suffcond", *argv.split(), "--output", str(out)])
+    assert f"closed_form_minimal_M={closed_form}" in _lines(out)
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_merge_and_override(tmp_path):
@@ -567,6 +578,73 @@ def test_numerical_failure_exits_three():
 
 def test_unknown_command_exits_nonzero():
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "eigs --M 2 --r 0.5",
+        "project --M 2 --r 0.5 --input {samples}",
+        "simulate --N 101 --T 0.01",
+        "suffcond --a-bound 0",
+    ],
+    ids=["eigs", "project", "simulate", "suffcond"],
+)
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("0.0,1.0\n3.0,1.0\n")
+    out = tmp_path / "missing" / "x.csv"
+    rc = main([*argv.format(samples=samples).split(), "--output", str(out)])
+    assert rc == 2
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+def test_simulate_files_do_not_depend_on_output_path(tmp_path):
+    # the config line leaves --output out, so two runs that differ only in
+    # where they write give the same bytes, snapshots file included
+    argv = ["simulate", "--N", "101", "--k", "2e-3", "--T", "0.02", "--snapshot-times", "0,0.02"]
+    a, b = tmp_path / "a" / "run.csv", tmp_path / "b" / "other.csv"
+    for out in (a, b):
+        out.parent.mkdir()
+        assert main(argv + ["--output", str(out)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (a.parent / "run_snapshots.csv").read_bytes() == (
+        b.parent / "other_snapshots.csv"
+    ).read_bytes()
+
+
+def _option_help(capsys, command):
+    """{flag: help text, whitespace collapsed} as `command --help` prints it."""
+    assert main([command, "--help"]) == 0
+    text = capsys.readouterr().out
+    found = re.findall(
+        r"^  --([\w-]+) [A-Z0-9_]+\s+(.*?)(?=^  -|\Z)", text[text.index("options:"):], re.M | re.S
+    )
+    return {flag: " ".join(help_text.split()) for flag, help_text in found}
+
+
+def test_simulate_help_shows_defaults(capsys):
+    helps = _option_help(capsys, "simulate")
+    assert helps["M"].endswith("(default 6)")
+    assert helps["r"].endswith("(default 0.1)")
+    assert "range" not in helps["M"]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_names_every_default_and_required_flag(capsys, command):
+    helps = _option_help(capsys, command)
+    defaults = cli._COMMANDS[command][1]
+    assert set(helps) == set(defaults) | {"config"}
+    for flag, default in defaults.items():
+        if default is cli.REQUIRED:
+            assert helps[flag].endswith("(required)"), flag
+        elif default is not None:
+            assert helps[flag].endswith(f"(default {default})"), flag
+
+
+def test_norm_alias_is_gone(capsys):
+    assert main(["norm", "--M", "3", "--r", "0.5"]) == 2
+    assert "invalid choice: 'norm'" in capsys.readouterr().err
 
 
 # Each command runs in process, in one fresh interpreter, after which the
