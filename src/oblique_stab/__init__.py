@@ -9,12 +9,10 @@ Crank-Nicolson time stepping.
 
 from .actuators import ActuatorSet, Scheme, place
 from .errors import (
-    ConstraintViolationError,
     DirectSumFailureError,
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    SingularConfigurationError,
     SingularMatrixError,
 )
 from .fem import (
@@ -53,7 +51,6 @@ __all__ = [
     "ActuatorSet",
     "BoundaryCondition",
     "ClosedLoopRun",
-    "ConstraintViolationError",
     "CrossGram",
     "DirectSumFailureError",
     "EigenBasis",
@@ -64,7 +61,6 @@ __all__ = [
     "NumericalFailureError",
     "ProjectionData",
     "Scheme",
-    "SingularConfigurationError",
     "SingularMatrixError",
     "SufficientConditionReport",
     "analytic_theta_spectrum",

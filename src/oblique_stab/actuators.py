@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolationError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 # Relative slack for geometric comparisons; placement formulas are exact in
 # real arithmetic and only rounding noise has to be absorbed.
@@ -74,7 +74,9 @@ def place(
     """Build an ActuatorSet for one of the placement rules.
 
     centers is only accepted (and required) for Scheme.CUSTOM and must be
-    strictly increasing with every support inside (0, L).
+    finite and strictly increasing with every support inside (0, L).  This is
+    the only check of actuator geometry; whether an accepted set splits the
+    space with the spectral complement is build_projection's test.
     """
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
@@ -94,7 +96,7 @@ def place(
         c = (2 * j - 1) * L / (2 * M)
     elif scheme is Scheme.UNI:
         if M < uni_min_count(r):
-            raise ConstraintViolationError(
+            raise InvalidArgumentError(
                 f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g} for r={r}"
             )
         c = j * L / (M + 1)
@@ -104,8 +106,8 @@ def place(
         c = np.asarray(centers, dtype=float)
         if c.ndim != 1 or c.size != M:
             raise InvalidArgumentError(f"expected {M} centers, got shape {c.shape}")
-        if c.size > 1 and np.any(np.diff(c) <= 0.0):
-            raise InvalidArgumentError("custom centers must be strictly increasing")
+        if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0.0)):
+            raise InvalidArgumentError("custom centers must be finite and strictly increasing")
     else:  # pragma: no cover - enum is closed
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
 

@@ -30,13 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .actuators import Scheme, all_breakpoints, place, uni_min_count
-from .errors import (
-    ConstraintViolationError,
-    DirectSumFailureError,
-    InvalidArgumentError,
-    NumericalFailureError,
-    SingularConfigurationError,
-)
+from .errors import DirectSumFailureError, InvalidArgumentError, NumericalFailureError
 from .fem import (
     FeedbackConfig,
     assemble_fem,
@@ -61,12 +55,6 @@ from .quadrature import integrate
 from .spectral import BoundaryCondition
 
 _SLOPE_WINDOWS = ((10, 20), (50, 60), (110, 120))
-
-# Failures that cost a sweep one row, with the status that row reports.
-_ROW_STATUS = {
-    DirectSumFailureError: "direct_sum_failure",
-    SingularConfigurationError: "singular_configuration",
-}
 
 # The default of a flag that its command cannot run without.
 REQUIRED = object()
@@ -96,9 +84,12 @@ def _parse_enum(kind):
 
 def _parse_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise InvalidArgumentError(f"--{key} expects a number, got {text!r}") from None
+    if not math.isfinite(val):
+        raise InvalidArgumentError(f"--{key} expects a finite number, got {text!r}")
+    return val
 
 
 def _parse_int(key: str, text: str) -> int:
@@ -259,21 +250,25 @@ Result = tuple[list[tuple[str | None, list[str]]], str | None]
 
 
 def cmd_eigs(v: argparse.Namespace) -> Result:
-    rows = []
     # M outside, r inside: the rows of one M share the cross-Gram's trig factor
-    for M in v.M:
-        for r in v.r:
-            aset = place(v.scheme, v.L, M, r, centers=v.centers)
-            try:
-                data = build_projection(assemble_cross_gram(v.bc, aset))
-            except tuple(_ROW_STATUS) as exc:
-                # a failed row keeps its M and r and leaves every numeric cell empty
-                failure = f"M={M} r={_cfmt(r)}: {exc}"
-                rows.append((M, r, (None,) * 5, _ROW_STATUS[type(exc)], failure))
-                continue
-            ana = analytic_vartheta(v.bc, v.scheme, M, r)
-            cells = (data.vartheta, ana, data.op_norm, vartheta_limit(r), data.max_offdiag)
-            rows.append((M, r, cells, "ok", None))
+    pairs = [(M, r) for M in v.M for r in v.r]
+    if v.scheme is Scheme.UNI:
+        # skip the pairs uni placement rejects, as suffcond does; if that is
+        # every pair, placing the first one says why
+        pairs = [(M, r) for M, r in pairs if M >= uni_min_count(r)] or pairs[:1]
+    rows = []
+    for M, r in pairs:
+        aset = place(v.scheme, v.L, M, r, centers=v.centers)
+        try:
+            data = build_projection(assemble_cross_gram(v.bc, aset))
+        except DirectSumFailureError as exc:
+            # a failed row keeps its M and r and leaves every numeric cell empty
+            failure = f"M={M} r={_cfmt(r)}: {exc}"
+            rows.append((M, r, (None,) * 5, "direct_sum_failure", failure))
+            continue
+        ana = analytic_vartheta(v.bc, v.scheme, M, r)
+        cells = (data.vartheta, ana, data.op_norm, vartheta_limit(r), data.max_offdiag)
+        rows.append((M, r, cells, "ok", None))
     rows.sort(key=lambda row: (row[1], row[0]))
 
     lines = [
@@ -309,9 +304,9 @@ def cmd_project(v: argparse.Namespace) -> Result:
 
     aset = place(v.scheme, L, v.M, v.r, centers=v.centers)
     data = build_projection(assemble_cross_gram(v.bc, aset))
+    alpha, oblique = apply_projection(data, f)
+    gamma, orth = orthogonal_projection_actuators(data, f)
     bks = all_breakpoints(aset)
-    alpha, oblique = apply_projection(data, f, breakpoints=bks)
-    gamma, orth = orthogonal_projection_actuators(data, f, breakpoints=bks)
 
     def residual(g) -> float:
         val = integrate(
@@ -336,10 +331,12 @@ def cmd_simulate(v: argparse.Namespace) -> Result:
     grid = make_grid(v.L, v.N)
     fm = assemble_fem(grid)
     y0 = _parse_y0(v.y0, grid.nodes)
+    # placed even for free dynamics, so --feed-on off accepts only what on does
+    aset = place(v.scheme, v.L, v.M, v.r, centers=v.centers)
 
     feedback = None
     if v.feed_on is not False:  # None keeps the feedback on throughout
-        op = feedback_matrices(fm, v.bc, place(v.scheme, v.L, v.M, v.r, centers=v.centers))
+        op = feedback_matrices(fm, v.bc, aset)
         feedback = FeedbackConfig(operator=op, lam=v.lam, feed_on=v.feed_on)
 
     run = run_closed_loop(
@@ -377,12 +374,11 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
         raise InvalidArgumentError(f"--a-bound must be nonnegative, got {v.a_bound}")
 
     found = failure = None
-    for M in range(1, v.max_M + 1):
+    least = uni_min_count(r) if scheme is Scheme.UNI else 1
+    for M in range(least, v.max_M + 1):
         try:
             data = build_projection(assemble_cross_gram(bc, place(scheme, L, M, r)))
-        except ConstraintViolationError:
-            continue  # uni below M = r/(1-r)
-        except tuple(_ROW_STATUS) as exc:
+        except DirectSumFailureError as exc:
             # a failed M counts as not satisfied; the file names the first
             failure = failure or f"M={M}: {exc}"
             continue
@@ -397,7 +393,6 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
     closed_form_m = ""
     if scheme is not Scheme.CON:
         X = (L / math.pi) * math.sqrt((6.0 + 4.0 * norm_lim**2) / v.nu) * v.a_bound
-        least = uni_min_count(r) if scheme is Scheme.UNI else 1
         closed_form_m = max(least, math.ceil(X - 1.0 if bc is BoundaryCondition.DIRICHLET else X))
 
     if found is None:

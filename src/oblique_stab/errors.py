@@ -3,6 +3,9 @@
 Two families: invalid input (a caller can fix the arguments) and numerical
 failure (the configuration itself defeats the computation).  The command-line
 front end maps the first family to exit code 2 and the second to exit code 3.
+An actuator geometry that placement rejects is invalid input; a placement
+whose cross-Gram is singular, coincident centers included, is a direct-sum
+failure.
 """
 
 from __future__ import annotations
@@ -10,10 +13,6 @@ from __future__ import annotations
 
 class InvalidArgumentError(ValueError):
     """An argument lies outside the domain of the operation."""
-
-
-class ConstraintViolationError(InvalidArgumentError):
-    """A geometric constraint on a configuration is violated."""
 
 
 class NumericalFailureError(ArithmeticError):
@@ -28,18 +27,11 @@ class NotPositiveDefiniteError(NumericalFailureError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class SingularConfigurationError(NumericalFailureError):
-    """An actuator configuration makes the cross-Gram matrix singular.
-
-    Raised for coincident centers, where the columns of the cross-Gram
-    coincide exactly.
-    """
-
-
 class DirectSumFailureError(NumericalFailureError):
     """The actuator span and the spectral complement fail to split the space.
 
-    Equivalent to the smallest eigenvalue of Theta being (numerically) zero
-    relative to its largest, i.e. the oblique projection is undefined for
-    this configuration.
+    Raised by build_projection when sigma_min/sigma_max of the cross-Gram is
+    at most 1e-8, i.e. the smallest eigenvalue of Theta is numerically zero
+    relative to its largest and the oblique projection is undefined for this
+    configuration.
     """

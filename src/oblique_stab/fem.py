@@ -354,8 +354,9 @@ def run_closed_loop(
     values are imposed from the first step on, and only the interior block
     of 2 M + k nu S is solved.
 
-    Raises NumericalFailureError, naming the step and its time, at the first
-    state whose norm is not finite.
+    Raises InvalidArgumentError for a snapshot time outside [0, T], and
+    NumericalFailureError, naming the step and its time, at the first state
+    whose norm is not finite.
     """
     if nu <= 0.0:
         raise InvalidArgumentError(f"diffusion must be positive, got {nu}")
@@ -363,6 +364,9 @@ def run_closed_loop(
         raise InvalidArgumentError(f"time step must be positive, got {k}")
     if T <= 0.0:
         raise InvalidArgumentError(f"final time must be positive, got {T}")
+    snap_times = tuple(float(t) for t in snapshot_times)
+    if not all(0.0 <= t <= T for t in snap_times):
+        raise InvalidArgumentError(f"snapshot times must lie in [0, {T:g}], got {snap_times}")
     y = np.array(y0, dtype=float)
     if y.shape != (fem.grid.N,):
         raise InvalidArgumentError(
@@ -424,7 +428,6 @@ def run_closed_loop(
 
     norms = np.empty(n_steps + 1)
     feedback_flags = np.zeros(n_steps + 1, dtype=bool)
-    snap_times = tuple(float(t) for t in snapshot_times)
     snap_slots: dict[int, list[int]] = {}
     for s, tt in enumerate(snap_times):
         snap_slots.setdefault(int(np.argmin(np.abs(times - tt))), []).append(s)

@@ -1,12 +1,12 @@
 """Dense and tridiagonal linear algebra used by the projection and FEM layers.
 
 A thin validation layer over LAPACK drivers: the operations add the domain
-checks the callers rely on (finiteness, symmetry within 1e-10 relative, pivot
-threshold 1e-14 relative, positive definiteness) and normalise failures to the
-shared exception types.  The pivot threshold separates genuinely singular
-configurations, which produce exact or near-exact zero pivots, from benign
-ill-conditioning.  No other module uses scipy, and this one imports it on
-the first LU or tridiagonal factor or solve, so eigs and suffcond never do.
+checks the callers rely on (finiteness, pivot threshold 1e-14 relative,
+positive definiteness) and normalise failures to the shared exception types.
+The pivot threshold separates genuinely singular configurations, which
+produce exact or near-exact zero pivots, from benign ill-conditioning.  No
+other module uses scipy, and this one imports it on the first LU or
+tridiagonal factor or solve, so eigs and suffcond never do.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .errors import (
     SingularMatrixError,
 )
 
-SYMMETRY_RTOL = 1e-10
 PIVOT_RTOL = 1e-14
 
 
@@ -32,35 +31,6 @@ def _scipy_linalg():  # its import outweighs the rest of the package's
     return scipy.linalg
 
 
-def _square_matrix(A, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(A, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
-    return arr
-
-
-def _symmetrized(A) -> np.ndarray:
-    """(A + A^T)/2 of a square A that is symmetric within 1e-10 relative.
-
-    Decomposing the symmetrized matrix makes the result exactly independent
-    of which triangle carried the rounding noise.
-    """
-    arr = _square_matrix(A)
-    skew = np.linalg.norm(arr - arr.T)
-    if skew > SYMMETRY_RTOL * max(np.linalg.norm(arr), 1e-300):
-        raise InvalidArgumentError(
-            f"matrix is not symmetric: asymmetry {skew:.3e} exceeds {SYMMETRY_RTOL:g} relative"
-        )
-    return 0.5 * (arr + arr.T)
-
-
-def sym_eigvals(A) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric A, without eigenvectors."""
-    return np.linalg.eigvalsh(_symmetrized(A))
-
-
 def solve_dense(A, B) -> np.ndarray:
     """Solve A X = B by LU with partial pivoting.
 
@@ -68,7 +38,11 @@ def solve_dense(A, B) -> np.ndarray:
     Frobenius norm of A; for this library that is the signal that a direct-sum
     splitting fails.
     """
-    arr = _square_matrix(A, "A")
+    arr = np.asarray(A, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InvalidArgumentError(f"A must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("A contains non-finite entries")
     rhs = np.asarray(B, dtype=float)
     if rhs.ndim not in (1, 2):
         raise InvalidArgumentError(f"right-hand side must be 1-D or 2-D, got shape {rhs.shape}")

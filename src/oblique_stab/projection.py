@@ -54,13 +54,8 @@ from .actuators import (
     normalized_indicator_coeff,
     uni_min_count,
 )
-from .errors import (
-    ConstraintViolationError,
-    DirectSumFailureError,
-    InvalidArgumentError,
-    SingularConfigurationError,
-)
-from .linalg import solve_dense, sym_eigvals
+from .errors import DirectSumFailureError, InvalidArgumentError
+from .linalg import solve_dense
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
 # At or below this sigma_min/sigma_max of G the direct sum counts as failed.
@@ -185,18 +180,13 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
 
     G = a_i T[i, j] / m_i with the trig factor T of _trig_factor; for Neumann
     conditions the constant eigenfunction's row has a = sqrt(r/M), m = 1.
-    No quadrature is used.  Raises SingularConfigurationError for
-    (near-)coincident centers, for which two columns coincide and the matrix
-    is exactly singular.
+    No quadrature is used and nothing is rejected: a singular G, such as the
+    one of (nearly) coincident centers, is build_projection's to report.
     """
     M = aset.M
-    cm = _pi_centers(aset)
-    exact = aset.scheme in (Scheme.MXE, Scheme.UNI)  # never coincident
-    if not exact and M > 1 and np.min(np.diff(np.sort(cm))) <= 1e-12:
-        raise SingularConfigurationError(
-            "coincident actuator centers make the cross-Gram matrix singular"
-        )
-    T, TT, tt_off = _trig_factor(bc, aset.scheme, M, b"" if exact else cm.tobytes())
+    exact = aset.scheme in (Scheme.MXE, Scheme.UNI)
+    cm_bytes = b"" if exact else _pi_centers(aset).tobytes()
+    T, TT, tt_off = _trig_factor(bc, aset.scheme, M, cm_bytes)
     r = aset.r
     delta = r * math.pi / (2 * M)
     dirichlet = bc is BoundaryCondition.DIRICHLET
@@ -224,7 +214,8 @@ def build_projection(gram: CrossGram) -> ProjectionData:
       G G^T squares the condition number.
 
     Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
-    SIGMA_RATIO_THRESHOLD.
+    SIGMA_RATIO_THRESHOLD, the one failure test of the cross-Gram: it also
+    catches centers that placement accepts but that nearly coincide.
     """
     s = gram.a / gram.m
     off = np.multiply.outer(s, s) * gram.tt_off
@@ -234,7 +225,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     if np.all(np.isfinite(radii + d)) and radii.max() <= _WEYL_RTOL * d.min():
         w = np.sort(d)
     else:
-        w = sym_eigvals(gram.theta)
+        w = np.linalg.eigvalsh(gram.theta)
     if w[0] < _SVD_RATIO * w[-1]:
         w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
@@ -279,7 +270,7 @@ def analytic_vartheta(
         return 4.0 * M**2 / (r * math.pi**2 * (M - 1) ** 2) * s**2
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
         if M < uni_min_count(r):
-            raise ConstraintViolationError(
+            raise InvalidArgumentError(
                 f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g}"
             )
         return 4.0 * (M + 1) / (r * math.pi**2 * M) * math.sin(r * math.pi / 2) ** 2

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from oblique_stab.fem import _mass_norm
-from oblique_stab.linalg import solve_dense, sym_eigvals, tridiag_matvec
+from oblique_stab.linalg import solve_dense, tridiag_matvec
 from oblique_stab.projection import (
     _actuator_family,
     _eigen_family,
@@ -86,7 +86,8 @@ def eigh_projection_norm(fem, op) -> float:
     w, V = np.linalg.eigh(0.5 * (G_E + G_E.T))
     root = (V * np.sqrt(w)) @ V.T
     X = solve_dense(op.coupling, root)
-    return float(np.sqrt(sym_eigvals(X.T @ N_U @ X)[-1]))
+    S = X.T @ N_U @ X
+    return float(np.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1]))
 
 
 def project_nodal(fem, op, z):

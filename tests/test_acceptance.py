@@ -18,7 +18,6 @@ from oblique_stab.actuators import (
     normalized_indicator_coeff,
     place,
 )
-from oblique_stab.errors import ConstraintViolationError
 from oblique_stab.fem import (
     FeedbackConfig,
     assemble_fem,

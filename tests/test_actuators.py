@@ -14,7 +14,7 @@ from oblique_stab.actuators import (
     normalized_indicator_coeff,
     place,
 )
-from oblique_stab.errors import ConstraintViolationError, InvalidArgumentError
+from oblique_stab.errors import InvalidArgumentError
 
 
 def _bounds(aset):
@@ -62,7 +62,7 @@ def test_total_support_fraction_is_r():
 
 
 def test_uni_constraint_violation_message():
-    with pytest.raises(ConstraintViolationError) as exc:
+    with pytest.raises(InvalidArgumentError) as exc:
         place(Scheme.UNI, math.pi, 2, 0.9)
     assert "M >= r/(1-r)" in str(exc.value)
 
@@ -91,6 +91,14 @@ def test_custom_placement_roundtrip():
     centers = (0.5, 1.1, 2.9)
     aset = place(Scheme.CUSTOM, math.pi, 3, 0.1, centers=centers)
     assert np.allclose(aset.centers, centers)
+
+
+@pytest.mark.parametrize(
+    "centers", [(math.nan, 1.0), (1.0, math.nan), (0.5, math.nan, 2.0), (math.inf,)]
+)
+def test_custom_placement_requires_finite_centers(centers):
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        place(Scheme.CUSTOM, math.pi, len(centers), 0.1, centers=centers)
 
 
 def test_custom_placement_requires_increasing_centers():

@@ -154,6 +154,29 @@ def test_eigs_custom_centers(tmp_path):
     assert len(_data_rows(out)) == 2
 
 
+def test_eigs_coincident_centers_fail_the_direct_sum(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main([
+        "eigs", "--scheme", "custom", "--centers", "1.0,1.0000000000001",
+        "--M", "2", "--r", "0.2", "--output", str(out),
+    ]) == 3
+    assert _data_rows(out)[1] == "2,0.20000000000000001,,,,,,direct_sum_failure"
+
+
+def test_eigs_uni_sweep_skips_m_below_constraint(tmp_path):
+    # uni needs M >= r/(1-r): all of 2..20 at r = 0.1, only 9..20 at r = 0.9;
+    # a sweep with no admissible pair still exits 2 (test_invalid_argument_exits_two)
+    out = tmp_path / "u.csv"
+    assert main([
+        "eigs", "--scheme", "uni", "--M", "2..20", "--r", "0.1,0.9", "--output", str(out),
+    ]) == 0
+    body = [row.split(",") for row in _data_rows(out)[1:]]
+    assert [(int(row[0]), float(row[1])) for row in body] == [
+        *((M, 0.1) for M in range(2, 21)), *((M, 0.9) for M in range(9, 21))
+    ]
+    assert all(row[-1] == "ok" for row in body)
+
+
 # ---------------------------------------------------------------- project
 
 def test_project_constant_input(tmp_path):
@@ -224,6 +247,16 @@ def test_simulate_feedback_off(tmp_path):
     assert norms[-1] > norms[0]  # unstable reaction, no feedback
 
 
+def test_simulate_feedback_off_still_validates_placement(tmp_path, capsys):
+    # free dynamics place the actuators too, so off rejects what on rejects
+    out = tmp_path / "free.csv"
+    argv = ["simulate", "--scheme", "uni", "--r", "0.9", "--M", "2", "--N", "101", "--T", "0.01"]
+    for feed_on in ("off", "0:0.005"):
+        assert main([*argv, "--feed-on", feed_on, "--output", str(out)]) == 2
+        assert "uniform placement requires M >= r/(1-r)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_feed_on_window(tmp_path):
     out = tmp_path / "win.csv"
     rc = main([
@@ -281,6 +314,17 @@ def test_snapshot_rows_are_per_cell_formatting(tmp_path, monkeypatch):
         ",".join("%.17g" % v for v in (nodes[i], *run.snapshots[:, i])) for i in range(nodes.size)
     ]
     assert _data_rows(tmp_path / "run_snapshots.csv")[1:] == expected
+
+
+@pytest.mark.parametrize("times", ["5", "-0.001", "0,0.011"])
+def test_simulate_snapshot_times_outside_run_exit_two(tmp_path, capsys, times):
+    out = tmp_path / "s.csv"
+    assert main([
+        "simulate", "--N", "101", "--T", "0.01", "--snapshot-times", times,
+        "--output", str(out),
+    ]) == 2
+    assert "snapshot times must lie in [0, 0.01]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_snapshots_need_output():
@@ -497,6 +541,24 @@ def test_invalid_argument_exits_two():
     assert main(["eigs", "--scheme", "uni", "--M", "2", "--r", "0.9"]) == 2
     assert main(["simulate", "--feed-on", "nonsense", "--T", "0.1"]) == 2
     assert main(["simulate", "--reaction", "sinusoid", "--T", "0.1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "simulate --T nan",
+        "simulate --k nan",
+        "simulate --lam inf",
+        "suffcond --a-bound nan --max-M 5",
+        "suffcond --a-bound inf --max-M 5",
+        "eigs --scheme custom --centers nan,1 --M 2 --r 0.1",
+    ],
+)
+def test_non_finite_values_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv.split(), "--output", str(out)]) == 2
+    assert "expects a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_centers_require_custom_scheme():

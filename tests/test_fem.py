@@ -378,6 +378,16 @@ def test_time_and_snapshot_bookkeeping():
     assert np.allclose(run.snapshots[0], np.sin(grid.nodes))
 
 
+@pytest.mark.parametrize("times", [(5.0,), (-1e-3,), (0.0, 0.011)])
+def test_snapshot_times_outside_run_rejected(times):
+    grid = make_grid(math.pi, 51)
+    with pytest.raises(InvalidArgumentError, match=r"snapshot times must lie in \[0, 0.01\]"):
+        run_closed_loop(
+            D, assemble_fem(grid), 0.1, constant_reaction(0.0), np.sin(grid.nodes), 0.01, 1e-3,
+            snapshot_times=times,
+        )
+
+
 def test_snapshots_sharing_a_step_are_all_written():
     # 0 and 1e-4 both round to step 0 at k = 1e-3, so both rows hold y0
     grid = make_grid(math.pi, 51)

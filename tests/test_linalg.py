@@ -12,43 +12,12 @@ from oblique_stab.errors import (
 )
 from oblique_stab.linalg import (
     solve_dense,
-    sym_eigvals,
     tridiag_factor,
     tridiag_matvec,
     tridiag_solve,
 )
 
 rng = np.random.default_rng(20240817)
-
-
-def _random_sym(n):
-    a = rng.standard_normal((n, n))
-    return 0.5 * (a + a.T)
-
-
-def test_sym_eigvals_matches_numpy():
-    a = _random_sym(7)
-    ref_vals, _ = np.linalg.eigh(a)
-    assert np.allclose(sym_eigvals(a), ref_vals, atol=1e-12)
-
-
-def test_sym_eigvals_sorted_ascending():
-    assert np.all(np.diff(sym_eigvals(_random_sym(9))) >= 0)
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        np.array([[1.0, 2.0], [0.0, 1.0]]),
-        np.arange(16.0).reshape(4, 4),
-        np.ones((2, 3)),
-        np.array([[1.0, np.nan], [np.nan, 1.0]]),
-    ],
-    ids=["nonsymmetric", "nonsymmetric-4x4", "nonsquare", "nonfinite"],
-)
-def test_sym_eigvals_rejects_invalid_input(bad):
-    with pytest.raises(InvalidArgumentError):
-        sym_eigvals(bad)
 
 
 def test_solve_dense_matches_numpy():
@@ -62,6 +31,14 @@ def test_solve_dense_singular_raises():
     a = np.ones((3, 3))
     with pytest.raises(SingularMatrixError):
         solve_dense(a, np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.ones((2, 3)), np.array([[1.0, np.nan], [np.nan, 1.0]])], ids=["nonsquare", "nonfinite"]
+)
+def test_solve_dense_rejects_invalid_matrix(bad):
+    with pytest.raises(InvalidArgumentError):
+        solve_dense(bad, np.ones(2))
 
 
 def _dense(diag, off):
