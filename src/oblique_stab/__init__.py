@@ -19,7 +19,6 @@ from .fem import (
     ClosedLoopRun,
     FeedbackConfig,
     FeedbackOperator,
-    assemble_fem,
     constant_reaction,
     discrete_projection_norm,
     feedback_matrices,
@@ -67,7 +66,6 @@ __all__ = [
     "analytic_vartheta",
     "apply_projection",
     "assemble_cross_gram",
-    "assemble_fem",
     "build_basis",
     "build_projection",
     "check_sufficient_condition",

@@ -33,7 +33,6 @@ from .actuators import Scheme, all_breakpoints, place, uni_min_count
 from .errors import DirectSumFailureError, InvalidArgumentError, NumericalFailureError
 from .fem import (
     FeedbackConfig,
-    assemble_fem,
     constant_reaction,
     feedback_matrices,
     make_grid,
@@ -327,21 +326,19 @@ def cmd_project(v: argparse.Namespace) -> Result:
 def cmd_simulate(v: argparse.Namespace) -> Result:
     if v.snapshot_times is not None and not v.output:
         raise InvalidArgumentError("--snapshot-times requires --output")
+    grid = make_grid(v.bc, v.L, v.N)
     reaction = _parse_reaction(v.reaction, v.nu, v.L)
-    grid = make_grid(v.L, v.N)
-    fm = assemble_fem(grid)
     y0 = _parse_y0(v.y0, grid.nodes)
     # placed even for free dynamics, so --feed-on off accepts only what on does
     aset = place(v.scheme, v.L, v.M, v.r, centers=v.centers)
 
     feedback = None
     if v.feed_on is not False:  # None keeps the feedback on throughout
-        op = feedback_matrices(fm, v.bc, aset)
+        op = feedback_matrices(grid, aset)
         feedback = FeedbackConfig(operator=op, lam=v.lam, feed_on=v.feed_on)
 
     run = run_closed_loop(
-        v.bc,
-        fm,
+        grid,
         v.nu,
         reaction,
         y0,

@@ -25,6 +25,10 @@ by LAPACK dpttrf and solved by dpttrs.  Both boundary conditions are
 homogeneous, so no boundary data enter a step; only the boundary values of
 y0, which need not vanish, enter the first Dirichlet step.
 
+One FemGrid from make_grid(bc, L, N) holds the nodes, the mass and stiffness
+matrices and the boundary condition, so the feedback operator and the time
+stepper always read the same boundary condition.
+
 Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
 (M [U])^T (M x N, contiguous) and W0 = P_M (-nu S + lambda M - R) (M x N),
 folding R in only when the reaction is static.  Since
@@ -62,67 +66,57 @@ from .linalg import (
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
 
-@dataclass(frozen=True)
-class FemGrid:
-    """Uniform grid x_i = (i-1) h, i = 1..N, with h = L/(N-1)."""
-
-    L: float
-    N: int
-    h: float
-    nodes: np.ndarray
-
-
-def make_grid(L: float, N: int) -> FemGrid:
-    if not (L > 0.0 and math.isfinite(L)):
-        raise InvalidArgumentError(f"domain length must be positive and finite, got {L}")
-    if int(N) != N or N < 2:
-        raise InvalidArgumentError(f"node count must be an integer >= 2, got {N}")
-    N = int(N)
-    h = L / (N - 1)
-    nodes = np.linspace(0.0, L, N)
-    nodes.flags.writeable = False
-    return FemGrid(L=L, N=N, h=h, nodes=nodes)
-
-
 Tridiag = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
-class FemMatrices:
-    """Mass and stiffness matrices of the hat basis on a uniform grid, each a
-    (diag, off) pair."""
+class FemGrid:
+    """Hat-function discretisation of (0, L) under boundary condition bc.
 
-    grid: FemGrid
-    mass: Tridiag
-    stiffness: Tridiag
-
-
-def assemble_fem(grid: FemGrid) -> FemMatrices:
-    """Exact mass and stiffness matrices; no quadrature is involved.
+    Uniform nodes x_i = (i-1) h, i = 1..N, with h = L/(N-1), and the exact
+    mass and stiffness matrices of the hat basis on all N nodes, each a
+    (diag, off) pair; no quadrature is involved:
 
     mass:      diag (h/3, 2h/3, ..., 2h/3, h/3), off-diagonal h/6
     stiffness: diag (1/h, 2/h, ..., 2/h, 1/h), off-diagonal -1/h
     """
-    if grid.N < 3:
-        raise InvalidArgumentError(f"assembly needs at least 3 nodes, got {grid.N}")
-    N, h = grid.N, grid.h
+
+    bc: BoundaryCondition
+    L: float
+    N: int
+    h: float
+    nodes: np.ndarray
+    mass: Tridiag
+    stiffness: Tridiag
+
+
+def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
+    if not (L > 0.0 and math.isfinite(L)):
+        raise InvalidArgumentError(f"domain length must be positive and finite, got {L}")
+    if int(N) != N or N < 3:
+        raise InvalidArgumentError(f"node count must be an integer >= 3, got {N}")
+    N = int(N)
+    h = L / (N - 1)
+    nodes = np.linspace(0.0, L, N)
     mdiag = np.full(N, 2.0 * h / 3.0)
     mdiag[0] = mdiag[-1] = h / 3.0
     moff = np.full(N - 1, h / 6.0)
     sdiag = np.full(N, 2.0 / h)
     sdiag[0] = sdiag[-1] = 1.0 / h
     soff = np.full(N - 1, -1.0 / h)
-    return FemMatrices(grid=grid, mass=(mdiag, moff), stiffness=(sdiag, soff))
+    for arr in (nodes, mdiag, moff, sdiag, soff):
+        arr.flags.writeable = False
+    return FemGrid(
+        bc=bc, L=L, N=N, h=h, nodes=nodes, mass=(mdiag, moff), stiffness=(sdiag, soff)
+    )
 
 
-def reaction_matrix(fem: FemMatrices, a_nodes: np.ndarray) -> Tridiag:
+def reaction_matrix(grid: FemGrid, a_nodes: np.ndarray) -> Tridiag:
     """Symmetrised reaction matrix (M Diag(a) + Diag(a) M) / 2 for nodal a."""
     a = np.asarray(a_nodes, dtype=float)
-    if a.shape != (fem.grid.N,):
-        raise InvalidArgumentError(
-            f"reaction values must have shape ({fem.grid.N},), got {a.shape}"
-        )
-    mdiag, moff = fem.mass
+    if a.shape != (grid.N,):
+        raise InvalidArgumentError(f"reaction values must have shape ({grid.N},), got {a.shape}")
+    mdiag, moff = grid.mass
     return mdiag * a, moff * 0.5 * (a[:-1] + a[1:])
 
 
@@ -152,8 +146,10 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
     Strictly negative everywhere, so the uncontrolled dynamics is unstable
     whenever 35 nu (pi/L)^2 exceeds the first diffusion eigenvalue.
     """
-    if nu <= 0.0:
-        raise InvalidArgumentError(f"diffusion must be positive, got {nu}")
+    if not (nu > 0.0 and math.isfinite(nu)):
+        raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
+    if not (L > 0.0 and math.isfinite(L)):
+        raise InvalidArgumentError(f"domain length must be positive and finite, got {L}")
     base = -35.0 * nu * (math.pi / L) ** 2
 
     def values(x: np.ndarray, t: float) -> np.ndarray:
@@ -227,25 +223,23 @@ class FeedbackOperator:
     P: np.ndarray
 
 
-def feedback_matrices(
-    fem: FemMatrices, bc: BoundaryCondition, aset: ActuatorSet
-) -> FeedbackOperator:
-    """Sample actuators and eigenfunctions on the grid and invert the coupling.
+def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
+    """Sample actuators and the eigenfunctions of grid.bc on the grid and
+    invert the coupling.
 
     Raises DirectSumFailureError when the coupling matrix A = E^T M U is
     numerically singular, which happens when an actuator support contains too
     few interior nodes; refining the mesh resolves it.
     """
-    grid = fem.grid
     if abs(grid.L - aset.L) > 1e-12 * max(grid.L, aset.L):
         raise InvalidArgumentError(
             f"grid length {grid.L} and actuator domain length {aset.L} differ"
         )
-    basis = build_basis(bc, grid.L, aset.M)
+    basis = build_basis(grid.bc, grid.L, aset.M)
     U = indicators(aset, grid.nodes)
     E = eigenfunctions(basis, grid.nodes)
     # einsum sums without BLAS, so A does not depend on the BLAS thread count.
-    A = np.einsum("ni,nj->ij", E, tridiag_matvec(*fem.mass, U))
+    A = np.einsum("ni,nj->ij", E, tridiag_matvec(*grid.mass, U))
     try:
         P = solve_dense(A, E.T)
     except SingularMatrixError as exc:
@@ -259,7 +253,7 @@ def feedback_matrices(
     return FeedbackOperator(U=U, E=E, coupling=A, P=P)
 
 
-def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
+def discrete_projection_norm(grid: FemGrid, op: FeedbackOperator) -> float:
     """Operator norm of the discrete projection U A^{-1} E^T M in the mass
     inner product.
 
@@ -269,8 +263,8 @@ def discrete_projection_norm(fem: FemMatrices, op: FeedbackOperator) -> float:
     the discrete operator, no sampling involved.  Raises NumericalFailureError
     when either Gram matrix is not positive definite.
     """
-    G_E = op.E.T @ tridiag_matvec(*fem.mass, op.E)
-    N_U = op.U.T @ tridiag_matvec(*fem.mass, op.U)
+    G_E = op.E.T @ tridiag_matvec(*grid.mass, op.E)
+    N_U = op.U.T @ tridiag_matvec(*grid.mass, op.U)
     try:
         C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(N_U)
     except np.linalg.LinAlgError:
@@ -327,8 +321,7 @@ def _mass_norm(y: np.ndarray, My: np.ndarray) -> float:
 
 
 def run_closed_loop(
-    bc: BoundaryCondition,
-    fem: FemMatrices,
+    grid: FemGrid,
     nu: float,
     reaction: ReactionField,
     y0: np.ndarray,
@@ -338,7 +331,8 @@ def run_closed_loop(
     feedback: FeedbackConfig | None = None,
     snapshot_times: tuple[float, ...] = (),
 ) -> ClosedLoopRun:
-    """Integrate the closed-loop (or free) dynamics from y0 to time T.
+    """Integrate the closed-loop (or free) dynamics on grid from y0 to time T,
+    under the boundary condition grid.bc.
 
     The reaction and feedback enter as the external force
     h(y, t) = -R(t) y + M f(y, t) with
@@ -354,35 +348,30 @@ def run_closed_loop(
     values are imposed from the first step on, and only the interior block
     of 2 M + k nu S is solved.
 
-    Raises InvalidArgumentError for a snapshot time outside [0, T], and
+    Raises InvalidArgumentError for nu, T or k not positive and finite or a
+    snapshot time outside [0, T], and
     NumericalFailureError, naming the step and its time, at the first state
     whose norm is not finite.
     """
-    if nu <= 0.0:
-        raise InvalidArgumentError(f"diffusion must be positive, got {nu}")
-    if k <= 0.0:
-        raise InvalidArgumentError(f"time step must be positive, got {k}")
-    if T <= 0.0:
-        raise InvalidArgumentError(f"final time must be positive, got {T}")
+    for name, x in (("diffusion", nu), ("time step", k), ("final time", T)):
+        if not (x > 0.0 and math.isfinite(x)):
+            raise InvalidArgumentError(f"{name} must be positive and finite, got {x}")
     snap_times = tuple(float(t) for t in snapshot_times)
     if not all(0.0 <= t <= T for t in snap_times):
         raise InvalidArgumentError(f"snapshot times must lie in [0, {T:g}], got {snap_times}")
     y = np.array(y0, dtype=float)
-    if y.shape != (fem.grid.N,):
-        raise InvalidArgumentError(
-            f"initial state must have shape ({fem.grid.N},), got {y.shape}"
-        )
+    if y.shape != (grid.N,):
+        raise InvalidArgumentError(f"initial state must have shape ({grid.N},), got {y.shape}")
 
     n_steps = int(math.floor(T / k + 1e-9))
     if n_steps < 1:
         raise InvalidArgumentError(f"final time {T} is shorter than one step {k}")
     times = np.arange(n_steps + 1) * k
-    nodes = fem.grid.nodes
-    mass = fem.mass
-    (mdiag, moff), (sdiag, soff) = mass, fem.stiffness
+    nodes, mass = grid.nodes, grid.mass
+    (mdiag, moff), (sdiag, soff) = mass, grid.stiffness
 
     plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
-    dirichlet = bc is BoundaryCondition.DIRICHLET
+    dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     if dirichlet:
         factor = tridiag_factor(plus_diag[1:-1], plus_off[1:-1])
         edge0, edge1 = plus_off[0], plus_off[-1]
@@ -392,7 +381,7 @@ def run_closed_loop(
     R_static = a_const = None
     if not reaction.time_dependent:
         a_nodes = reaction.values(nodes, 0.0)
-        R_static = reaction_matrix(fem, a_nodes)
+        R_static = reaction_matrix(grid, a_nodes)
         if np.all(a_nodes == a_nodes[0]):
             # A constant a gives R = a M, so R y reuses the mass product.
             a_const = float(a_nodes[0])
@@ -431,7 +420,7 @@ def run_closed_loop(
     snap_slots: dict[int, list[int]] = {}
     for s, tt in enumerate(snap_times):
         snap_slots.setdefault(int(np.argmin(np.abs(times - tt))), []).append(s)
-    snapshots = np.empty((len(snap_times), fem.grid.N)) if snap_times else None
+    snapshots = np.empty((len(snap_times), grid.N)) if snap_times else None
 
     def record(j: int, state: np.ndarray, Mstate: np.ndarray) -> None:
         norm = _mass_norm(state, Mstate)

@@ -332,19 +332,16 @@ def _actuator_family(data: ProjectionData) -> Evaluator:
     return lambda x: coeff * indicators(aset, x)
 
 
-def _inner_products(
-    data: ProjectionData, family: Evaluator, f: Evaluator, breakpoints, n_panels: int | None
-) -> np.ndarray:
+def _inner_products(data: ProjectionData, family: Evaluator, f: Evaluator) -> np.ndarray:
     """[(phi_k, f)] for the family phi_1..phi_M, on one node set over [0, L].
 
-    The nodes are split at the caller's breakpoints and at every support
-    endpoint; the default panel count resolves the highest eigenfunction.
+    The nodes are split at every support endpoint, and the panel count
+    resolves the highest eigenfunction.
     """
     basis = data.gram.basis
-    if n_panels is None:
-        top = basis.M if basis.bc is BoundaryCondition.DIRICHLET else basis.M - 1
-        n_panels = quadrature.oscillation_panels(top * math.pi / basis.L, basis.L)
-    cuts = (*breakpoints, *all_breakpoints(data.gram.actuators))
+    top = basis.M if basis.bc is BoundaryCondition.DIRICHLET else basis.M - 1
+    n_panels = quadrature.oscillation_panels(top * math.pi / basis.L, basis.L)
+    cuts = all_breakpoints(data.gram.actuators)
     x, w = quadrature.panel_nodes_weights(0.0, basis.L, n_panels, cuts)
     return (w * np.asarray(f(x), dtype=float)) @ family(x)
 
@@ -359,24 +356,22 @@ def _expansion(coeffs: np.ndarray, family: Evaluator) -> Evaluator:
     return evaluator
 
 
-def apply_projection(
-    data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
-) -> tuple[np.ndarray, Evaluator]:
+def apply_projection(data: ProjectionData, f: Evaluator) -> tuple[np.ndarray, Evaluator]:
     """Apply the oblique projection onto the actuator span to a function.
 
-    f must be a vectorized evaluator on [0, L]; pass its known discontinuity
-    points through breakpoints so the quadrature splits panels there.
+    f must be a vectorized evaluator on [0, L]; the quadrature splits its
+    panels at the support endpoints.
     Returns the coefficient vector alpha (in the normalised-indicator basis)
     and an evaluator of P f = sum_j alpha_j u_j.  The solve G alpha = [(e_i, f)]
     raises through solve_dense if the cross-Gram is singular.
     """
-    rhs = _inner_products(data, _eigen_family(data), f, breakpoints, n_panels)
+    rhs = _inner_products(data, _eigen_family(data), f)
     alpha = solve_dense(data.gram.entries, rhs)
     return alpha, _expansion(alpha, _actuator_family(data))
 
 
 def orthogonal_projection_actuators(
-    data: ProjectionData, f: Evaluator, *, breakpoints=(), n_panels: int | None = None
+    data: ProjectionData, f: Evaluator
 ) -> tuple[np.ndarray, Evaluator]:
     """Orthogonal projection onto the actuator span, for comparison with P.
 
@@ -387,7 +382,7 @@ def orthogonal_projection_actuators(
     """
     aset = data.gram.actuators
     family = _actuator_family(data)
-    rhs = _inner_products(data, family, f, breakpoints, n_panels)
+    rhs = _inner_products(data, family, f)
     lo = aset.centers - aset.half_width
     hi = aset.centers + aset.half_width
     overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo)
@@ -410,10 +405,10 @@ def check_sufficient_condition(
     a_bound is the caller's bound on the reaction operator norm (the sup of
     |a| is a conservative choice); margin is lhs - rhs.
     """
-    if nu <= 0.0:
-        raise InvalidArgumentError(f"diffusion must be positive, got {nu}")
-    if a_bound < 0.0:
-        raise InvalidArgumentError(f"a_bound must be nonnegative, got {a_bound}")
+    if not (nu > 0.0 and math.isfinite(nu)):
+        raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
+    if not (a_bound >= 0.0 and math.isfinite(a_bound)):
+        raise InvalidArgumentError(f"a_bound must be nonnegative and finite, got {a_bound}")
     alpha_next = float(build_basis(bc, L, M + 1).alphas[-1])
     lhs = nu * alpha_next
     rhs = (6.0 + 4.0 * op_norm**2) * a_bound**2

@@ -48,7 +48,7 @@ def eval_eigenfunction(basis, i: int, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def apply_adjoint_projection(data, f, *, breakpoints=(), n_panels=None):
+def apply_adjoint_projection(data, f):
     """The adjoint projection, onto the eigenspace along the actuator complement.
 
     The adjoint of P (onto U_M along E_M-perp) is the oblique projection onto
@@ -56,7 +56,7 @@ def apply_adjoint_projection(data, f, *, breakpoints=(), n_panels=None):
     transposed Gram system G^T beta = [(u_j, f)].  Returns beta and an
     evaluator of sum_i beta_i e_i.
     """
-    rhs = _inner_products(data, _actuator_family(data), f, breakpoints, n_panels)
+    rhs = _inner_products(data, _actuator_family(data), f)
     beta = solve_dense(data.gram.entries.T, rhs)
     return beta, _expansion(beta, _eigen_family(data))
 
@@ -68,21 +68,21 @@ def check_theta_diagonal(data) -> tuple[bool, float]:
     return data.max_offdiag <= DIAG_RTOL * max_diag, data.max_offdiag
 
 
-def nodal_l2_norm(fem, y) -> float:
+def nodal_l2_norm(grid, y) -> float:
     """L2(0, L) norm of the hat interpolant with nodal values y."""
     y = np.asarray(y, dtype=float)
-    return _mass_norm(y, tridiag_matvec(*fem.mass, y))
+    return _mass_norm(y, tridiag_matvec(*grid.mass, y))
 
 
-def eigh_projection_norm(fem, op) -> float:
+def eigh_projection_norm(grid, op) -> float:
     """Discrete projection norm from the symmetric square root of E^T M E.
 
     With G_E = E^T M E and N_U = U^T M U the squared norm is the largest
     eigenvalue of G_E^{1/2} A^{-T} N_U A^{-1} G_E^{1/2}, the square root
     taken from eigh of G_E.
     """
-    G_E = op.E.T @ tridiag_matvec(*fem.mass, op.E)
-    N_U = op.U.T @ tridiag_matvec(*fem.mass, op.U)
+    G_E = op.E.T @ tridiag_matvec(*grid.mass, op.E)
+    N_U = op.U.T @ tridiag_matvec(*grid.mass, op.U)
     w, V = np.linalg.eigh(0.5 * (G_E + G_E.T))
     root = (V * np.sqrt(w)) @ V.T
     X = solve_dense(op.coupling, root)
@@ -90,13 +90,13 @@ def eigh_projection_norm(fem, op) -> float:
     return float(np.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1]))
 
 
-def project_nodal(fem, op, z):
+def project_nodal(grid, op, z):
     """Nodal values of the discrete oblique projection: U P M z."""
     z = np.asarray(z, dtype=float)
-    return op.U @ (op.P @ tridiag_matvec(*fem.mass, z))
+    return op.U @ (op.P @ tridiag_matvec(*grid.mass, z))
 
 
-def feedback_apply(fem, op, nu: float, lam: float, R, y):
+def feedback_apply(grid, op, nu: float, lam: float, R, y):
     """Nodal feedback force f = -U P (-nu S y - R y + lam M y).
 
     This is the force before multiplication by the mass matrix; the closed
@@ -104,8 +104,8 @@ def feedback_apply(fem, op, nu: float, lam: float, R, y):
     """
     y = np.asarray(y, dtype=float)
     resid = (
-        -nu * tridiag_matvec(*fem.stiffness, y)
+        -nu * tridiag_matvec(*grid.stiffness, y)
         - tridiag_matvec(*R, y)
-        + lam * tridiag_matvec(*fem.mass, y)
+        + lam * tridiag_matvec(*grid.mass, y)
     )
     return -(op.U @ (op.P @ resid))

@@ -20,7 +20,6 @@ from oblique_stab.actuators import (
 )
 from oblique_stab.fem import (
     FeedbackConfig,
-    assemble_fem,
     constant_reaction,
     feedback_matrices,
     make_grid,
@@ -185,7 +184,7 @@ def test_criterion_05_projector_laws():
 
             # range: the first actuator is reproduced with unit coefficients
             f_u = lambda x: normalized_indicator_coeff(aset) * indicators(aset, x)[..., 0]
-            alpha, proj = apply_projection(data, f_u, breakpoints=bps, n_panels=64)
+            alpha, proj = apply_projection(data, f_u)
             dev = max(abs(alpha[0] - 1.0), float(np.max(np.abs(alpha[1:]), initial=0.0)))
             worst = max(worst, dev)
             assert dev <= 1e-9
@@ -193,7 +192,7 @@ def test_criterion_05_projector_laws():
             # idempotence on a generic smooth input
             f = lambda x: np.sin(x) + 0.3 * np.cos(2 * x)
             a1, proj1 = apply_projection(data, f)
-            a2, _ = apply_projection(data, proj1, breakpoints=bps, n_panels=64)
+            a2, _ = apply_projection(data, proj1)
             dev = float(np.max(np.abs(a2 - a1)))
             worst = max(worst, dev)
             assert dev <= 1e-9
@@ -241,14 +240,13 @@ def test_criterion_07_fem_convergence_order():
     t0 = time.perf_counter()
 
     def error_at(n_nodes, k):
-        grid = make_grid(math.pi, n_nodes)
-        fem = assemble_fem(grid)
+        grid = make_grid(D, math.pi, n_nodes)
         run = run_closed_loop(
-            D, fem, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k,
+            grid, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k,
             snapshot_times=(1.0,),
         )
         exact = math.exp(-1.0) * np.sin(grid.nodes)
-        return nodal_l2_norm(fem, run.snapshots[0] - exact)
+        return nodal_l2_norm(grid, run.snapshots[0] - exact)
 
     errors = [error_at(33, 0.05), error_at(65, 0.025), error_at(129, 0.0125)]
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
@@ -263,15 +261,14 @@ def test_criterion_07_fem_convergence_order():
 
 
 def _experiment_run(bc, M, *, feedback_on=True, reaction=None, T=4.5, feed_on=None):
-    grid = make_grid(math.pi, 1001)
-    fem = assemble_fem(grid)
+    grid = make_grid(bc, math.pi, 1001)
     y0 = 0.1 * grid.nodes
     react = reaction if reaction is not None else constant_reaction(-3.5)
     fb = None
     if feedback_on:
-        op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, M, 0.1))
+        op = feedback_matrices(grid, place(Scheme.MXE, math.pi, M, 0.1))
         fb = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
-    return run_closed_loop(bc, fem, 0.1, react, y0, T, 1e-3, feedback=fb)
+    return run_closed_loop(grid, 0.1, react, y0, T, 1e-3, feedback=fb)
 
 
 def test_criterion_08_closed_loop_stabilisation():

@@ -298,8 +298,8 @@ def test_snapshot_rows_are_per_cell_formatting(tmp_path, monkeypatch):
     runs = []
     run_closed_loop = cli.run_closed_loop
 
-    def spy(bc, fm, *args, **kwargs):
-        runs.append((fm.grid.nodes, run_closed_loop(bc, fm, *args, **kwargs)))
+    def spy(grid, *args, **kwargs):
+        runs.append((grid.nodes, run_closed_loop(grid, *args, **kwargs)))
         return runs[-1][1]
 
     monkeypatch.setattr(cli, "run_closed_loop", spy)
@@ -558,6 +558,20 @@ def test_non_finite_values_exit_two(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
     assert main([*argv.split(), "--output", str(out)]) == 2
     assert "expects a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--L 0 --reaction oscillating", "domain length must be positive and finite"),
+        ("--N 2", "node count must be an integer >= 3"),
+    ],
+)
+def test_simulate_bad_grid_exits_two(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(["simulate", *argv.split(), "--T", "0.01", "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,7 +16,6 @@ from oblique_stab.errors import (
 )
 from oblique_stab.fem import (
     FeedbackConfig,
-    assemble_fem,
     constant_reaction,
     discrete_projection_norm,
     feedback_matrices,
@@ -28,7 +27,11 @@ from oblique_stab.fem import (
     tabulated_reaction,
 )
 from oblique_stab.linalg import tridiag_matvec
-from oblique_stab.projection import assemble_cross_gram, build_projection
+from oblique_stab.projection import (
+    assemble_cross_gram,
+    build_projection,
+    check_sufficient_condition,
+)
 from oblique_stab.spectral import BoundaryCondition, build_basis
 from oracles import (
     eigh_projection_norm,
@@ -50,65 +53,64 @@ def _dense(tri):
 # ---------------------------------------------------------------- matrices
 
 def test_grid_nodes_uniform():
-    grid = make_grid(math.pi, 5)
+    grid = make_grid(D, math.pi, 5)
     assert grid.h == pytest.approx(math.pi / 4)
     assert np.allclose(grid.nodes, [0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
 
 
 def test_mass_matrix_three_nodes():
-    fem = assemble_fem(make_grid(math.pi, 3))
+    grid = make_grid(D, math.pi, 3)
     h = math.pi / 2
-    diag, off = fem.mass
+    diag, off = grid.mass
     assert np.allclose(diag, [h / 3, 2 * h / 3, h / 3], rtol=1e-15)
     assert np.allclose(off, [h / 6, h / 6], rtol=1e-15)
 
 
 def test_stiffness_matrix_three_nodes():
-    fem = assemble_fem(make_grid(math.pi, 3))
+    grid = make_grid(D, math.pi, 3)
     h = math.pi / 2
-    diag, off = fem.stiffness
+    diag, off = grid.stiffness
     assert np.allclose(diag, [1 / h, 2 / h, 1 / h], rtol=1e-15)
     assert np.allclose(off, [-1 / h, -1 / h], rtol=1e-15)
 
 
 def test_stiffness_annihilates_constants():
-    fem = assemble_fem(make_grid(2.0, 17))
-    out = tridiag_matvec(*fem.stiffness, np.ones(17))
+    grid = make_grid(D, 2.0, 17)
+    out = tridiag_matvec(*grid.stiffness, np.ones(17))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_too_few_nodes_rejected():
+    with pytest.raises(InvalidArgumentError, match="node count must be an integer >= 3"):
+        make_grid(D, math.pi, 2)
     with pytest.raises(InvalidArgumentError):
-        assemble_fem(make_grid(math.pi, 2))
-    with pytest.raises(InvalidArgumentError):
-        make_grid(math.pi, 1)
+        make_grid(D, math.pi, 1)
 
 
 def test_reaction_matrix_zero_and_constant():
-    fem = assemble_fem(make_grid(math.pi, 9))
-    R0_diag, R0_off = reaction_matrix(fem, np.zeros(9))
+    grid = make_grid(D, math.pi, 9)
+    R0_diag, R0_off = reaction_matrix(grid, np.zeros(9))
     assert np.max(np.abs(R0_diag)) == 0.0 and np.max(np.abs(R0_off)) == 0.0
     c = -3.5
-    Rc_diag, Rc_off = reaction_matrix(fem, np.full(9, c))
-    assert np.allclose(Rc_diag, c * fem.mass[0], rtol=1e-15)
-    assert np.allclose(Rc_off, c * fem.mass[1], rtol=1e-15)
+    Rc_diag, Rc_off = reaction_matrix(grid, np.full(9, c))
+    assert np.allclose(Rc_diag, c * grid.mass[0], rtol=1e-15)
+    assert np.allclose(Rc_off, c * grid.mass[1], rtol=1e-15)
 
 
 def test_reaction_matrix_offdiagonal_average():
     # symmetrized product gives R_12 = (h/6) * (a_1 + a_2)/2
-    grid = make_grid(math.pi, 3)
-    fem = assemble_fem(grid)
+    grid = make_grid(D, math.pi, 3)
     a = grid.nodes.copy()
-    _, R_off = reaction_matrix(fem, a)
+    _, R_off = reaction_matrix(grid, a)
     h = grid.h
     assert R_off[0] == pytest.approx((h / 6) * (a[0] + a[1]) / 2, rel=1e-14)
     assert R_off[1] == pytest.approx((h / 6) * (a[1] + a[2]) / 2, rel=1e-14)
 
 
 def test_reaction_matrix_symmetric_for_any_field():
-    fem = assemble_fem(make_grid(math.pi, 21))
+    grid = make_grid(D, math.pi, 21)
     rng = np.random.default_rng(7)
-    R = _dense(reaction_matrix(fem, rng.standard_normal(21)))
+    R = _dense(reaction_matrix(grid, rng.standard_normal(21)))
     assert np.array_equal(R, R.T)
 
 
@@ -129,6 +131,23 @@ def test_oscillating_reaction_field():
     assert f.time_dependent
 
 
+@pytest.mark.parametrize(
+    "nu, L",
+    [
+        (0.1, 0.0),
+        (0.1, -1.0),
+        (0.1, math.inf),
+        (0.1, math.nan),
+        (0.0, math.pi),
+        (math.nan, math.pi),
+        (math.inf, math.pi),
+    ],
+)
+def test_oscillating_reaction_rejects_bad_parameters(nu, L):
+    with pytest.raises(InvalidArgumentError, match="must be positive and finite"):
+        oscillating_reaction(nu, L)
+
+
 def test_tabulated_reaction_bilinear():
     t_vals = np.array([0.0, 1.0])
     x_vals = np.array([0.0, 2.0])
@@ -144,28 +163,28 @@ def test_tabulated_reaction_bilinear():
 
 @pytest.mark.parametrize("bc", [D, N])
 def test_nodal_projection_annihilates_next_eigenfunction(bc, M=6):
-    fem = assemble_fem(make_grid(math.pi, 2001))
-    op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, M, 0.1))
+    grid = make_grid(bc, math.pi, 2001)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, M, 0.1))
     basis = build_basis(bc, math.pi, M + 1)
-    z = eval_eigenfunction(basis, M + 1, fem.grid.nodes)
-    assert np.max(np.abs(project_nodal(fem, op, z))) <= 1e-3
+    z = eval_eigenfunction(basis, M + 1, grid.nodes)
+    assert np.max(np.abs(project_nodal(grid, op, z))) <= 1e-3
 
 
 @pytest.mark.parametrize("bc", [D, N])
 def test_nodal_projection_fixes_first_actuator(bc):
-    fem = assemble_fem(make_grid(math.pi, 2001))
-    op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, 6, 0.1))
-    coeffs = op.P @ tridiag_matvec(*fem.mass, op.U[:, 0])
+    grid = make_grid(bc, math.pi, 2001)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    coeffs = op.P @ tridiag_matvec(*grid.mass, op.U[:, 0])
     assert abs(coeffs[0] - 1.0) <= 1e-6
     assert np.max(np.abs(coeffs[1:])) <= 1e-6
 
 
 def test_nodal_projection_idempotent():
-    fem = assemble_fem(make_grid(math.pi, 801))
-    op = feedback_matrices(fem, N, place(Scheme.MXE, math.pi, 4, 0.2))
-    z = np.cos(3 * fem.grid.nodes) + 0.2 * fem.grid.nodes
-    once = project_nodal(fem, op, z)
-    twice = project_nodal(fem, op, once)
+    grid = make_grid(N, math.pi, 801)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
+    z = np.cos(3 * grid.nodes) + 0.2 * grid.nodes
+    once = project_nodal(grid, op, z)
+    twice = project_nodal(grid, op, once)
     assert np.max(np.abs(twice - once)) <= 1e-9
 
 
@@ -173,8 +192,8 @@ def test_nodal_projection_idempotent():
 def test_discrete_norm_close_to_continuous(bc):
     aset = place(Scheme.MXE, math.pi, 6, 0.1)
     continuous = build_projection(assemble_cross_gram(bc, aset)).op_norm
-    fem = assemble_fem(make_grid(math.pi, 2001))
-    discrete = discrete_projection_norm(fem, feedback_matrices(fem, bc, aset))
+    grid = make_grid(bc, math.pi, 2001)
+    discrete = discrete_projection_norm(grid, feedback_matrices(grid, aset))
     assert abs(discrete - continuous) <= 0.05 * continuous
 
 
@@ -184,71 +203,71 @@ def test_discrete_norm_matches_eigh_square_root(bc, scheme):
     # the Cholesky form against the symmetric-square-root form, wherever the
     # discrete norm is small enough for either to carry digits; con at M = 47,
     # r = 0.1 has no discrete direct sum on this grid
-    fem = assemble_fem(make_grid(math.pi, 1001))
+    grid = make_grid(bc, math.pi, 1001)
     compared = 0
     for M in (1, 6, 47):
         for r in (0.1, 0.5):
             try:
-                op = feedback_matrices(fem, bc, place(scheme, math.pi, M, r))
+                op = feedback_matrices(grid, place(scheme, math.pi, M, r))
             except DirectSumFailureError:
                 continue
-            ref = eigh_projection_norm(fem, op)
+            ref = eigh_projection_norm(grid, op)
             if ref >= 1e8:
                 continue
-            assert discrete_projection_norm(fem, op) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert discrete_projection_norm(grid, op) == pytest.approx(ref, rel=1e-12, abs=0.0)
             compared += 1
     assert compared >= 4
 
 
 def test_discrete_norm_rejects_singular_eigenfunction_gram():
-    fem = assemble_fem(make_grid(math.pi, 201))
-    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
+    grid = make_grid(D, math.pi, 201)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     E = op.E.copy()
     E[:, 2] = 0.0
     with pytest.raises(NumericalFailureError) as exc:
-        discrete_projection_norm(fem, dataclasses.replace(op, E=E))
+        discrete_projection_norm(grid, dataclasses.replace(op, E=E))
     assert "positive definite" in str(exc.value)
 
 
 def test_coarse_mesh_direct_sum_failure():
     # supports without interior nodes make the coupling matrix singular
-    fem = assemble_fem(make_grid(math.pi, 5))
+    grid = make_grid(D, math.pi, 5)
     with pytest.raises(DirectSumFailureError) as exc:
-        feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 3, 0.05))
+        feedback_matrices(grid, place(Scheme.MXE, math.pi, 3, 0.05))
     assert "mesh" in str(exc.value)
 
 
 def test_grid_actuator_length_mismatch_rejected():
-    fem = assemble_fem(make_grid(math.pi, 101))
+    grid = make_grid(D, math.pi, 101)
     with pytest.raises(InvalidArgumentError):
-        feedback_matrices(fem, D, place(Scheme.MXE, 2.5, 3, 0.2))
+        feedback_matrices(grid, place(Scheme.MXE, 2.5, 3, 0.2))
 
 
 def test_feedback_apply_zero_state():
-    fem = assemble_fem(make_grid(math.pi, 201))
-    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
-    R = reaction_matrix(fem, np.zeros(201))
-    out = feedback_apply(fem, op, 0.1, 1.0, R, np.zeros(201))
+    grid = make_grid(D, math.pi, 201)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
+    R = reaction_matrix(grid, np.zeros(201))
+    out = feedback_apply(grid, op, 0.1, 1.0, R, np.zeros(201))
     assert np.max(np.abs(out)) == 0.0
 
 
 def test_feedback_apply_matches_dense_oracle():
-    fem = assemble_fem(make_grid(math.pi, 201))
-    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
+    grid = make_grid(D, math.pi, 201)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     nu, lam = 0.1, 1.3
     rng = np.random.default_rng(3)
     a = rng.standard_normal(201)
-    R = reaction_matrix(fem, a)
-    y = np.sin(fem.grid.nodes) + 0.1 * fem.grid.nodes
-    Sd, Md, Rd = _dense(fem.stiffness), _dense(fem.mass), _dense(R)
+    R = reaction_matrix(grid, a)
+    y = np.sin(grid.nodes) + 0.1 * grid.nodes
+    Sd, Md, Rd = _dense(grid.stiffness), _dense(grid.mass), _dense(R)
     expected = -op.U @ (op.P @ ((-nu * Sd - Rd + lam * Md) @ y))
-    got = feedback_apply(fem, op, nu, lam, R, y)
+    got = feedback_apply(grid, op, nu, lam, R, y)
     assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_feedback_window_membership():
-    fem = assemble_fem(make_grid(math.pi, 201))
-    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
+    grid = make_grid(D, math.pi, 201)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     cfg = FeedbackConfig(operator=op, lam=1.0, feed_on=(0.0, 1.0))
     assert cfg.active(0.0)
     assert cfg.active(0.5)
@@ -261,14 +280,13 @@ def test_feedback_window_membership():
 
 def test_inactive_feedback_equals_free_run():
     # a window that never opens within [0, T] must reproduce the free dynamics
-    grid = make_grid(math.pi, 151)
-    fem = assemble_fem(grid)
-    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 4, 0.2))
+    grid = make_grid(D, math.pi, 151)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     y0 = np.sin(grid.nodes)
     react = constant_reaction(-1.0)
-    free = run_closed_loop(D, fem, 0.1, react, y0, 1.0, 2e-3, snapshot_times=(1.0,))
+    free = run_closed_loop(grid, 0.1, react, y0, 1.0, 2e-3, snapshot_times=(1.0,))
     gated = run_closed_loop(
-        D, fem, 0.1, react, y0, 1.0, 2e-3,
+        grid, 0.1, react, y0, 1.0, 2e-3,
         feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(2.0, 3.0)),
         snapshot_times=(1.0,),
     )
@@ -278,27 +296,24 @@ def test_inactive_feedback_equals_free_run():
 # ---------------------------------------------------------------- time stepping
 
 def test_heat_decay_rate_dirichlet():
-    grid = make_grid(math.pi, 401)
-    fem = assemble_fem(grid)
-    run = run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 1.0, 1e-3)
+    grid = make_grid(D, math.pi, 401)
+    run = run_closed_loop(grid, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 1.0, 1e-3)
     ratio = run.norms[-1] / run.norms[0]
     assert abs(ratio - math.exp(-0.1)) <= 1e-3
 
 
 def test_neumann_constant_steady_state():
-    grid = make_grid(math.pi, 201)
-    fem = assemble_fem(grid)
+    grid = make_grid(N, math.pi, 201)
     run = run_closed_loop(
-        N, fem, 0.1, constant_reaction(0.0), np.ones(201), 1.0, 1e-3, snapshot_times=(1.0,)
+        grid, 0.1, constant_reaction(0.0), np.ones(201), 1.0, 1e-3, snapshot_times=(1.0,)
     )
     assert np.max(np.abs(run.snapshots[0] - 1.0)) <= 1e-10
 
 
 def test_unstable_reaction_growth_rate():
     # mode-1 rate is -(nu*1 + a) = 3.4 for a = -3.5
-    grid = make_grid(math.pi, 401)
-    fem = assemble_fem(grid)
-    run = run_closed_loop(D, fem, 0.1, constant_reaction(-3.5), np.sin(grid.nodes), 2.0, 1e-3)
+    grid = make_grid(D, math.pi, 401)
+    run = run_closed_loop(grid, 0.1, constant_reaction(-3.5), np.sin(grid.nodes), 2.0, 1e-3)
     slope = log_norm_slope(run, 0.0, 2.0)
     assert abs(slope - 3.4) <= 0.02 * 3.4
     ratio = run.norms[-1] / run.norms[0]
@@ -308,13 +323,12 @@ def test_unstable_reaction_growth_rate():
 def test_convergence_second_order():
     # halving h and k together cuts the error by about 4
     def error_at(n_nodes, k):
-        grid = make_grid(math.pi, n_nodes)
-        fem = assemble_fem(grid)
+        grid = make_grid(D, math.pi, n_nodes)
         run = run_closed_loop(
-            D, fem, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k, snapshot_times=(1.0,)
+            grid, 1.0, constant_reaction(0.0), np.sin(grid.nodes), 1.0, k, snapshot_times=(1.0,)
         )
         exact = math.exp(-1.0) * np.sin(grid.nodes)
-        return nodal_l2_norm(fem, run.snapshots[0] - exact)
+        return nodal_l2_norm(grid, run.snapshots[0] - exact)
 
     e1 = error_at(33, 0.05)
     e2 = error_at(65, 0.025)
@@ -322,51 +336,69 @@ def test_convergence_second_order():
 
 
 def test_stepper_rejects_bad_parameters():
-    fem = assemble_fem(make_grid(math.pi, 11))
+    grid = make_grid(D, math.pi, 11)
     with pytest.raises(InvalidArgumentError):
-        run_closed_loop(D, fem, 0.0, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3)
+        run_closed_loop(grid, 0.0, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3)
     with pytest.raises(InvalidArgumentError):
-        run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, -1e-3)
+        run_closed_loop(grid, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, -1e-3)
     with pytest.raises(InvalidArgumentError):
-        run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.zeros(11), -1.0, 1e-3)
+        run_closed_loop(grid, 0.1, constant_reaction(0.0), np.zeros(11), -1.0, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), math.nan, 1e-3),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), math.inf, 1e-3),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, math.nan),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, math.inf),
+        lambda g: run_closed_loop(g, math.nan, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3),
+        lambda g: check_sufficient_condition(math.nan, D, 6, 1.5, 3.5),
+        lambda g: check_sufficient_condition(math.inf, D, 6, 1.5, 3.5),
+        lambda g: check_sufficient_condition(0.1, D, 6, 1.5, math.nan),
+        lambda g: check_sufficient_condition(0.1, D, 6, 1.5, math.inf),
+    ],
+    ids=["T-nan", "T-inf", "k-nan", "k-inf", "nu-nan", "suff-nu-nan", "suff-nu-inf",
+         "suff-a-nan", "suff-a-inf"],
+)
+def test_non_finite_arguments_rejected(call):
+    with pytest.raises(InvalidArgumentError):
+        call(make_grid(D, math.pi, 11))
 
 
 def test_initial_state_shape_checked():
-    fem = assemble_fem(make_grid(math.pi, 11))
+    grid = make_grid(D, math.pi, 11)
     with pytest.raises(InvalidArgumentError):
-        run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.zeros(10), 1.0, 1e-3)
+        run_closed_loop(grid, 0.1, constant_reaction(0.0), np.zeros(10), 1.0, 1e-3)
 
 
 def test_neumann_mass_conservation():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
+    grid = make_grid(N, math.pi, 301)
     y0 = np.cos(grid.nodes) + 1.0
     run = run_closed_loop(
-        N, fem, 0.1, constant_reaction(0.0), y0, 1.0, 2e-3,
+        grid, 0.1, constant_reaction(0.0), y0, 1.0, 2e-3,
         snapshot_times=tuple(0.1 * i for i in range(11)),
     )
     ones = np.ones(grid.N)
-    masses = [float(ones @ tridiag_matvec(*fem.mass, state)) for state in run.snapshots]
+    masses = [float(ones @ tridiag_matvec(*grid.mass, state)) for state in run.snapshots]
     spread = (max(masses) - min(masses)) / abs(masses[0])
     assert spread <= 1e-9
 
 
 def test_energy_sign_dichotomy():
     # free Dirichlet dynamics: reaction below -nu*alpha_1 grows, above decays
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
+    grid = make_grid(D, math.pi, 301)
     y0 = np.sin(grid.nodes)
-    grow = run_closed_loop(D, fem, 0.1, constant_reaction(-0.5), y0, 2.0, 2e-3)
-    decay = run_closed_loop(D, fem, 0.1, constant_reaction(-0.05), y0, 2.0, 2e-3)
+    grow = run_closed_loop(grid, 0.1, constant_reaction(-0.5), y0, 2.0, 2e-3)
+    decay = run_closed_loop(grid, 0.1, constant_reaction(-0.05), y0, 2.0, 2e-3)
     assert grow.norms[-1] > grow.norms[0]
     assert decay.norms[-1] < decay.norms[0]
 
 
 def test_time_and_snapshot_bookkeeping():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
+    grid = make_grid(D, math.pi, 301)
     run = run_closed_loop(
-        D, fem, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 0.1, 2e-3,
+        grid, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 0.1, 2e-3,
         snapshot_times=(0.0, 0.05, 0.1),
     )
     n_steps = int(0.1 / 2e-3)
@@ -380,27 +412,26 @@ def test_time_and_snapshot_bookkeeping():
 
 @pytest.mark.parametrize("times", [(5.0,), (-1e-3,), (0.0, 0.011)])
 def test_snapshot_times_outside_run_rejected(times):
-    grid = make_grid(math.pi, 51)
+    grid = make_grid(D, math.pi, 51)
     with pytest.raises(InvalidArgumentError, match=r"snapshot times must lie in \[0, 0.01\]"):
         run_closed_loop(
-            D, assemble_fem(grid), 0.1, constant_reaction(0.0), np.sin(grid.nodes), 0.01, 1e-3,
+            grid, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 0.01, 1e-3,
             snapshot_times=times,
         )
 
 
 def test_snapshots_sharing_a_step_are_all_written():
     # 0 and 1e-4 both round to step 0 at k = 1e-3, so both rows hold y0
-    grid = make_grid(math.pi, 51)
-    fem = assemble_fem(grid)
+    grid = make_grid(D, math.pi, 51)
     y0 = np.sin(grid.nodes)
     run = run_closed_loop(
-        D, fem, 0.1, constant_reaction(0.0), y0, 0.01, 1e-3,
+        grid, 0.1, constant_reaction(0.0), y0, 0.01, 1e-3,
         snapshot_times=(0.0, 1e-4, 0.01),
     )
     assert np.array_equal(run.snapshots[0], y0)
     assert np.array_equal(run.snapshots[1], y0)
     last = run_closed_loop(
-        D, fem, 0.1, constant_reaction(0.0), y0, 0.01, 1e-3, snapshot_times=(0.01,)
+        grid, 0.1, constant_reaction(0.0), y0, 0.01, 1e-3, snapshot_times=(0.01,)
     )
     assert np.array_equal(run.snapshots[2], last.snapshots[0])
 
@@ -408,14 +439,13 @@ def test_snapshots_sharing_a_step_are_all_written():
 # ---------------------------------------------------------------- closed loop
 
 def test_stabilised_run_decays_monotonically_after_transient():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
-    y0 = 0.1 * grid.nodes
     react = constant_reaction(-3.5)
     for bc in (D, N):
-        op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, 6, 0.1))
+        grid = make_grid(bc, math.pi, 301)
+        y0 = 0.1 * grid.nodes
+        op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
         run = run_closed_loop(
-            bc, fem, 0.1, react, y0, 4.5, 2e-3,
+            grid, 0.1, react, y0, 4.5, 2e-3,
             feedback=FeedbackConfig(operator=op, lam=1.0),
         )
         assert run.norms[-1] < 0.05 * run.norms[0]
@@ -424,24 +454,22 @@ def test_stabilised_run_decays_monotonically_after_transient():
 
 
 def test_five_actuators_fail_under_neumann():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
+    grid = make_grid(N, math.pi, 301)
     y0 = 0.1 * grid.nodes
-    op = feedback_matrices(fem, N, place(Scheme.MXE, math.pi, 5, 0.1))
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 5, 0.1))
     run = run_closed_loop(
-        N, fem, 0.1, constant_reaction(-3.5), y0, 4.5, 2e-3,
+        grid, 0.1, constant_reaction(-3.5), y0, 4.5, 2e-3,
         feedback=FeedbackConfig(operator=op, lam=1.0),
     )
     assert run.norms[-1] > run.norms[0]
 
 
 def test_norm_rebounds_after_feedback_switches_off():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
+    grid = make_grid(D, math.pi, 301)
     y0 = 0.1 * grid.nodes
-    op = feedback_matrices(fem, D, place(Scheme.MXE, math.pi, 6, 0.1))
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
     run = run_closed_loop(
-        D, fem, 0.1, constant_reaction(-3.5), y0, 2.5, 2e-3,
+        grid, 0.1, constant_reaction(-3.5), y0, 2.5, 2e-3,
         feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(0.0, 1.5)),
     )
     i_off = int(round(1.5 / 2e-3))
@@ -451,50 +479,48 @@ def test_norm_rebounds_after_feedback_switches_off():
 
 
 def test_log_norm_slope_of_pure_heat():
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
-    run = run_closed_loop(D, fem, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 1.0, 2e-3)
+    grid = make_grid(D, math.pi, 301)
+    run = run_closed_loop(grid, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 1.0, 2e-3)
     assert log_norm_slope(run, 0.2, 0.8) == pytest.approx(-0.1, abs=1e-4)
 
 
 def test_blow_up_raises_with_step_and_time():
-    grid = make_grid(math.pi, 101)
-    fem = assemble_fem(grid)
+    grid = make_grid(D, math.pi, 101)
     y0, react, k = np.sin(grid.nodes), constant_reaction(-1e6), 1e-3
     with pytest.raises(NumericalFailureError) as exc:
-        run_closed_loop(D, fem, 0.1, react, y0, 0.5, k)
+        run_closed_loop(grid, 0.1, react, y0, 0.5, k)
     found = re.search(r"at step (\d+), t = ([^;]+);", str(exc.value))
     assert found is not None, str(exc.value)
     j, t = int(found.group(1)), float(found.group(2))
     assert 2 <= j <= 500
     assert t == pytest.approx(j * k, rel=1e-12)
     # every state before step j is finite, so j is the first failure
-    before = run_closed_loop(D, fem, 0.1, react, y0, (j - 1) * k, k)
+    before = run_closed_loop(grid, 0.1, react, y0, (j - 1) * k, k)
     assert np.all(np.isfinite(before.norms)) and len(before.norms) == j
 
 
 # ---------------------------------------------------------------- fused kernel
 
-def _reference_run(bc, fem, nu, reaction, y0, T, k, feedback=None):
+def _reference_run(grid, nu, reaction, y0, T, k, feedback=None):
     """The closed loop written step by step with dense matrices.
 
     The force is -R y + M f with f from feedback_apply, re-assembled every
     step, and each step solves 2 M + k nu S (its interior block under
     Dirichlet conditions) by a dense LU factorization.
     """
-    Md, Sd = _dense(fem.mass), _dense(fem.stiffness)
+    Md, Sd = _dense(grid.mass), _dense(grid.stiffness)
     B_plus, B_minus = 2 * Md + k * nu * Sd, 2 * Md - k * nu * Sd
-    inner = slice(1, -1) if bc is D else slice(None)
+    inner = slice(1, -1) if grid.bc is D else slice(None)
     lu = scipy.linalg.lu_factor(B_plus[inner, inner])
-    nodes = fem.grid.nodes
+    nodes = grid.nodes
     n_steps = int(math.floor(T / k + 1e-9))
 
     def force(y, t):
-        R = reaction_matrix(fem, reaction.values(nodes, t))
+        R = reaction_matrix(grid, reaction.values(nodes, t))
         h = -_dense(R) @ y
         on = feedback is not None and feedback.active(t)
         if on:
-            f = feedback_apply(fem, feedback.operator, nu, feedback.lam, R, y)
+            f = feedback_apply(grid, feedback.operator, nu, feedback.lam, R, y)
             h = h + Md @ f
         return h, on
 
@@ -505,7 +531,7 @@ def _reference_run(bc, fem, nu, reaction, y0, T, k, feedback=None):
     for j in range(1, n_steps + 1):
         t = j * k
         rhs = B_minus @ y + k * (3 * h_prev - h_prev2)
-        if bc is D:
+        if grid.bc is D:
             y = np.concatenate([[0.0], scipy.linalg.lu_solve(lu, rhs[inner]), [0.0]])
         else:
             y = scipy.linalg.lu_solve(lu, rhs)
@@ -530,8 +556,7 @@ def _rel(got, ref):
     ids=["dirichlet-static", "neumann-oscillating-window", "dirichlet-static-varying"],
 )
 def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
-    grid = make_grid(math.pi, 301)
-    fem = assemble_fem(grid)
+    grid = make_grid(bc, math.pi, 301)
     nu, k, T = 0.1, 2e-3, 0.6
     reaction = {
         "static": constant_reaction(-3.5),
@@ -539,14 +564,14 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
         # a static reaction that varies in x takes the R y product, not a M y
         "varying": tabulated_reaction([0.0], grid.nodes, [np.cos(grid.nodes) - 3.5]),
     }[react]
-    op = feedback_matrices(fem, bc, place(Scheme.MXE, math.pi, M, 0.1))
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, M, 0.1))
     feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
     y0 = 0.1 * grid.nodes + 0.05
     run = run_closed_loop(
-        bc, fem, nu, reaction, y0, T, k, feedback=feedback, snapshot_times=(T,)
+        grid, nu, reaction, y0, T, k, feedback=feedback, snapshot_times=(T,)
     )
     y_ref, norms_ref, flags_ref = _reference_run(
-        bc, fem, nu, reaction, y0, T, k, feedback=feedback
+        grid, nu, reaction, y0, T, k, feedback=feedback
     )
     assert _rel(run.snapshots[0], y_ref) <= 1e-10
     assert _rel(run.norms, norms_ref) <= 1e-10

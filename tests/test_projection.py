@@ -532,7 +532,7 @@ def test_projection_fixes_first_actuator():
     aset = place(Scheme.MXE, math.pi, 3, 0.4)
     data = build_projection(assemble_cross_gram(D, aset))
     f = _normalized(aset, 1)
-    alpha, _ = apply_projection(data, f, breakpoints=all_breakpoints(aset), n_panels=64)
+    alpha, _ = apply_projection(data, f)
     assert abs(alpha[0] - 1.0) <= 1e-10
     assert np.max(np.abs(alpha[1:])) <= 1e-10
 
@@ -540,9 +540,8 @@ def test_projection_fixes_first_actuator():
 def test_projection_idempotent_coefficients():
     aset = place(Scheme.MXE, math.pi, 4, 0.5)
     data = build_projection(assemble_cross_gram(D, aset))
-    bps = all_breakpoints(aset)
     alpha, proj = apply_projection(data, lambda x: np.sin(3 * x))
-    alpha2, _ = apply_projection(data, proj, breakpoints=bps, n_panels=64)
+    alpha2, _ = apply_projection(data, proj)
     assert np.max(np.abs(alpha2 - alpha)) <= 1e-9
 
 
