@@ -36,10 +36,20 @@ folding R in only when the reaction is static.  Since
 needs no product with 2 M - k nu S.  Each state's mass product M y is formed
 once and serves its norm, the next right-hand side and a time-dependent
 reaction, R y = (a o M y + M (a o y)) / 2, so no R is assembled per step.
-A step costs that mass product, one reaction product (none for a constant
-a, where R y = a M y; R y for another static R; else M (a o y)), one W0
-product (less P_M (R y) when R varies), one (M [U])^T product, and one
-dpttrs solve.
+A step costs that mass product, one reaction product (R y for a static R,
+else M (a o y)), one W0 product (less P_M (R y) when R varies), one
+(M [U])^T product, and one dpttrs solve.
+
+A static reaction with equal values at every node gives R = a M, and on the
+uniform grid M and S share their eigenvectors V: discrete sines on the
+Dirichlet interior, discrete cosines (with D = diag(1/2, 1, .., 1, 1/2))
+under Neumann conditions, M V = D V diag(mu) and S V = D V diag(sigma).
+Such a run forms step 0's right-hand side on the nodes and then steps the
+coefficients V^{-1} y: three elementwise products, the norm as a weighted
+sum of squares, and, while the feedback acts, the two thin products with
+W0 V and V^{-1} D^{-1} M [U] (both M x n).  No step multiplies by M, solves
+or transforms: a real FFT per row maps the rows of W0 and (M [U])^T, y0 and
+step 0's right-hand side into the eigenbasis once, and each snapshot back.
 """
 
 from __future__ import annotations
@@ -320,6 +330,22 @@ def _mass_norm(y: np.ndarray, My: np.ndarray) -> float:
     return math.sqrt(max(float(np.add.reduce(y * My)), 0.0))
 
 
+def _trig_sums(x: np.ndarray, dirichlet: bool) -> np.ndarray:
+    """sum_i x_i sin(i theta_k) over i, k = 1..N-2 (Dirichlet; x holds the
+    interior nodes), or sum_i x_i cos(i theta_k) over i, k = 0..N-1
+    (Neumann), along the last axis, with theta_k = k pi / (N-1).
+
+    One real FFT of length 2(N-1) of the odd or even extension of x / 2.
+    """
+    half = 0.5 * x
+    if dirichlet:
+        zero = np.zeros(x.shape[:-1] + (1,))
+        ext = np.concatenate([zero, -half, zero, half[..., ::-1]], axis=-1)
+        return np.ascontiguousarray(np.fft.rfft(ext)[..., 1:-1].imag)
+    ext = np.concatenate([x[..., :1], half[..., 1:-1], x[..., -1:], half[..., -2:0:-1]], axis=-1)
+    return np.ascontiguousarray(np.fft.rfft(ext).real)
+
+
 def run_closed_loop(
     grid: FemGrid,
     nu: float,
@@ -346,7 +372,8 @@ def run_closed_loop(
     Both boundary conditions are homogeneous.  y0 is kept as given at t = 0
     even when it does not vanish on a Dirichlet boundary; the zero boundary
     values are imposed from the first step on, and only the interior block
-    of 2 M + k nu S is solved.
+    of 2 M + k nu S is solved.  A static, spatially constant reaction is
+    stepped in the eigenbasis of M and S (see the module docstring).
 
     Raises InvalidArgumentError for nu, T or k not positive and finite or a
     snapshot time outside [0, T], and
@@ -366,25 +393,31 @@ def run_closed_loop(
     n_steps = int(math.floor(T / k + 1e-9))
     if n_steps < 1:
         raise InvalidArgumentError(f"final time {T} is shorter than one step {k}")
-    times = np.arange(n_steps + 1) * k
-    nodes, mass = grid.nodes, grid.mass
+    try:
+        times = np.arange(n_steps + 1) * k
+        norms = np.empty(n_steps + 1)
+        feedback_flags = np.zeros(n_steps + 1, dtype=bool)
+    except MemoryError:
+        raise InvalidArgumentError(
+            f"{n_steps} time steps (T/k) need more memory than is available"
+        ) from None
+    N, h, nodes, mass = grid.N, grid.h, grid.nodes, grid.mass
     (mdiag, moff), (sdiag, soff) = mass, grid.stiffness
 
-    plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
-    if dirichlet:
-        factor = tridiag_factor(plus_diag[1:-1], plus_off[1:-1])
-        edge0, edge1 = plus_off[0], plus_off[-1]
-    else:
-        factor = tridiag_factor(plus_diag, plus_off)
+    inner = slice(1, -1) if dirichlet else slice(None)
+    plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
+    edge0, edge1 = plus_off[0], plus_off[-1]
 
     R_static = a_const = None
     if not reaction.time_dependent:
         a_nodes = reaction.values(nodes, 0.0)
         R_static = reaction_matrix(grid, a_nodes)
         if np.all(a_nodes == a_nodes[0]):
-            # A constant a gives R = a M, so R y reuses the mass product.
+            # R = a M is diagonal in the eigenbasis of M and S
             a_const = float(a_nodes[0])
+    if a_const is None:
+        factor = tridiag_factor(plus_diag[inner], plus_off[inner])
 
     if feedback is not None:
         P = feedback.operator.P
@@ -398,9 +431,7 @@ def run_closed_loop(
     def force(state: np.ndarray, Mstate: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
         """q = -h = R y + M [U] P_M (-nu S + lambda M - R) y while the feedback
         acts, else R y; and whether it acts."""
-        if a_const is not None:
-            q = a_const * Mstate
-        elif R_static is not None:
+        if R_static is not None:
             q = tridiag_matvec(*R_static, state)
         else:
             a = reaction.values(nodes, t)
@@ -415,23 +446,20 @@ def run_closed_loop(
         q += c @ MUt
         return q, True
 
-    norms = np.empty(n_steps + 1)
-    feedback_flags = np.zeros(n_steps + 1, dtype=bool)
     snap_slots: dict[int, list[int]] = {}
     for s, tt in enumerate(snap_times):
         snap_slots.setdefault(int(np.argmin(np.abs(times - tt))), []).append(s)
-    snapshots = np.empty((len(snap_times), grid.N)) if snap_times else None
+    snapshots = np.zeros((len(snap_times), N)) if snap_times else None
 
-    def record(j: int, state: np.ndarray, Mstate: np.ndarray) -> None:
-        norm = _mass_norm(state, Mstate)
+    def record(j: int, norm: float) -> list[int]:
+        """Store the norm of step j and return the snapshot rows it fills."""
         if not math.isfinite(norm):
             raise NumericalFailureError(
                 f"solution norm is {norm} at step {j}, t = {times[j]:.12g}; "
                 "the run blew up (reduce the time step or the reaction)"
             )
         norms[j] = norm
-        if j in snap_slots:
-            snapshots[snap_slots[j]] = state
+        return snap_slots.get(j, [])
 
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
@@ -439,7 +467,8 @@ def run_closed_loop(
         for j in range(n_steps + 1):
             t = times[j]
             My = tridiag_matvec(*mass, y)
-            record(j, y, My)
+            if slots := record(j, _mass_norm(y, My)):
+                snapshots[slots] = y
             if j == n_steps:
                 feedback_flags[j] = feedback is not None and feedback.active(t)
                 break
@@ -453,12 +482,48 @@ def run_closed_loop(
                 # z = y on the boundary, where y is nonzero only in y0
                 rhs[1] -= edge0 * y[0]
                 rhs[-2] -= edge1 * y[-1]
-                np.subtract(tridiag_solve(factor, rhs[1:-1]), y[1:-1], out=rhs[1:-1])
+            if a_const is not None:
+                break  # step 0's right-hand side seeds the eigenbasis loop
+            np.subtract(tridiag_solve(factor, rhs[inner]), y[inner], out=rhs[inner])
+            if dirichlet:
                 rhs[0] = rhs[-1] = 0.0
-            else:
-                rhs = tridiag_solve(factor, rhs)
-                rhs -= y
             y = rhs
+
+        if a_const is not None:
+            # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
+            idx = np.arange(1, N - 1) if dirichlet else np.arange(N)
+            s = np.sin(idx * (0.5 * math.pi / (N - 1))) ** 2
+            mu = h - (2.0 * h / 3.0) * s
+            pi_k = 2.0 * mu + k * nu * (4.0 / h) * s
+            omega = np.full(idx.size, 0.5 * (N - 1))
+            if not dirichlet:
+                omega[[0, -1]] = N - 1.0
+            ka = k * a_const
+            A1, A2, wmu = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k, omega * mu
+            # step 0's right-hand side, step 1's history term k a M y0, and y0
+            # (V^{-1} y = V^T D y / omega) are formed on the nodes
+            rows = np.stack([rhs[inner], ka * My[inner], y[inner]])
+            if not dirichlet:
+                rows[2, [0, -1]] *= 0.5
+            z, hist, yh = _trig_sums(rows, dirichlet) / omega
+            yh, hist = z / pi_k - yh, hist / pi_k
+            if feedback is not None:
+                Ch = _trig_sums(W0[:, inner], dirichlet)
+                Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
+            c_prev = W0 @ y if feedback_flags[0] else None
+            for j in range(1, n_steps + 1):
+                if slots := record(j, math.sqrt(float(np.add.reduce(wmu * yh * yh)))):
+                    snapshots[slots, inner] = _trig_sums(yh, dirichlet)
+                on = feedback_flags[j] = feedback is not None and feedback.active(times[j])
+                if j == n_steps:
+                    break
+                y_new = A1 * yh
+                y_new += hist
+                c = Ch @ yh if on else None
+                if on or c_prev is not None:  # a free step stays free of feedback terms
+                    y_new -= ((3.0 * c if on else 0.0) - (0.0 if c_prev is None else c_prev)) @ Bt
+                hist = A2 * yh
+                yh, c_prev = y_new, c
 
     for arr in (times, norms, feedback_flags):
         arr.flags.writeable = False

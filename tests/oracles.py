@@ -109,3 +109,68 @@ def feedback_apply(grid, op, nu: float, lam: float, R, y):
         + lam * tridiag_matvec(*grid.mass, y)
     )
     return -(op.U @ (op.P @ resid))
+
+
+def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, feedback=None):
+    """Norms of the closed loop with the constant reaction a, in numpy.longdouble.
+
+    The recurrence is the nodal Crank-Nicolson step of run_closed_loop,
+    (2 M + k nu S) z = 4 M y - k (3 q - q_prev) and y_new = z - y, with
+    q = a M y + M U W0 y while the feedback acts, W0 = P (lambda M - nu S - a M)
+    and the ghost value q_prev = q on the first step.  M and S are formed from
+    grid.h, and each step solves the system (its interior block under
+    Dirichlet conditions) by the Thomas algorithm.  On x86-64 Linux longdouble
+    is the 80-bit extended format, with 11 more bits than float64.
+    """
+    ld = np.longdouble
+    h, k, nu, a, n = ld(grid.h), ld(k), ld(nu), ld(a), grid.N
+
+    def tri(inner, end, off):
+        d = np.full(n, inner, dtype=ld)
+        d[0] = d[-1] = end
+        return d, np.full(n - 1, off, dtype=ld)
+
+    mass, stiff = tri(2 * h / 3, h / 3, h / 6), tri(2 / h, 1 / h, -1 / h)
+    plus = tuple(2 * m + k * nu * s for m, s in zip(mass, stiff))
+    dirichlet = grid.bc is BoundaryCondition.DIRICHLET
+    cut = slice(1, -1) if dirichlet else slice(None)
+    d, e = plus[0][cut], plus[1][cut]
+    piv = d.copy()
+    for i in range(1, d.size):
+        piv[i] -= e[i - 1] ** 2 / piv[i - 1]
+
+    def thomas(b):
+        x = b.copy()
+        for i in range(1, x.size):
+            x[i] -= e[i - 1] / piv[i - 1] * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(x.size - 2, -1, -1):
+            x[i] = (x[i] - e[i] * x[i + 1]) / piv[i]
+        return x
+
+    if feedback is not None:
+        lam = ld(feedback.lam)
+        K = tuple(lam * m - nu * s - a * m for m, s in zip(mass, stiff))
+        W0 = tridiag_matvec(*K, feedback.operator.P.astype(ld).T).T
+        MU = tridiag_matvec(*mass, feedback.operator.U.astype(ld))
+    y = np.asarray(y0, dtype=float).astype(ld)
+    n_steps = int(math.floor(T / float(k) + 1e-9))
+    norms = np.empty(n_steps + 1, dtype=ld)
+    q_prev = None
+    for j in range(n_steps + 1):
+        My = tridiag_matvec(*mass, y)
+        norms[j] = np.sqrt(y @ My)
+        if j == n_steps:
+            return norms
+        q = a * My
+        if feedback is not None and feedback.active(j * float(k)):
+            q += MU @ (W0 @ y)
+        rhs = 4 * My - k * (3 * q - (q if q_prev is None else q_prev))
+        q_prev = q
+        if dirichlet:
+            # z = y on the boundary, where y is nonzero only in y0
+            rhs[1] -= plus[1][0] * y[0]
+            rhs[-2] -= plus[1][-1] * y[-1]
+        y_new = np.zeros(n, dtype=ld)
+        y_new[cut] = thomas(rhs[cut]) - y[cut]
+        y = y_new

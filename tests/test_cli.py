@@ -588,6 +588,15 @@ def test_simulate_blow_up_exits_three_without_output(tmp_path, capsys):
     assert "numerical failure" in err and "at step" in err and "Warning" not in err
 
 
+def test_simulate_too_many_steps_exits_two(tmp_path, capsys):
+    # 1e18 steps cannot be allocated; the run fails before it steps
+    out = tmp_path / "long.csv"
+    assert main(["simulate", "--T", "1e15", "--N", "101", "--output", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "1000000000000000000 time steps" in err and "Traceback" not in err
+
+
 def _rows_at_blas_threads(tmp_path, threads, argv):
     """Data rows of a CLI run in a fresh interpreter whose BLAS library is
     limited to `threads` threads."""
@@ -614,16 +623,17 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
 
 # With 24 actuators a threaded dgemm rounds the coupling E^T M U differently
 # at 1 and 2 threads, so those cases fail unless the product avoids BLAS.
-# The Dirichlet case is the static path of the default run: the reaction
-# folded into W0 and no feedback window.
+# The Dirichlet case is the eigenbasis path of the default run, with no
+# feedback window; the constant Neumann case is that path switching off.
 @pytest.mark.parametrize(
     "case",
     [
         "--bc neumann --reaction oscillating --M 8 --feed-on 0:0.02",
         "--bc neumann --reaction oscillating --M 24 --feed-on 0:0.02",
         "--bc dirichlet --M 47",
+        "--bc neumann --M 8 --feed-on 0:0.02",
     ],
-    ids=["--M 8", "--M 24", "dirichlet --M 47"],
+    ids=["--M 8", "--M 24", "dirichlet --M 47", "neumann constant --M 8"],
 )
 def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
     one = _simulate_rows_at_blas_threads(tmp_path, 1, case)

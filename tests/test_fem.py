@@ -16,6 +16,7 @@ from oblique_stab.errors import (
 )
 from oblique_stab.fem import (
     FeedbackConfig,
+    ReactionField,
     constant_reaction,
     discrete_projection_norm,
     feedback_matrices,
@@ -37,6 +38,7 @@ from oracles import (
     eigh_projection_norm,
     eval_eigenfunction,
     feedback_apply,
+    longdouble_closed_loop,
     nodal_l2_norm,
     project_nodal,
 )
@@ -550,10 +552,14 @@ def _rel(got, ref):
     "bc, react, M, feed_on",
     [
         (D, "static", 6, None),
+        (N, "static", 8, (0.1, 0.4)),
         (N, "oscillating", 8, (0.0, 0.3)),
         (D, "varying", 6, None),
     ],
-    ids=["dirichlet-static", "neumann-oscillating-window", "dirichlet-static-varying"],
+    ids=[
+        "dirichlet-static", "neumann-static-window", "neumann-oscillating-window",
+        "dirichlet-static-varying",
+    ],
 )
 def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
     grid = make_grid(bc, math.pi, 301)
@@ -578,3 +584,53 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
     assert np.array_equal(run.feedback_on, flags_ref)
     if feed_on is not None:
         assert run.feedback_on.any() and not run.feedback_on.all()
+
+
+# ---------------------------------------------------------------- eigenbasis path
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_eigenbasis_path_matches_nodal_path(bc):
+    # Flagging a constant reaction time-dependent sends it down the nodal
+    # loop; measured agreement 3.2e-13 (Dirichlet) and 2.4e-13 (Neumann).
+    grid = make_grid(bc, math.pi, 301)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=(0.2, 1.2))
+    y0 = 0.1 * grid.nodes + 0.05
+    react = constant_reaction(-3.5)
+    runs = [
+        run_closed_loop(
+            grid, 0.1, r, y0, 1.5, 2e-3, feedback=feedback, snapshot_times=(0.0, 0.7, 1.5)
+        )
+        for r in (react, ReactionField(react.values, time_dependent=True))
+    ]
+    eig, nodal = runs
+    assert _rel(eig.norms, nodal.norms) <= 1e-11
+    assert _rel(eig.snapshots, nodal.snapshots) <= 1e-11
+    assert np.array_equal(eig.snapshots[0], y0)
+    assert np.array_equal(eig.feedback_on, nodal.feedback_on)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="longdouble is no wider than float64 on this platform",
+)
+@pytest.mark.parametrize(
+    "bc, n_nodes, T, feed_on, bound",
+    [
+        # measured 4.8e-14; the nodal path 4.8e-14
+        (D, 201, 0.3, None, 2e-13),
+        # measured 6.5e-14; the nodal path 5.8e-14
+        (N, 201, 0.3, (0.1, 0.2), 2e-13),
+        # measured 2.4e-14; the nodal path 6.4e-13
+        (D, 1001, 0.2, None, 1e-13),
+    ],
+    ids=["dirichlet-201", "neumann-201-window", "dirichlet-1001"],
+)
+def test_eigenbasis_path_near_extended_precision(bc, n_nodes, T, feed_on, bound):
+    grid = make_grid(bc, math.pi, n_nodes)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
+    y0 = 0.1 * grid.nodes + 0.05
+    run = run_closed_loop(grid, 0.1, constant_reaction(-3.5), y0, T, 1e-3, feedback=feedback)
+    ref = longdouble_closed_loop(grid, 0.1, -3.5, y0, T, 1e-3, feedback)
+    assert float(np.max(np.abs(run.norms - ref) / ref)) <= bound
