@@ -13,7 +13,6 @@ from .errors import (
     InvalidArgumentError,
     NotPositiveDefiniteError,
     NumericalFailureError,
-    SingularMatrixError,
 )
 from .fem import (
     ClosedLoopRun,
@@ -60,7 +59,6 @@ __all__ = [
     "NumericalFailureError",
     "ProjectionData",
     "Scheme",
-    "SingularMatrixError",
     "SufficientConditionReport",
     "analytic_theta_spectrum",
     "analytic_vartheta",

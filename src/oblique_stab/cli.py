@@ -329,12 +329,10 @@ def cmd_simulate(v: argparse.Namespace) -> Result:
     grid = make_grid(v.bc, v.L, v.N)
     reaction = _parse_reaction(v.reaction, v.nu, v.L)
     y0 = _parse_y0(v.y0, grid.nodes)
-    # placed even for free dynamics, so --feed-on off accepts only what on does
-    aset = place(v.scheme, v.L, v.M, v.r, centers=v.centers)
-
+    # built even for free dynamics, so --feed-on off accepts only what on does
+    op = feedback_matrices(grid, place(v.scheme, v.L, v.M, v.r, centers=v.centers))
     feedback = None
     if v.feed_on is not False:  # None keeps the feedback on throughout
-        op = feedback_matrices(grid, aset)
         feedback = FeedbackConfig(operator=op, lam=v.lam, feed_on=v.feed_on)
 
     run = run_closed_loop(

@@ -62,17 +62,12 @@ import numpy as np
 
 from .actuators import ActuatorSet, indicators
 from .errors import (
+    SIGMA_RATIO_THRESHOLD,
     DirectSumFailureError,
     InvalidArgumentError,
     NumericalFailureError,
-    SingularMatrixError,
 )
-from .linalg import (
-    solve_dense,
-    tridiag_factor,
-    tridiag_matvec,
-    tridiag_solve,
-)
+from .linalg import tridiag_factor, tridiag_matvec, tridiag_solve
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
 
@@ -237,9 +232,11 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
     """Sample actuators and the eigenfunctions of grid.bc on the grid and
     invert the coupling.
 
-    Raises DirectSumFailureError when the coupling matrix A = E^T M U is
-    numerically singular, which happens when an actuator support contains too
-    few interior nodes; refining the mesh resolves it.
+    Raises DirectSumFailureError when sigma_min/sigma_max of the coupling
+    matrix A = E^T M U is at most SIGMA_RATIO_THRESHOLD, the test that
+    build_projection applies to the continuous cross-Gram.  The coupling
+    fails it where the cross-Gram does, and also when an actuator support
+    contains too few nodes; refining the mesh resolves the latter.
     """
     if abs(grid.L - aset.L) > 1e-12 * max(grid.L, aset.L):
         raise InvalidArgumentError(
@@ -250,14 +247,16 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
     E = eigenfunctions(basis, grid.nodes)
     # einsum sums without BLAS, so A does not depend on the BLAS thread count.
     A = np.einsum("ni,nj->ij", E, tridiag_matvec(*grid.mass, U))
-    try:
-        P = solve_dense(A, E.T)
-    except SingularMatrixError as exc:
+    sv = np.linalg.svd(A, compute_uv=False)
+    ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    if ratio <= SIGMA_RATIO_THRESHOLD:
         raise DirectSumFailureError(
-            "coupling matrix between sampled actuators and eigenfunctions is "
-            "singular; refine the mesh so every actuator support contains "
-            "interior nodes, or change the placement"
-        ) from exc
+            f"sigma_min/sigma_max {ratio:.3e} of the coupling matrix between "
+            f"sampled actuators and eigenfunctions is at most {SIGMA_RATIO_THRESHOLD:g}; "
+            "refine the mesh so every actuator support contains interior nodes, "
+            "or change the placement"
+        )
+    P = np.linalg.solve(A, E.T)
     for arr in (U, E, A, P):
         arr.flags.writeable = False
     return FeedbackOperator(U=U, E=E, coupling=A, P=P)
@@ -281,7 +280,7 @@ def discrete_projection_norm(grid: FemGrid, op: FeedbackOperator) -> float:
         raise NumericalFailureError(
             "sampled eigenfunction or actuator Gram matrix is not positive definite"
         ) from None
-    return float(np.linalg.norm(L.T @ solve_dense(op.coupling, C), 2))
+    return float(np.linalg.norm(L.T @ np.linalg.solve(op.coupling, C), 2))
 
 
 @dataclass(frozen=True)

@@ -1,70 +1,25 @@
-"""Dense and tridiagonal linear algebra used by the projection and FEM layers.
+"""Symmetric tridiagonal matrices as (diag, off) pairs: product, factor, solve.
 
-A thin validation layer over LAPACK drivers: the operations add the domain
-checks the callers rely on (finiteness, pivot threshold 1e-14 relative,
-positive definiteness) and normalise failures to the shared exception types.
-The pivot threshold separates genuinely singular configurations, which
-produce exact or near-exact zero pivots, from benign ill-conditioning.  No
-other module uses scipy, and this one imports it on the first LU or
-tridiagonal factor or solve, so eigs and suffcond never do.
+The product is plain numpy.  Factor and solve wrap LAPACK dpttrf and dpttrs,
+add the domain checks the FEM layer relies on (shapes, finiteness, positive
+definiteness) and normalise failures to the shared exception types.  They
+are the only scipy users in the package, and scipy is imported on the first
+factor or solve, so only closed loops stepped on the nodes ever load it.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 
 import numpy as np
 
-from .errors import (
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-)
-
-PIVOT_RTOL = 1e-14
+from .errors import InvalidArgumentError, NotPositiveDefiniteError
 
 
 @functools.cache
 def _scipy_linalg():  # its import outweighs the rest of the package's
     import scipy.linalg
     return scipy.linalg
-
-
-def solve_dense(A, B) -> np.ndarray:
-    """Solve A X = B by LU with partial pivoting.
-
-    Raises SingularMatrixError when any pivot falls below 1e-14 times the
-    Frobenius norm of A; for this library that is the signal that a direct-sum
-    splitting fails.
-    """
-    arr = np.asarray(A, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidArgumentError(f"A must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError("A contains non-finite entries")
-    rhs = np.asarray(B, dtype=float)
-    if rhs.ndim not in (1, 2):
-        raise InvalidArgumentError(f"right-hand side must be 1-D or 2-D, got shape {rhs.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise InvalidArgumentError("right-hand side contains non-finite entries")
-    if rhs.shape[0] != arr.shape[0]:
-        raise InvalidArgumentError(
-            f"incompatible shapes: A is {arr.shape}, B is {rhs.shape}"
-        )
-    sla = _scipy_linalg()
-    with warnings.catch_warnings():
-        # An exactly zero pivot makes LAPACK warn before we raise below.
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(arr, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = PIVOT_RTOL * np.linalg.norm(arr)
-    if arr.size and np.min(pivots) <= threshold:
-        raise SingularMatrixError(
-            f"matrix is numerically singular: pivot {np.min(pivots):.3e} "
-            f"below threshold {threshold:.3e}"
-        )
-    return sla.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def tridiag_matvec(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:

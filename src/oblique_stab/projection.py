@@ -54,18 +54,8 @@ from .actuators import (
     normalized_indicator_coeff,
     uni_min_count,
 )
-from .errors import DirectSumFailureError, InvalidArgumentError
-from .linalg import solve_dense
+from .errors import SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
-
-# At or below this sigma_min/sigma_max of G the direct sum counts as failed.
-# The rounding of G's entries and svdvals each move sigma_min by a small
-# multiple of eps * sigma_max, a relative error of about 2e-16 / ratio: near
-# 1e-8 vartheta = sigma_min^2 is still good to about 4e-8 relative (measured
-# 1.6e-8 against a 60-digit SVD).  Below it the digits run out: centers 1e-8
-# apart (ratio 3.9e-9) fail, while con at r = 0.1, M = 7 (ratio 2.3e-7)
-# gives vartheta = 3.47e-14 to 2e-10 relative.
-SIGMA_RATIO_THRESHOLD = 1e-8
 
 # Gershgorin radius over smallest diagonal entry at or below which the
 # sorted diagonal of Theta is its spectrum to this relative accuracy.
@@ -362,11 +352,11 @@ def apply_projection(data: ProjectionData, f: Evaluator) -> tuple[np.ndarray, Ev
     f must be a vectorized evaluator on [0, L]; the quadrature splits its
     panels at the support endpoints.
     Returns the coefficient vector alpha (in the normalised-indicator basis)
-    and an evaluator of P f = sum_j alpha_j u_j.  The solve G alpha = [(e_i, f)]
-    raises through solve_dense if the cross-Gram is singular.
+    and an evaluator of P f = sum_j alpha_j u_j.  G in G alpha = [(e_i, f)]
+    passed build_projection's direct-sum test.
     """
     rhs = _inner_products(data, _eigen_family(data), f)
-    alpha = solve_dense(data.gram.entries, rhs)
+    alpha = np.linalg.solve(data.gram.entries, rhs)
     return alpha, _expansion(alpha, _actuator_family(data))
 
 
@@ -377,8 +367,9 @@ def orthogonal_projection_actuators(
 
     Solves the normal equations N gamma = [(u_j, f)] where N is the Gram
     matrix of the normalised indicators (the identity when no supports
-    overlap; overlaps contribute their shared length).  The oblique
-    projection's residual is never smaller than this one's.
+    overlap; overlaps contribute their shared length).  N is singular only
+    if G is, which build_projection has ruled out.  The oblique projection's
+    residual is never smaller than this one's.
     """
     aset = data.gram.actuators
     family = _actuator_family(data)
@@ -388,7 +379,7 @@ def orthogonal_projection_actuators(
     overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo)
     N = normalized_indicator_coeff(aset) ** 2 * np.maximum(overlap, 0.0)
     np.fill_diagonal(N, 1.0)
-    gamma = solve_dense(N, rhs)
+    gamma = np.linalg.solve(N, rhs)
     return gamma, _expansion(gamma, family)
 
 

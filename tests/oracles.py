@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from oblique_stab.fem import _mass_norm
-from oblique_stab.linalg import solve_dense, tridiag_matvec
+from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import (
     _actuator_family,
     _eigen_family,
@@ -57,7 +57,7 @@ def apply_adjoint_projection(data, f):
     evaluator of sum_i beta_i e_i.
     """
     rhs = _inner_products(data, _actuator_family(data), f)
-    beta = solve_dense(data.gram.entries.T, rhs)
+    beta = np.linalg.solve(data.gram.entries.T, rhs)
     return beta, _expansion(beta, _eigen_family(data))
 
 
@@ -85,7 +85,7 @@ def eigh_projection_norm(grid, op) -> float:
     N_U = op.U.T @ tridiag_matvec(*grid.mass, op.U)
     w, V = np.linalg.eigh(0.5 * (G_E + G_E.T))
     root = (V * np.sqrt(w)) @ V.T
-    X = solve_dense(op.coupling, root)
+    X = np.linalg.solve(op.coupling, root)
     S = X.T @ N_U @ X
     return float(np.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1]))
 

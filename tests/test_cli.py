@@ -248,12 +248,30 @@ def test_simulate_feedback_off(tmp_path):
 
 
 def test_simulate_feedback_off_still_validates_placement(tmp_path, capsys):
-    # free dynamics place the actuators too, so off rejects what on rejects
+    # free dynamics build the feedback operator too, so off rejects what on
+    # rejects: a placement (exit 2) and a mesh too coarse for it (exit 3)
     out = tmp_path / "free.csv"
-    argv = ["simulate", "--scheme", "uni", "--r", "0.9", "--M", "2", "--N", "101", "--T", "0.01"]
-    for feed_on in ("off", "0:0.005"):
-        assert main([*argv, "--feed-on", feed_on, "--output", str(out)]) == 2
-        assert "uniform placement requires M >= r/(1-r)" in capsys.readouterr().err
+    cases = [
+        (["--scheme", "uni", "--r", "0.9", "--M", "2", "--N", "101"], 2,
+         "uniform placement requires M >= r/(1-r)"),
+        (["--N", "21"], 3, "mesh"),
+    ]
+    for flags, rc, message in cases:
+        for feed_on in ("off", "0:0.005"):
+            argv = ["simulate", *flags, "--T", "0.01", "--feed-on", feed_on]
+            assert main([*argv, "--output", str(out)]) == rc, (flags, feed_on)
+            assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_placement_that_eigs_rejects(tmp_path, capsys):
+    # con at r = 0.1 fails the direct sum from M = 9 on; the coupling on the
+    # grid gets the same sigma-ratio test as the cross-Gram
+    out = tmp_path / "con.csv"
+    argv = ["simulate", "--scheme", "con", "--M", "9", "--r", "0.1", "--T", "0.01"]
+    for bc in ("dirichlet", "neumann"):
+        assert main([*argv, "--bc", bc, "--output", str(out)]) == 3
+        assert "sigma_min/sigma_max" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -759,19 +777,27 @@ def _loads_scipy(tmp_path, runs):
     return proc.stdout.splitlines()[-1] == "True"
 
 
-def test_spectral_commands_never_load_scipy(tmp_path):
+def test_commands_off_the_nodal_path_never_load_scipy(tmp_path):
     # main returns argparse's exit code for --help; the con sweep reaches the
-    # SVD branch of build_projection and fails the direct sum from M = 9 on
+    # SVD branch of build_projection and fails the direct sum from M = 9 on.
+    # A constant-reaction simulate steps in the eigenbasis and solves its
+    # coupling with numpy, as project does its Gram systems.
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x,value\n0,0\n1.5,1\n3.141592653589793,0\n")
     assert not _loads_scipy(tmp_path, [
         ("--help", 0),
         ("eigs --M 2..200 --r 0.1,0.5", 0),
         ("eigs --bc neumann --scheme uni --M 2..60 --r 0.3", 0),
         ("eigs --scheme con --M 2..20 --r 0.1", 3),
         ("suffcond --a-bound 3.5", 0),
+        ("simulate --T 0.01", 0),
+        ("simulate --bc neumann --T 0.01", 0),
+        (f"project --M 6 --r 0.1 --input {samples}", 0),
     ])
 
 
 def test_simulate_loads_scipy(tmp_path):
-    # the tridiagonal factor and solves need LAPACK dpttrf/dpttrs from scipy,
+    # a reaction that varies in x or t is stepped on the nodes, whose
+    # tridiagonal factor and solves need LAPACK dpttrf/dpttrs from scipy,
     # so the guard above can fail
-    assert _loads_scipy(tmp_path, [("simulate --T 0.01", 0)])
+    assert _loads_scipy(tmp_path, [("simulate --reaction oscillating --T 0.01", 0)])

@@ -239,6 +239,34 @@ def test_coarse_mesh_direct_sum_failure():
     assert "mesh" in str(exc.value)
 
 
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_con_coupling_fails_the_direct_sum(bc):
+    # coupling ratios 8.4e-10 (Dirichlet) and 2.1e-10 (Neumann); a closed
+    # loop built on such a coupling grows without bound
+    grid = make_grid(bc, math.pi, 1001)
+    with pytest.raises(DirectSumFailureError) as exc:
+        feedback_matrices(grid, place(Scheme.CON, math.pi, 9, 0.1))
+    assert "sigma_min/sigma_max" in str(exc.value) and "mesh" in str(exc.value)
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("r", [0.05, 0.1])
+@pytest.mark.parametrize("M", range(2, 13))
+def test_coupling_and_cross_gram_share_the_direct_sum_verdict(bc, r, M):
+    aset = place(Scheme.CON, math.pi, M, r)
+
+    def fails(build) -> bool:
+        try:
+            build()
+        except DirectSumFailureError:
+            return True
+        return False
+
+    continuous = fails(lambda: build_projection(assemble_cross_gram(bc, aset)))
+    on_grid = fails(lambda: feedback_matrices(make_grid(bc, math.pi, 1001), aset))
+    assert on_grid == continuous
+
+
 def test_grid_actuator_length_mismatch_rejected():
     grid = make_grid(D, math.pi, 101)
     with pytest.raises(InvalidArgumentError):

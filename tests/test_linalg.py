@@ -1,44 +1,14 @@
-"""Tests for the dense and tridiagonal linear-algebra helpers."""
+"""Tests for the tridiagonal linear-algebra helpers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oblique_stab.errors import (
-    InvalidArgumentError,
-    NotPositiveDefiniteError,
-    SingularMatrixError,
-)
-from oblique_stab.linalg import (
-    solve_dense,
-    tridiag_factor,
-    tridiag_matvec,
-    tridiag_solve,
-)
+from oblique_stab.errors import InvalidArgumentError, NotPositiveDefiniteError
+from oblique_stab.linalg import tridiag_factor, tridiag_matvec, tridiag_solve
 
 rng = np.random.default_rng(20240817)
-
-
-def test_solve_dense_matches_numpy():
-    a = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    b = rng.standard_normal(6)
-    x = solve_dense(a, b)
-    assert np.allclose(a @ x, b, atol=1e-10)
-
-
-def test_solve_dense_singular_raises():
-    a = np.ones((3, 3))
-    with pytest.raises(SingularMatrixError):
-        solve_dense(a, np.ones(3))
-
-
-@pytest.mark.parametrize(
-    "bad", [np.ones((2, 3)), np.array([[1.0, np.nan], [np.nan, 1.0]])], ids=["nonsquare", "nonfinite"]
-)
-def test_solve_dense_rejects_invalid_matrix(bad):
-    with pytest.raises(InvalidArgumentError):
-        solve_dense(bad, np.ones(2))
 
 
 def _dense(diag, off):
