@@ -26,29 +26,29 @@ homogeneous, so no boundary data enter a step; only the boundary values of
 y0, which need not vanish, enter the first Dirichlet step.
 
 One FemGrid from make_grid(bc, L, N) holds the nodes, the mass and stiffness
-matrices and the boundary condition, so the feedback operator and the time
-stepper always read the same boundary condition.
+matrices and the boundary condition.  The feedback operator keeps the grid it
+was built on, and the time stepper rejects an operator from another grid.
 
 Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
-(M [U])^T (M x N, contiguous) and W0 = P_M (-nu S + lambda M - R) (M x N),
-folding R in only when the reaction is static.  Since
-(2 M + k nu S) + (2 M - k nu S) = 4 M, a step solves for z = y_new + y and
-needs no product with 2 M - k nu S.  Each state's mass product M y is formed
-once and serves its norm, the next right-hand side and a time-dependent
-reaction, R y = (a o M y + M (a o y)) / 2, so no R is assembled per step.
-A step costs that mass product, one reaction product (R y for a static R,
-else M (a o y)), one W0 product (less P_M (R y) when R varies), one
-(M [U])^T product, and one dpttrs solve.
+(M [U])^T (M x N, contiguous) and W0 = P_M (-nu S + lambda M) (M x N).
+Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a step solves for z = y_new + y
+and needs no product with 2 M - k nu S.  No R is assembled: a run stepped on
+the nodes forms R y = (a o M y + M (a o y)) / 2 from nodal values a taken
+once for a static reaction and at every step otherwise, and each state's
+mass product M y serves its norm, the next right-hand side and R y.  A step
+costs two mass products (M y, M (a o y)), one W0 product and one P_M (R y)
+product while the feedback acts, one (M [U])^T product, and one dpttrs solve.
 
 A static reaction with equal values at every node gives R = a M, and on the
 uniform grid M and S share their eigenvectors V: discrete sines on the
 Dirichlet interior, discrete cosines (with D = diag(1/2, 1, .., 1, 1/2))
 under Neumann conditions, M V = D V diag(mu) and S V = D V diag(sigma).
-Such a run forms step 0's right-hand side on the nodes and then steps the
-coefficients V^{-1} y: three elementwise products, the norm as a weighted
-sum of squares, and, while the feedback acts, the two thin products with
-W0 V and V^{-1} D^{-1} M [U] (both M x n).  No step multiplies by M, solves
-or transforms: a real FFT per row maps the rows of W0 and (M [U])^T, y0 and
+Such a run folds R into W0 = P_M (-nu S + lambda M - a M), forms step 0's
+right-hand side on the nodes and then steps the coefficients V^{-1} y:
+three elementwise products, the norm as a weighted sum of squares, and,
+while the feedback acts, the two thin products with W0 V and
+V^{-1} D^{-1} M [U] (both M x n).  No step multiplies by M, solves or
+transforms: a real FFT per row maps the rows of W0 and (M [U])^T, y0 and
 step 0's right-hand side into the eigenbasis once, and each snapshot back.
 """
 
@@ -116,21 +116,12 @@ def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
     )
 
 
-def reaction_matrix(grid: FemGrid, a_nodes: np.ndarray) -> Tridiag:
-    """Symmetrised reaction matrix (M Diag(a) + Diag(a) M) / 2 for nodal a."""
-    a = np.asarray(a_nodes, dtype=float)
-    if a.shape != (grid.N,):
-        raise InvalidArgumentError(f"reaction values must have shape ({grid.N},), got {a.shape}")
-    mdiag, moff = grid.mass
-    return mdiag * a, moff * 0.5 * (a[:-1] + a[1:])
-
-
 @dataclass(frozen=True)
 class ReactionField:
     """Reaction coefficient a(x, t) sampled at grid nodes.
 
     values(nodes, t) returns the nodal samples; time_dependent=False lets the
-    closed-loop driver assemble the reaction matrix once.
+    closed-loop driver evaluate them once instead of at every step.
     """
 
     values: Callable[[np.ndarray, float], np.ndarray]
@@ -216,12 +207,14 @@ def tabulated_reaction(
 class FeedbackOperator:
     """Discrete oblique projection data on a fixed grid.
 
+    grid:     the grid the operator was built on
     U:        N x M nodal samples of the plain indicator functions
     E:        N x M nodal samples of the eigenfunctions
     coupling: A = E^T M U
     P:        A^{-1} E^T, so the nodal projection of z is U P M z
     """
 
+    grid: FemGrid
     U: np.ndarray
     E: np.ndarray
     coupling: np.ndarray
@@ -259,12 +252,12 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
     P = np.linalg.solve(A, E.T)
     for arr in (U, E, A, P):
         arr.flags.writeable = False
-    return FeedbackOperator(U=U, E=E, coupling=A, P=P)
+    return FeedbackOperator(grid=grid, U=U, E=E, coupling=A, P=P)
 
 
-def discrete_projection_norm(grid: FemGrid, op: FeedbackOperator) -> float:
+def discrete_projection_norm(op: FeedbackOperator) -> float:
     """Operator norm of the discrete projection U A^{-1} E^T M in the mass
-    inner product.
+    inner product of op.grid.
 
     With the Cholesky factors C C^T = E^T M E and L L^T = U^T M U the norm is
     the largest singular value of L^T A^{-1} C, whose squared singular values
@@ -272,8 +265,8 @@ def discrete_projection_norm(grid: FemGrid, op: FeedbackOperator) -> float:
     the discrete operator, no sampling involved.  Raises NumericalFailureError
     when either Gram matrix is not positive definite.
     """
-    G_E = op.E.T @ tridiag_matvec(*grid.mass, op.E)
-    N_U = op.U.T @ tridiag_matvec(*grid.mass, op.U)
+    G_E = op.E.T @ tridiag_matvec(*op.grid.mass, op.E)
+    N_U = op.U.T @ tridiag_matvec(*op.grid.mass, op.U)
     try:
         C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(N_U)
     except np.linalg.LinAlgError:
@@ -374,8 +367,8 @@ def run_closed_loop(
     of 2 M + k nu S is solved.  A static, spatially constant reaction is
     stepped in the eigenbasis of M and S (see the module docstring).
 
-    Raises InvalidArgumentError for nu, T or k not positive and finite or a
-    snapshot time outside [0, T], and
+    Raises InvalidArgumentError for nu, T or k not positive and finite, a
+    snapshot time outside [0, T] or a feedback operator from another grid, and
     NumericalFailureError, naming the step and its time, at the first state
     whose norm is not finite.
     """
@@ -388,6 +381,12 @@ def run_closed_loop(
     y = np.array(y0, dtype=float)
     if y.shape != (grid.N,):
         raise InvalidArgumentError(f"initial state must have shape ({grid.N},), got {y.shape}")
+    if feedback is not None:
+        ours, theirs = ((g.bc.value, g.L, g.N) for g in (grid, feedback.operator.grid))
+        if ours != theirs:
+            raise InvalidArgumentError(
+                f"feedback operator was built on the grid (bc, L, N) = {theirs}, not on {ours}"
+            )
 
     n_steps = int(math.floor(T / k + 1e-9))
     if n_steps < 1:
@@ -408,13 +407,12 @@ def run_closed_loop(
     plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
     edge0, edge1 = plus_off[0], plus_off[-1]
 
-    R_static = a_const = None
+    a_static = a_const = None
     if not reaction.time_dependent:
-        a_nodes = reaction.values(nodes, 0.0)
-        R_static = reaction_matrix(grid, a_nodes)
-        if np.all(a_nodes == a_nodes[0]):
+        a_static = reaction.values(nodes, 0.0)
+        if np.all(a_static == a_static[0]):
             # R = a M is diagonal in the eigenbasis of M and S
-            a_const = float(a_nodes[0])
+            a_const = float(a_static[0])
     if a_const is None:
         factor = tridiag_factor(plus_diag[inner], plus_off[inner])
 
@@ -422,25 +420,22 @@ def run_closed_loop(
         P = feedback.operator.P
         MUt = np.ascontiguousarray(tridiag_matvec(*mass, feedback.operator.U).T)
         K = (feedback.lam * mdiag - nu * sdiag, feedback.lam * moff - nu * soff)
-        if R_static is not None:
-            K = (K[0] - R_static[0], K[1] - R_static[1])
+        if a_const is not None:
+            K = (K[0] - mdiag * a_const, K[1] - moff * a_const)
         # W0 = P K = (K P^T)^T, because K is symmetric.
         W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
 
     def force(state: np.ndarray, Mstate: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
         """q = -h = R y + M [U] P_M (-nu S + lambda M - R) y while the feedback
-        acts, else R y; and whether it acts."""
-        if R_static is not None:
-            q = tridiag_matvec(*R_static, state)
-        else:
-            a = reaction.values(nodes, t)
-            q = a * Mstate
-            q += tridiag_matvec(*mass, a * state)
-            q *= 0.5
+        acts, else R y = (a o M y + M (a o y)) / 2; and whether it acts."""
+        a = reaction.values(nodes, t) if a_static is None else a_static
+        q = a * Mstate
+        q += tridiag_matvec(*mass, a * state)
+        q *= 0.5
         if feedback is None or not feedback.active(t):
             return q, False
         c = W0 @ state
-        if R_static is None:
+        if a_const is None:  # else W0 holds -P_M R (step 0 of the eigenbasis path)
             c -= P @ q
         q += c @ MUt
         return q, True

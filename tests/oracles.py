@@ -68,21 +68,31 @@ def check_theta_diagonal(data) -> tuple[bool, float]:
     return data.max_offdiag <= DIAG_RTOL * max_diag, data.max_offdiag
 
 
+def reaction_matrix(grid, a_nodes):
+    """Symmetrised reaction matrix (M Diag(a) + Diag(a) M) / 2 for nodal a,
+    as a (diag, off) pair; R y = (a o M y + M (a o y)) / 2."""
+    a = np.asarray(a_nodes, dtype=float)
+    if a.shape != (grid.N,):
+        raise ValueError(f"reaction values must have shape ({grid.N},), got {a.shape}")
+    mdiag, moff = grid.mass
+    return mdiag * a, moff * 0.5 * (a[:-1] + a[1:])
+
+
 def nodal_l2_norm(grid, y) -> float:
     """L2(0, L) norm of the hat interpolant with nodal values y."""
     y = np.asarray(y, dtype=float)
     return _mass_norm(y, tridiag_matvec(*grid.mass, y))
 
 
-def eigh_projection_norm(grid, op) -> float:
+def eigh_projection_norm(op) -> float:
     """Discrete projection norm from the symmetric square root of E^T M E.
 
     With G_E = E^T M E and N_U = U^T M U the squared norm is the largest
     eigenvalue of G_E^{1/2} A^{-T} N_U A^{-1} G_E^{1/2}, the square root
     taken from eigh of G_E.
     """
-    G_E = op.E.T @ tridiag_matvec(*grid.mass, op.E)
-    N_U = op.U.T @ tridiag_matvec(*grid.mass, op.U)
+    G_E = op.E.T @ tridiag_matvec(*op.grid.mass, op.E)
+    N_U = op.U.T @ tridiag_matvec(*op.grid.mass, op.U)
     w, V = np.linalg.eigh(0.5 * (G_E + G_E.T))
     root = (V * np.sqrt(w)) @ V.T
     X = np.linalg.solve(op.coupling, root)
@@ -90,25 +100,56 @@ def eigh_projection_norm(grid, op) -> float:
     return float(np.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1]))
 
 
-def project_nodal(grid, op, z):
+def project_nodal(op, z):
     """Nodal values of the discrete oblique projection: U P M z."""
     z = np.asarray(z, dtype=float)
-    return op.U @ (op.P @ tridiag_matvec(*grid.mass, z))
+    return op.U @ (op.P @ tridiag_matvec(*op.grid.mass, z))
 
 
-def feedback_apply(grid, op, nu: float, lam: float, R, y):
+def feedback_apply(op, nu: float, lam: float, R, y):
     """Nodal feedback force f = -U P (-nu S y - R y + lam M y).
 
     This is the force before multiplication by the mass matrix; the closed
     loop adds M f to the reaction part -R y of the external force.
     """
-    y = np.asarray(y, dtype=float)
+    y, grid = np.asarray(y, dtype=float), op.grid
     resid = (
         -nu * tridiag_matvec(*grid.stiffness, y)
         - tridiag_matvec(*R, y)
         + lam * tridiag_matvec(*grid.mass, y)
     )
     return -(op.U @ (op.P @ resid))
+
+
+def low_mode_moments(op, states):
+    """Moments m_n = E^T M y_n of the nodal states y_n (the rows of states),
+    one row per state; only the interior rows of E and M y enter under
+    Dirichlet conditions, the rows the stepper solves for."""
+    grid = op.grid
+    cut = slice(1, -1) if grid.bc is BoundaryCondition.DIRICHLET else slice(None)
+    My = tridiag_matvec(*grid.mass, np.asarray(states, dtype=float).T)
+    return (op.E[cut].T @ My[cut]).T
+
+
+def low_mode_step(op, nu: float, lam: float, k: float, m_prev, m):
+    """The moments one step after m, by the closed loop's low-mode law.
+
+    The sampled eigenfunctions are eigenvectors of the uniform grid's
+    matrices, E^T S = diag(Lambda) E^T M with Lambda = sigma / mu.  Applying
+    E^T to the force q = R y + M [U] P (lambda M - nu S - R) y while the
+    feedback acts gives E^T q = g m with g = lambda - nu Lambda, whatever the
+    reaction, since A P = E^T.  The Crank-Nicolson step with the extrapolated
+    force then reads
+    (2 + k nu Lambda) m_{n+1} = (2 - k nu Lambda - 3 k g) m_n + k g m_{n-1}.
+    """
+    grid = op.grid
+    j = np.arange(1, op.E.shape[1] + 1)
+    if grid.bc is BoundaryCondition.NEUMANN:
+        j = j - 1  # cos((i - 1) pi x / L) is the discrete cosine of index i - 1
+    s = np.sin(j * (0.5 * math.pi / (grid.N - 1))) ** 2
+    Lam = (4.0 / grid.h) * s / (grid.h - (2.0 * grid.h / 3.0) * s)
+    g = lam - nu * Lam
+    return ((2.0 - k * nu * Lam - 3.0 * k * g) * m + k * g * m_prev) / (2.0 + k * nu * Lam)
 
 
 def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, feedback=None):

@@ -643,6 +643,8 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
 # at 1 and 2 threads, so those cases fail unless the product avoids BLAS.
 # The Dirichlet case is the eigenbasis path of the default run, with no
 # feedback window; the constant Neumann case is that path switching off.
+# The one-row table is a static reaction that varies in x, stepped on the
+# nodes like the oscillating one but with its values evaluated once.
 @pytest.mark.parametrize(
     "case",
     [
@@ -650,10 +652,18 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
         "--bc neumann --reaction oscillating --M 24 --feed-on 0:0.02",
         "--bc dirichlet --M 47",
         "--bc neumann --M 8 --feed-on 0:0.02",
+        "--bc dirichlet --reaction table:{table} --M 47",
     ],
-    ids=["--M 8", "--M 24", "dirichlet --M 47", "neumann constant --M 8"],
+    ids=["--M 8", "--M 24", "dirichlet --M 47", "neumann constant --M 8", "table --M 47"],
 )
 def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
+    table = tmp_path / "react.csv"
+    xs = [math.pi * i / 60 for i in range(61)]
+    table.write_text(
+        "x," + ",".join(f"{x!r}" for x in xs) + "\n"
+        "0.0," + ",".join(f"{math.cos(x) - 3.5 + 0.3 * x!r}" for x in xs) + "\n"
+    )
+    case = case.format(table=table)
     one = _simulate_rows_at_blas_threads(tmp_path, 1, case)
     two = _simulate_rows_at_blas_threads(tmp_path, 2, case)
     assert len(one) == 102
