@@ -34,10 +34,15 @@ Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
 Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a step solves for z = y_new + y
 and needs no product with 2 M - k nu S.  No R is assembled: a run stepped on
 the nodes forms R y = (a o M y + M (a o y)) / 2 from nodal values a taken
-once for a static reaction and at every step otherwise, and each state's
-mass product M y serves its norm, the next right-hand side and R y.  A step
-costs two mass products (M y, M (a o y)), one W0 product and one P_M (R y)
-product while the feedback acts, one (M [U])^T product, and one dpttrs solve.
+once for a static reaction and drawn from ReactionField.rows at every step
+otherwise, and each state's mass product M y serves its norm, the next
+right-hand side and R y.  A step costs two mass products (M y, M (a o y)),
+each one convolution with the stencil (h/6, 2h/3, h/6) plus the two edge
+rows; about ten elementwise passes, with the force q scaled by k once and
+4 M y + k q_prev - 3 k q formed in place; the W0, P_M and (M [U])^T products
+while the feedback acts; and one dpttrs solve, the largest share left.  The
+oscillating reaction's row costs one complex product per node instead of a
+cosine (see oscillating_reaction).
 
 A static reaction with equal values at every node gives R = a M, and on the
 uniform grid M and S share their eigenvectors V: discrete sines on the
@@ -56,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -116,16 +121,30 @@ def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
     )
 
 
+# A rotated reaction stream re-evaluates cos and sin at every this many steps.
+ROTATION_ANCHOR_STEPS = 64
+
+
 @dataclass(frozen=True)
 class ReactionField:
     """Reaction coefficient a(x, t) sampled at grid nodes.
 
-    values(nodes, t) returns the nodal samples; time_dependent=False lets the
-    closed-loop driver evaluate them once instead of at every step.
+    values(nodes, t) returns the nodal samples at any time; time_dependent=False
+    lets the closed-loop driver evaluate them once instead of at every step.
+    rows(nodes, times) yields the samples at each of the uniform times
+    times[j] = times[0] + j dt in turn: values(nodes, t) unless the field
+    supplies a cheaper stream, which agrees with values to rounding.  A row
+    is valid until the next one is drawn.
     """
 
     values: Callable[[np.ndarray, float], np.ndarray]
     time_dependent: bool
+    stream: Callable[[np.ndarray, np.ndarray], Iterator[np.ndarray]] | None = None
+
+    def rows(self, nodes: np.ndarray, times: np.ndarray) -> Iterator[np.ndarray]:
+        if self.stream is not None:
+            return self.stream(nodes, times)
+        return (self.values(nodes, t) for t in times)
 
 
 def constant_reaction(value: float) -> ReactionField:
@@ -141,6 +160,11 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
 
     Strictly negative everywhere, so the uncontrolled dynamics is unstable
     whenever 35 nu (pi/L)^2 exceeds the first diffusion eigenvalue.
+
+    Its rows turn w = |x| e^{ixt} by the fixed angle x dt from one time to
+    the next, one complex product per node instead of a cosine, and yield
+    base - 2 |cos 4t| |Re w|.  Every ROTATION_ANCHOR_STEPS steps w is
+    re-anchored from cos and sin, and that row is values(x, t) exactly.
     """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
@@ -159,7 +183,29 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
         out += base
         return out
 
-    return ReactionField(values=values, time_dependent=True)
+    def stream(x: np.ndarray, times: np.ndarray) -> Iterator[np.ndarray]:
+        arr = np.asarray(x, dtype=float)
+        angle = arr * (times[1] - times[0] if len(times) > 1 else 0.0)
+        turn = np.empty(arr.shape, dtype=complex)
+        np.cos(angle, out=turn.real)
+        np.sin(angle, out=turn.imag)
+        w = np.empty_like(turn)
+        row = np.empty_like(arr)
+        for j, t in enumerate(times):
+            if j % ROTATION_ANCHOR_STEPS:
+                w *= turn
+                np.abs(w.real, out=row)
+                row *= -2.0 * abs(np.cos(4.0 * t))
+                row += base
+                yield row
+            else:
+                np.multiply(arr, t, out=angle)
+                np.cos(angle, out=w.real)
+                np.sin(angle, out=w.imag)
+                w *= np.abs(arr)
+                yield values(arr, t)
+
+    return ReactionField(values=values, time_dependent=True, stream=stream)
 
 
 def tabulated_reaction(
@@ -288,11 +334,10 @@ class FeedbackConfig:
     lam: float = 1.0
     feed_on: tuple[float, float] | None = None
 
-    def active(self, t: float) -> bool:
-        if self.feed_on is None:
-            return True
-        t0, t1 = self.feed_on
-        return t0 - 1e-9 <= t <= t1 + 1e-9
+    def active(self, t: float | np.ndarray) -> bool | np.ndarray:
+        """Whether the feedback acts at time t; elementwise for an array of times."""
+        t0, t1 = (-math.inf, math.inf) if self.feed_on is None else self.feed_on
+        return (t0 - 1e-9 <= t) & (t <= t1 + 1e-9)
 
 
 @dataclass(frozen=True)
@@ -368,9 +413,9 @@ def run_closed_loop(
     stepped in the eigenbasis of M and S (see the module docstring).
 
     Raises InvalidArgumentError for nu, T or k not positive and finite, a
-    snapshot time outside [0, T] or a feedback operator from another grid, and
-    NumericalFailureError, naming the step and its time, at the first state
-    whose norm is not finite.
+    snapshot time outside [0, T], a feedback window that starts after T or a
+    feedback operator from another grid, and NumericalFailureError, naming
+    the step and its time, at the first state whose norm is not finite.
     """
     for name, x in (("diffusion", nu), ("time step", k), ("final time", T)):
         if not (x > 0.0 and math.isfinite(x)):
@@ -387,6 +432,11 @@ def run_closed_loop(
             raise InvalidArgumentError(
                 f"feedback operator was built on the grid (bc, L, N) = {theirs}, not on {ours}"
             )
+        if feedback.feed_on is not None and feedback.feed_on[0] > T:
+            t0, t1 = feedback.feed_on
+            raise InvalidArgumentError(
+                f"feedback window [{t0:g}, {t1:g}] starts after the final time {T:g}"
+            )
 
     n_steps = int(math.floor(T / k + 1e-9))
     if n_steps < 1:
@@ -394,7 +444,9 @@ def run_closed_loop(
     try:
         times = np.arange(n_steps + 1) * k
         norms = np.empty(n_steps + 1)
-        feedback_flags = np.zeros(n_steps + 1, dtype=bool)
+        feedback_flags = (
+            np.zeros(n_steps + 1, dtype=bool) if feedback is None else feedback.active(times)
+        )
     except MemoryError:
         raise InvalidArgumentError(
             f"{n_steps} time steps (T/k) need more memory than is available"
@@ -405,7 +457,6 @@ def run_closed_loop(
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     inner = slice(1, -1) if dirichlet else slice(None)
     plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
-    edge0, edge1 = plus_off[0], plus_off[-1]
 
     a_static = a_const = None
     if not reaction.time_dependent:
@@ -413,8 +464,6 @@ def run_closed_loop(
         if np.all(a_static == a_static[0]):
             # R = a M is diagonal in the eigenbasis of M and S
             a_const = float(a_static[0])
-    if a_const is None:
-        factor = tridiag_factor(plus_diag[inner], plus_off[inner])
 
     if feedback is not None:
         P = feedback.operator.P
@@ -424,21 +473,6 @@ def run_closed_loop(
             K = (K[0] - mdiag * a_const, K[1] - moff * a_const)
         # W0 = P K = (K P^T)^T, because K is symmetric.
         W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
-
-    def force(state: np.ndarray, Mstate: np.ndarray, t: float) -> tuple[np.ndarray, bool]:
-        """q = -h = R y + M [U] P_M (-nu S + lambda M - R) y while the feedback
-        acts, else R y = (a o M y + M (a o y)) / 2; and whether it acts."""
-        a = reaction.values(nodes, t) if a_static is None else a_static
-        q = a * Mstate
-        q += tridiag_matvec(*mass, a * state)
-        q *= 0.5
-        if feedback is None or not feedback.active(t):
-            return q, False
-        c = W0 @ state
-        if a_const is None:  # else W0 holds -P_M R (step 0 of the eigenbasis path)
-            c -= P @ q
-        q += c @ MUt
-        return q, True
 
     snap_slots: dict[int, list[int]] = {}
     for s, tt in enumerate(snap_times):
@@ -455,35 +489,69 @@ def run_closed_loop(
         norms[j] = norm
         return snap_slots.get(j, [])
 
+    def seed_boundary(rhs: np.ndarray) -> None:
+        """z = y0 on a Dirichlet boundary, the only state nonzero there."""
+        if dirichlet:
+            rhs[1] -= plus_off[0] * y[0]
+            rhs[-2] -= plus_off[-1] * y[-1]
+
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_steps + 1):
-            t = times[j]
-            My = tridiag_matvec(*mass, y)
-            if slots := record(j, _mass_norm(y, My)):
-                snapshots[slots] = y
-            if j == n_steps:
-                feedback_flags[j] = feedback is not None and feedback.active(t)
-                break
-            q, feedback_flags[j] = force(y, My, t)
-            if j == 0:
-                q_prev = q
-            rhs = 4.0 * My
-            rhs -= k * (3.0 * q - q_prev)
-            q_prev = q
-            if dirichlet:
-                # z = y on the boundary, where y is nonzero only in y0
-                rhs[1] -= edge0 * y[0]
-                rhs[-2] -= edge1 * y[-1]
-            if a_const is not None:
-                break  # step 0's right-hand side seeds the eigenbasis loop
-            np.subtract(tridiag_solve(factor, rhs[inner]), y[inner], out=rhs[inner])
-            if dirichlet:
-                rhs[0] = rhs[-1] = 0.0
-            y = rhs
+        if a_const is None:
+            factor = tridiag_factor(plus_diag[inner], plus_off[inner])
+            a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
+            stencil = np.array([moff[0], mdiag[1], moff[0]])
 
-        if a_const is not None:
+            def mass_times(x: np.ndarray) -> np.ndarray:
+                """M x: one convolution with the stencil (h/6, 2h/3, h/6), then the edge rows."""
+                Mx = np.convolve(x, stencil, "same")
+                Mx[0] = mdiag[0] * x[0] + moff[0] * x[1]
+                Mx[-1] = mdiag[-1] * x[-1] + moff[-1] * x[-2]
+                return Mx
+
+            work = np.empty(N)
+            for j in range(n_steps + 1):
+                My = mass_times(y)
+                if slots := record(j, _mass_norm(y, My)):
+                    snapshots[slots] = y
+                if j == n_steps:
+                    break
+                a = a_static if a_rows is None else next(a_rows)
+                # q = k R y = k (a o M y + M (a o y)) / 2, plus k M [U] c while
+                # the feedback acts, c = P_M (-nu S + lambda M - R) y
+                np.multiply(a, y, out=work)
+                q = mass_times(work)
+                q += np.multiply(a, My, out=work)
+                q *= 0.5 * k
+                if feedback_flags[j]:
+                    q += (k * (W0 @ y) - P @ q) @ MUt
+                # rhs = 4 M y + k q_prev - 3 k q, with the ghost q_prev = q at step 0
+                rhs = np.multiply(My, 4.0, out=My)
+                rhs += kq_prev if j else q
+                rhs -= np.multiply(q, 3.0, out=work)
+                kq_prev = q
+                if j == 0:
+                    seed_boundary(rhs)
+                np.subtract(tridiag_solve(factor, rhs[inner]), y[inner], out=rhs[inner])
+                if dirichlet:
+                    rhs[0] = rhs[-1] = 0.0
+                y = rhs
+        else:
+            My = tridiag_matvec(*mass, y)
+            if slots := record(0, _mass_norm(y, My)):
+                snapshots[slots] = y
+            # step 0's right-hand side on the nodes; W0 holds -P_M R
+            c_prev = W0 @ y if feedback_flags[0] else None
+            q = a_static * My
+            q += tridiag_matvec(*mass, a_static * y)
+            q *= 0.5
+            if c_prev is not None:
+                q += c_prev @ MUt
+            rhs = 4.0 * My
+            rhs -= k * (3.0 * q - q)  # 3 q - q_prev with the ghost q_prev = q, not 2 q
+            seed_boundary(rhs)
+
             # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
             idx = np.arange(1, N - 1) if dirichlet else np.arange(N)
             s = np.sin(idx * (0.5 * math.pi / (N - 1))) ** 2
@@ -504,13 +572,12 @@ def run_closed_loop(
             if feedback is not None:
                 Ch = _trig_sums(W0[:, inner], dirichlet)
                 Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
-            c_prev = W0 @ y if feedback_flags[0] else None
             for j in range(1, n_steps + 1):
                 if slots := record(j, math.sqrt(float(np.add.reduce(wmu * yh * yh)))):
                     snapshots[slots, inner] = _trig_sums(yh, dirichlet)
-                on = feedback_flags[j] = feedback is not None and feedback.active(times[j])
                 if j == n_steps:
                     break
+                on = feedback_flags[j]
                 y_new = A1 * yh
                 y_new += hist
                 c = Ch @ yh if on else None

@@ -289,6 +289,14 @@ def test_simulate_feed_on_window(tmp_path):
     assert "0" in flags and "1" in flags
 
 
+def test_simulate_feed_on_window_after_final_time_exits_two(tmp_path, capsys):
+    # the window would never open, so the run would silently be free dynamics
+    out = tmp_path / "late.csv"
+    assert main(["simulate", "--feed-on", "5:6", "--N", "101", "--output", str(out)]) == 2
+    assert "feedback window [5, 6] starts after the final time 4.5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_snapshots(tmp_path):
     out = tmp_path / "run.csv"
     rc = main([

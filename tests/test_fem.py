@@ -15,6 +15,7 @@ from oblique_stab.errors import (
     NumericalFailureError,
 )
 from oblique_stab.fem import (
+    ROTATION_ANCHOR_STEPS,
     FeedbackConfig,
     ReactionField,
     constant_reaction,
@@ -133,6 +134,35 @@ def test_oscillating_reaction_field():
     expected = -3.5 - 2 * np.abs(np.cos(4 * t) * np.cos(x * t) * x)
     assert np.allclose(f.values(x, t), expected, rtol=1e-14)
     assert f.time_dependent
+
+
+@pytest.mark.parametrize(
+    "bc, n_nodes, k, n_times",
+    [(N, 10001, 4e-4, 1251), (D, 1001, 1e-3, 4501)],
+    ids=["neumann-10001", "dirichlet-1001"],
+)
+def test_oscillating_rows_follow_values(bc, n_nodes, k, n_times):
+    # the rows turn |x| e^{ixt} by x k per step and re-anchor from cos and sin
+    grid = make_grid(bc, math.pi, n_nodes)
+    f = oscillating_reaction(0.1, math.pi)
+    times = np.arange(n_times) * k
+    gap, n_rows = 0.0, 0
+    for j, (t, row) in enumerate(zip(times, f.rows(grid.nodes, times))):
+        ref = f.values(grid.nodes, t)
+        if j % ROTATION_ANCHOR_STEPS == 0:
+            assert np.array_equal(row, ref), j
+        gap = max(gap, float(np.max(np.abs(row - ref))))
+        n_rows += 1
+    assert n_rows == n_times
+    # measured 2.7e-14 (Neumann) and 2.5e-14 (Dirichlet)
+    assert gap <= 1e-13
+
+
+def test_default_rows_are_values():
+    f = tabulated_reaction([0.0, 1.0], [0.0, 2.0], [[0.0, 2.0], [4.0, 6.0]])
+    x, times = np.array([0.5, 1.5]), np.array([0.0, 0.25, 0.5])
+    for t, row in zip(times, f.rows(x, times), strict=True):
+        assert np.array_equal(row, f.values(x, t))
 
 
 @pytest.mark.parametrize(
@@ -329,7 +359,8 @@ def test_feedback_window_membership():
 
 
 def test_inactive_feedback_equals_free_run():
-    # a window that never opens within [0, T] must reproduce the free dynamics
+    # a window that opens only at the final time, after the last step, must
+    # reproduce the free dynamics
     grid = make_grid(D, math.pi, 151)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     y0 = np.sin(grid.nodes)
@@ -337,10 +368,21 @@ def test_inactive_feedback_equals_free_run():
     free = run_closed_loop(grid, 0.1, react, y0, 1.0, 2e-3, snapshot_times=(1.0,))
     gated = run_closed_loop(
         grid, 0.1, react, y0, 1.0, 2e-3,
-        feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(2.0, 3.0)),
+        feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(1.0, 3.0)),
         snapshot_times=(1.0,),
     )
+    assert gated.feedback_on[-1] and not gated.feedback_on[:-1].any()
     assert np.array_equal(free.snapshots, gated.snapshots)
+
+
+def test_feedback_window_after_final_time_is_rejected():
+    grid = make_grid(D, math.pi, 151)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
+    with pytest.raises(InvalidArgumentError, match="starts after the final time 1"):
+        run_closed_loop(
+            grid, 0.1, constant_reaction(-1.0), np.sin(grid.nodes), 1.0, 2e-3,
+            feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(2.0, 3.0)),
+        )
 
 
 # ---------------------------------------------------------------- time stepping
@@ -602,11 +644,12 @@ def _rel(got, ref):
         (D, "static", 6, None),
         (N, "static", 8, (0.1, 0.4)),
         (N, "oscillating", 8, (0.0, 0.3)),
+        (D, "oscillating", 6, (0.1, 0.4)),
         (D, "varying", 6, None),
     ],
     ids=[
         "dirichlet-static", "neumann-static-window", "neumann-oscillating-window",
-        "dirichlet-static-varying",
+        "dirichlet-oscillating-window", "dirichlet-static-varying",
     ],
 )
 def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
