@@ -49,11 +49,22 @@ uniform grid M and S share their eigenvectors V: discrete sines on the
 Dirichlet interior, discrete cosines (with D = diag(1/2, 1, .., 1, 1/2))
 under Neumann conditions, M V = D V diag(mu) and S V = D V diag(sigma).
 Such a run folds R into W0 = P_M (-nu S + lambda M - a M), forms step 0's
-right-hand side on the nodes and then steps the coefficients V^{-1} y:
-three elementwise products, the norm as a weighted sum of squares, and,
-while the feedback acts, the two thin products with W0 V and
-V^{-1} D^{-1} M [U] (both M x n).  No step multiplies by M, solves or
-transforms: a real FFT per row maps the rows of W0 and (M [U])^T, y0 and
+right-hand side on the nodes and then steps the coefficients u = V^{-1} y:
+u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j B with diagonal A1, A2, the thin
+B ~ V^{-1} D^{-1} M [U] (M x n) and the read g_j = 3 c_j - c_{j-1}, where
+c_j = W0 V u_j while the feedback acts at step j and 0 otherwise.  The
+sampled eigenfunctions are eigenvectors, so W0 V vanishes beyond column M
+up to rounding: the first M coefficients form a closed system,
+z_j = (u_j[:M], u_{j-1}[:M]) obeys z_{j+1} = F z_j with one 2M x 2M
+matrix F per pair (on_j, on_{j-1}), and the higher ones are a diagonal
+recurrence driven by them.  From step 2 on the run advances in blocks of
+at most BLOCK_STEPS steps with one pair: one product of z with a cached
+stack of Q F^i, where g_j = Q z_j, yields a block's forces, one M x n
+product spreads them, and each step costs four elementwise calls on n
+coefficients.  A block's norms are one weighted sum of squares per row,
+checked step by step; a block whose powers of F overflow before the state
+does is stepped singly.  Nothing multiplies by M, solves or transforms
+per step: a real FFT per row maps the rows of W0 and (M [U])^T, y0 and
 step 0's right-hand side into the eigenbasis once, and each snapshot back.
 """
 
@@ -383,6 +394,22 @@ def _trig_sums(x: np.ndarray, dirichlet: bool) -> np.ndarray:
     return np.ascontiguousarray(np.fft.rfft(ext).real)
 
 
+# The eigenbasis stepper advances at most this many steps per block.
+BLOCK_STEPS = 16
+
+
+def _blocks(flags: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, int]]:
+    """(j0, steps) blocks that cover the steps start..stop-1, each at most
+    BLOCK_STEPS long, over which the pair (flags[j], flags[j-1]) is constant."""
+    cuts = {start, stop}
+    for c in (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist():
+        cuts.update(x for x in (c, c + 1) if start < x < stop)
+    cuts = sorted(cuts)
+    for a, b in zip(cuts, cuts[1:]):
+        for j0 in range(a, b, BLOCK_STEPS):
+            yield j0, min(BLOCK_STEPS, b - j0)
+
+
 def run_closed_loop(
     grid: FemGrid,
     nu: float,
@@ -413,9 +440,10 @@ def run_closed_loop(
     stepped in the eigenbasis of M and S (see the module docstring).
 
     Raises InvalidArgumentError for nu, T or k not positive and finite, a
-    snapshot time outside [0, T], a feedback window that starts after T or a
-    feedback operator from another grid, and NumericalFailureError, naming
-    the step and its time, at the first state whose norm is not finite.
+    snapshot time outside [0, T], a feedback window active at no step taken
+    (at none of times[:-1]) or a feedback operator from another grid, and
+    NumericalFailureError, naming the step and its time, at the first state
+    whose norm is not finite.
     """
     for name, x in (("diffusion", nu), ("time step", k), ("final time", T)):
         if not (x > 0.0 and math.isfinite(x)):
@@ -432,11 +460,6 @@ def run_closed_loop(
             raise InvalidArgumentError(
                 f"feedback operator was built on the grid (bc, L, N) = {theirs}, not on {ours}"
             )
-        if feedback.feed_on is not None and feedback.feed_on[0] > T:
-            t0, t1 = feedback.feed_on
-            raise InvalidArgumentError(
-                f"feedback window [{t0:g}, {t1:g}] starts after the final time {T:g}"
-            )
 
     n_steps = int(math.floor(T / k + 1e-9))
     if n_steps < 1:
@@ -451,6 +474,13 @@ def run_closed_loop(
         raise InvalidArgumentError(
             f"{n_steps} time steps (T/k) need more memory than is available"
         ) from None
+    if feedback is not None and feedback.feed_on is not None and not feedback_flags[:-1].any():
+        # the last state is only recorded, so a window active there alone never acts
+        t0, t1 = feedback.feed_on
+        where = "starts after" if t0 > T else "acts on no step before"
+        raise InvalidArgumentError(
+            f"feedback window [{t0:.17g}, {t1:.17g}] {where} the final time {T:.17g}"
+        )
     N, h, nodes, mass = grid.N, grid.h, grid.nodes, grid.mass
     (mdiag, moff), (sdiag, soff) = mass, grid.stiffness
 
@@ -570,21 +600,92 @@ def run_closed_loop(
             z, hist, yh = _trig_sums(rows, dirichlet) / omega
             yh, hist = z / pi_k - yh, hist / pi_k
             if feedback is not None:
-                Ch = _trig_sums(W0[:, inner], dirichlet)
+                # W0 V vanishes beyond column M up to rounding, since the sampled
+                # eigenfunctions are eigenvectors: the feedback reads the low block
+                M = W0.shape[0]
+                Cl = _trig_sums(W0[:, inner], dirichlet)[:, :M]
                 Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
-            for j in range(1, n_steps + 1):
-                if slots := record(j, math.sqrt(float(np.add.reduce(wmu * yh * yh)))):
-                    snapshots[slots, inner] = _trig_sums(yh, dirichlet)
-                if j == n_steps:
-                    break
-                on = feedback_flags[j]
-                y_new = A1 * yh
-                y_new += hist
-                c = Ch @ yh if on else None
-                if on or c_prev is not None:  # a free step stays free of feedback terms
-                    y_new -= ((3.0 * c if on else 0.0) - (0.0 if c_prev is None else c_prev)) @ Bt
-                hist = A2 * yh
-                yh, c_prev = y_new, c
+                reads: dict[tuple[bool, bool, bool], np.ndarray] = {}
+
+            def read_rows(on: bool, on_prev: bool, steps: int) -> np.ndarray:
+                """Q F^i for i < steps, stacked.  Q z_j = 3 on c_j - on_prev c_{j-1}
+                reads the force of step j from the low block z_j = (y_j[:M],
+                y_{j-1}[:M]), and F maps z_j to z_{j+1} while (on, on_prev) holds."""
+                key = (on, on_prev, steps > 1)
+                if key not in reads:
+                    Q = [np.hstack([(3.0 * on) * Cl, -float(on_prev) * Cl])]
+                    if steps > 1:
+                        F = np.block(
+                            [[np.diag(A1[:M]), np.diag(A2[:M])], [np.eye(M), np.zeros((M, M))]]
+                        )
+                        F[:M] -= Bt[:, :M].T @ Q[0]
+                        for _ in range(BLOCK_STEPS - 1):
+                            Q.append(Q[-1] @ F)
+                    reads[key] = np.concatenate(Q)
+                return reads[key][: steps * M]
+
+            def advance(j0: int, steps: int, b: int = 0) -> bool:
+                """Step from the states j0 - 1, j0 in rows b, b + 1 of Y into
+                rows b + 2 .. b + steps + 1, with one pair (on_j, on_{j-1}).
+                False, with nothing stepped, when the force read overflows."""
+                on, on_prev = bool(feedback_flags[j0]), bool(feedback_flags[j0 - 1])
+                if on or on_prev:
+                    z = np.concatenate([Y[b + 1, :M], Y[b, :M]])
+                    g = (read_rows(on, on_prev, steps) @ z).reshape(steps, M)
+                    if steps > 1 and not np.isfinite(g).all():
+                        return False
+                    np.matmul(g, Bt, out=Y[b + 2 : b + steps + 2])
+                    # y_{j+1} = A1 o y_j + A2 o y_{j-1} - g_j Bt, written over its force row
+                    for r in range(b + 1, b + steps + 1):
+                        mul(A1, ys[r], acc)
+                        add(acc, mul(A2, ys[r - 1], tmp), acc)
+                        sub(acc, ys[r + 1], ys[r + 1])
+                else:
+                    for r in range(b + 1, b + steps + 1):
+                        mul(A1, ys[r], ys[r + 1])
+                        add(ys[r + 1], mul(A2, ys[r - 1], tmp), ys[r + 1])
+                return True
+
+            def record_rows(j: int, block: np.ndarray) -> None:
+                """Store the norms of the states j, j + 1, .. held in the rows of
+                block and fill their snapshots."""
+                sq = np.multiply(wmu, block, out=work[: len(block)])
+                sq *= block
+                vals = np.sqrt(np.add.reduce(sq, axis=1))
+                finite = np.isfinite(vals)
+                if not finite.all():
+                    bad = int(np.argmin(finite))
+                    record(j + bad, float(vals[bad]))
+                norms[j : j + len(block)] = vals
+                if snap_steps.size:
+                    lo, hi = np.searchsorted(snap_steps, [j, j + len(block)])
+                    for s in snap_steps[lo:hi].tolist():
+                        snapshots[snap_slots[s], inner] = _trig_sums(block[s - j], dirichlet)
+
+            snap_steps = np.array(sorted(snap_slots), dtype=int)
+            # Y holds two states and a block's new ones, work a block's norm terms
+            Y, work = np.empty((BLOCK_STEPS + 2, idx.size)), np.empty((BLOCK_STEPS, idx.size))
+            acc, tmp = np.empty((2, idx.size))
+            # row views and positional out= trim the overhead of the step loop
+            ys, mul, add, sub = list(Y), np.multiply, np.add, np.subtract
+            Y[1] = yh
+            record_rows(1, Y[1:2])
+            if n_steps > 1:
+                # step 1 carries step 0's nodal history and feedback read
+                np.multiply(A1, Y[1], out=Y[2])
+                Y[2] += hist
+                c = Cl @ Y[1, :M] if feedback_flags[1] else None
+                if c is not None or c_prev is not None:
+                    Y[2] -= ((0.0 if c is None else 3.0 * c) - (0.0 if c_prev is None else c_prev)) @ Bt
+                record_rows(2, Y[2:3])
+                Y[:2] = Y[1:3]
+            for j0, steps in _blocks(feedback_flags, 2, n_steps):
+                if not advance(j0, steps):
+                    # the powers of F overflow before the state does: step singly
+                    for i in range(steps):
+                        advance(j0 + i, 1, i)
+                record_rows(j0 + 1, Y[2 : steps + 2])
+                Y[:2] = Y[steps : steps + 2]
 
     for arr in (times, norms, feedback_flags):
         arr.flags.writeable = False

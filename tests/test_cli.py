@@ -297,6 +297,28 @@ def test_simulate_feed_on_window_after_final_time_exits_two(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "feed_on, message",
+    [
+        ("4.5:5", "feedback window [4.5, 5] acts on no step before the final time 4.5"),
+        ("4.5000000001:5", "feedback window [4.5000000001, 5] starts after the final time 4.5"),
+    ],
+)
+def test_simulate_feed_on_window_acting_on_no_step_exits_two(tmp_path, capsys, feed_on, message):
+    # the window flags only the final state, from which no step is taken
+    out = tmp_path / "late.csv"
+    assert main(["simulate", "--feed-on", feed_on, "--N", "101", "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_feed_on_window_at_the_last_step_taken(tmp_path):
+    out = tmp_path / "last.csv"
+    assert main(["simulate", "--feed-on", "4.499:5", "--N", "101", "--output", str(out)]) == 0
+    flags = [r.split(",")[2] for r in _data_rows(out)[1:]]
+    assert flags[-2:] == ["1", "1"] and set(flags[:-2]) == {"0"}
+
+
 def test_simulate_snapshots(tmp_path):
     out = tmp_path / "run.csv"
     rc = main([
@@ -649,8 +671,10 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
 
 # With 24 actuators a threaded dgemm rounds the coupling E^T M U differently
 # at 1 and 2 threads, so those cases fail unless the product avoids BLAS.
-# The Dirichlet case is the eigenbasis path of the default run, with no
-# feedback window; the constant Neumann case is that path switching off.
+# The Dirichlet cases are the eigenbasis path of the default run, with no
+# feedback window and with one that opens and closes inside the run, where
+# its blocks of steps form their force in one M x N product each; the
+# constant Neumann case is that path switching off.
 # The one-row table is a static reaction that varies in x, stepped on the
 # nodes like the oscillating one but with its values evaluated once.
 @pytest.mark.parametrize(
@@ -659,10 +683,14 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
         "--bc neumann --reaction oscillating --M 8 --feed-on 0:0.02",
         "--bc neumann --reaction oscillating --M 24 --feed-on 0:0.02",
         "--bc dirichlet --M 47",
+        "--bc dirichlet --M 60 --feed-on 0.01:0.03",
         "--bc neumann --M 8 --feed-on 0:0.02",
         "--bc dirichlet --reaction table:{table} --M 47",
     ],
-    ids=["--M 8", "--M 24", "dirichlet --M 47", "neumann constant --M 8", "table --M 47"],
+    ids=[
+        "--M 8", "--M 24", "dirichlet --M 47", "dirichlet window --M 60",
+        "neumann constant --M 8", "table --M 47",
+    ],
 )
 def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
     table = tmp_path / "react.csv"

@@ -15,6 +15,7 @@ from oblique_stab.errors import (
     NumericalFailureError,
 )
 from oblique_stab.fem import (
+    BLOCK_STEPS,
     ROTATION_ANCHOR_STEPS,
     FeedbackConfig,
     ReactionField,
@@ -359,20 +360,22 @@ def test_feedback_window_membership():
 
 
 def test_inactive_feedback_equals_free_run():
-    # a window that opens only at the final time, after the last step, must
-    # reproduce the free dynamics
+    # a window that opens at the last step taken leaves every earlier state,
+    # and the norm of each, as in the free dynamics
     grid = make_grid(D, math.pi, 151)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     y0 = np.sin(grid.nodes)
     react = constant_reaction(-1.0)
-    free = run_closed_loop(grid, 0.1, react, y0, 1.0, 2e-3, snapshot_times=(1.0,))
+    free = run_closed_loop(grid, 0.1, react, y0, 1.0, 2e-3, snapshot_times=(0.998,))
     gated = run_closed_loop(
         grid, 0.1, react, y0, 1.0, 2e-3,
-        feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(1.0, 3.0)),
-        snapshot_times=(1.0,),
+        feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(0.998, 3.0)),
+        snapshot_times=(0.998,),
     )
-    assert gated.feedback_on[-1] and not gated.feedback_on[:-1].any()
+    assert gated.feedback_on[-2:].all() and not gated.feedback_on[:-2].any()
     assert np.array_equal(free.snapshots, gated.snapshots)
+    assert np.array_equal(free.norms[:-1], gated.norms[:-1])
+    assert free.norms[-1] != gated.norms[-1]
 
 
 def test_feedback_window_after_final_time_is_rejected():
@@ -383,6 +386,39 @@ def test_feedback_window_after_final_time_is_rejected():
             grid, 0.1, constant_reaction(-1.0), np.sin(grid.nodes), 1.0, 2e-3,
             feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(2.0, 3.0)),
         )
+
+
+@pytest.mark.parametrize(
+    "feed_on, message",
+    [
+        # active only at t = 1, the final state, from which no step is taken
+        ((1.0, 3.0), "feedback window [1, 3] acts on no step before the final time 1"),
+        # active() flags t = 1 within its 1e-9 tolerance, which does not help
+        ((1.0000000001, 3.0), "feedback window [1.0000000001, 3] starts after the final time 1"),
+        # between two steps
+        ((0.5011, 0.5019), "feedback window [0.50109999999999999, 0.50190000000000001] acts on no step"),
+    ],
+    ids=["at-final-time", "within-tolerance-of-final-time", "between-steps"],
+)
+def test_feedback_window_acting_on_no_step_is_rejected(feed_on, message):
+    grid = make_grid(D, math.pi, 151)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        run_closed_loop(
+            grid, 0.1, constant_reaction(-1.0), np.sin(grid.nodes), 1.0, 2e-3,
+            feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on),
+        )
+
+
+def test_feedback_window_at_the_last_step_taken_is_accepted():
+    # within active()'s 1e-9 tolerance of step n - 1, the window acts on one step
+    grid = make_grid(D, math.pi, 151)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
+    run = run_closed_loop(
+        grid, 0.1, constant_reaction(-1.0), np.sin(grid.nodes), 1.0, 2e-3,
+        feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=(0.998 + 5e-10, 3.0)),
+    )
+    assert run.feedback_on[-2:].all() and not run.feedback_on[:-2].any()
 
 
 # ---------------------------------------------------------------- time stepping
@@ -594,7 +630,8 @@ def test_blow_up_raises_with_step_and_time():
 # ---------------------------------------------------------------- fused kernel
 
 def _reference_run(grid, nu, reaction, y0, T, k, feedback=None):
-    """The closed loop written step by step with dense matrices.
+    """The closed loop written step by step with dense matrices: the state,
+    its norm and the feedback flag at every step.
 
     The force is -R y + M f with f from feedback_apply, re-assembled every
     step, and each step solves 2 M + k nu S (its interior block under
@@ -617,7 +654,7 @@ def _reference_run(grid, nu, reaction, y0, T, k, feedback=None):
         return h, on
 
     y = np.array(y0, dtype=float)
-    norms = [math.sqrt(y @ Md @ y)]
+    states, norms = [y], [math.sqrt(y @ Md @ y)]
     h_prev, on = force(y, 0.0)
     h_prev2, flags = h_prev, [on]
     for j in range(1, n_steps + 1):
@@ -627,11 +664,12 @@ def _reference_run(grid, nu, reaction, y0, T, k, feedback=None):
             y = np.concatenate([[0.0], scipy.linalg.lu_solve(lu, rhs[inner]), [0.0]])
         else:
             y = scipy.linalg.lu_solve(lu, rhs)
+        states.append(y)
         norms.append(math.sqrt(y @ Md @ y))
         h_prev2 = h_prev
         h_prev, on = force(y, t)
         flags.append(on)
-    return y, np.array(norms), np.array(flags)
+    return np.array(states), np.array(norms), np.array(flags)
 
 
 def _rel(got, ref):
@@ -668,10 +706,10 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
     run = run_closed_loop(
         grid, nu, reaction, y0, T, k, feedback=feedback, snapshot_times=(T,)
     )
-    y_ref, norms_ref, flags_ref = _reference_run(
+    states_ref, norms_ref, flags_ref = _reference_run(
         grid, nu, reaction, y0, T, k, feedback=feedback
     )
-    assert _rel(run.snapshots[0], y_ref) <= 1e-10
+    assert _rel(run.snapshots[0], states_ref[-1]) <= 1e-10
     assert _rel(run.norms, norms_ref) <= 1e-10
     assert np.array_equal(run.feedback_on, flags_ref)
     if feed_on is not None:
@@ -713,10 +751,17 @@ def test_eigenbasis_path_matches_nodal_path(bc):
         (D, 201, 0.3, None, 2e-13),
         # measured 6.5e-14; the nodal path 5.8e-14
         (N, 201, 0.3, (0.1, 0.2), 2e-13),
-        # measured 2.4e-14; the nodal path 6.4e-13
+        # measured 2.5e-14 (2.4e-14 stepped one at a time); the nodal path 6.4e-13
         (D, 1001, 0.2, None, 1e-13),
+        # measured 2.3e-14 and 7.1e-14, as stepped one at a time: windows
+        # shorter than a block and with their edges inside blocks
+        (D, 201, 0.3, (0.04, 0.06), 2e-13),
+        (N, 201, 0.3, (0.02, 0.15), 2e-13),
     ],
-    ids=["dirichlet-201", "neumann-201-window", "dirichlet-1001"],
+    ids=[
+        "dirichlet-201", "neumann-201-window", "dirichlet-1001",
+        "dirichlet-201-short-window", "neumann-201-long-window",
+    ],
 )
 def test_eigenbasis_path_near_extended_precision(bc, n_nodes, T, feed_on, bound):
     grid = make_grid(bc, math.pi, n_nodes)
@@ -726,6 +771,114 @@ def test_eigenbasis_path_near_extended_precision(bc, n_nodes, T, feed_on, bound)
     run = run_closed_loop(grid, 0.1, constant_reaction(-3.5), y0, T, 1e-3, feedback=feedback)
     ref = longdouble_closed_loop(grid, 0.1, -3.5, y0, T, 1e-3, feedback)
     assert float(np.max(np.abs(run.norms - ref) / ref)) <= bound
+
+
+# Blocks start at step 2: the block from step j0 fills the states j0 + 1 ..
+# j0 + BLOCK_STEPS, and a window edge cuts a block.
+_EDGE = 2 + BLOCK_STEPS
+
+
+@pytest.mark.parametrize(
+    "n_steps", [1, 2, 3, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, _EDGE, _EDGE + 1]
+)
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_eigenbasis_run_ends_match_stepwise_reference(bc, n_steps):
+    # measured at most 1.3e-14
+    grid = make_grid(bc, math.pi, 301)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    y0, k = 0.1 * grid.nodes + 0.05, 2e-3
+    T = n_steps * k
+    args = (grid, 0.1, constant_reaction(-3.5), y0, T, k)
+    feedback = FeedbackConfig(operator=op, lam=1.0)
+    run = run_closed_loop(*args, feedback=feedback, snapshot_times=(T,))
+    states_ref, norms_ref, _ = _reference_run(*args, feedback=feedback)
+    assert len(run.norms) == n_steps + 1
+    assert _rel(run.norms, norms_ref) <= 1e-10
+    assert _rel(run.snapshots[0], states_ref[-1]) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "feed_on",
+    [None, (0.04, 0.06), (0.02, 0.15)],
+    ids=["always", "window-shorter-than-a-block", "window-edges-inside-blocks"],
+)
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_eigenbasis_block_edges_match_stepwise_reference(bc, feed_on):
+    # k = 2e-3: the short window acts on steps 20..30, the long one on
+    # steps 10..75; the snapshots sit on either side of two block edges.
+    # Measured at most 4.7e-14.
+    grid = make_grid(bc, math.pi, 301)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    y0, k, T = 0.1 * grid.nodes + 0.05, 2e-3, 0.2
+    steps = [_EDGE - 1, _EDGE, _EDGE + 1, _EDGE + BLOCK_STEPS, _EDGE + BLOCK_STEPS + 1, 100]
+    args = (grid, 0.1, constant_reaction(-3.5), y0, T, k)
+    feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
+    run = run_closed_loop(*args, feedback=feedback, snapshot_times=tuple(j * k for j in steps))
+    states_ref, norms_ref, flags_ref = _reference_run(*args, feedback=feedback)
+    assert _rel(run.norms, norms_ref) <= 1e-10
+    assert _rel(run.snapshots, states_ref[steps]) <= 1e-10
+    assert np.array_equal(run.feedback_on, flags_ref)
+
+
+@pytest.mark.parametrize(
+    "a, lam, scale",
+    [(-1e6, 1.0, 1.0), (-3.5, 1e30, 1e-300)],
+    ids=["reaction", "feedback"],
+)
+def test_blow_up_with_feedback_raises_with_step_and_time(a, lam, scale):
+    # With lam = 1e30 the low modes grow about 1e27 per step: the powers of
+    # the low block overflow within the first block while the state, scaled
+    # by 1e-300, is still finite, and read without care they fail at step 14
+    # instead of 17.
+    grid = make_grid(D, math.pi, 101)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    feedback = FeedbackConfig(operator=op, lam=lam)
+    y0, react, k = scale * np.sin(grid.nodes), constant_reaction(a), 1e-3
+    with pytest.raises(NumericalFailureError) as exc:
+        run_closed_loop(grid, 0.1, react, y0, 0.5, k, feedback=feedback)
+    found = re.search(r"at step (\d+), t = ([^;]+);", str(exc.value))
+    assert found is not None, str(exc.value)
+    j, t = int(found.group(1)), float(found.group(2))
+    assert 2 < j <= 500
+    assert t == pytest.approx(j * k, rel=1e-12)
+    before = run_closed_loop(grid, 0.1, react, y0, (j - 1) * k, k, feedback=feedback)
+    assert np.all(np.isfinite(before.norms)) and len(before.norms) == j
+    # the nodal path steps one at a time and fails at the same step
+    nodal = ReactionField(react.values, time_dependent=True)
+    with pytest.raises(NumericalFailureError, match=f"at step {j},"):
+        run_closed_loop(grid, 0.1, nodal, y0, 0.5, k, feedback=feedback)
+
+
+@pytest.mark.parametrize(
+    "bc, M, lam, bound",
+    [
+        # measured 4.6e-6: mode M + 1 = cos 6x sets the rate 0.103 at N = 201
+        (N, 6, 1.0, 2e-5),
+        # measured 6.6e-5: mode 7 decays at 1.405 < lam
+        (D, 6, 3.0, 2e-4),
+        # measured 4.2e-5: mode 5 grows at 0.9987
+        (D, 4, 1.0, 2e-4),
+    ],
+    ids=["neumann-M6", "dirichlet-lam3", "dirichlet-M4-unstable"],
+)
+def test_constant_reaction_decays_at_the_exact_rate(bc, M, lam, bound):
+    # For R = a M the feedback leaves the low modes decaying at lam and the
+    # modes above M at nu Lambda_k + a, so the late slope of ln ||y|| is
+    # -min(lam, nu Lambda_{M+1} + a); Lambda_{M+1} is the grid eigenvalue of
+    # the sampled eigenfunction, its Rayleigh quotient.  The bounds hold the
+    # time discretization error, second order in k.
+    grid = make_grid(bc, math.pi, 201)
+    nu, a, k, T = 0.1, -3.5, 5e-3, 40.0
+    x = grid.nodes
+    e = np.sin((M + 1) * x) if bc is D else np.cos(M * x)
+    Lam = (e @ tridiag_matvec(*grid.stiffness, e)) / (e @ tridiag_matvec(*grid.mass, e))
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, M, 0.1))
+    run = run_closed_loop(
+        grid, nu, constant_reaction(a), 0.1 * x + 0.05, T, k,
+        feedback=FeedbackConfig(operator=op, lam=lam),
+    )
+    predicted = -min(lam, nu * Lam + a)
+    assert abs(log_norm_slope(run, 0.75 * T, T) - predicted) <= bound * abs(predicted)
 
 
 # ---------------------------------------------------------------- low-mode law
