@@ -48,24 +48,28 @@ A static reaction with equal values at every node gives R = a M, and on the
 uniform grid M and S share their eigenvectors V: discrete sines on the
 Dirichlet interior, discrete cosines (with D = diag(1/2, 1, .., 1, 1/2))
 under Neumann conditions, M V = D V diag(mu) and S V = D V diag(sigma).
-Such a run folds R into W0 = P_M (-nu S + lambda M - a M), forms step 0's
-right-hand side on the nodes and then steps the coefficients u = V^{-1} y:
+Every run takes step 0 on the nodes.  Such a run stops there, before it
+factors anything, and steps the coefficients u = V^{-1} y:
 u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j B with diagonal A1, A2, the thin
 B ~ V^{-1} D^{-1} M [U] (M x n) and the read g_j = 3 c_j - c_{j-1}, where
-c_j = W0 V u_j while the feedback acts at step j and 0 otherwise.  The
-sampled eigenfunctions are eigenvectors, so W0 V vanishes beyond column M
-up to rounding: the first M coefficients form a closed system,
-z_j = (u_j[:M], u_{j-1}[:M]) obeys z_{j+1} = F z_j with one 2M x 2M
-matrix F per pair (on_j, on_{j-1}), and the higher ones are a diagonal
-recurrence driven by them.  From step 2 on the run advances in blocks of
-at most BLOCK_STEPS steps with one pair: one product of z with a cached
-stack of Q F^i, where g_j = Q z_j, yields a block's forces, one M x n
-product spreads them, and each step costs four elementwise calls on n
-coefficients.  A block's norms are one weighted sum of squares per row,
-checked step by step; a block whose powers of F overflow before the state
-does is stepped singly.  Nothing multiplies by M, solves or transforms
-per step: a real FFT per row maps the rows of W0 and (M [U])^T, y0 and
-step 0's right-hand side into the eigenbasis once, and each snapshot back.
+c_j = Wa V u_j while the feedback acts at step j and 0 otherwise; step 1
+finds c_0 in step 0's force.  W0 stays unfolded for step 0, which subtracts
+P_M R y itself, and is released before Wa = P_M (-nu S + lambda M - a M) is
+formed from the folded tridiagonal matrix (W0 - a P_M M doubles the drift
+from an extended-precision run).  The sampled eigenfunctions are
+eigenvectors, so Wa V vanishes beyond column M up to rounding: the first M
+coefficients form a closed system, z_j = (u_j[:M], u_{j-1}[:M]) obeys
+z_{j+1} = F z_j with one 2M x 2M matrix F per pair (on_j, on_{j-1}), and
+the higher ones are a diagonal recurrence driven by them.  From step 2 on
+the run advances in blocks of at most BLOCK_STEPS steps with one pair: one
+product of z with a cached stack of Q F^i, where g_j = Q z_j, yields a
+block's forces, one M x n product spreads them, and each step costs four
+elementwise calls on n coefficients.  A block's norms are one weighted sum
+of squares per row, checked step by step; a block whose powers of F
+overflow before the state does is stepped singly.  Nothing multiplies by
+M, solves or transforms per step: a real FFT per row maps the rows of Wa
+and (M [U])^T, y0, step 0's right-hand side and force into the eigenbasis
+once, and each snapshot back.
 """
 
 from __future__ import annotations
@@ -231,6 +235,8 @@ def tabulated_reaction(
     tv = np.atleast_1d(np.asarray(t_values, dtype=float))
     xv = np.asarray(x_values, dtype=float)
     tab = np.atleast_2d(np.asarray(table, dtype=float))
+    if not all(np.isfinite(arr).all() for arr in (tv, xv, tab)):
+        raise InvalidArgumentError("reaction table coordinates and entries must be finite")
     if xv.ndim != 1 or xv.size < 2 or np.any(np.diff(xv) <= 0.0):
         raise InvalidArgumentError(
             "reaction table needs >= 2 strictly increasing x coordinates"
@@ -436,12 +442,14 @@ def run_closed_loop(
     Both boundary conditions are homogeneous.  y0 is kept as given at t = 0
     even when it does not vanish on a Dirichlet boundary; the zero boundary
     values are imposed from the first step on, and only the interior block
-    of 2 M + k nu S is solved.  A static, spatially constant reaction is
-    stepped in the eigenbasis of M and S (see the module docstring).
+    of 2 M + k nu S is solved.  Step 0 is taken on the nodes; a static,
+    spatially constant reaction is stepped in the eigenbasis of M and S from
+    step 1 on (see the module docstring).
 
     Raises InvalidArgumentError for nu, T or k not positive and finite, a
-    snapshot time outside [0, T], a feedback window active at no step taken
-    (at none of times[:-1]) or a feedback operator from another grid, and
+    non-finite y0, lambda or static reaction value, a snapshot time outside
+    [0, T], a feedback window active at no step taken (at none of
+    times[:-1]) or a feedback operator from another grid, and
     NumericalFailureError, naming the step and its time, at the first state
     whose norm is not finite.
     """
@@ -454,7 +462,11 @@ def run_closed_loop(
     y = np.array(y0, dtype=float)
     if y.shape != (grid.N,):
         raise InvalidArgumentError(f"initial state must have shape ({grid.N},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise InvalidArgumentError("initial state must be finite")
     if feedback is not None:
+        if not math.isfinite(feedback.lam):
+            raise InvalidArgumentError(f"feedback shift must be finite, got {feedback.lam}")
         ours, theirs = ((g.bc.value, g.L, g.N) for g in (grid, feedback.operator.grid))
         if ours != theirs:
             raise InvalidArgumentError(
@@ -491,6 +503,8 @@ def run_closed_loop(
     a_static = a_const = None
     if not reaction.time_dependent:
         a_static = reaction.values(nodes, 0.0)
+        if not np.isfinite(a_static).all():
+            raise InvalidArgumentError("static reaction values must be finite")
         if np.all(a_static == a_static[0]):
             # R = a M is diagonal in the eigenbasis of M and S
             a_const = float(a_static[0])
@@ -499,8 +513,6 @@ def run_closed_loop(
         P = feedback.operator.P
         MUt = np.ascontiguousarray(tridiag_matvec(*mass, feedback.operator.U).T)
         K = (feedback.lam * mdiag - nu * sdiag, feedback.lam * moff - nu * soff)
-        if a_const is not None:
-            K = (K[0] - mdiag * a_const, K[1] - moff * a_const)
         # W0 = P K = (K P^T)^T, because K is symmetric.
         W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
 
@@ -519,69 +531,54 @@ def run_closed_loop(
         norms[j] = norm
         return snap_slots.get(j, [])
 
-    def seed_boundary(rhs: np.ndarray) -> None:
-        """z = y0 on a Dirichlet boundary, the only state nonzero there."""
-        if dirichlet:
-            rhs[1] -= plus_off[0] * y[0]
-            rhs[-2] -= plus_off[-1] * y[-1]
-
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if a_const is None:
-            factor = tridiag_factor(plus_diag[inner], plus_off[inner])
-            a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
-            stencil = np.array([moff[0], mdiag[1], moff[0]])
+        factor = None if a_const is not None else tridiag_factor(plus_diag[inner], plus_off[inner])
+        a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
+        stencil = np.array([moff[0], mdiag[1], moff[0]])
 
-            def mass_times(x: np.ndarray) -> np.ndarray:
-                """M x: one convolution with the stencil (h/6, 2h/3, h/6), then the edge rows."""
-                Mx = np.convolve(x, stencil, "same")
-                Mx[0] = mdiag[0] * x[0] + moff[0] * x[1]
-                Mx[-1] = mdiag[-1] * x[-1] + moff[-1] * x[-2]
-                return Mx
+        def mass_times(x: np.ndarray) -> np.ndarray:
+            """M x: one convolution with the stencil (h/6, 2h/3, h/6), then the edge rows."""
+            Mx = np.convolve(x, stencil, "same")
+            Mx[0] = mdiag[0] * x[0] + moff[0] * x[1]
+            Mx[-1] = mdiag[-1] * x[-1] + moff[-1] * x[-2]
+            return Mx
 
-            work = np.empty(N)
-            for j in range(n_steps + 1):
-                My = mass_times(y)
-                if slots := record(j, _mass_norm(y, My)):
-                    snapshots[slots] = y
-                if j == n_steps:
-                    break
-                a = a_static if a_rows is None else next(a_rows)
-                # q = k R y = k (a o M y + M (a o y)) / 2, plus k M [U] c while
-                # the feedback acts, c = P_M (-nu S + lambda M - R) y
-                np.multiply(a, y, out=work)
-                q = mass_times(work)
-                q += np.multiply(a, My, out=work)
-                q *= 0.5 * k
-                if feedback_flags[j]:
-                    q += (k * (W0 @ y) - P @ q) @ MUt
-                # rhs = 4 M y + k q_prev - 3 k q, with the ghost q_prev = q at step 0
-                rhs = np.multiply(My, 4.0, out=My)
-                rhs += kq_prev if j else q
-                rhs -= np.multiply(q, 3.0, out=work)
-                kq_prev = q
-                if j == 0:
-                    seed_boundary(rhs)
-                np.subtract(tridiag_solve(factor, rhs[inner]), y[inner], out=rhs[inner])
-                if dirichlet:
-                    rhs[0] = rhs[-1] = 0.0
-                y = rhs
-        else:
-            My = tridiag_matvec(*mass, y)
-            if slots := record(0, _mass_norm(y, My)):
+        work = np.empty(N)
+        for j in range(n_steps + 1):
+            My = mass_times(y)
+            if slots := record(j, _mass_norm(y, My)):
                 snapshots[slots] = y
-            # step 0's right-hand side on the nodes; W0 holds -P_M R
-            c_prev = W0 @ y if feedback_flags[0] else None
-            q = a_static * My
-            q += tridiag_matvec(*mass, a_static * y)
-            q *= 0.5
-            if c_prev is not None:
-                q += c_prev @ MUt
-            rhs = 4.0 * My
-            rhs -= k * (3.0 * q - q)  # 3 q - q_prev with the ghost q_prev = q, not 2 q
-            seed_boundary(rhs)
+            if j == n_steps:
+                break
+            a = a_static if a_rows is None else next(a_rows)
+            # q = k R y = k (a o M y + M (a o y)) / 2, plus k M [U] c while
+            # the feedback acts, c = P_M (-nu S + lambda M - R) y
+            np.multiply(a, y, out=work)
+            q = mass_times(work)
+            q += np.multiply(a, My, out=work)
+            q *= 0.5 * k
+            if feedback_flags[j]:
+                q += (k * (W0 @ y) - P @ q) @ MUt
+            # rhs = 4 M y + k q_prev - 3 k q, with the ghost q_prev = q at step 0
+            rhs = np.multiply(My, 4.0, out=My)
+            rhs += kq_prev if j else q
+            rhs -= np.multiply(q, 3.0, out=work)
+            kq_prev = q
+            if j == 0:
+                if dirichlet:
+                    # z = y0 on the boundary, the only state nonzero there
+                    rhs[1] -= plus_off[0] * y[0]
+                    rhs[-2] -= plus_off[-1] * y[-1]
+                if a_const is not None:
+                    break  # the eigenbasis takes over from step 0's right-hand side
+            np.subtract(tridiag_solve(factor, rhs[inner]), y[inner], out=rhs[inner])
+            if dirichlet:
+                rhs[0] = rhs[-1] = 0.0
+            y = rhs
 
+        if a_const is not None:
             # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
             idx = np.arange(1, N - 1) if dirichlet else np.arange(N)
             s = np.sin(idx * (0.5 * math.pi / (N - 1))) ** 2
@@ -592,18 +589,20 @@ def run_closed_loop(
                 omega[[0, -1]] = N - 1.0
             ka = k * a_const
             A1, A2, wmu = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k, omega * mu
-            # step 0's right-hand side, step 1's history term k a M y0, and y0
-            # (V^{-1} y = V^T D y / omega) are formed on the nodes
-            rows = np.stack([rhs[inner], ka * My[inner], y[inner]])
+            # step 0's right-hand side, step 1's history term k q_0 and y0
+            # (V^{-1} y = V^T D y / omega) go to the eigenbasis
+            rows = np.stack([rhs[inner], kq_prev[inner], y[inner]])
             if not dirichlet:
                 rows[2, [0, -1]] *= 0.5
             z, hist, yh = _trig_sums(rows, dirichlet) / omega
             yh, hist = z / pi_k - yh, hist / pi_k
             if feedback is not None:
-                # W0 V vanishes beyond column M up to rounding, since the sampled
-                # eigenfunctions are eigenvectors: the feedback reads the low block
-                M = W0.shape[0]
-                Cl = _trig_sums(W0[:, inner], dirichlet)[:, :M]
+                # Wa = P_M (K - a M) V vanishes beyond column M up to rounding, since
+                # the sampled eigenfunctions are eigenvectors: the feedback reads the low block
+                del W0
+                M = P.shape[0]
+                Wa = tridiag_matvec(K[0] - mdiag * a_const, K[1] - moff * a_const, P.T).T
+                Cl = _trig_sums(Wa[:, inner], dirichlet)[:, :M]
                 Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
                 reads: dict[tuple[bool, bool, bool], np.ndarray] = {}
 
@@ -657,12 +656,10 @@ def run_closed_loop(
                     bad = int(np.argmin(finite))
                     record(j + bad, float(vals[bad]))
                 norms[j : j + len(block)] = vals
-                if snap_steps.size:
-                    lo, hi = np.searchsorted(snap_steps, [j, j + len(block)])
-                    for s in snap_steps[lo:hi].tolist():
-                        snapshots[snap_slots[s], inner] = _trig_sums(block[s - j], dirichlet)
+                for step, slots in snap_slots.items():
+                    if j <= step < j + len(block):
+                        snapshots[slots, inner] = _trig_sums(block[step - j], dirichlet)
 
-            snap_steps = np.array(sorted(snap_slots), dtype=int)
             # Y holds two states and a block's new ones, work a block's norm terms
             Y, work = np.empty((BLOCK_STEPS + 2, idx.size)), np.empty((BLOCK_STEPS, idx.size))
             acc, tmp = np.empty((2, idx.size))
@@ -671,12 +668,11 @@ def run_closed_loop(
             Y[1] = yh
             record_rows(1, Y[1:2])
             if n_steps > 1:
-                # step 1 carries step 0's nodal history and feedback read
+                # step 1's history is step 0's force k q_0, feedback included
                 np.multiply(A1, Y[1], out=Y[2])
                 Y[2] += hist
-                c = Cl @ Y[1, :M] if feedback_flags[1] else None
-                if c is not None or c_prev is not None:
-                    Y[2] -= ((0.0 if c is None else 3.0 * c) - (0.0 if c_prev is None else c_prev)) @ Bt
+                if feedback_flags[1]:
+                    Y[2] -= (3.0 * (Cl @ Y[1, :M])) @ Bt
                 record_rows(2, Y[2:3])
                 Y[:2] = Y[1:3]
             for j0, steps in _blocks(feedback_flags, 2, n_steps):

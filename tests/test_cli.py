@@ -826,8 +826,10 @@ def _loads_scipy(tmp_path, runs):
 def test_commands_off_the_nodal_path_never_load_scipy(tmp_path):
     # main returns argparse's exit code for --help; the con sweep reaches the
     # SVD branch of build_projection and fails the direct sum from M = 9 on.
-    # A constant-reaction simulate steps in the eigenbasis and solves its
-    # coupling with numpy, as project does its Gram systems.
+    # A constant-reaction simulate takes step 0 on the nodes without a
+    # factor, steps in the eigenbasis from step 1 on and solves its coupling
+    # with numpy, as project does its Gram systems; the one-step run and the
+    # window acting on step 0 alone stop at or right after the shared step 0.
     samples = tmp_path / "samples.csv"
     samples.write_text("x,value\n0,0\n1.5,1\n3.141592653589793,0\n")
     assert not _loads_scipy(tmp_path, [
@@ -838,6 +840,8 @@ def test_commands_off_the_nodal_path_never_load_scipy(tmp_path):
         ("suffcond --a-bound 3.5", 0),
         ("simulate --T 0.01", 0),
         ("simulate --bc neumann --T 0.01", 0),
+        ("simulate --T 0.001", 0),
+        ("simulate --feed-on 0:0.0005 --T 0.01", 0),
         (f"project --M 6 --r 0.1 --input {samples}", 0),
     ])
 

@@ -194,6 +194,22 @@ def test_tabulated_reaction_bilinear():
     assert f.values(np.array([-1.0]), -1.0)[0] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "t_vals, x_vals, table",
+    [
+        ([0.0], [0.0, math.nan, 1.0], [[1.0, 2.0, 3.0]]),
+        ([0.0, math.nan], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),
+        ([0.0], [0.0, 1.0], [[1.0, math.inf]]),
+    ],
+    ids=["nan-x", "nan-t", "inf-entry"],
+)
+def test_tabulated_reaction_rejects_non_finite_input(t_vals, x_vals, table):
+    # NaN compares false, so it passed the strictly-increasing checks and the
+    # run later failed as a blow-up
+    with pytest.raises(InvalidArgumentError, match="must be finite"):
+        tabulated_reaction(t_vals, x_vals, table)
+
+
 # ---------------------------------------------------------------- feedback operator
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -473,6 +489,10 @@ def test_stepper_rejects_bad_parameters():
         run_closed_loop(grid, 0.1, constant_reaction(0.0), np.zeros(11), -1.0, 1e-3)
 
 
+def _feedback_with_lam(grid, lam):
+    return FeedbackConfig(feedback_matrices(grid, place(Scheme.MXE, math.pi, 1, 0.5)), lam=lam)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -481,15 +501,22 @@ def test_stepper_rejects_bad_parameters():
         lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, math.nan),
         lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, math.inf),
         lambda g: run_closed_loop(g, math.nan, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.full(11, math.nan), 1.0, 1e-3),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(math.nan), np.zeros(11), 1.0, 1e-3),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3,
+                                  feedback=_feedback_with_lam(g, math.nan)),
+        lambda g: run_closed_loop(g, 0.1, constant_reaction(0.0), np.zeros(11), 1.0, 1e-3,
+                                  feedback=_feedback_with_lam(g, math.inf)),
         lambda g: check_sufficient_condition(math.nan, D, 6, 1.5, 3.5),
         lambda g: check_sufficient_condition(math.inf, D, 6, 1.5, 3.5),
         lambda g: check_sufficient_condition(0.1, D, 6, 1.5, math.nan),
         lambda g: check_sufficient_condition(0.1, D, 6, 1.5, math.inf),
     ],
-    ids=["T-nan", "T-inf", "k-nan", "k-inf", "nu-nan", "suff-nu-nan", "suff-nu-inf",
-         "suff-a-nan", "suff-a-inf"],
+    ids=["T-nan", "T-inf", "k-nan", "k-inf", "nu-nan", "y0-nan", "reaction-nan", "lam-nan",
+         "lam-inf", "suff-nu-nan", "suff-nu-inf", "suff-a-nan", "suff-a-inf"],
 )
 def test_non_finite_arguments_rejected(call):
+    # y0, lambda and the reaction used to run and fail as a blow-up at step 0 or 1
     with pytest.raises(InvalidArgumentError):
         call(make_grid(D, math.pi, 11))
 
@@ -799,14 +826,19 @@ def test_eigenbasis_run_ends_match_stepwise_reference(bc, n_steps):
 
 @pytest.mark.parametrize(
     "feed_on",
-    [None, (0.04, 0.06), (0.02, 0.15)],
-    ids=["always", "window-shorter-than-a-block", "window-edges-inside-blocks"],
+    [None, (0.04, 0.06), (0.02, 0.15), (0.0, 0.001), (0.002, 0.1)],
+    ids=[
+        "always", "window-shorter-than-a-block", "window-edges-inside-blocks",
+        "window-on-step-0-only", "window-opens-at-step-1",
+    ],
 )
 @pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
 def test_eigenbasis_block_edges_match_stepwise_reference(bc, feed_on):
     # k = 2e-3: the short window acts on steps 20..30, the long one on
     # steps 10..75; the snapshots sit on either side of two block edges.
-    # Measured at most 4.7e-14.
+    # The last two windows act on step 0 alone and open at step 1, where
+    # step 1's history carries step 0's feedback, or none.
+    # Measured at most 4.9e-14.
     grid = make_grid(bc, math.pi, 301)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
     y0, k, T = 0.1 * grid.nodes + 0.05, 2e-3, 0.2
