@@ -49,27 +49,25 @@ uniform grid M and S share their eigenvectors V: discrete sines on the
 Dirichlet interior, discrete cosines (with D = diag(1/2, 1, .., 1, 1/2))
 under Neumann conditions, M V = D V diag(mu) and S V = D V diag(sigma).
 Every run takes step 0 on the nodes.  Such a run stops there, before it
-factors anything, and steps the coefficients u = V^{-1} y:
-u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j B with diagonal A1, A2, the thin
-B ~ V^{-1} D^{-1} M [U] (M x n) and the read g_j = 3 c_j - c_{j-1}, where
-c_j = Wa V u_j while the feedback acts at step j and 0 otherwise; step 1
-finds c_0 in step 0's force.  W0 stays unfolded for step 0, which subtracts
-P_M R y itself, and is released before Wa = P_M (-nu S + lambda M - a M) is
-formed from the folded tridiagonal matrix (W0 - a P_M M doubles the drift
+factors anything, and _step_eigenbasis steps the coefficients u = V^{-1} y
+of the system from _eigen_system: u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j Bt
+with diagonal A1, A2, the thin Bt ~ V^{-1} D^{-1} M [U] (M x n) and the
+read g_j = 3 c_j - c_{j-1}, c_j = Cl u_j[:M] while the feedback acts at
+step j and 0 otherwise; step 1 finds c_0 in step 0's force.  W0 stays
+unfolded for step 0, which subtracts P_M R y itself; Cl comes from the
+folded Wa = P_M (-nu S + lambda M - a M) (W0 - a P_M M doubles the drift
 from an extended-precision run).  The sampled eigenfunctions are
 eigenvectors, so Wa V vanishes beyond column M up to rounding: the first M
 coefficients form a closed system, z_j = (u_j[:M], u_{j-1}[:M]) obeys
 z_{j+1} = F z_j with one 2M x 2M matrix F per pair (on_j, on_{j-1}), and
-the higher ones are a diagonal recurrence driven by them.  From step 2 on
-the run advances in blocks of at most BLOCK_STEPS steps with one pair: one
-product of z with a cached stack of Q F^i, where g_j = Q z_j, yields a
-block's forces, one M x n product spreads them, and each step costs four
-elementwise calls on n coefficients.  A block's norms are one weighted sum
-of squares per row, checked step by step; a block whose powers of F
-overflow before the state does is stepped singly.  Nothing multiplies by
-M, solves or transforms per step: a real FFT per row maps the rows of Wa
-and (M [U])^T, y0, step 0's right-hand side and force into the eigenbasis
-once, and each snapshot back.
+the higher ones are a diagonal recurrence driven by them.  From step 2 on,
+blocks of at most BLOCK_STEPS steps with one pair read their forces by one
+product of z with a cached stack of Q F^i, g_j = Q z_j (zero for a free
+pair; row by row where the powers of F overflow before the state does),
+spread them by one M x n product, and cost four elementwise calls on n
+coefficients a step.  Nothing multiplies by M, solves or transforms per
+step: a real FFT per row maps the rows of Wa and (M [U])^T, y0, step 0's
+right-hand side and force into the eigenbasis once, and each snapshot back.
 """
 
 from __future__ import annotations
@@ -91,9 +89,6 @@ from .linalg import tridiag_factor, tridiag_matvec, tridiag_solve
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
 
-Tridiag = tuple[np.ndarray, np.ndarray]
-
-
 @dataclass(frozen=True)
 class FemGrid:
     """Hat-function discretisation of (0, L) under boundary condition bc.
@@ -111,8 +106,8 @@ class FemGrid:
     N: int
     h: float
     nodes: np.ndarray
-    mass: Tridiag
-    stiffness: Tridiag
+    mass: tuple[np.ndarray, np.ndarray]
+    stiffness: tuple[np.ndarray, np.ndarray]
 
 
 def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
@@ -183,9 +178,7 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
     """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
-    if not (L > 0.0 and math.isfinite(L)):
-        raise InvalidArgumentError(f"domain length must be positive and finite, got {L}")
-    base = -35.0 * nu * (math.pi / L) ** 2
+    base = -35.0 * nu * float(build_basis(BoundaryCondition.DIRICHLET, L, 1).alphas[0])
 
     def values(x: np.ndarray, t: float) -> np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -374,16 +367,6 @@ class ClosedLoopRun:
     snapshots: np.ndarray | None
 
 
-def _mass_norm(y: np.ndarray, My: np.ndarray) -> float:
-    """sqrt(y^T M y) from y and its mass product My.
-
-    The sum is numpy's pairwise reduction rather than a BLAS dot product, so
-    it does not depend on the BLAS thread count.  A non-finite y gives a
-    non-finite norm.
-    """
-    return math.sqrt(max(float(np.add.reduce(y * My)), 0.0))
-
-
 def _trig_sums(x: np.ndarray, dirichlet: bool) -> np.ndarray:
     """sum_i x_i sin(i theta_k) over i, k = 1..N-2 (Dirichlet; x holds the
     interior nodes), or sum_i x_i cos(i theta_k) over i, k = 0..N-1
@@ -400,6 +383,57 @@ def _trig_sums(x: np.ndarray, dirichlet: bool) -> np.ndarray:
     return np.ascontiguousarray(np.fft.rfft(ext).real)
 
 
+@dataclass(frozen=True)
+class _EigenSystem:
+    """The eigenbasis system of the module docstring: pi_k = 2 mu + k nu sigma,
+    ||y||^2 = sum wmu o u^2, Cl is M x M and Bt M x n, with M = 0 without feedback."""
+
+    A1: np.ndarray
+    A2: np.ndarray
+    pi_k: np.ndarray
+    omega: np.ndarray
+    wmu: np.ndarray
+    Cl: np.ndarray
+    Bt: np.ndarray
+
+    def low_block(self, on: bool, on_prev: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Q and F, g_j = Q z_j and z_{j+1} = F z_j, for (on_j, on_{j-1}) = (on, on_prev)."""
+        M = len(self.Cl)
+        Q = np.hstack([(3.0 * on) * self.Cl, -float(on_prev) * self.Cl])
+        F = np.block([[np.diag(self.A1[:M]), np.diag(self.A2[:M])], [np.eye(M), np.zeros((M, M))]])
+        F[:M] -= self.Bt[:, :M].T @ Q
+        return Q, F
+
+
+def _eigen_system(
+    grid: FemGrid, nu: float, a: float, k: float, feedback: FeedbackConfig | None
+) -> _EigenSystem:
+    """The eigenbasis system of the reaction R = a M on grid with time step k."""
+    N, h, (mdiag, moff), (sdiag, soff) = grid.N, grid.h, grid.mass, grid.stiffness
+    dirichlet = grid.bc is BoundaryCondition.DIRICHLET
+    inner = slice(1, -1) if dirichlet else slice(None)
+    # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
+    idx = np.arange(1, N - 1) if dirichlet else np.arange(N)
+    s = np.sin(idx * (0.5 * math.pi / (N - 1))) ** 2
+    mu = h - (2.0 * h / 3.0) * s
+    pi_k = 2.0 * mu + k * nu * (4.0 / h) * s
+    omega = np.full(idx.size, 0.5 * (N - 1))
+    if not dirichlet:
+        omega[[0, -1]] = N - 1.0
+    Cl, Bt = np.zeros((0, 0)), np.zeros((0, idx.size))
+    if feedback is not None:
+        # Wa = P_M (K - a M) V vanishes beyond column M up to rounding, since
+        # the sampled eigenfunctions are eigenvectors: the feedback reads the low block
+        op, lam = feedback.operator, feedback.lam
+        K = (lam * mdiag - nu * sdiag - mdiag * a, lam * moff - nu * soff - moff * a)
+        Cl = _trig_sums(tridiag_matvec(*K, op.P.T).T[:, inner], dirichlet)[:, : len(op.P)]
+        MUt = np.ascontiguousarray(tridiag_matvec(*grid.mass, op.U).T)
+        Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
+    ka = k * a
+    A1, A2 = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k
+    return _EigenSystem(A1, A2, pi_k, omega, omega * mu, Cl, Bt)
+
+
 # The eigenbasis stepper advances at most this many steps per block.
 BLOCK_STEPS = 16
 
@@ -407,13 +441,61 @@ BLOCK_STEPS = 16
 def _blocks(flags: np.ndarray, start: int, stop: int) -> Iterator[tuple[int, int]]:
     """(j0, steps) blocks that cover the steps start..stop-1, each at most
     BLOCK_STEPS long, over which the pair (flags[j], flags[j-1]) is constant."""
-    cuts = {start, stop}
+    cuts = {start, max(start, stop)}
     for c in (np.flatnonzero(flags[1:] != flags[:-1]) + 1).tolist():
         cuts.update(x for x in (c, c + 1) if start < x < stop)
     cuts = sorted(cuts)
     for a, b in zip(cuts, cuts[1:]):
         for j0 in range(a, b, BLOCK_STEPS):
             yield j0, min(BLOCK_STEPS, b - j0)
+
+
+def _step_eigenbasis(
+    system: _EigenSystem, flags: np.ndarray, u1: np.ndarray, hist: np.ndarray, n_steps: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (j, rows) for the states j, j + 1, .. of the run from u1 = u_1 and
+    step 1's history term hist (see the module docstring); flags[j] tells
+    whether the feedback acts at step j, and the next step overwrites rows."""
+    A1, A2, Cl, Bt = system.A1, system.A2, system.Cl, system.Bt
+    M = len(Cl)
+    # Y holds two states and a block's new ones
+    Y = np.empty((BLOCK_STEPS + 2, A1.size))
+    acc, tmp = np.empty((2, A1.size))
+    # row views and positional out= trim the overhead of the step loop
+    ys, mul, add, sub = list(Y), np.multiply, np.add, np.subtract
+    Y[0] = u1
+    # step 1's history is step 0's force k q_0, feedback included
+    np.multiply(A1, Y[0], out=Y[1])
+    Y[1] += hist
+    if flags[1]:
+        Y[1] -= (3.0 * (Cl @ Y[0, :M])) @ Bt
+    yield 1, Y[: min(n_steps, 2)]
+    stacks: dict[tuple[bool, bool], np.ndarray] = {}
+    for j0, steps in _blocks(flags, 2, n_steps):
+        pair = bool(flags[j0]), bool(flags[j0 - 1])
+        m = M if any(pair) else 0  # a free block reads nothing
+        if pair not in stacks:
+            read, F = system.low_block(*pair)
+            powers = [read[:m]]
+            for _ in range(BLOCK_STEPS - 1 if all(pair) else 0):  # a mixed pair lasts one step
+                powers.append(powers[-1] @ F)
+            stacks[pair] = np.concatenate(powers)
+        z = np.concatenate([Y[1, :M], Y[0, :M]])
+        g = (stacks[pair][: steps * m] @ z).reshape(steps, m)
+        # the powers of F overflow before the state does: read row by row
+        single = not np.isfinite(g).all()
+        if not single:
+            np.matmul(g, Bt[:m], out=Y[2 : steps + 2])
+        for r in range(1, steps + 1):
+            if single:
+                z = np.concatenate([Y[r, :M], Y[r - 1, :M]])
+                np.matmul((stacks[pair][:m] @ z).reshape(1, m), Bt[:m], out=Y[r + 1 : r + 2])
+            # u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j Bt, written over its force row
+            mul(A1, ys[r], acc)
+            add(acc, mul(A2, ys[r - 1], tmp), acc)
+            sub(acc, ys[r + 1], ys[r + 1])
+        yield j0 + 1, Y[2 : steps + 2]
+        Y[:2] = Y[steps : steps + 2]
 
 
 def run_closed_loop(
@@ -493,12 +575,10 @@ def run_closed_loop(
         raise InvalidArgumentError(
             f"feedback window [{t0:.17g}, {t1:.17g}] {where} the final time {T:.17g}"
         )
-    N, h, nodes, mass = grid.N, grid.h, grid.nodes, grid.mass
-    (mdiag, moff), (sdiag, soff) = mass, grid.stiffness
+    N, nodes, (mdiag, moff), (sdiag, soff) = grid.N, grid.nodes, grid.mass, grid.stiffness
 
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     inner = slice(1, -1) if dirichlet else slice(None)
-    plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
 
     a_static = a_const = None
     if not reaction.time_dependent:
@@ -508,13 +588,6 @@ def run_closed_loop(
         if np.all(a_static == a_static[0]):
             # R = a M is diagonal in the eigenbasis of M and S
             a_const = float(a_static[0])
-
-    if feedback is not None:
-        P = feedback.operator.P
-        MUt = np.ascontiguousarray(tridiag_matvec(*mass, feedback.operator.U).T)
-        K = (feedback.lam * mdiag - nu * sdiag, feedback.lam * moff - nu * soff)
-        # W0 = P K = (K P^T)^T, because K is symmetric.
-        W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
 
     snap_slots: dict[int, list[int]] = {}
     for s, tt in enumerate(snap_times):
@@ -534,6 +607,13 @@ def run_closed_loop(
     # A blow-up overflows before it produces NaN; record() reports it with
     # the step and its time, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
+        plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
+        if feedback is not None:
+            P, lam = feedback.operator.P, feedback.lam
+            MUt = np.ascontiguousarray(tridiag_matvec(*grid.mass, feedback.operator.U).T)
+            # W0 = P K = (K P^T)^T, because K = lambda M - nu S is symmetric.
+            K = (lam * mdiag - nu * sdiag, lam * moff - nu * soff)
+            W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
         factor = None if a_const is not None else tridiag_factor(plus_diag[inner], plus_off[inner])
         a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
         stencil = np.array([moff[0], mdiag[1], moff[0]])
@@ -548,7 +628,9 @@ def run_closed_loop(
         work = np.empty(N)
         for j in range(n_steps + 1):
             My = mass_times(y)
-            if slots := record(j, _mass_norm(y, My)):
+            # sqrt(y^T M y) as numpy's pairwise sum, not a BLAS dot product, does not
+            # depend on the BLAS thread count; a non-finite y gives a non-finite norm
+            if slots := record(j, math.sqrt(max(float(np.add.reduce(y * My)), 0.0))):
                 snapshots[slots] = y
             if j == n_steps:
                 break
@@ -579,109 +661,26 @@ def run_closed_loop(
             y = rhs
 
         if a_const is not None:
-            # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
-            idx = np.arange(1, N - 1) if dirichlet else np.arange(N)
-            s = np.sin(idx * (0.5 * math.pi / (N - 1))) ** 2
-            mu = h - (2.0 * h / 3.0) * s
-            pi_k = 2.0 * mu + k * nu * (4.0 / h) * s
-            omega = np.full(idx.size, 0.5 * (N - 1))
-            if not dirichlet:
-                omega[[0, -1]] = N - 1.0
-            ka = k * a_const
-            A1, A2, wmu = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k, omega * mu
+            W0 = MUt = None  # release step 0's products: the system forms its own read and spread
+            system = _eigen_system(grid, nu, a_const, k, feedback)
             # step 0's right-hand side, step 1's history term k q_0 and y0
             # (V^{-1} y = V^T D y / omega) go to the eigenbasis
             rows = np.stack([rhs[inner], kq_prev[inner], y[inner]])
             if not dirichlet:
                 rows[2, [0, -1]] *= 0.5
-            z, hist, yh = _trig_sums(rows, dirichlet) / omega
-            yh, hist = z / pi_k - yh, hist / pi_k
-            if feedback is not None:
-                # Wa = P_M (K - a M) V vanishes beyond column M up to rounding, since
-                # the sampled eigenfunctions are eigenvectors: the feedback reads the low block
-                del W0
-                M = P.shape[0]
-                Wa = tridiag_matvec(K[0] - mdiag * a_const, K[1] - moff * a_const, P.T).T
-                Cl = _trig_sums(Wa[:, inner], dirichlet)[:, :M]
-                Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
-                reads: dict[tuple[bool, bool, bool], np.ndarray] = {}
-
-            def read_rows(on: bool, on_prev: bool, steps: int) -> np.ndarray:
-                """Q F^i for i < steps, stacked.  Q z_j = 3 on c_j - on_prev c_{j-1}
-                reads the force of step j from the low block z_j = (y_j[:M],
-                y_{j-1}[:M]), and F maps z_j to z_{j+1} while (on, on_prev) holds."""
-                key = (on, on_prev, steps > 1)
-                if key not in reads:
-                    Q = [np.hstack([(3.0 * on) * Cl, -float(on_prev) * Cl])]
-                    if steps > 1:
-                        F = np.block(
-                            [[np.diag(A1[:M]), np.diag(A2[:M])], [np.eye(M), np.zeros((M, M))]]
-                        )
-                        F[:M] -= Bt[:, :M].T @ Q[0]
-                        for _ in range(BLOCK_STEPS - 1):
-                            Q.append(Q[-1] @ F)
-                    reads[key] = np.concatenate(Q)
-                return reads[key][: steps * M]
-
-            def advance(j0: int, steps: int, b: int = 0) -> bool:
-                """Step from the states j0 - 1, j0 in rows b, b + 1 of Y into
-                rows b + 2 .. b + steps + 1, with one pair (on_j, on_{j-1}).
-                False, with nothing stepped, when the force read overflows."""
-                on, on_prev = bool(feedback_flags[j0]), bool(feedback_flags[j0 - 1])
-                if on or on_prev:
-                    z = np.concatenate([Y[b + 1, :M], Y[b, :M]])
-                    g = (read_rows(on, on_prev, steps) @ z).reshape(steps, M)
-                    if steps > 1 and not np.isfinite(g).all():
-                        return False
-                    np.matmul(g, Bt, out=Y[b + 2 : b + steps + 2])
-                    # y_{j+1} = A1 o y_j + A2 o y_{j-1} - g_j Bt, written over its force row
-                    for r in range(b + 1, b + steps + 1):
-                        mul(A1, ys[r], acc)
-                        add(acc, mul(A2, ys[r - 1], tmp), acc)
-                        sub(acc, ys[r + 1], ys[r + 1])
-                else:
-                    for r in range(b + 1, b + steps + 1):
-                        mul(A1, ys[r], ys[r + 1])
-                        add(ys[r + 1], mul(A2, ys[r - 1], tmp), ys[r + 1])
-                return True
-
-            def record_rows(j: int, block: np.ndarray) -> None:
-                """Store the norms of the states j, j + 1, .. held in the rows of
-                block and fill their snapshots."""
-                sq = np.multiply(wmu, block, out=work[: len(block)])
+            z, hist, yh = _trig_sums(rows, dirichlet) / system.omega
+            yh, hist = z / system.pi_k - yh, hist / system.pi_k
+            work = np.empty((BLOCK_STEPS, yh.size))  # a block's norm terms
+            for j, block in _step_eigenbasis(system, feedback_flags, yh, hist, n_steps):
+                sq = np.multiply(system.wmu, block, out=work[: len(block)])
                 sq *= block
                 vals = np.sqrt(np.add.reduce(sq, axis=1))
-                finite = np.isfinite(vals)
-                if not finite.all():
-                    bad = int(np.argmin(finite))
-                    record(j + bad, float(vals[bad]))
+                bad = int(np.argmin(np.isfinite(vals)))  # the first non-finite norm, if any
+                record(j + bad, float(vals[bad]))
                 norms[j : j + len(block)] = vals
                 for step, slots in snap_slots.items():
                     if j <= step < j + len(block):
                         snapshots[slots, inner] = _trig_sums(block[step - j], dirichlet)
-
-            # Y holds two states and a block's new ones, work a block's norm terms
-            Y, work = np.empty((BLOCK_STEPS + 2, idx.size)), np.empty((BLOCK_STEPS, idx.size))
-            acc, tmp = np.empty((2, idx.size))
-            # row views and positional out= trim the overhead of the step loop
-            ys, mul, add, sub = list(Y), np.multiply, np.add, np.subtract
-            Y[1] = yh
-            record_rows(1, Y[1:2])
-            if n_steps > 1:
-                # step 1's history is step 0's force k q_0, feedback included
-                np.multiply(A1, Y[1], out=Y[2])
-                Y[2] += hist
-                if feedback_flags[1]:
-                    Y[2] -= (3.0 * (Cl @ Y[1, :M])) @ Bt
-                record_rows(2, Y[2:3])
-                Y[:2] = Y[1:3]
-            for j0, steps in _blocks(feedback_flags, 2, n_steps):
-                if not advance(j0, steps):
-                    # the powers of F overflow before the state does: step singly
-                    for i in range(steps):
-                        advance(j0 + i, 1, i)
-                record_rows(j0 + 1, Y[2 : steps + 2])
-                Y[:2] = Y[steps : steps + 2]
 
     for arr in (times, norms, feedback_flags):
         arr.flags.writeable = False

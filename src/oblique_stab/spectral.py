@@ -47,19 +47,19 @@ class EigenBasis:
 
 
 def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
-    """Construct the first M eigenpairs on (0, L)."""
+    """Construct the first M eigenpairs on (0, L); an L so small that
+    (pi/L)^2 overflows raises InvalidArgumentError, as a non-positive one does."""
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
         raise InvalidArgumentError(f"interval length must be positive and finite, got {L}")
     if int(M) != M or M < 1:
         raise InvalidArgumentError(f"eigenpair count must be a positive integer, got {M}")
     M = int(M)
+    if not math.pi / L <= math.sqrt(np.finfo(float).max):
+        raise InvalidArgumentError(f"interval length L = {L} is so small that (pi/L)^2 overflows")
     scale = (math.pi / L) ** 2
     i = np.arange(1, M + 1, dtype=float)
-    if bc is BoundaryCondition.DIRICHLET:
-        alphas = scale * i**2
-    else:
-        alphas = scale * (i - 1.0) ** 2
+    alphas = scale * (i if bc is BoundaryCondition.DIRICHLET else i - 1.0) ** 2
     alphas.flags.writeable = False
     return EigenBasis(bc=bc, L=L, M=M, alphas=alphas)
 

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 
-from oblique_stab.fem import _mass_norm
 from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import (
     _actuator_family,
@@ -81,7 +80,7 @@ def reaction_matrix(grid, a_nodes):
 def nodal_l2_norm(grid, y) -> float:
     """L2(0, L) norm of the hat interpolant with nodal values y."""
     y = np.asarray(y, dtype=float)
-    return _mass_norm(y, tridiag_matvec(*grid.mass, y))
+    return math.sqrt(max(float(np.add.reduce(y * tridiag_matvec(*grid.mass, y))), 0.0))
 
 
 def eigh_projection_norm(op) -> float:

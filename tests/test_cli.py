@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,43 @@ def test_simulate_bad_grid_exits_two(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
     assert main(["simulate", *argv.split(), "--T", "0.01", "--output", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, L",
+    [
+        ("eigs --M 2..4 --r 0.1 --L 1e-300", "1e-300"),
+        ("suffcond --a-bound 3.5 --L 1e-300", "1e-300"),
+        ("project --M 2 --r 0.1 --L 1e-300", "1e-300"),
+        ("simulate --L 1e-160 --T 0.01", "1e-160"),
+        ("simulate --L 1e-200 --reaction oscillating --T 0.01", "1e-200"),
+        # pi / L is already inf here, so nothing raises before the eigenvalues
+        ("simulate --L 1e-310", "1e-310"),
+    ],
+)
+def test_tiny_domain_length_exits_two(tmp_path, capsys, argv, L):
+    # (pi/L)^2 overflows: the run stops with the length named, not a traceback
+    samples = tmp_path / "samples.csv"
+    samples.write_text(f"x,value\n0.0,0.0\n{float(L) / 2!r},1.0\n{float(L)!r},0.0\n")
+    extra = ["--input", str(samples)] if argv.startswith("project") else []
+    out = tmp_path / "out.csv"
+    assert main([*argv.split(), *extra, "--output", str(out)]) == 2
+    assert f"interval length L = {L} is so small that (pi/L)^2 overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_setup_fails_without_a_warning(tmp_path, capsys):
+    # nu = 1e308 overflows the once-per-run products; the failure line alone
+    # reports it, with no numpy warning before it
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--nu", "1e308", "--output", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: solution norm is nan at step 1, t = 0.001; "
+        "the run blew up (reduce the time step or the reaction)"
+    ]
     assert not out.exists()
 
 

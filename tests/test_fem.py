@@ -19,6 +19,8 @@ from oblique_stab.fem import (
     ROTATION_ANCHOR_STEPS,
     FeedbackConfig,
     ReactionField,
+    _eigen_system,
+    _step_eigenbasis,
     constant_reaction,
     discrete_projection_norm,
     feedback_matrices,
@@ -884,7 +886,7 @@ def test_blow_up_with_feedback_raises_with_step_and_time(a, lam, scale):
 @pytest.mark.parametrize(
     "bc, M, lam, bound",
     [
-        # measured 4.6e-6: mode M + 1 = cos 6x sets the rate 0.103 at N = 201
+        # measured 4.5e-6: mode M + 1 = cos 6x sets the rate 0.103 at N = 201
         (N, 6, 1.0, 2e-5),
         # measured 6.6e-5: mode 7 decays at 1.405 < lam
         (D, 6, 3.0, 2e-4),
@@ -894,8 +896,14 @@ def test_blow_up_with_feedback_raises_with_step_and_time(a, lam, scale):
     ids=["neumann-M6", "dirichlet-lam3", "dirichlet-M4-unstable"],
 )
 def test_constant_reaction_decays_at_the_exact_rate(bc, M, lam, bound):
+    # The late slope of ln ||y|| is ln rho / k, rho the spectral radius of the
+    # eigenbasis recurrence: the larger of that of the low block F and the
+    # largest root modulus of x^2 = A1_i x + A2_i over the modes i > M, which
+    # the low block drives but never feeds back.  Measured 9.2e-13, 6.5e-15
+    # and 2.2e-14 from that rate.
+    #
     # For R = a M the feedback leaves the low modes decaying at lam and the
-    # modes above M at nu Lambda_k + a, so the late slope of ln ||y|| is
+    # modes above M at nu Lambda_k + a, so the rate is close to
     # -min(lam, nu Lambda_{M+1} + a); Lambda_{M+1} is the grid eigenvalue of
     # the sampled eigenfunction, its Rayleigh quotient.  The bounds hold the
     # time discretization error, second order in k.
@@ -905,12 +913,88 @@ def test_constant_reaction_decays_at_the_exact_rate(bc, M, lam, bound):
     e = np.sin((M + 1) * x) if bc is D else np.cos(M * x)
     Lam = (e @ tridiag_matvec(*grid.stiffness, e)) / (e @ tridiag_matvec(*grid.mass, e))
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, M, 0.1))
-    run = run_closed_loop(
-        grid, nu, constant_reaction(a), 0.1 * x + 0.05, T, k,
-        feedback=FeedbackConfig(operator=op, lam=lam),
+    feedback = FeedbackConfig(operator=op, lam=lam)
+    system = _eigen_system(grid, nu, a, k, feedback)
+    A1, A2 = system.A1[M:], system.A2[M:]
+    root = np.sqrt((A1**2 + 4.0 * A2).astype(complex))
+    rho = max(
+        float(np.max(np.abs(np.linalg.eigvals(system.low_block(True, True)[1])))),
+        float(np.max(np.abs(A1 + root) / 2.0)),
+        float(np.max(np.abs(A1 - root) / 2.0)),
     )
+    rate = math.log(rho) / k
     predicted = -min(lam, nu * Lam + a)
-    assert abs(log_norm_slope(run, 0.75 * T, T) - predicted) <= bound * abs(predicted)
+    assert abs(rate - predicted) <= bound * abs(predicted)
+    run = run_closed_loop(grid, nu, constant_reaction(a), 0.1 * x + 0.05, T, k, feedback=feedback)
+    assert abs(log_norm_slope(run, 0.75 * T, T) - rate) <= 1e-10 * abs(rate)
+
+
+def _dense_sampled_eigenvectors(grid):
+    """The eigenvectors V of the uniform grid's M and S as a dense matrix:
+    sin(i j pi / (N-1)) on the Dirichlet interior, cos(i j pi / (N-1)) on
+    all nodes under Neumann conditions."""
+    n = grid.N
+    if grid.bc is D:
+        i = np.arange(1, n - 1)
+        return np.sin(np.outer(i, i) * (math.pi / (n - 1)))
+    i = np.arange(n)
+    return np.cos(np.outer(i, i) * (math.pi / (n - 1)))
+
+
+@pytest.mark.parametrize("n_nodes", [201, 1001])
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize(
+    "scheme, M, r", [(Scheme.MXE, 6, 0.1), (Scheme.MXE, 20, 0.1), (Scheme.UNI, 8, 0.3)],
+    ids=["mxe-6", "mxe-20", "uni-8"],
+)
+def test_feedback_reads_only_the_low_modes(bc, n_nodes, scheme, M, r):
+    # The eigenbasis stepper keeps the M x M read Cl alone: the full read
+    # P_M (K - a M) V vanishes beyond column M, since the sampled
+    # eigenfunctions are eigenvectors, up to rounding that grows roughly as
+    # N^2.  Measured at most 1.1e-13 of the largest entry at N = 201 and
+    # 4.1e-12 at N = 1001; it reaches 1.4e-10 at N = 10001.
+    grid = make_grid(bc, math.pi, n_nodes)
+    op = feedback_matrices(grid, place(scheme, math.pi, M, r))
+    nu, lam, a = 0.1, 1.0, -3.5
+    W = op.P @ ((lam - a) * _dense(grid.mass) - nu * _dense(grid.stiffness))
+    read = (W[:, 1:-1] if bc is D else W) @ _dense_sampled_eigenvectors(grid)
+    scale = float(np.max(np.abs(read)))
+    assert float(np.max(np.abs(read[:, M:]))) <= 1e-11 * scale
+    # the builder's read is the low block, measured at most 6e-14 from it
+    Cl = _eigen_system(grid, nu, a, 1e-3, FeedbackConfig(operator=op, lam=lam)).Cl
+    assert Cl.shape == (M, M)
+    assert float(np.max(np.abs(Cl - read[:, :M]))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("feed_on", [None, (0.01, 0.05)], ids=["on", "window"])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, BLOCK_STEPS + 2, BLOCK_STEPS + 3, 80])
+def test_eigenbasis_stepper_yields_each_state_once(n_steps, feed_on):
+    # states 1..n_steps in order, and none beyond: a one-step run reads no block
+    grid = make_grid(D, math.pi, 101)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
+    k = 1e-3
+    system = _eigen_system(grid, 0.1, -3.5, k, feedback)
+    flags = feedback.active(np.arange(n_steps + 1) * k)
+    u1 = np.ones(grid.N - 2)
+    seen = []
+    for j, rows in _step_eigenbasis(system, flags, u1, np.zeros_like(u1), n_steps):
+        assert np.isfinite(rows).all()
+        seen.extend(range(j, j + len(rows)))
+    assert seen == list(range(1, n_steps + 1))
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_free_eigenbasis_run_matches_stepwise_reference(bc):
+    # without feedback every block is a free block, stepped with a zero read;
+    # measured at most 2.3e-14
+    grid = make_grid(bc, math.pi, 301)
+    y0, k, T = 0.1 * grid.nodes + 0.05, 2e-3, 0.1
+    args = (grid, 0.1, constant_reaction(-3.5), y0, T, k)
+    run = run_closed_loop(*args, snapshot_times=(0.0, 0.05, T))
+    states_ref, norms_ref, _ = _reference_run(*args)
+    assert _rel(run.norms, norms_ref) <= 1e-10
+    assert _rel(run.snapshots, states_ref[[0, 25, 50]]) <= 1e-10
 
 
 # ---------------------------------------------------------------- low-mode law
