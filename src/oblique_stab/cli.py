@@ -388,6 +388,8 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
     closed_form_m = ""
     if scheme is not Scheme.CON:
         X = (L / math.pi) * math.sqrt((6.0 + 4.0 * norm_lim**2) / v.nu) * v.a_bound
+        if not math.isfinite(X):
+            raise InvalidArgumentError("--L, --nu and --a-bound overflow closed_form_minimal_M")
         closed_form_m = max(least, math.ceil(X - 1.0 if bc is BoundaryCondition.DIRICHLET else X))
 
     if found is None:

@@ -22,12 +22,12 @@ G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  For mxe and uni the angles are
 rational multiples of pi and T is gathered from one exact-angle sine table.
 T, T T^T and |T T^T| off the diagonal are kept for the latest (bc, M,
-centers), so a sweep over r at one M computes them once; G and Theta =
-(s s^T) o (T T^T) are formed only when something reads them.  The spectrum
-of Theta is its sorted diagonal where Weyl's inequality, applied to the
-factors, certifies that to 1e-10 relative (mxe, and uni under Dirichlet
-conditions), otherwise eigvalsh of Theta, or the squared singular values of
-G from numpy's SVD when Theta is ill-conditioned; this module needs no scipy.
+centers), so a sweep over r at one M computes them once; G is formed
+only when something reads it.  The spectrum of Theta = (s s^T) o (T T^T) is
+its sorted diagonal where Weyl's inequality, applied to the factors,
+certifies that to 1e-10 relative (mxe, and uni under Dirichlet conditions),
+otherwise the squared singular values of G from numpy's SVD; this module
+needs no scipy.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -61,10 +61,6 @@ from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 # sorted diagonal of Theta is its spectrum to this relative accuracy.
 _WEYL_RTOL = 1e-10
 
-# Below this ratio of extreme Theta eigenvalues the spectrum comes from the
-# singular values of G; above it eigvalsh is within about 1e-10 relative.
-_SVD_RATIO = 1e-6
-
 
 @dataclass(frozen=True)
 class CrossGram:
@@ -73,8 +69,7 @@ class CrossGram:
     entries[i, j] = (e_{i+1}, u_{j+1})_{L2} = a_i T[i, j] / m_i with u_j the
     unit-norm indicator; rows follow the eigenfunction index, columns the
     actuator index.  Kept as read-only factors a, m, T, T T^T and tt_off =
-    |T T^T| off the diagonal; entries and theta = (s s^T) o (T T^T) with
-    s = a / m > 0, exactly symmetric, are formed read-only on first read.
+    |T T^T| off the diagonal; entries are formed read-only on first read.
     """
 
     actuators: ActuatorSet
@@ -88,11 +83,6 @@ class CrossGram:
     @functools.cached_property
     def entries(self) -> np.ndarray:
         return _frozen(self.a[:, None] * self.T / self.m[:, None])
-
-    @functools.cached_property
-    def theta(self) -> np.ndarray:
-        s = self.a / self.m
-        return _frozen(np.multiply.outer(s, s) * self.TT)
 
 
 @dataclass(frozen=True)
@@ -193,15 +183,12 @@ def build_projection(gram: CrossGram) -> ProjectionData:
 
     Since s > 0, |Theta| off the diagonal is (s s^T) o tt_off, and the
     diagonal is s^2 o diag(T T^T); both come from the cross-Gram's factors.
-    The spectrum is chosen three ways:
-
-    * the sorted diagonal, when the largest Gershgorin radius of Theta is at
-      most 1e-10 of its smallest diagonal entry; by Weyl's inequality every
-      eigenvalue then lies within that radius of a diagonal entry;
-    * otherwise eigvalsh of Theta, which only this branch forms;
-    * and, when the smallest eigenvalue so found is below 1e-6 of the
-      largest, the squared singular values of G (numpy's SVD), since forming
-      G G^T squares the condition number.
+    The spectrum is the sorted diagonal when the largest Gershgorin radius of
+    Theta is at most 1e-10 of its smallest diagonal entry: by Weyl's
+    inequality every eigenvalue then lies within that radius of a diagonal
+    entry.  Otherwise it is the squared singular values of G (numpy's SVD),
+    which keep a small vartheta accurate where forming G G^T would square the
+    condition number.
 
     Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
     SIGMA_RATIO_THRESHOLD, the one failure test of the cross-Gram: it also
@@ -215,8 +202,6 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     if np.all(np.isfinite(radii + d)) and radii.max() <= _WEYL_RTOL * d.min():
         w = np.sort(d)
     else:
-        w = np.linalg.eigvalsh(gram.theta)
-    if w[0] < _SVD_RATIO * w[-1]:
         w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
     if ratio <= SIGMA_RATIO_THRESHOLD:
@@ -394,19 +379,21 @@ def check_sufficient_condition(
     """Test the stabilisability margin nu*alpha_{M+1} > (6 + 4||P||^2) * a_bound^2.
 
     a_bound is the caller's bound on the reaction operator norm (the sup of
-    |a| is a conservative choice); margin is lhs - rhs.
+    |a| is a conservative choice); margin is lhs - rhs.  Both sides are float
+    products, not powers, so an overflow raises InvalidArgumentError.
     """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
     if not (a_bound >= 0.0 and math.isfinite(a_bound)):
         raise InvalidArgumentError(f"a_bound must be nonnegative and finite, got {a_bound}")
     alpha_next = float(build_basis(bc, L, M + 1).alphas[-1])
-    lhs = nu * alpha_next
-    rhs = (6.0 + 4.0 * op_norm**2) * a_bound**2
+    margin = nu * alpha_next - (6.0 + 4.0 * op_norm * op_norm) * (a_bound * a_bound)
+    if not math.isfinite(margin):
+        raise InvalidArgumentError(f"the margin test overflows at nu={nu:g}, a_bound={a_bound:g}")
     return SufficientConditionReport(
         M=int(M),
         alpha_next=alpha_next,
         op_norm=float(op_norm),
-        satisfied=lhs > rhs,
-        margin=lhs - rhs,
+        satisfied=margin > 0.0,
+        margin=margin,
     )

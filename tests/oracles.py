@@ -60,10 +60,17 @@ def apply_adjoint_projection(data, f):
     return beta, _expansion(beta, _eigen_family(data))
 
 
+def theta(gram) -> np.ndarray:
+    """Theta = G G^T formed from the cross-Gram's factors as (s s^T) o (T T^T)
+    with s = a / m > 0; exactly symmetric, since T T^T is."""
+    s = gram.a / gram.m
+    return np.multiply.outer(s, s) * gram.TT
+
+
 def check_theta_diagonal(data) -> tuple[bool, float]:
     """Whether Theta is diagonal to within DIAG_RTOL of its largest diagonal
     entry, and its largest off-diagonal magnitude."""
-    max_diag = float(np.max(np.abs(np.diag(data.gram.theta))))
+    max_diag = float(np.max(np.abs(np.diag(theta(data.gram)))))
     return data.max_offdiag <= DIAG_RTOL * max_diag, data.max_offdiag
 
 

@@ -647,6 +647,25 @@ def test_tiny_domain_length_exits_two(tmp_path, capsys, argv, L):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--a-bound 1e160", "the margin test overflows at nu=0.1, a_bound=1e+160"),
+        ("--a-bound 1e308", "the margin test overflows at nu=0.1, a_bound=1e+308"),
+        ("--a-bound 3.5 --nu 1e308", "the margin test overflows at nu=1e+308, a_bound=3.5"),
+        ("--a-bound 3.5 --nu 1e-320", "--L, --nu and --a-bound overflow closed_form_minimal_M"),
+    ],
+    ids=["a-bound 1e160", "a-bound 1e308", "nu 1e308", "nu 1e-320"],
+)
+def test_suffcond_overflow_exits_two(tmp_path, capsys, argv, message):
+    # a side of the margin test or the closed-form count overflows: one error
+    # line, no traceback
+    out = tmp_path / "out.csv"
+    assert main(["suffcond", *argv.split(), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_overflowing_setup_fails_without_a_warning(tmp_path, capsys):
     # nu = 1e308 overflows the once-per-run products; the failure line alone
     # reports it, with no numpy warning before it
@@ -744,14 +763,23 @@ def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
     assert one == two
 
 
-def test_mxe_sweep_spectrum_independent_of_blas_threads(tmp_path):
-    # Theta is certified diagonal for every mxe row, so its spectrum is the
-    # sorted diagonal and no threaded eigvalsh touches these columns
-    argv = "eigs --scheme mxe --M 2..200 --r 0.1,0.5".split()
+# Theta is certified diagonal for every mxe row, so its spectrum is the
+# sorted diagonal; for Neumann uni it is not, and the spectrum is sigma(G)^2
+# from an SVD, with no threaded G G^T product or eigensolver
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        ("eigs --scheme mxe --M 2..200 --r 0.1,0.5", 399),
+        ("eigs --bc neumann --scheme uni --M 2..200 --r 0.1,0.3,0.5", 598),
+    ],
+    ids=["mxe", "neumann uni"],
+)
+def test_sweep_spectrum_independent_of_blas_threads(tmp_path, argv, rows):
     one, two = (
-        [row.split(b",") for row in _rows_at_blas_threads(tmp_path, n, argv)] for n in (1, 2)
+        [row.split(b",") for row in _rows_at_blas_threads(tmp_path, n, argv.split())]
+        for n in (1, 2)
     )
-    assert len(one) == len(two) == 399
+    assert len(one) == len(two) == rows
     cols = [one[0].index(name) for name in (b"vartheta_numeric", b"op_norm")]
     assert [[row[j] for j in cols] for row in one] == [[row[j] for j in cols] for row in two]
 

@@ -15,7 +15,7 @@ from oblique_stab.actuators import (
     normalized_indicator_coeff,
     place,
 )
-from oblique_stab.errors import DirectSumFailureError, InvalidArgumentError
+from oblique_stab.errors import SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError
 from oblique_stab.projection import (
     analytic_theta_spectrum,
     analytic_vartheta,
@@ -30,7 +30,13 @@ from oblique_stab.projection import (
 from oblique_stab.quadrature import integrate
 from oblique_stab.spectral import BoundaryCondition, build_basis
 
-from oracles import apply_adjoint_projection, check_theta_diagonal, cosine_sum, eval_eigenfunction
+from oracles import (
+    apply_adjoint_projection,
+    check_theta_diagonal,
+    cosine_sum,
+    eval_eigenfunction,
+    theta,
+)
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -226,8 +232,8 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
     assert np.all(np.abs(TT - oracle) <= 4 * M * eps * scale)
     # Theta = (s s^T) o (T T^T) against the product of the entries
     G = gram.entries
-    assert np.all(np.abs(gram.theta - G @ G.T) <= 4 * M * eps * (np.abs(G) @ np.abs(G).T))
-    assert np.array_equal(gram.theta, gram.theta.T)
+    assert np.all(np.abs(theta(gram) - G @ G.T) <= 4 * M * eps * (np.abs(G) @ np.abs(G).T))
+    assert np.array_equal(theta(gram), theta(gram).T)
 
 
 @pytest.mark.parametrize("L", [math.pi, 2.0])
@@ -238,7 +244,7 @@ def test_cross_gram_memo_matches_cold_build(L):
         projection._trig_factor.cache_clear()
         cold = assemble_cross_gram(gram.basis.bc, aset)
         assert np.array_equal(gram.entries, cold.entries)
-        assert np.array_equal(gram.theta, cold.theta)
+        assert np.array_equal(theta(gram), theta(cold))
     # another r at the same M and centers reuses the factor
     hits = projection._trig_factor.cache_info().hits
     assemble_cross_gram(D, place(Scheme.MXE, L, 7, 0.5))
@@ -250,7 +256,7 @@ def test_cross_gram_arrays_are_read_only():
     for bc in (D, N):
         gram = assemble_cross_gram(bc, aset)
         cached = projection._trig_factor(bc, Scheme.UNI, 5, b"")
-        for arr in (*cached, gram.a, gram.m, gram.entries, gram.theta):
+        for arr in (*cached, gram.a, gram.m, gram.entries):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
@@ -303,7 +309,8 @@ def test_theta_eigenvalues_sorted_and_consistent():
 
 
 def _mp_vartheta_con(bc, M, r):
-    """vartheta of the con placement from a 60-digit SVD of the cross-Gram."""
+    """vartheta of the con placement and the condition number
+    sigma_max/sigma_min of its cross-Gram, from a 60-digit SVD."""
     import mpmath
 
     with mpmath.workdps(60):
@@ -321,7 +328,8 @@ def _mp_vartheta_con(bc, M, r):
                     G[i, j] = mpmath.sqrt(r / M)
                 else:
                     G[i, j] = coef * mpmath.sin(i * delta) * mpmath.cos(i * cm[j]) / i
-        return float(min(mpmath.svd_r(G, compute_uv=False)) ** 2)
+        sigma = mpmath.svd_r(G, compute_uv=False)
+        return float(min(sigma) ** 2), float(max(sigma) / min(sigma))
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -330,10 +338,27 @@ def test_small_vartheta_matches_high_precision_svd(bc, M):
     # con at r = 0.1 takes vartheta from 3e-7 down to 2e-15 here; the
     # eigenvalues of G G^T alone are off by up to 4e-5 relative at M = 6,
     # and at M = 7 vartheta is below 1e-13 yet sigma_min/sigma_max >= 6e-8
-    exact = _mp_vartheta_con(bc, M, 0.1)
+    exact, _ = _mp_vartheta_con(bc, M, 0.1)
     data = _build(bc, Scheme.CON, M, 0.1)
     assert data.vartheta == pytest.approx(exact, rel=1e-9, abs=0.0)
     assert data.op_norm == pytest.approx(exact**-0.5, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.5, 0.7])
+def test_con_vartheta_error_scales_with_conditioning(bc, r):
+    # sigma(G)^2 loses a small multiple of eps * cond(G) (at most 2.8 here),
+    # where forming G G^T would lose eps * cond(G)^2.  Neumann r = 0.1 at
+    # M = 8 has cond(G) = 2.5e8, past the direct-sum threshold
+    eps = np.finfo(float).eps
+    for M in range(2, 9):
+        exact, cond = _mp_vartheta_con(bc, M, r)
+        if 1.0 / cond <= SIGMA_RATIO_THRESHOLD:
+            with pytest.raises(DirectSumFailureError):
+                _build(bc, Scheme.CON, M, r)
+            continue
+        vartheta = _build(bc, Scheme.CON, M, r).vartheta
+        assert abs(vartheta - exact) <= 16 * eps * cond * exact, (M, abs(vartheta - exact) / exact)
 
 
 # ---------------------------------------------------------------- closed forms
@@ -372,7 +397,7 @@ def test_analytic_spectrum_matches_numeric():
         for r in (0.1, 0.3, 0.5):
             for M in range(1, 201):
                 data = _build(bc, scheme, M, r)
-                assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.gram.theta)))
+                assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(theta(data.gram))))
                 predicted = analytic_theta_spectrum(bc, scheme, M, r)
                 err = np.abs(data.theta_eigenvalues - predicted) / predicted
                 assert err.max() <= 1e-12, (bc, scheme, M, r)
@@ -388,8 +413,8 @@ def test_weyl_certificate_from_factors_matches_formed_theta():
         for bc, scheme in ((D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)):
             for r in (0.1, 0.3, 0.5):
                 data = _build(bc, scheme, M, r)
-                theta = data.gram.theta
-                assert data.max_offdiag == np.max(np.abs(theta - np.diag(np.diag(theta))))
+                formed = theta(data.gram)
+                assert data.max_offdiag == np.max(np.abs(formed - np.diag(np.diag(formed))))
                 exact = analytic_vartheta(bc, scheme, M, r)
                 assert abs(data.vartheta - exact) <= 4e-15 * exact, (bc, scheme, M, r)
 
@@ -400,8 +425,8 @@ def test_weyl_certificate_from_factors_matches_formed_theta():
 def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
     centers = _custom_centers(M) if scheme is Scheme.CUSTOM else None
     data = build_projection(assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3, centers=centers)))
-    theta = data.gram.theta
-    assert data.max_offdiag == np.max(np.abs(theta - np.diag(np.diag(theta))))
+    formed = theta(data.gram)
+    assert data.max_offdiag == np.max(np.abs(formed - np.diag(np.diag(formed))))
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -445,7 +470,7 @@ def test_numpy_svd_matches_scipy_svdvals_on_svd_branch(monkeypatch):
         for bc in (D, N) for c in ((1.0, 1.0 + 1e-6), (1.0, 1.0 + 1e-6, 2.0, 2.0 + 1e-6))
     ]
     grams = _svd_branch_grams(monkeypatch, asets)
-    assert len(grams) >= 80  # 87 of the 114 con grams and all 4 custom ones
+    assert len(grams) >= 80  # 108 of the 114 con grams and all 4 custom ones
     eps = np.finfo(float).eps
     for G in grams:
         ours, ref = np.linalg.svd(G, compute_uv=False), scipy.linalg.svdvals(G)
@@ -478,22 +503,23 @@ def _weyl_ratio(theta):
 
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("nudge", [1e-3, 1e-11])
-def test_nearly_diagonal_theta_spectrum_from_eigvalsh(bc, nudge):
+def test_nearly_diagonal_theta_spectrum_from_svd(bc, nudge):
     # the nudge lifts Theta's radius ratio to about 7e-2 and 7e-10, past the
-    # 1e-10 certificate, so the spectrum is eigvalsh's, bit for bit
+    # 1e-10 certificate, so the spectrum is sigma(G)^2, bit for bit
     data = _nudged_mxe(bc, nudge)
-    assert _weyl_ratio(data.gram.theta) > 1e-10
-    assert np.array_equal(data.theta_eigenvalues, np.linalg.eigvalsh(data.gram.theta))
+    assert _weyl_ratio(theta(data.gram)) > 1e-10
+    sigma = np.linalg.svd(data.gram.entries, compute_uv=False)
+    assert np.array_equal(data.theta_eigenvalues, sigma[::-1] ** 2)
 
 
 @pytest.mark.parametrize("bc", [D, N])
 def test_barely_nudged_theta_spectrum_is_its_sorted_diagonal(bc):
     # a 1e-12 nudge leaves the radius ratio near 7e-11, inside the certificate
     data = _nudged_mxe(bc, 1e-12)
-    assert _weyl_ratio(data.gram.theta) <= 1e-10
-    assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(data.gram.theta)))
+    assert _weyl_ratio(theta(data.gram)) <= 1e-10
+    assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(theta(data.gram))))
     assert np.allclose(
-        data.theta_eigenvalues, np.linalg.eigvalsh(data.gram.theta), rtol=1e-10, atol=0.0
+        data.theta_eigenvalues, np.linalg.eigvalsh(theta(data.gram)), rtol=1e-10, atol=0.0
     )
 
 
@@ -641,8 +667,8 @@ def test_theta_not_diagonal_for_clustered_placement():
     ok, _ = check_theta_diagonal(data)
     assert not ok
     expected = -16 * math.sin(math.pi / 12) * math.sin(math.pi / 4) / math.pi**2
-    assert data.gram.theta[0, 2] == pytest.approx(expected, abs=1e-13)
-    assert data.gram.theta[0, 2] == pytest.approx(-0.29667, abs=2e-5)
+    assert theta(data.gram)[0, 2] == pytest.approx(expected, abs=1e-13)
+    assert theta(data.gram)[0, 2] == pytest.approx(-0.29667, abs=2e-5)
 
 
 def test_theta_not_diagonal_for_neumann_uniform():
@@ -650,7 +676,7 @@ def test_theta_not_diagonal_for_neumann_uniform():
     ok, _ = check_theta_diagonal(data)
     assert not ok
     # corner entry has the closed form -sqrt(2)/(2 pi) at these parameters
-    assert data.gram.theta[0, 2] == pytest.approx(-math.sqrt(2) / (2 * math.pi), abs=1e-13)
+    assert theta(data.gram)[0, 2] == pytest.approx(-math.sqrt(2) / (2 * math.pi), abs=1e-13)
 
 
 # ---------------------------------------------------------------- cosine sums
