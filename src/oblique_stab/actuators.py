@@ -91,6 +91,9 @@ def place(
 
     if (centers is not None) != (scheme is Scheme.CUSTOM):
         raise InvalidArgumentError("only custom placement takes centers, and it needs them")
+    top = {Scheme.MXE: 2 * M - 1, Scheme.UNI: M, Scheme.CON: (2 * M - 1) * r}.get(scheme, 0)
+    if not math.isfinite(top * L):  # the largest numerator of c below
+        raise InvalidArgumentError(f"interval length L = {L} is too large to place {M} actuators")
     j = np.arange(1, M + 1, dtype=float)
     if scheme is Scheme.MXE:
         c = (2 * j - 1) * L / (2 * M)

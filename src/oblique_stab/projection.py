@@ -14,9 +14,8 @@ vartheta of Theta = G G^T (rows indexed by eigenfunctions):
     ||P||^2 = 1 / vartheta,
 
 so vartheta -> 0 means the splitting degenerates.  For the mxe and uni
-placements Theta is diagonal and vartheta has closed forms; those analytic
-expressions, their common large-M limit 4/(r pi^2) sin^2(r pi/2), and the
-stabilisability margin test built on ||P|| all live here.
+placements Theta is diagonal with eigenvalues c r sinc^2(theta); those closed
+forms, their large-M limit r sinc^2(r pi/2) and the margin test on ||P|| live here.
 
 G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  For mxe and uni the angles are
@@ -171,7 +170,10 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     delta = r * math.pi / (2 * M)
     dirichlet = bc is BoundaryCondition.DIRICHLET
     m = np.arange(1.0, M + 1 if dirichlet else M)
-    a = math.sqrt(8 * M / (r * math.pi**2)) * np.sin(m * delta)
+    row_scale = math.sqrt(8 * M / (r * math.pi**2))
+    if not math.isfinite(row_scale):
+        raise InvalidArgumentError(f"volume fraction r = {r} is too small for the row scale of G")
+    a = row_scale * np.sin(m * delta)
     if not dirichlet:
         a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
     basis = build_basis(bc, aset.L, M)
@@ -220,6 +222,11 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     )
 
 
+def _sinc2(r: float, theta):
+    """r (sin(theta)/theta)^2, theta > 0: every closed-form eigenvalue of Theta."""
+    return r * (np.sin(theta) / theta) ** 2
+
+
 def analytic_vartheta(
     bc: BoundaryCondition, scheme: Scheme, M: int, r: float
 ) -> float | None:
@@ -227,29 +234,25 @@ def analytic_vartheta(
 
     Covered: mxe under both boundary conditions, uni under Dirichlet (subject
     to M >= r/(1-r)).  Returns None for every other combination; no closed
-    form is known there and callers fall back to the numeric spectrum.
-
-    The Neumann mxe value at M = 1 is r, the single entry of Theta = [r].
+    form is known there and callers fall back to the numeric spectrum.  With
+    delta = r pi/(2M) it is the term of analytic_theta_spectrum at i = M-1 for
+    mxe (the extra eigenvalue at M = 1) and at i = M for uni.
     """
+    limit = vartheta_limit(r)
     if int(M) != M or M < 1:
         raise InvalidArgumentError(f"actuator count must be a positive integer, got {M}")
-    if not 0.0 < r < 1.0:
-        raise InvalidArgumentError(f"volume fraction must lie in (0, 1), got {r}")
     M = int(M)
-    if scheme is Scheme.MXE:
-        if M == 1:
-            if bc is BoundaryCondition.NEUMANN:
-                return r
-            return 8.0 / (r * math.pi**2) * math.sin(r * math.pi / 2) ** 2
-        s = math.sin((M - 1) * r * math.pi / (2 * M))
-        return 4.0 * M**2 / (r * math.pi**2 * (M - 1) ** 2) * s**2
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
         if M < uni_min_count(r):
             raise InvalidArgumentError(
                 f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g}"
             )
-        return 4.0 * (M + 1) / (r * math.pi**2 * M) * math.sin(r * math.pi / 2) ** 2
-    return None
+        return (M + 1) / M * limit
+    if scheme is not Scheme.MXE:
+        return None
+    if M > 1:
+        return float(_sinc2(r, (M - 1) * r * math.pi / (2 * M)))
+    return r if bc is BoundaryCondition.NEUMANN else 2.0 * limit
 
 
 def analytic_theta_spectrum(
@@ -257,36 +260,27 @@ def analytic_theta_spectrum(
 ) -> np.ndarray | None:
     """Full closed-form Theta spectrum (ascending) for the diagonal cases.
 
-    mxe (either bc):  {4M^2/(r pi^2) sin^2(i r pi/(2M))/i^2 : i = 1..M-1}
-                      together with 8/(r pi^2) sin^2(r pi/2) for Dirichlet
-                      or r for Neumann.
-    uni (Dirichlet):  {4M(M+1)/(r pi^2) sin^2(i r pi/(2M))/i^2 : i = 1..M}.
+    Each eigenvalue is c r sinc^2(i delta) with delta = r pi/(2M):
+    mxe (either bc):  i = 1..M-1 (c = 1), with twice the term i = M for
+                      Dirichlet or r, the term i = 0, for Neumann;
+    uni (Dirichlet):  i = 1..M with c = (M+1)/M.
 
     Returns None where no closed form is known.
     """
     if analytic_vartheta(bc, scheme, M, r) is None:
         return None
-    M = int(M)
-    if scheme is Scheme.MXE:
-        i = np.arange(1, M, dtype=float)
-        vals = 4.0 * M**2 / (r * math.pi**2) * np.sin(i * r * math.pi / (2 * M)) ** 2 / i**2
-        if bc is BoundaryCondition.NEUMANN:
-            extra = r
-        else:
-            extra = 8.0 / (r * math.pi**2) * math.sin(r * math.pi / 2) ** 2
-        return np.sort(np.append(vals, extra))
-    i = np.arange(1, M + 1, dtype=float)
-    vals = (
-        4.0 * M * (M + 1) / (r * math.pi**2) * np.sin(i * r * math.pi / (2 * M)) ** 2 / i**2
-    )
-    return np.sort(vals)
+    delta = r * math.pi / (2 * M)
+    if scheme is Scheme.UNI:
+        return np.sort((M + 1) / M * _sinc2(r, np.arange(1, M + 1) * delta))
+    extra = r if bc is BoundaryCondition.NEUMANN else 2.0 * vartheta_limit(r)
+    return np.sort(np.append(_sinc2(r, np.arange(1, M) * delta), extra))
 
 
 def vartheta_limit(r: float) -> float:
-    """Common large-M limit of vartheta: 4/(r pi^2) sin^2(r pi/2)."""
+    """Common large-M limit of vartheta: r sinc^2(r pi/2) = 4/(r pi^2) sin^2(r pi/2)."""
     if not 0.0 < r < 1.0:
         raise InvalidArgumentError(f"volume fraction must lie in (0, 1), got {r}")
-    return 4.0 / (r * math.pi**2) * math.sin(r * math.pi / 2) ** 2
+    return float(_sinc2(r, r * math.pi / 2))
 
 
 def op_norm_limit(r: float) -> float:

@@ -47,17 +47,19 @@ class EigenBasis:
 
 
 def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
-    """Construct the first M eigenpairs on (0, L); an L so small that
-    (pi/L)^2 overflows raises InvalidArgumentError, as a non-positive one does."""
+    """Construct the first M eigenpairs on (0, L); an L so small that the largest
+    eigenvalue overflows raises InvalidArgumentError, as a non-positive one does."""
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
         raise InvalidArgumentError(f"interval length must be positive and finite, got {L}")
     if int(M) != M or M < 1:
         raise InvalidArgumentError(f"eigenpair count must be a positive integer, got {M}")
     M = int(M)
-    if not math.pi / L <= math.sqrt(np.finfo(float).max):
-        raise InvalidArgumentError(f"interval length L = {L} is so small that (pi/L)^2 overflows")
-    scale = (math.pi / L) ** 2
+    top = M if bc is BoundaryCondition.DIRICHLET else max(M - 1, 1)
+    big = np.finfo(float).max
+    scale = (math.pi / L) ** 2 if math.pi / L <= math.sqrt(big) else math.inf  # ** would raise
+    if not scale * top**2 <= big:  # the largest alpha below
+        raise InvalidArgumentError(f"interval length L = {L} overflows ({top}pi/L)^2")
     i = np.arange(1, M + 1, dtype=float)
     alphas = scale * (i if bc is BoundaryCondition.DIRICHLET else i - 1.0) ** 2
     alphas.flags.writeable = False

@@ -1,6 +1,7 @@
 """Tests for actuator placement and indicator evaluation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,27 @@ def test_invalid_count_and_length():
         place(Scheme.MXE, math.pi, 0, 0.5)
     with pytest.raises(InvalidArgumentError):
         place(Scheme.MXE, -1.0, 3, 0.5)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
+def test_huge_length_rejected_where_the_centers_overflow(scheme):
+    # the largest L whose numerator top * L is finite still places, with the
+    # centers of the placement formula; the next float is rejected, no warning
+    M, r = 3, 0.4
+    j = np.arange(1, M + 1, dtype=float)
+    top, centers = {
+        Scheme.MXE: (2 * M - 1, lambda L: (2 * j - 1) * L / (2 * M)),
+        Scheme.UNI: (M, lambda L: j * L / (M + 1)),
+        Scheme.CON: ((2 * M - 1) * r, lambda L: (1 - r) * L / 2 + (2 * j - 1) * r * L / (2 * M)),
+    }[scheme]
+    L = float(np.finfo(float).max) / top
+    while not math.isfinite(top * L):
+        L = float(np.nextafter(L, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(place(scheme, L, M, r).centers, centers(L))
+        with pytest.raises(InvalidArgumentError, match="is too large to place 3 actuators"):
+            place(scheme, float(np.nextafter(L, math.inf)), M, r)
 
 
 def test_indicator_is_open_interval():

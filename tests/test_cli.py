@@ -625,26 +625,77 @@ def test_simulate_bad_grid_exits_two(tmp_path, capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv, L",
+    "argv, L, top",
     [
-        ("eigs --M 2..4 --r 0.1 --L 1e-300", "1e-300"),
-        ("suffcond --a-bound 3.5 --L 1e-300", "1e-300"),
-        ("project --M 2 --r 0.1 --L 1e-300", "1e-300"),
-        ("simulate --L 1e-160 --T 0.01", "1e-160"),
-        ("simulate --L 1e-200 --reaction oscillating --T 0.01", "1e-200"),
+        ("eigs --M 2..4 --r 0.1 --L 1e-300", "1e-300", 2),
+        ("suffcond --a-bound 3.5 --L 1e-300", "1e-300", 1),
+        ("project --M 2 --r 0.1 --L 1e-300", "1e-300", 2),
+        ("simulate --L 1e-160 --T 0.01", "1e-160", 6),
+        ("simulate --L 1e-200 --reaction oscillating --T 0.01", "1e-200", 1),
         # pi / L is already inf here, so nothing raises before the eigenvalues
-        ("simulate --L 1e-310", "1e-310"),
+        ("simulate --L 1e-310", "1e-310", 6),
+        # (pi/L)^2 is finite here, and the largest eigenvalue is not
+        ("eigs --M 2..4 --r 0.1 --L 3e-154", "3e-154", 2),
+        ("suffcond --a-bound 3.5 --L 3e-154", "3e-154", 2),
+        ("simulate --T 0.01 --L 3e-154", "3e-154", 6),
     ],
 )
-def test_tiny_domain_length_exits_two(tmp_path, capsys, argv, L):
-    # (pi/L)^2 overflows: the run stops with the length named, not a traceback
+def test_tiny_domain_length_exits_two(tmp_path, capsys, argv, L, top):
+    # the largest eigenvalue (top pi/L)^2 overflows: the run stops with the
+    # length named, not a warning or a traceback
     samples = tmp_path / "samples.csv"
     samples.write_text(f"x,value\n0.0,0.0\n{float(L) / 2!r},1.0\n{float(L)!r},0.0\n")
     extra = ["--input", str(samples)] if argv.startswith("project") else []
     out = tmp_path / "out.csv"
-    assert main([*argv.split(), *extra, "--output", str(out)]) == 2
-    assert f"interval length L = {L} is so small that (pi/L)^2 overflows" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv.split(), *extra, "--output", str(out)]) == 2
+    message = f"error: interval length L = {L} overflows ({top}pi/L)^2"
+    assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("eigs --M 2..4 --r 0.1 --L 1e308", "L = 1e+308 is too large to place 2 actuators"),
+        ("suffcond --a-bound 3.5 --L 1e308", "L = 1e+308 is too large to place 2 actuators"),
+        ("simulate --T 0.01 --L 1e308", "L = 1e+308 is too large to place 6 actuators"),
+        ("eigs --M 1..3 --r 1e-310", "r = 1e-310 is too small for the row scale of G"),
+        ("eigs --M 1..2 --r 1e-310", "r = 1e-310 is too small for the row scale of G"),
+    ],
+)
+def test_overflowing_length_or_row_scale_exits_two(tmp_path, capsys, argv, message):
+    # a placement numerator (2M - 1) L or the cross-Gram row scale
+    # sqrt(8M/(r pi^2)) overflows: one error line, no warning, no file
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv.split(), "--output", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and line.endswith(message)
+    assert not out.exists()
+
+
+def test_tiny_volume_fraction_keeps_closed_forms(tmp_path):
+    # r sinc^2 keeps the closed forms of r = 1e-200 nonzero and equal to the
+    # numeric vartheta; the limit is half the extra eigenvalue at M = 1
+    out = tmp_path / "tiny_r.csv"
+    assert main(["eigs", "--M", "1..3", "--r", "1e-200", "--output", str(out)]) == 0
+    rows = [row.split(",") for row in _data_rows(out)[1:]]
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    for row in rows:
+        numeric, analytic, limit = float(row[2]), float(row[3]), float(row[5])
+        assert analytic == pytest.approx(numeric, rel=1e-15, abs=0.0)
+        assert limit * (2 if row[0] == "1" else 1) == pytest.approx(numeric, rel=1e-15, abs=0.0)
+
+
+def test_suffcond_tiny_volume_fraction_exits_zero(tmp_path):
+    # vartheta_limit no longer underflows to 0, so op_norm_limit = r^-1/2
+    out = tmp_path / "suff.csv"
+    assert main(["suffcond", "--a-bound", "3.5", "--r", "1e-170", "--output", str(out)]) == 0
+    kv = dict(line.split("=", 1) for line in _data_rows(out))
+    assert float(kv["op_norm_limit"]) == pytest.approx(1e85, rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from oblique_stab.actuators import (
     indicators,
     normalized_indicator_coeff,
     place,
+    uni_min_count,
 )
 from oblique_stab.errors import SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError
 from oblique_stab.projection import (
@@ -388,6 +389,45 @@ def test_analytic_unavailable_combinations():
 def test_analytic_uni_constraint_violation():
     with pytest.raises(InvalidArgumentError):
         analytic_vartheta(D, Scheme.UNI, 2, 0.9)
+
+
+def _mp_closed_forms(bc, scheme, M, r):
+    """Ascending closed-form Theta spectrum and the large-M limit, from the
+    sin^2(i delta)/(r pi^2 i^2) forms in 40-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        r, pi = mpmath.mpf(r), mpmath.pi
+        delta = r * pi / (2 * M)
+        n = M + 1 if scheme is Scheme.UNI else M  # uni: i = 1..M, mxe: i = 1..M-1
+        vals = [4 * M * n / (r * pi**2) * mpmath.sin(i * delta) ** 2 / i**2 for i in range(1, n)]
+        limit = 4 / (r * pi**2) * mpmath.sin(r * pi / 2) ** 2
+        if scheme is Scheme.MXE:
+            vals.append(r if bc is N else 2 * limit)
+        return sorted(vals), limit
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-160, 1e-8, 0.1, 0.5, 0.9, 0.99])
+def test_closed_forms_match_mpmath(r):
+    # the r sinc^2 form keeps tiny r accurate; sin^2/(r pi^2) underflowed to
+    # 0 for r <= 1e-162
+    import mpmath
+
+    for bc, scheme in ((D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)):
+        for M in (1, 2, 3, 10, 200):
+            if scheme is Scheme.UNI and M < uni_min_count(r):
+                continue
+            exact, limit = _mp_closed_forms(bc, scheme, M, r)
+            got = [
+                analytic_vartheta(bc, scheme, M, r),
+                *analytic_theta_spectrum(bc, scheme, M, r),
+                vartheta_limit(r),
+                op_norm_limit(r),
+            ]
+            with mpmath.workdps(40):
+                want = [exact[0], *exact, limit, 1 / mpmath.sqrt(limit)]
+                err = max(abs(mpmath.mpf(float(g)) / w - 1) for g, w in zip(got, want))
+            assert err <= 1e-15, (bc, scheme, M, float(err))
 
 
 def test_analytic_spectrum_matches_numeric():
