@@ -19,11 +19,13 @@ forms, their large-M limit r sinc^2(r pi/2) and the margin test on ||P|| live he
 
 G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  For mxe and uni the angles are
-rational multiples of pi and T is gathered from one exact-angle sine table.
-T, T T^T and |T T^T| off the diagonal are kept for the latest (bc, M,
-centers), so a sweep over r at one M computes them once; G is formed
-only when something reads it.  The spectrum of Theta = (s s^T) o (T T^T) is
-its sorted diagonal where Weyl's inequality, applied to the factors,
+rational multiples of pi: T T^T then comes from cosine sums that one FFT
+gives, in O(M^2) and without BLAS, and T, when read, is gathered from one
+exact-angle sine table; con and custom form T T^T as the BLAS product.
+T T^T, |T T^T| off the diagonal and T are kept for the latest (bc, M,
+centers), so a sweep over r at one M computes them once; T and G are formed
+only when something reads them.  The spectrum of Theta = (s s^T) o (T T^T)
+is its sorted diagonal where Weyl's inequality, applied to the factors,
 certifies that to 1e-10 relative (mxe, and uni under Dirichlet conditions),
 otherwise the squared singular values of G from numpy's SVD; this module
 needs no scipy.
@@ -67,17 +69,22 @@ class CrossGram:
 
     entries[i, j] = (e_{i+1}, u_{j+1})_{L2} = a_i T[i, j] / m_i with u_j the
     unit-norm indicator; rows follow the eigenfunction index, columns the
-    actuator index.  Kept as read-only factors a, m, T, T T^T and tt_off =
-    |T T^T| off the diagonal; entries are formed read-only on first read.
+    actuator index.  Kept as read-only factors a, m, T T^T, tt_off =
+    |T T^T| off the diagonal and its row sums tt_rowsum; the trig factor T
+    and the entries are formed read-only on first read.
     """
 
     actuators: ActuatorSet
     basis: EigenBasis
     a: np.ndarray
     m: np.ndarray
-    T: np.ndarray
     TT: np.ndarray
     tt_off: np.ndarray
+    tt_rowsum: np.ndarray
+
+    @functools.cached_property
+    def T(self) -> np.ndarray:
+        return _trig_table(*_factor_key(self.basis.bc, self.actuators))
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -118,40 +125,78 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _factor_key(bc: BoundaryCondition, aset: ActuatorSet) -> tuple:
+    """Memo key (bc, scheme, M, cm_bytes) of the trig factor; cm_bytes holds
+    the centers on (0, pi), and is empty for the exact angles of mxe and uni."""
+    exact = aset.scheme in (Scheme.MXE, Scheme.UNI)
+    return bc, aset.scheme, aset.M, b"" if exact else _pi_centers(aset).tobytes()
+
+
+def _numerators(scheme: Scheme, M: int) -> tuple[np.ndarray, int]:
+    """Integers n_j and d with c_j = pi n_j / d: n_j = 2j - 1 and d = 2M for
+    mxe, n_j = j and d = M + 1 for uni."""
+    j = np.arange(1, M + 1)
+    return (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _trig_table(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) -> np.ndarray:
+    """Read-only trig factor T of the cross-Gram at L = pi.
+
+    T[i, j] = sin(m_i c_j) (Dirichlet, m = 1..M) or cos(m_i c_j) (Neumann,
+    m = 0..M-1), which r does not enter.  For mxe and uni, m c_j = pi m n_j / d,
+    and T is a gather from a table of sin(pi p / (2d)), p = 0..4d-1, shifted
+    by d for the cosines.
+    """
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    m = np.arange(1, M + 1) if dirichlet else np.arange(M)
+    if cm_bytes:
+        mc = np.multiply.outer(m.astype(float), np.frombuffer(cm_bytes))
+        return _frozen(np.sin(mc) if dirichlet else np.cos(mc))
+    n, d = _numerators(scheme, M)
+    # sin on the first half of the first quadrant, cos of the complement on
+    # the second, then mirrored: mirrored angles give equal or opposite values
+    x = np.pi * np.arange(d + 1) / (2 * d)
+    quadrant = np.where(np.arange(d + 1) <= d // 2, np.sin(x), np.cos(x[::-1]))
+    half = np.concatenate((quadrant, quadrant[-2:0:-1]))  # sin(pi - x) = sin x
+    table = np.concatenate((half, -half))  # sin(x + pi) = -sin x
+    p = np.multiply.outer(2 * m, n) + (0 if dirichlet else d)
+    return _frozen(table[p - 4 * d * (p // (4 * d))])  # p mod 4d; // is faster than % here
+
+
 @functools.lru_cache(maxsize=1)
 def _trig_factor(
     bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes
 ) -> tuple[np.ndarray, ...]:
-    """Read-only trig factor T of the cross-Gram at L = pi, T T^T, and
-    |T T^T| with a zeroed diagonal.
+    """Read-only T T^T for the trig factor T of _trig_table, |T T^T| with a
+    zeroed diagonal, and the row sums of the latter.
 
-    T[i, j] = sin(m_i c_j) (Dirichlet, m = 1..M) or cos(m_i c_j) (Neumann,
-    m = 0..M-1), which r does not enter.  For mxe and uni, m c_j = pi m n_j / d
-    with integers (n_j = 2j - 1 and d = 2M for mxe, n_j = j and d = M + 1 for
-    uni), and T is a gather from a table of sin(pi p / (2d)), p = 0..4d-1,
-    shifted by d for the cosines; cm_bytes is then empty.  Otherwise
-    cm_bytes holds the centers on (0, pi).
+    For mxe and uni, product to sum gives (T T^T)_ik = (C(|m_i - m_k|) -+
+    C(m_i + m_k)) / 2 with C(p) = sum_j cos(p c_j), - for the sines and + for
+    the cosines.  C(p), p = 0..2M, is the real part of one FFT of the 0/1
+    indicator of the n_j over length 2d, and the Toeplitz and Hankel halves
+    are strided views of C: T T^T is exactly symmetric and takes O(M^2) work,
+    no BLAS call and no T.  The float angles of con and custom would make the
+    sums lose accuracy; they keep the BLAS product T @ T.T.
     """
-    dirichlet = bc is BoundaryCondition.DIRICHLET
-    m = np.arange(1, M + 1) if dirichlet else np.arange(M)
-    if scheme in (Scheme.MXE, Scheme.UNI):
-        j = np.arange(1, M + 1)
-        n, d = (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
-        # sin on the first half of the first quadrant, cos of the complement on
-        # the second, then mirrored: mirrored angles give equal or opposite values
-        x = np.pi * np.arange(d + 1) / (2 * d)
-        quadrant = np.where(np.arange(d + 1) <= d // 2, np.sin(x), np.cos(x[::-1]))
-        half = np.concatenate((quadrant, quadrant[-2:0:-1]))  # sin(pi - x) = sin x
-        table = np.concatenate((half, -half))  # sin(x + pi) = -sin x
-        p = np.multiply.outer(2 * m, n) + (0 if dirichlet else d)
-        T = table[p - 4 * d * (p // (4 * d))]  # p mod 4d; // is faster than % here
+    if cm_bytes:
+        T = _trig_table(bc, scheme, M, cm_bytes)
+        TT = T @ T.T  # BLAS syrk: exactly symmetric
     else:
-        mc = np.multiply.outer(m.astype(float), np.frombuffer(cm_bytes))
-        T = np.sin(mc) if dirichlet else np.cos(mc)
-    TT = T @ T.T  # BLAS syrk: exactly symmetric
+        n, d = _numerators(scheme, M)
+        hits = np.zeros(2 * d)
+        hits[n] = 1.0
+        C = 0.5 * np.fft.fft(hits)[: 2 * M + 1].real  # the halving is exact
+        # C is even: C(|i - k|) is entry M-1-i+k of [C(M-1) .. C(1), C(0) .. C(M-1)]
+        even = np.concatenate((C[M - 1 : 0 : -1], C[:M]))
+        step = C.itemsize  # C and even are contiguous
+        toeplitz = np.ndarray((M, M), buffer=even, offset=(M - 1) * step, strides=(-step, step))
+        # m_i + m_k is i + k + 2 for the sines (m = 1..M), i + k for the cosines
+        op, first = (np.subtract, 2) if bc is BoundaryCondition.DIRICHLET else (np.add, 0)
+        TT = op(toeplitz, np.ndarray((M, M), buffer=C, offset=first * step, strides=(step, step)))
     tt_off = np.abs(TT)
     np.fill_diagonal(tt_off, 0.0)
-    return _frozen(T), _frozen(TT), _frozen(tt_off)
+    return _frozen(TT), _frozen(tt_off), _frozen(tt_off.sum(axis=1))
 
 
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
@@ -163,9 +208,7 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     one of (nearly) coincident centers, is build_projection's to report.
     """
     M = aset.M
-    exact = aset.scheme in (Scheme.MXE, Scheme.UNI)
-    cm_bytes = b"" if exact else _pi_centers(aset).tobytes()
-    T, TT, tt_off = _trig_factor(bc, aset.scheme, M, cm_bytes)
+    factor = _trig_factor(*_factor_key(bc, aset))
     r = aset.r
     delta = r * math.pi / (2 * M)
     dirichlet = bc is BoundaryCondition.DIRICHLET
@@ -177,16 +220,17 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     if not dirichlet:
         a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
     basis = build_basis(bc, aset.L, M)
-    return CrossGram(aset, basis, _frozen(a), _frozen(m), T, TT, tt_off)
+    return CrossGram(aset, basis, _frozen(a), _frozen(m), *factor)
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
     """Take the spectrum of Theta = G G^T, vartheta, and the operator norm 1/sqrt(vartheta).
 
     Since s > 0, |Theta| off the diagonal is (s s^T) o tt_off, and the
-    diagonal is s^2 o diag(T T^T); both come from the cross-Gram's factors.
-    The spectrum is the sorted diagonal when the largest Gershgorin radius of
-    Theta is at most 1e-10 of its smallest diagonal entry: by Weyl's
+    diagonal is s^2 o diag(T T^T); both come from the cross-Gram's factors,
+    without forming T or G.  The spectrum is the sorted diagonal when the
+    largest Gershgorin radius of Theta, at most s_i max(s) tt_rowsum_i in
+    row i, is at most 1e-10 of its smallest diagonal entry: by Weyl's
     inequality every eigenvalue then lies within that radius of a diagonal
     entry.  Otherwise it is the squared singular values of G (numpy's SVD),
     which keep a small vartheta accurate where forming G G^T would square the
@@ -197,11 +241,10 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     catches centers that placement accepts but that nearly coincide.
     """
     s = gram.a / gram.m
-    off = np.multiply.outer(s, s) * gram.tt_off
-    radii = off.sum(axis=1)
-    d = s * s * np.diag(gram.TT)
+    radii = s * s.max() * gram.tt_rowsum
+    d = s * s * gram.TT.diagonal()
     # radii and d are nonnegative, so their sum is finite exactly when both are
-    if np.all(np.isfinite(radii + d)) and radii.max() <= _WEYL_RTOL * d.min():
+    if np.isfinite(radii + d).all() and radii.max() <= _WEYL_RTOL * d.min():
         w = np.sort(d)
     else:
         w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
@@ -218,7 +261,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
         theta_eigenvalues=_frozen(w),
         vartheta=vartheta,
         op_norm=vartheta**-0.5,
-        max_offdiag=float(off.max()),
+        max_offdiag=float((np.multiply.outer(s, s) * gram.tt_off).max()),
     )
 
 
@@ -265,11 +308,14 @@ def analytic_theta_spectrum(
                       Dirichlet or r, the term i = 0, for Neumann;
     uni (Dirichlet):  i = 1..M with c = (M+1)/M.
 
-    Returns None where no closed form is known.
+    Returns None where no closed form is known.  Raises InvalidArgumentError
+    when r is so small that delta rounds to 0.
     """
     if analytic_vartheta(bc, scheme, M, r) is None:
         return None
     delta = r * math.pi / (2 * M)
+    if delta == 0.0:
+        raise InvalidArgumentError(f"volume fraction r = {r} is too small for delta at M = {M}")
     if scheme is Scheme.UNI:
         return np.sort((M + 1) / M * _sinc2(r, np.arange(1, M + 1) * delta))
     extra = r if bc is BoundaryCondition.NEUMANN else 2.0 * vartheta_limit(r)

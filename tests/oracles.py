@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from oblique_stab.actuators import Scheme
 from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import (
     _actuator_family,
@@ -27,6 +28,27 @@ def cosine_sum(aset, m: int) -> float:
     if int(m) != m or m < 0:
         raise ValueError(f"frequency must be a nonnegative integer, got {m}")
     return float(np.sum(np.cos(m * (aset.centers * (math.pi / aset.L)))))
+
+
+def exact_angle_trig_table(bc, scheme, M: int) -> np.ndarray:
+    """Trig factor T of the mxe or uni cross-Gram at L = pi, gathered from one
+    table of sin(pi p / (2d)), p = 0..4d-1, filled from one quadrant.
+
+    T[i, j] = sin(m_i c_j) (Dirichlet, m = 1..M) or cos(m_i c_j) (Neumann,
+    m = 0..M-1) with m c_j = pi m n_j / d (n_j = 2j - 1 and d = 2M for mxe,
+    n_j = j and d = M + 1 for uni); mirrored angles give equal or opposite
+    values bit for bit.
+    """
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    m = np.arange(1, M + 1) if dirichlet else np.arange(M)
+    j = np.arange(1, M + 1)
+    n, d = (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
+    x = np.pi * np.arange(d + 1) / (2 * d)
+    quadrant = np.where(np.arange(d + 1) <= d // 2, np.sin(x), np.cos(x[::-1]))
+    half = np.concatenate((quadrant, quadrant[-2:0:-1]))
+    table = np.concatenate((half, -half))
+    p = np.multiply.outer(2 * m, n) + (0 if dirichlet else d)
+    return table[p - 4 * d * (p // (4 * d))]
 
 
 def eval_eigenfunction(basis, i: int, x):

@@ -814,24 +814,30 @@ def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
     assert one == two
 
 
-# Theta is certified diagonal for every mxe row, so its spectrum is the
-# sorted diagonal; for Neumann uni it is not, and the spectrum is sigma(G)^2
-# from an SVD, with no threaded G G^T product or eigensolver
+# Theta is certified diagonal for every mxe row and for Dirichlet uni, so its
+# spectrum is the sorted diagonal and T T^T comes from FFT cosine sums; for
+# Neumann uni it is not, and the spectrum is sigma(G)^2 from an SVD, with no
+# threaded G G^T product or eigensolver.  None names every column.
 @pytest.mark.parametrize(
-    "argv, rows",
+    "argv, rows, names",
     [
-        ("eigs --scheme mxe --M 2..200 --r 0.1,0.5", 399),
-        ("eigs --bc neumann --scheme uni --M 2..200 --r 0.1,0.3,0.5", 598),
+        ("eigs --scheme mxe --M 2..200 --r 0.1,0.5", 399, None),
+        ("eigs --scheme uni --M 2..200 --r 0.1,0.5", 399, None),
+        (
+            "eigs --bc neumann --scheme uni --M 2..200 --r 0.1,0.3,0.5",
+            598,
+            (b"vartheta_numeric", b"op_norm"),
+        ),
     ],
-    ids=["mxe", "neumann uni"],
+    ids=["mxe", "uni", "neumann uni"],
 )
-def test_sweep_spectrum_independent_of_blas_threads(tmp_path, argv, rows):
+def test_sweep_spectrum_independent_of_blas_threads(tmp_path, argv, rows, names):
     one, two = (
         [row.split(b",") for row in _rows_at_blas_threads(tmp_path, n, argv.split())]
         for n in (1, 2)
     )
     assert len(one) == len(two) == rows
-    cols = [one[0].index(name) for name in (b"vartheta_numeric", b"op_norm")]
+    cols = range(len(one[0])) if names is None else [one[0].index(name) for name in names]
     assert [[row[j] for j in cols] for row in one] == [[row[j] for j in cols] for row in two]
 
 

@@ -1,6 +1,7 @@
 """Tests for the cross-Gram assembly and oblique projection operations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from oracles import (
     check_theta_diagonal,
     cosine_sum,
     eval_eigenfunction,
+    exact_angle_trig_table,
     theta,
 )
 
@@ -237,6 +239,24 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
     assert np.array_equal(theta(gram), theta(gram).T)
 
 
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI])
+def test_certified_spectrum_forms_no_trig_table(bc, scheme):
+    # the Weyl test, the sorted diagonal and max_offdiag read only a, m and
+    # the FFT-built T T^T; T and G are formed on first read, by the SVD
+    # fallback (Neumann uni from M = 3 on) or by a projection, and that T is
+    # the exact-angle gather bit for bit
+    for M in range(2, 201):
+        gram = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3))
+        data = build_projection(gram)
+        formed = bc is N and scheme is Scheme.UNI and M > 2
+        assert ("T" in gram.__dict__) is formed and ("entries" in gram.__dict__) is formed
+        if M in (2, 50, 200):
+            apply_projection(data, np.cos)
+            assert "T" in gram.__dict__ and "entries" in gram.__dict__
+        assert np.array_equal(gram.T, exact_angle_trig_table(bc, scheme, M))
+
+
 @pytest.mark.parametrize("L", [math.pi, 2.0])
 def test_cross_gram_memo_matches_cold_build(L):
     aset = place(Scheme.MXE, L, 7, 0.3)
@@ -287,9 +307,9 @@ def test_identity_gram_gives_norm_one():
         basis=gram.basis,
         a=np.ones(3),
         m=np.ones(3),
-        T=np.eye(3),
         TT=np.eye(3),
         tt_off=np.zeros((3, 3)),
+        tt_rowsum=np.zeros(3),
     )
     data = build_projection(ident)
     assert data.op_norm == pytest.approx(1.0, rel=1e-14)
@@ -430,6 +450,16 @@ def test_closed_forms_match_mpmath(r):
             assert err <= 1e-15, (bc, scheme, M, float(err))
 
 
+@pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
+def test_spectrum_rejects_r_whose_step_rounds_to_zero(bc, scheme):
+    # delta = r pi/(2M) rounds to 0 at M = 200, where sin(0)/0 gave NaN
+    # entries after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match="r = 5e-324"):
+            analytic_theta_spectrum(bc, scheme, 200, 5e-324)
+
+
 def test_analytic_spectrum_matches_numeric():
     # these Theta pass the Weyl certificate at every M, so the spectrum is
     # the sorted diagonal, and it matches the closed form entry by entry
@@ -472,8 +502,10 @@ def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
 def test_trig_gram_product_is_exactly_symmetric(bc, scheme):
-    # _trig_factor keeps T @ T.T as BLAS syrk returns it, without
-    # symmetrising it, and CrossGram promises an exactly symmetric Theta
+    # _trig_factor reads the mxe and uni T T^T off symmetric strided views of
+    # one cosine-sum vector and keeps the con T @ T.T as BLAS syrk returns
+    # it, without symmetrising either, and CrossGram promises an exactly
+    # symmetric Theta
     for M in range(2, 201):
         TT = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)).TT
         assert np.array_equal(TT, TT.T), (bc, scheme, M)
