@@ -91,6 +91,19 @@ def _parse_float(key: str, text: str) -> float:
     return val
 
 
+def _parse_floats(key: str, texts: list[str]) -> np.ndarray:
+    """`_parse_float` of each text, with one finiteness check; on a failure the
+    texts are parsed again in order, stripped, so the first bad one is named."""
+    try:
+        vals = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        vals = None
+    if vals is None or not np.isfinite(vals).all():
+        for text in texts:
+            _parse_float(key, text.strip())
+    return vals
+
+
 def _parse_int(key: str, text: str) -> int:
     try:
         return int(text)
@@ -120,7 +133,7 @@ def _parse_float_list(key: str, text: str) -> list[float]:
     items = [s for s in (part.strip() for part in text.split(",")) if s]
     if not items:
         raise InvalidArgumentError(f"--{key} list is empty")
-    return [_parse_float(key, s) for s in items]
+    return _parse_floats(key, items).tolist()
 
 
 def _parse_feed_on(key: str, text: str) -> tuple[float, float] | bool:
@@ -143,12 +156,12 @@ def _data_lines(path: str) -> list[tuple[int, str]]:
         raw = Path(path).read_text()
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read {path}: {exc}") from None
-    lines = ((n, line.strip()) for n, line in enumerate(raw.splitlines(), start=1))
-    return [(n, line) for n, line in lines if line and not line.startswith("#")]
+    lines = enumerate(map(str.strip, raw.splitlines()), start=1)
+    return [(n, line) for n, line in lines if line and line[0] != "#"]
 
 
 def _read_table_lines(path: str) -> list[list[str]]:
-    rows = [[cell.strip() for cell in line.split(",")] for _, line in _data_lines(path)]
+    rows = [line.split(",") for _, line in _data_lines(path)]
     if not rows:
         raise InvalidArgumentError(f"{path} contains no data rows")
     return rows
@@ -162,21 +175,21 @@ def _parse_reaction(text: str, nu: float, L: float):
         return oscillating_reaction(nu, L)
     if text.startswith("table:"):
         rows = _read_table_lines(text[len("table:"):])
-        head = rows[0]
-        if head[0].lower() != "x" or len(head) < 3:
+        head, body = rows[0], rows[1:]
+        if head[0].strip().lower() != "x" or len(head) < 3:
             raise InvalidArgumentError(
                 "reaction table must start with a header row 'x,<x1>,<x2>,...'"
             )
-        xs = np.array([_parse_float("reaction", s) for s in head[1:]])
-        ts, vals = [], []
-        for row in rows[1:]:
-            if len(row) != len(head):
-                raise InvalidArgumentError("reaction table rows have inconsistent lengths")
-            ts.append(_parse_float("reaction", row[0]))
-            vals.append([_parse_float("reaction", s) for s in row[1:]])
-        if not ts:
+        xs = _parse_floats("reaction", head[1:])
+        # the rows before the first of another length, in file order
+        n = next((i for i, row in enumerate(body) if len(row) != len(head)), len(body))
+        texts = [s for row in body[:n] for s in row]
+        table = _parse_floats("reaction", texts).reshape(n, len(head))
+        if n < len(body):
+            raise InvalidArgumentError("reaction table rows have inconsistent lengths")
+        if not n:
             raise InvalidArgumentError("reaction table has no time rows")
-        return tabulated_reaction(np.array(ts), xs, np.array(vals))
+        return tabulated_reaction(table[:, 0], xs, table[:, 1:])
     raise InvalidArgumentError(
         f"--reaction must be 'constant:<value>', 'oscillating', or 'table:<file>', got {text!r}"
     )
@@ -201,16 +214,15 @@ def _load_samples(key: str, path: str) -> tuple[np.ndarray, np.ndarray]:
         float(rows[0][0])
     except ValueError:
         rows = rows[1:]  # a header row
-    xs, vals = [], []
-    for row in rows:
-        if len(row) < 2:
-            raise InvalidArgumentError(f"{path}: each sample row needs 'x,value'")
-        xs.append(_parse_float(key, row[0]))
-        vals.append(_parse_float(key, row[1]))
-    x = np.array(xs)
-    if x.size < 2 or np.any(np.diff(x) <= 0.0):
+    n = next((i for i, row in enumerate(rows) if len(row) < 2), len(rows))
+    cells = _parse_floats(key, [s for row in rows[:n] for s in row[:2]])
+    if n < len(rows):
+        raise InvalidArgumentError(f"{path}: each sample row needs 'x,value'")
+    if n < 2:
+        raise InvalidArgumentError(f"{path}: need at least two samples, got {n}")
+    if np.any(np.diff(cells[0::2]) <= 0.0):
         raise InvalidArgumentError(f"{path}: sample x values must be strictly increasing")
-    return x, np.array(vals)
+    return cells[0::2], cells[1::2]
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -308,9 +320,7 @@ def cmd_project(v: argparse.Namespace) -> Result:
     bks = all_breakpoints(aset)
 
     def residual(g) -> float:
-        val = integrate(
-            lambda x: (f(x) - g(x)) ** 2, 0.0, L, n_panels=64, breakpoints=bks
-        )
+        val = integrate(lambda x: (f(x) - g(x)) ** 2, 0.0, L, n_panels=64, breakpoints=bks)
         return math.sqrt(max(val, 0.0))
 
     lines = ["# oblique_coefficients: " + ",".join(_fmt(a) for a in alpha)]
@@ -318,8 +328,8 @@ def cmd_project(v: argparse.Namespace) -> Result:
     lines.append(f"# oblique_residual_l2: {_fmt(residual(oblique))}")
     lines.append(f"# orthogonal_residual_l2: {_fmt(residual(orth))}")
     lines.append("x,input,oblique,orthogonal")
-    for row in zip(xs, f(xs), oblique(xs), orth(xs)):
-        lines.append(",".join(map(_fmt, row)))
+    cols = zip(xs.tolist(), *(g(xs).tolist() for g in (f, oblique, orth)))
+    lines.extend("%.17g,%.17g,%.17g,%.17g" % row for row in cols)
     return [(v.output, lines)], None
 
 

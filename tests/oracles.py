@@ -243,3 +243,17 @@ def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, fe
         y_new = np.zeros(n, dtype=ld)
         y_new[cut] = thomas(rhs[cut]) - y[cut]
         y = y_new
+
+
+def linspace_panel_edges(a: float, b: float, n_panels: int, breakpoints=()) -> np.ndarray:
+    """Panel edges of quadrature.panel_nodes_weights built one piece at a time.
+
+    Each piece between consecutive cuts gets max(1, ceil(n_panels * width /
+    (b - a))) equal panels from its own np.linspace call.
+    """
+    cuts = [a, *sorted(p for p in set(breakpoints) if a < p < b), b]
+    pieces = [
+        np.linspace(lo, hi, max(1, math.ceil(n_panels * (hi - lo) / (b - a))) + 1)[:-1]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    return np.append(np.concatenate(pieces), b)

@@ -14,6 +14,7 @@ import pytest
 import oblique_stab
 from oblique_stab import cli
 from oblique_stab.cli import main
+from oblique_stab.errors import InvalidArgumentError
 
 
 def _lines(path):
@@ -214,6 +215,88 @@ def test_project_rejects_samples_outside_domain(tmp_path):
     src = tmp_path / "input.csv"
     src.write_text("0.0,1.0\n9.0,1.0\n")
     assert main(["project", "--M", "2", "--r", "0.1", "--input", str(src)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, count", [("0.0,1.0\n", 1), ("x,value\n", 0), ("# x,value\nx,value\n1.0,2.0\n", 1)]
+)
+@pytest.mark.parametrize("flag", ["--input", "--y0"])
+def test_too_few_samples_exit_two(tmp_path, capsys, text, count, flag):
+    src = tmp_path / "input.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    if flag == "--input":
+        argv = ["project", "--M", "2", "--r", "0.1", "--input", str(src)]
+    else:
+        argv = ["simulate", "--T", "0.01", "--y0", f"samples:{src}"]
+    assert main([*argv, "--output", str(out)]) == 2
+    err = f"error: {src}: need at least two samples, got {count}\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+# Cells are parsed in one batch; a failure must still name the first bad
+# cell, or the first short row, in file order.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1\nfoo,bar\n", "--input expects a number, got 'foo'"),
+        ("0,1\n1, bar \n2\n", "--input expects a number, got 'bar'"),
+        ("0,1\n2\n3,bar\n", "each sample row needs 'x,value'"),
+        ("0,1\n1,nan\n2,bar\n", "--input expects a finite number, got 'nan'"),
+        ("0,1\n1,bar\n2,inf\n", "--input expects a number, got 'bar'"),
+        ("x,value\n0,1\n1,\n", "--input expects a number, got ''"),
+    ],
+    ids=["x before value", "bad number before short row", "short row before bad number",
+         "non-finite before unparsable", "unparsable before non-finite", "empty cell"],
+)
+def test_sample_reader_names_first_bad_cell(tmp_path, text, message):
+    src = tmp_path / "input.csv"
+    src.write_text(text)
+    with pytest.raises(InvalidArgumentError) as exc:
+        cli._load_samples("input", str(src))
+    assert str(exc.value).endswith(message)
+
+
+def test_sample_reader_strips_cells_and_skips_header(tmp_path):
+    src = tmp_path / "input.csv"
+    src.write_text("# samples\n x , value \n\n 0.0 , 1 \n1.5,\t2 , 9, note\n  3e0 ,3.25\n")
+    xs, vals = cli._load_samples("input", str(src))
+    assert xs.tolist() == [0.0, 1.5, 3.0] and vals.tolist() == [1.0, 2.0, 3.25]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,0,1\n0,q,2\n1,2\n", "--reaction expects a number, got 'q'"),
+        ("x,0,1\n0,1\n1,q,2\n", "reaction table rows have inconsistent lengths"),
+        ("x,0,1\n0,nan,2\n1,q,2\n", "--reaction expects a finite number, got 'nan'"),
+        ("x,0,zz\n0,q,2\n", "--reaction expects a number, got 'zz'"),
+        ("x,0,1\n", "reaction table has no time rows"),
+    ],
+)
+def test_reaction_table_names_first_bad_cell(tmp_path, text, message):
+    src = tmp_path / "react.csv"
+    src.write_text(text)
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        cli._parse_reaction(f"table:{src}", 0.1, math.pi)
+
+
+# From 98 actuators the quadrature product (w f(x)) @ family(x) runs on
+# threaded BLAS, and from 100 the M x M solves too; up to 96 every line of a
+# project file, coefficients and residuals included, is the same at 1 and 2
+# threads.
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_project_file_independent_of_blas_threads(tmp_path, bc):
+    src = tmp_path / "samples.csv"
+    n = 200
+    src.write_text("x,value\n" + "".join(
+        f"{math.pi * i / n!r},{math.sin(3 * math.pi * i / n)!r}\n" for i in range(n + 1)
+    ))
+    argv = ["project", "--bc", bc, "--M", "96", "--r", "0.1", "--input", str(src)]
+    one, two = (_lines_at_blas_threads(tmp_path, threads, argv) for threads in (1, 2))
+    assert len(one) == 1 + 4 + 1 + (n + 1)
+    assert one == two
 
 
 # ---------------------------------------------------------------- simulate
@@ -753,9 +836,9 @@ def test_simulate_too_many_steps_exits_two(tmp_path, capsys):
     assert "1000000000000000000 time steps" in err and "Traceback" not in err
 
 
-def _rows_at_blas_threads(tmp_path, threads, argv):
-    """Data rows of a CLI run in a fresh interpreter whose BLAS library is
-    limited to `threads` threads."""
+def _lines_at_blas_threads(tmp_path, threads, argv):
+    """Lines of the file a CLI run writes in a fresh interpreter whose BLAS
+    library is limited to `threads` threads."""
     out = tmp_path / f"threads{threads}.csv"
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -768,7 +851,13 @@ def _rows_at_blas_threads(tmp_path, threads, argv):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return [ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")]
+    return out.read_bytes().splitlines()
+
+
+def _rows_at_blas_threads(tmp_path, threads, argv):
+    """Data rows of `_lines_at_blas_threads`, without the `#` comments."""
+    lines = _lines_at_blas_threads(tmp_path, threads, argv)
+    return [ln for ln in lines if not ln.startswith(b"#")]
 
 
 def _simulate_rows_at_blas_threads(tmp_path, threads, case):

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from oblique_stab.actuators import Scheme, all_breakpoints, place, uni_min_count
 from oblique_stab.errors import InvalidArgumentError
-from oblique_stab.quadrature import integrate, oscillation_panels, panel_nodes_weights
+from oblique_stab.quadrature import (
+    _BASE_W,
+    _BASE_X,
+    integrate,
+    oscillation_panels,
+    panel_nodes_weights,
+)
+from oracles import linspace_panel_edges
 
 
 def test_polynomial_exactness():
@@ -46,3 +54,21 @@ def test_oscillation_panels_scale_with_frequency():
 def test_invalid_interval():
     with pytest.raises(InvalidArgumentError):
         integrate(np.sin, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
+@pytest.mark.parametrize("n_panels", [8, 17, 64, 123])
+def test_panel_nodes_match_per_piece_linspace(scheme, n_panels):
+    # every panel edge is the value np.linspace gives for its piece, bit for bit
+    for L in (math.pi, 1.0, 0.37, 12.5):
+        for M in (1, 2, 5, 13, 40):
+            for r in (0.05, 0.3, 0.7):
+                if scheme is Scheme.UNI and M < uni_min_count(r):
+                    continue
+                cuts = all_breakpoints(place(scheme, L, M, r))
+                edges = linspace_panel_edges(0.0, L, n_panels, cuts)
+                half = 0.5 * np.diff(edges)
+                mid = 0.5 * (edges[:-1] + edges[1:])
+                x, w = panel_nodes_weights(0.0, L, n_panels, cuts)
+                assert np.array_equal(x, (mid[:, None] + half[:, None] * _BASE_X).ravel())
+                assert np.array_equal(w, (half[:, None] * _BASE_W).ravel())
