@@ -50,7 +50,7 @@ from .projection import (
     orthogonal_projection_actuators,
     vartheta_limit,
 )
-from .quadrature import integrate
+from .quadrature import panel_nodes_weights
 from .spectral import BoundaryCondition
 
 _SLOPE_WINDOWS = ((10, 20), (50, 60), (110, 120))
@@ -317,11 +317,11 @@ def cmd_project(v: argparse.Namespace) -> Result:
     data = build_projection(assemble_cross_gram(v.bc, aset))
     alpha, oblique = apply_projection(data, f)
     gamma, orth = orthogonal_projection_actuators(data, f)
-    bks = all_breakpoints(aset)
+    x, w = panel_nodes_weights(0.0, L, 64, all_breakpoints(aset))
+    fx = f(x)
 
     def residual(g) -> float:
-        val = integrate(lambda x: (f(x) - g(x)) ** 2, 0.0, L, n_panels=64, breakpoints=bks)
-        return math.sqrt(max(val, 0.0))
+        return math.sqrt(max(w @ (fx - g(x)) ** 2, 0.0))
 
     lines = ["# oblique_coefficients: " + ",".join(_fmt(a) for a in alpha)]
     lines.append("# orthogonal_coefficients: " + ",".join(_fmt(g) for g in gamma))

@@ -14,7 +14,7 @@ with n panels are i*(w/n) + lo, as np.linspace forms them, all in one pass.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -59,16 +59,3 @@ def panel_nodes_weights(
     nodes = (mid[:, None] + half[:, None] * _BASE_X[None, :]).ravel()
     weights = (half[:, None] * _BASE_W[None, :]).ravel()
     return nodes, weights
-
-
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    n_panels: int = 8,
-    breakpoints: Iterable[float] = (),
-) -> float:
-    """Integrate a vectorized callable over [a, b] (see panel_nodes_weights)."""
-    x, w = panel_nodes_weights(a, b, n_panels, breakpoints)
-    return float(w @ np.asarray(f(x), dtype=float))

@@ -12,6 +12,7 @@ from oblique_stab.projection import (
     _expansion,
     _inner_products,
 )
+from oblique_stab.quadrature import panel_nodes_weights
 from oblique_stab.spectral import BoundaryCondition
 
 # Theta counts as diagonal when no off-diagonal entry exceeds this fraction
@@ -257,3 +258,10 @@ def linspace_panel_edges(a: float, b: float, n_panels: int, breakpoints=()) -> n
         for lo, hi in zip(cuts[:-1], cuts[1:])
     ]
     return np.append(np.concatenate(pieces), b)
+
+
+def integrate(f, a: float, b: float, *, n_panels: int = 8, breakpoints=()) -> float:
+    """Integrate a vectorized callable over [a, b] on the composite rule of
+    quadrature.panel_nodes_weights."""
+    x, w = panel_nodes_weights(a, b, n_panels, breakpoints)
+    return float(w @ np.asarray(f(x), dtype=float))

@@ -34,7 +34,6 @@ from oblique_stab.projection import (
     op_norm_limit,
     vartheta_limit,
 )
-from oblique_stab.quadrature import integrate
 from oblique_stab.spectral import BoundaryCondition, build_basis
 
 from oracles import (
@@ -42,6 +41,7 @@ from oracles import (
     check_theta_diagonal,
     cosine_sum,
     eval_eigenfunction,
+    integrate,
     nodal_l2_norm,
     theta,
 )

@@ -1,8 +1,14 @@
-"""End-to-end tests of the command-line front end, run in process."""
+"""End-to-end tests of the command-line front end.
+
+Most run `main` in process.  A fresh interpreter runs the CLI where the
+process is the contract: the BLAS thread count, imports paid at start-up, and
+the exit code and files a shell sees (`test_cli_contract`).
+"""
 
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -23,6 +29,48 @@ def _lines(path):
 
 def _data_rows(path):
     return [ln for ln in _lines(path) if ln and not ln.startswith("#")]
+
+
+def _write_sine_samples(path):
+    """201 samples of sin(3x) on [0, pi], with a header row."""
+    n = 200
+    path.write_text("x,value\n" + "".join(
+        f"{math.pi * i / n!r},{math.sin(3 * math.pi * i / n)!r}\n" for i in range(n + 1)
+    ))
+
+
+def _write_reaction_table(path):
+    """A one-row reaction table, cos x - 3.5 + 0.3 x on 61 nodes of [0, pi]."""
+    xs = [math.pi * i / 60 for i in range(61)]
+    path.write_text(
+        "x," + ",".join(f"{x!r}" for x in xs) + "\n"
+        "0.0," + ",".join(f"{math.cos(x) - 3.5 + 0.3 * x!r}" for x in xs) + "\n"
+    )
+
+
+# A fresh interpreter runs the CLI as `python -m oblique_stab.cli`, and as the
+# installed console script too when one is on PATH.
+_SRC = str(Path(oblique_stab.__file__).resolve().parents[1])
+_LAUNCHERS = [[sys.executable, "-m", "oblique_stab.cli"]]
+if script := shutil.which("oblique-stab"):
+    _LAUNCHERS.append([script])
+
+
+def _run_fresh(cwd, args, threads=1):
+    """Run `args` in `cwd` as a fresh process that imports this package, with
+    its BLAS library limited to `threads` threads."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    return subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _output_at_blas_threads(tmp_path, threads, argv):
+    """The file a CLI run in `tmp_path` writes at `threads` BLAS threads."""
+    out = tmp_path / f"threads{threads}.csv"
+    proc = _run_fresh(tmp_path, [*_LAUNCHERS[0], *argv, "--output", out.name], threads)
+    assert proc.returncode == 0, proc.stderr
+    return out
 
 
 # ---------------------------------------------------------------- eigs
@@ -286,17 +334,13 @@ def test_reaction_table_names_first_bad_cell(tmp_path, text, message):
 # threaded BLAS, and from 100 the M x M solves too; up to 96 every line of a
 # project file, coefficients and residuals included, is the same at 1 and 2
 # threads.
-@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("bc", [[], ["--bc", "neumann"]], ids=["dirichlet", "neumann"])
 def test_project_file_independent_of_blas_threads(tmp_path, bc):
-    src = tmp_path / "samples.csv"
-    n = 200
-    src.write_text("x,value\n" + "".join(
-        f"{math.pi * i / n!r},{math.sin(3 * math.pi * i / n)!r}\n" for i in range(n + 1)
-    ))
-    argv = ["project", "--bc", bc, "--M", "96", "--r", "0.1", "--input", str(src)]
-    one, two = (_lines_at_blas_threads(tmp_path, threads, argv) for threads in (1, 2))
-    assert len(one) == 1 + 4 + 1 + (n + 1)
-    assert one == two
+    _write_sine_samples(tmp_path / "samples.csv")
+    argv = ["project", *bc, "--M", "96", "--r", "0.1", "--input", "samples.csv"]
+    one, two = (_output_at_blas_threads(tmp_path, threads, argv) for threads in (1, 2))
+    assert len(_lines(one)) == 1 + 4 + 1 + 201
+    assert one.read_bytes() == two.read_bytes()
 
 
 # ---------------------------------------------------------------- simulate
@@ -764,7 +808,9 @@ def test_tiny_volume_fraction_keeps_closed_forms(tmp_path):
     # r sinc^2 keeps the closed forms of r = 1e-200 nonzero and equal to the
     # numeric vartheta; the limit is half the extra eigenvalue at M = 1
     out = tmp_path / "tiny_r.csv"
-    assert main(["eigs", "--M", "1..3", "--r", "1e-200", "--output", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eigs", "--M", "1..3", "--r", "1e-200", "--output", str(out)]) == 0
     rows = [row.split(",") for row in _data_rows(out)[1:]]
     assert [row[0] for row in rows] == ["1", "2", "3"]
     for row in rows:
@@ -776,7 +822,9 @@ def test_tiny_volume_fraction_keeps_closed_forms(tmp_path):
 def test_suffcond_tiny_volume_fraction_exits_zero(tmp_path):
     # vartheta_limit no longer underflows to 0, so op_norm_limit = r^-1/2
     out = tmp_path / "suff.csv"
-    assert main(["suffcond", "--a-bound", "3.5", "--r", "1e-170", "--output", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["suffcond", "--a-bound", "3.5", "--r", "1e-170", "--output", str(out)]) == 0
     kv = dict(line.split("=", 1) for line in _data_rows(out))
     assert float(kv["op_norm_limit"]) == pytest.approx(1e85, rel=1e-15)
 
@@ -836,36 +884,6 @@ def test_simulate_too_many_steps_exits_two(tmp_path, capsys):
     assert "1000000000000000000 time steps" in err and "Traceback" not in err
 
 
-def _lines_at_blas_threads(tmp_path, threads, argv):
-    """Lines of the file a CLI run writes in a fresh interpreter whose BLAS
-    library is limited to `threads` threads."""
-    out = tmp_path / f"threads{threads}.csv"
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(threads)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(oblique_stab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "oblique_stab.cli", *argv, "--output", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return out.read_bytes().splitlines()
-
-
-def _rows_at_blas_threads(tmp_path, threads, argv):
-    """Data rows of `_lines_at_blas_threads`, without the `#` comments."""
-    lines = _lines_at_blas_threads(tmp_path, threads, argv)
-    return [ln for ln in lines if not ln.startswith(b"#")]
-
-
-def _simulate_rows_at_blas_threads(tmp_path, threads, case):
-    """Data rows of a short N=10001 run at `threads` BLAS threads."""
-    argv = f"simulate {case} --N 10001 --k 4e-4 --T 0.04".split()
-    return _rows_at_blas_threads(tmp_path, threads, argv)
-
-
 # With 24 actuators a threaded dgemm rounds the coupling E^T M U differently
 # at 1 and 2 threads, so those cases fail unless the product avoids BLAS.
 # The Dirichlet cases are the eigenbasis path of the default run, with no
@@ -882,7 +900,7 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
         "--bc dirichlet --M 47",
         "--bc dirichlet --M 60 --feed-on 0.01:0.03",
         "--bc neumann --M 8 --feed-on 0:0.02",
-        "--bc dirichlet --reaction table:{table} --M 47",
+        "--bc dirichlet --reaction table:react.csv --M 47",
     ],
     ids=[
         "--M 8", "--M 24", "dirichlet --M 47", "dirichlet window --M 60",
@@ -890,44 +908,30 @@ def _simulate_rows_at_blas_threads(tmp_path, threads, case):
     ],
 )
 def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
-    table = tmp_path / "react.csv"
-    xs = [math.pi * i / 60 for i in range(61)]
-    table.write_text(
-        "x," + ",".join(f"{x!r}" for x in xs) + "\n"
-        "0.0," + ",".join(f"{math.cos(x) - 3.5 + 0.3 * x!r}" for x in xs) + "\n"
-    )
-    case = case.format(table=table)
-    one = _simulate_rows_at_blas_threads(tmp_path, 1, case)
-    two = _simulate_rows_at_blas_threads(tmp_path, 2, case)
-    assert len(one) == 102
-    assert one == two
+    _write_reaction_table(tmp_path / "react.csv")
+    argv = f"simulate {case} --N 10001 --k 4e-4 --T 0.04".split()
+    one, two = (_output_at_blas_threads(tmp_path, threads, argv) for threads in (1, 2))
+    assert len(_data_rows(one)) == 102
+    assert one.read_bytes() == two.read_bytes()
 
 
 # Theta is certified diagonal for every mxe row and for Dirichlet uni, so its
 # spectrum is the sorted diagonal and T T^T comes from FFT cosine sums; for
 # Neumann uni it is not, and the spectrum is sigma(G)^2 from an SVD, with no
-# threaded G G^T product or eigensolver.  None names every column.
+# threaded G G^T product or eigensolver.  Every byte of the file must agree.
 @pytest.mark.parametrize(
-    "argv, rows, names",
+    "argv, rows",
     [
-        ("eigs --scheme mxe --M 2..200 --r 0.1,0.5", 399, None),
-        ("eigs --scheme uni --M 2..200 --r 0.1,0.5", 399, None),
-        (
-            "eigs --bc neumann --scheme uni --M 2..200 --r 0.1,0.3,0.5",
-            598,
-            (b"vartheta_numeric", b"op_norm"),
-        ),
+        ("eigs --M 2..200 --r 0.1,0.3,0.5,0.7,0.9", 5 * 199),
+        ("eigs --scheme uni --M 2..200 --r 0.1,0.5", 2 * 199),
+        ("eigs --bc neumann --scheme uni --M 2..200 --r 0.1,0.3,0.5", 3 * 199),
     ],
     ids=["mxe", "uni", "neumann uni"],
 )
-def test_sweep_spectrum_independent_of_blas_threads(tmp_path, argv, rows, names):
-    one, two = (
-        [row.split(b",") for row in _rows_at_blas_threads(tmp_path, n, argv.split())]
-        for n in (1, 2)
-    )
-    assert len(one) == len(two) == rows
-    cols = range(len(one[0])) if names is None else [one[0].index(name) for name in names]
-    assert [[row[j] for j in cols] for row in one] == [[row[j] for j in cols] for row in two]
+def test_sweep_spectrum_independent_of_blas_threads(tmp_path, argv, rows):
+    one, two = (_output_at_blas_threads(tmp_path, threads, argv.split()) for threads in (1, 2))
+    assert len(_data_rows(one)) == 1 + rows
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_numerical_failure_exits_three():
@@ -1022,15 +1026,9 @@ print("scipy" in sys.modules)
 
 
 def _loads_scipy(tmp_path, runs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(oblique_stab.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
-    )
     runs = [(argv.split(), rc) for argv, rc in runs]
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START.format(runs=runs), str(tmp_path / "out.csv")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    script = _COLD_START.format(runs=runs)
+    proc = _run_fresh(tmp_path, [sys.executable, "-c", script, str(tmp_path / "out.csv")])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
@@ -1054,6 +1052,7 @@ def test_commands_off_the_nodal_path_never_load_scipy(tmp_path):
         ("simulate --bc neumann --T 0.01", 0),
         ("simulate --T 0.001", 0),
         ("simulate --feed-on 0:0.0005 --T 0.01", 0),
+        ("simulate --bc neumann --feed-on 0:0.0005 --T 0.01", 0),
         (f"project --M 6 --r 0.1 --input {samples}", 0),
     ])
 
@@ -1063,3 +1062,53 @@ def test_simulate_loads_scipy(tmp_path):
     # tridiagonal factor and solves need LAPACK dpttrf/dpttrs from scipy,
     # so the guard above can fail
     assert _loads_scipy(tmp_path, [("simulate --reaction oscillating --T 0.01", 0)])
+
+
+# Each command as a shell runs it: the exit code, the files that must be
+# non-empty, no other file, and no nan cell.  Commands whose contract a test
+# above already checks with the same arguments are not repeated here.
+_CONTRACTS = [
+    ("eigs --M 2..10 --r 0.1 --output sweep.csv", 0, ["sweep.csv"]),
+    ("eigs --bc neumann --scheme uni --M 2..60 --r 0.3 --output neumann_uni.csv", 0,
+     ["neumann_uni.csv"]),
+    ("eigs --scheme con --M 2..8 --r 0.5 --output con.csv", 0, ["con.csv"]),
+    ("eigs --M 2..200 --r 0.1,0.5 --jobs 2 --output spectral_sweep.csv", 0,
+     ["spectral_sweep.csv"]),
+    ("project --M 6 --r 0.1 --input samples.csv --output project.csv", 0, ["project.csv"]),
+    ("suffcond --a-bound 3.5 --output suff.csv", 0, ["suff.csv"]),
+    ("suffcond --scheme uni --r 0.6 --a-bound 3.5 --output suff_uni.csv", 0, ["suff_uni.csv"]),
+    ("simulate --T 0.001 --output one_step.csv", 0, ["one_step.csv"]),
+    ("simulate --feed-on 0:0.0005 --T 0.01 --output step0_window.csv", 0, ["step0_window.csv"]),
+    ("simulate --bc neumann --reaction oscillating --feed-on 0:0.005 --T 0.01 --output osc.csv",
+     0, ["osc.csv"]),
+    ("simulate --reaction oscillating --N 201 --k 2e-3 --T 0.3 --feed-on 0:0.1"
+     " --output osc_dirichlet.csv", 0, ["osc_dirichlet.csv"]),
+    ("simulate --bc neumann --feed-on 0:0.005 --T 0.01 --snapshot-times 0,0.01 --output neu.csv",
+     0, ["neu.csv", "neu_snapshots.csv"]),
+    ("simulate --feed-on 0.05:0.13 --T 0.2 --snapshot-times 0.063,0.064,0.065"
+     " --output blocks.csv", 0, ["blocks.csv", "blocks_snapshots.csv"]),
+    ("simulate --feed-on off --T 0.05 --snapshot-times 0,0.05 --output free.csv", 0,
+     ["free.csv", "free_snapshots.csv"]),
+    ("simulate --reaction table:react.csv --T 0.01 --output table.csv", 0, ["table.csv"]),
+    ("simulate --T 0.01 --snapshot-times 0,0.005,0.01 --output run.csv", 0,
+     ["run.csv", "run_snapshots.csv"]),
+    ("simulate --L 0 --reaction oscillating --output l0.csv", 2, []),
+    ("simulate --N 2 --output n2.csv", 2, []),
+    ("simulate --scheme con --M 9 --r 0.1 --T 0.01 --output con_run.csv", 3, []),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, files", _CONTRACTS, ids=[argv.split(" --output")[0] for argv, _, _ in _CONTRACTS]
+)
+def test_cli_contract(tmp_path, argv, rc, files):
+    inputs = {"samples.csv", "react.csv"}
+    _write_sine_samples(tmp_path / "samples.csv")
+    _write_reaction_table(tmp_path / "react.csv")
+    for launcher in _LAUNCHERS:
+        proc = _run_fresh(tmp_path, [*launcher, *argv.split()])
+        assert proc.returncode == rc, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name not in inputs) == sorted(files)
+        for name in files:
+            data = (tmp_path / name).read_bytes()
+            assert data and not re.search(rb"\bnan\b", data), name

@@ -29,7 +29,6 @@ from oblique_stab.projection import (
     orthogonal_projection_actuators,
     vartheta_limit,
 )
-from oblique_stab.quadrature import integrate
 from oblique_stab.spectral import BoundaryCondition, build_basis
 
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     cosine_sum,
     eval_eigenfunction,
     exact_angle_trig_table,
+    integrate,
     theta,
 )
 

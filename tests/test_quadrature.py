@@ -10,11 +10,10 @@ from oblique_stab.errors import InvalidArgumentError
 from oblique_stab.quadrature import (
     _BASE_W,
     _BASE_X,
-    integrate,
     oscillation_panels,
     panel_nodes_weights,
 )
-from oracles import linspace_panel_edges
+from oracles import integrate, linspace_panel_edges
 
 
 def test_polynomial_exactness():

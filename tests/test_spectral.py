@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblique_stab.errors import InvalidArgumentError
-from oblique_stab.quadrature import integrate
 from oblique_stab.spectral import BoundaryCondition, build_basis, eigenfunctions
 
-from oracles import eval_eigenfunction
+from oracles import eval_eigenfunction, integrate
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
