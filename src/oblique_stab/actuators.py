@@ -64,6 +64,29 @@ def uni_min_count(r: float) -> int:
     return math.ceil(r / (1.0 - r) * (1.0 - _GEOM_RTOL))
 
 
+def checked_count(M) -> int:
+    """M as an int; raises unless it is a positive integer."""
+    if int(M) != M or M < 1:
+        raise InvalidArgumentError(f"actuator count must be a positive integer, got {M}")
+    return int(M)
+
+
+def checked_fraction(r) -> float:
+    """r as a float; raises unless it lies in (0, 1)."""
+    r = float(r)
+    if not 0.0 < r < 1.0:
+        raise InvalidArgumentError(f"volume fraction must lie in (0, 1), got {r}")
+    return r
+
+
+def check_uni_count(M: int, r: float) -> None:
+    """Raises unless uniform placement accepts M actuators at volume fraction r."""
+    if M < uni_min_count(r):
+        raise InvalidArgumentError(
+            f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g} for r={r}"
+        )
+
+
 def place(
     scheme: Scheme,
     L: float,
@@ -81,12 +104,7 @@ def place(
     L = float(L)
     if not math.isfinite(L) or L <= 0.0:
         raise InvalidArgumentError(f"interval length must be positive, got {L}")
-    if int(M) != M or M < 1:
-        raise InvalidArgumentError(f"actuator count must be a positive integer, got {M}")
-    M = int(M)
-    r = float(r)
-    if not 0.0 < r < 1.0:
-        raise InvalidArgumentError(f"volume fraction must lie in (0, 1), got {r}")
+    M, r = checked_count(M), checked_fraction(r)
     delta = r * L / (2 * M)
 
     if (centers is not None) != (scheme is Scheme.CUSTOM):
@@ -98,10 +116,7 @@ def place(
     if scheme is Scheme.MXE:
         c = (2 * j - 1) * L / (2 * M)
     elif scheme is Scheme.UNI:
-        if M < uni_min_count(r):
-            raise InvalidArgumentError(
-                f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g} for r={r}"
-            )
+        check_uni_count(M, r)
         c = j * L / (M + 1)
     elif scheme is Scheme.CON:
         c = (1.0 - r) * L / 2.0 + (2 * j - 1) * r * L / (2 * M)

@@ -195,13 +195,13 @@ def _parse_reaction(text: str, nu: float, L: float):
     )
 
 
-def _parse_y0(text: str, nodes: np.ndarray) -> np.ndarray:
+def _parse_y0(text: str, nodes: np.ndarray, L: float) -> np.ndarray:
     text = text.strip()
     if text.startswith("linear:"):
         slope = _parse_float("y0", text[len("linear:"):])
         return slope * nodes
     if text.startswith("samples:"):
-        xs, vals = _load_samples("y0", text[len("samples:"):])
+        xs, vals = _inside_domain("y0", _load_samples("y0", text[len("samples:"):]), L)
         return np.interp(nodes, xs, vals)
     raise InvalidArgumentError(
         f"--y0 must be 'linear:<slope>' or 'samples:<file>', got {text!r}"
@@ -223,6 +223,13 @@ def _load_samples(key: str, path: str) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(cells[0::2]) <= 0.0):
         raise InvalidArgumentError(f"{path}: sample x values must be strictly increasing")
     return cells[0::2], cells[1::2]
+
+
+def _inside_domain(key: str, samples: tuple[np.ndarray, np.ndarray], L: float):
+    """`samples` once every x lies in [0, L], outside which np.interp would clamp."""
+    if samples[0][0] < -1e-12 or samples[0][-1] > L * (1 + 1e-12):
+        raise InvalidArgumentError(f"--{key} samples must lie inside [0, L]")
+    return samples
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -306,9 +313,7 @@ def cmd_eigs(v: argparse.Namespace) -> Result:
 
 def cmd_project(v: argparse.Namespace) -> Result:
     L = v.L
-    xs, vals = v.input
-    if xs[0] < -1e-12 or xs[-1] > L * (1 + 1e-12):
-        raise InvalidArgumentError("input samples must lie inside [0, L]")
+    xs, vals = _inside_domain("input", v.input, L)
 
     def f(x):
         return np.interp(np.asarray(x, dtype=float), xs, vals)
@@ -338,7 +343,7 @@ def cmd_simulate(v: argparse.Namespace) -> Result:
         raise InvalidArgumentError("--snapshot-times requires --output")
     grid = make_grid(v.bc, v.L, v.N)
     reaction = _parse_reaction(v.reaction, v.nu, v.L)
-    y0 = _parse_y0(v.y0, grid.nodes)
+    y0 = _parse_y0(v.y0, grid.nodes, v.L)
     # built even for free dynamics, so --feed-on off accepts only what on does
     op = feedback_matrices(grid, place(v.scheme, v.L, v.M, v.r, centers=v.centers))
     feedback = None

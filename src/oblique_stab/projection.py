@@ -51,9 +51,11 @@ from .actuators import (
     ActuatorSet,
     Scheme,
     all_breakpoints,
+    check_uni_count,
+    checked_count,
+    checked_fraction,
     indicators,
     normalized_indicator_coeff,
-    uni_min_count,
 )
 from .errors import SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
@@ -282,14 +284,9 @@ def analytic_vartheta(
     mxe (the extra eigenvalue at M = 1) and at i = M for uni.
     """
     limit = vartheta_limit(r)
-    if int(M) != M or M < 1:
-        raise InvalidArgumentError(f"actuator count must be a positive integer, got {M}")
-    M = int(M)
+    M = checked_count(M)
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
-        if M < uni_min_count(r):
-            raise InvalidArgumentError(
-                f"uniform placement requires M >= r/(1-r): M={M} < {r / (1.0 - r):.6g}"
-            )
+        check_uni_count(M, r)
         return (M + 1) / M * limit
     if scheme is not Scheme.MXE:
         return None
@@ -324,8 +321,7 @@ def analytic_theta_spectrum(
 
 def vartheta_limit(r: float) -> float:
     """Common large-M limit of vartheta: r sinc^2(r pi/2) = 4/(r pi^2) sin^2(r pi/2)."""
-    if not 0.0 < r < 1.0:
-        raise InvalidArgumentError(f"volume fraction must lie in (0, 1), got {r}")
+    r = checked_fraction(r)
     return float(_sinc2(r, r * math.pi / 2))
 
 

@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line front end.
 
-Most run `main` in process.  A fresh interpreter runs the CLI where the
-process is the contract: the BLAS thread count, imports paid at start-up, and
-the exit code and files a shell sees (`test_cli_contract`).
+Most run `main` in process, and `test_exit_code_contract` is the table of
+every run that exits 2 or 3 without a file.  A fresh interpreter runs the
+CLI where the process is the contract: the BLAS thread count, imports paid
+at start-up, and the exit code and files a shell sees (`test_cli_contract`).
 """
 
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -130,7 +132,6 @@ def test_eigs_deterministic_and_jobs_independent(tmp_path):
     # --jobs is accepted and changes neither a row nor the config comment
     assert main(args + ["--jobs", "4", "--output", str(out)]) == 0
     assert out.read_bytes() == first
-    assert main(args + ["--jobs", "x", "--output", str(out)]) == 2
 
 
 def test_con_sweep_degrades_row_by_row(tmp_path, capsys):
@@ -215,7 +216,7 @@ def test_eigs_coincident_centers_fail_the_direct_sum(tmp_path):
 
 def test_eigs_uni_sweep_skips_m_below_constraint(tmp_path):
     # uni needs M >= r/(1-r): all of 2..20 at r = 0.1, only 9..20 at r = 0.9;
-    # a sweep with no admissible pair still exits 2 (test_invalid_argument_exits_two)
+    # a sweep with no admissible pair still exits 2 (test_exit_code_contract)
     out = tmp_path / "u.csv"
     assert main([
         "eigs", "--scheme", "uni", "--M", "2..20", "--r", "0.1,0.9", "--output", str(out),
@@ -251,36 +252,6 @@ def test_project_constant_input(tmp_path):
     header = next(ln for ln in text if not ln.startswith("#"))
     assert header == "x,input,oblique,orthogonal"
     assert len(_data_rows(out)) == 1 + len(xs)
-
-
-def test_project_rejects_m_range(tmp_path):
-    src = tmp_path / "input.csv"
-    src.write_text("0.0,1.0\n3.0,1.0\n")
-    assert main(["project", "--M", "2..4", "--r", "0.1", "--input", str(src)]) == 2
-
-
-def test_project_rejects_samples_outside_domain(tmp_path):
-    src = tmp_path / "input.csv"
-    src.write_text("0.0,1.0\n9.0,1.0\n")
-    assert main(["project", "--M", "2", "--r", "0.1", "--input", str(src)]) == 2
-
-
-@pytest.mark.parametrize(
-    "text, count", [("0.0,1.0\n", 1), ("x,value\n", 0), ("# x,value\nx,value\n1.0,2.0\n", 1)]
-)
-@pytest.mark.parametrize("flag", ["--input", "--y0"])
-def test_too_few_samples_exit_two(tmp_path, capsys, text, count, flag):
-    src = tmp_path / "input.csv"
-    src.write_text(text)
-    out = tmp_path / "out.csv"
-    if flag == "--input":
-        argv = ["project", "--M", "2", "--r", "0.1", "--input", str(src)]
-    else:
-        argv = ["simulate", "--T", "0.01", "--y0", f"samples:{src}"]
-    assert main([*argv, "--output", str(out)]) == 2
-    err = f"error: {src}: need at least two samples, got {count}\n"
-    assert capsys.readouterr().err == err
-    assert not out.exists()
 
 
 # Cells are parsed in one batch; a failure must still name the first bad
@@ -375,34 +346,6 @@ def test_simulate_feedback_off(tmp_path):
     assert norms[-1] > norms[0]  # unstable reaction, no feedback
 
 
-def test_simulate_feedback_off_still_validates_placement(tmp_path, capsys):
-    # free dynamics build the feedback operator too, so off rejects what on
-    # rejects: a placement (exit 2) and a mesh too coarse for it (exit 3)
-    out = tmp_path / "free.csv"
-    cases = [
-        (["--scheme", "uni", "--r", "0.9", "--M", "2", "--N", "101"], 2,
-         "uniform placement requires M >= r/(1-r)"),
-        (["--N", "21"], 3, "mesh"),
-    ]
-    for flags, rc, message in cases:
-        for feed_on in ("off", "0:0.005"):
-            argv = ["simulate", *flags, "--T", "0.01", "--feed-on", feed_on]
-            assert main([*argv, "--output", str(out)]) == rc, (flags, feed_on)
-            assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_simulate_rejects_placement_that_eigs_rejects(tmp_path, capsys):
-    # con at r = 0.1 fails the direct sum from M = 9 on; the coupling on the
-    # grid gets the same sigma-ratio test as the cross-Gram
-    out = tmp_path / "con.csv"
-    argv = ["simulate", "--scheme", "con", "--M", "9", "--r", "0.1", "--T", "0.01"]
-    for bc in ("dirichlet", "neumann"):
-        assert main([*argv, "--bc", bc, "--output", str(out)]) == 3
-        assert "sigma_min/sigma_max" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_simulate_feed_on_window(tmp_path):
     out = tmp_path / "win.csv"
     rc = main([
@@ -415,29 +358,6 @@ def test_simulate_feed_on_window(tmp_path):
     assert flags[0] == "1"
     assert flags[-1] == "0"
     assert "0" in flags and "1" in flags
-
-
-def test_simulate_feed_on_window_after_final_time_exits_two(tmp_path, capsys):
-    # the window would never open, so the run would silently be free dynamics
-    out = tmp_path / "late.csv"
-    assert main(["simulate", "--feed-on", "5:6", "--N", "101", "--output", str(out)]) == 2
-    assert "feedback window [5, 6] starts after the final time 4.5" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize(
-    "feed_on, message",
-    [
-        ("4.5:5", "feedback window [4.5, 5] acts on no step before the final time 4.5"),
-        ("4.5000000001:5", "feedback window [4.5000000001, 5] starts after the final time 4.5"),
-    ],
-)
-def test_simulate_feed_on_window_acting_on_no_step_exits_two(tmp_path, capsys, feed_on, message):
-    # the window flags only the final state, from which no step is taken
-    out = tmp_path / "late.csv"
-    assert main(["simulate", "--feed-on", feed_on, "--N", "101", "--output", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_feed_on_window_at_the_last_step_taken(tmp_path):
@@ -490,24 +410,6 @@ def test_snapshot_rows_are_per_cell_formatting(tmp_path, monkeypatch):
         ",".join("%.17g" % v for v in (nodes[i], *run.snapshots[:, i])) for i in range(nodes.size)
     ]
     assert _data_rows(tmp_path / "run_snapshots.csv")[1:] == expected
-
-
-@pytest.mark.parametrize("times", ["5", "-0.001", "0,0.011"])
-def test_simulate_snapshot_times_outside_run_exit_two(tmp_path, capsys, times):
-    out = tmp_path / "s.csv"
-    assert main([
-        "simulate", "--N", "101", "--T", "0.01", "--snapshot-times", times,
-        "--output", str(out),
-    ]) == 2
-    assert "snapshot times must lie in [0, 0.01]" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_simulate_snapshots_need_output():
-    argv = ["simulate", "--N", "101", "--k", "2e-3", "--T", "0.1", "--snapshot-times", "0,0.1"]
-    assert main(argv) == 2
-    # an empty --output writes to stdout, which has no snapshots file beside it
-    assert main(argv + ["--output", ""]) == 2
 
 
 def test_simulate_oscillating_reaction(tmp_path):
@@ -614,18 +516,6 @@ def test_suffcond_unreachable_bound(tmp_path):
     assert "swept_minimal_M=-1" in _lines(out)
 
 
-def test_suffcond_requires_a_bound():
-    assert main(["suffcond", "--nu", "0.1", "--r", "0.1"]) == 2
-
-
-@pytest.mark.parametrize("max_m", ["0", "-5"])
-def test_suffcond_rejects_empty_sweep(tmp_path, capsys, max_m):
-    out = tmp_path / "s.csv"
-    assert main(["suffcond", "--a-bound", "3.5", "--max-M", max_m, "--output", str(out)]) == 2
-    assert "--max-M must be positive" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("a_bound, minimal", [("3.5", "42"), ("0", "2")])
 def test_suffcond_skips_m_below_uni_constraint(tmp_path, a_bound, minimal):
     # uni at r = 0.6 needs M >= r/(1-r) = 1.5, so the sweep starts at M = 2
@@ -635,19 +525,6 @@ def test_suffcond_skips_m_below_uni_constraint(tmp_path, a_bound, minimal):
         "--output", str(out),
     ]) == 0
     assert f"swept_minimal_M={minimal}" in _lines(out)
-
-
-def test_suffcond_rejects_custom_scheme(tmp_path, capsys):
-    out = tmp_path / "s.csv"
-    assert main(["suffcond", "--scheme", "custom", "--a-bound", "1", "--output", str(out)]) == 2
-    assert "suffcond sweeps M, which --scheme custom fixes" in capsys.readouterr().err
-    # custom centers fix M, so suffcond has no --centers flag
-    assert main([
-        "suffcond", "--scheme", "custom", "--centers", "1.0", "--a-bound", "1",
-        "--output", str(out),
-    ]) == 2
-    assert "unrecognized arguments: --centers" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_suffcond_direct_sum_failure_still_writes_file(tmp_path, capsys):
@@ -694,12 +571,6 @@ def test_config_file_merge_and_override(tmp_path):
     assert rows[1].split(",")[0] == "7"
 
 
-def test_config_file_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("wobble=3\n")
-    assert main(["eigs", "--config", str(cfg), "--M", "2", "--r", "0.5"]) == 2
-
-
 def test_config_comment_records_settings(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["eigs", "--M", "3", "--r", "0.5", "--output", str(out)]) == 0
@@ -708,101 +579,250 @@ def test_config_comment_records_settings(tmp_path):
     assert "M=3" in head and "r=0.5" in head
 
 
-# ---------------------------------------------------------------- failure modes
+# ---------------------------------------------------------------- exit codes
 
-def test_invalid_argument_exits_two():
-    assert main(["eigs", "--bc", "sideways", "--M", "2", "--r", "0.5"]) == 2
-    assert main(["eigs", "--M", "0", "--r", "0.5"]) == 2
-    assert main(["eigs", "--M", "2", "--r", "1.5"]) == 2
-    assert main(["eigs", "--scheme", "uni", "--M", "2", "--r", "0.9"]) == 2
-    assert main(["simulate", "--feed-on", "nonsense", "--T", "0.1"]) == 2
-    assert main(["simulate", "--reaction", "sinusoid", "--T", "0.1"]) == 2
+# The exit-code contract of the README as a table: every bad configuration
+# exits 2, and a numerical failure 3, with one line on stderr and no file.
+# The runner writes _INPUTS into a fresh directory and runs a row there in
+# process with warnings as errors.  It checks the exit code, the stderr line
+# (only up to "..." where the line goes on with OS error text or argparse's
+# choices) and that no file but the inputs appears.  A new guard is one more
+# row.
+_INPUTS = {
+    "samples.csv": "0.0,1.0\n3.0,1.0\n",
+    "tiny.csv": "x,value\n0.0,0.0\n5e-301,1.0\n1e-300,0.0\n",
+    "outside.csv": "5.0,1.0\n9.0,1.0\n",
+    "one.csv": "0.0,1.0\n",
+    "header.csv": "x,value\n",
+    "commented.csv": "# x,value\nx,value\n1.0,2.0\n",
+    "comments.csv": "# x,value\n",
+    "decreasing.csv": "0.0,1.0\n2.0,1.0\n1.0,1.0\n",
+    "unknown.cfg": "wobble=3\n",
+    "no_equals.cfg": "M 2\n",
+    "t_header.csv": "t,0,1\n0,1,2\n",
+    "x_decreasing.csv": "x,1,0\n0,1,2\n",
+    "t_decreasing.csv": "x,0,1\n1,1,2\n0,1,2\n",
+}
 
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "simulate --T nan",
-        "simulate --k nan",
-        "simulate --lam inf",
-        "suffcond --a-bound nan --max-M 5",
-        "suffcond --a-bound inf --max-M 5",
-        "eigs --scheme custom --centers nan,1 --M 2 --r 0.1",
-    ],
+_COUPLING = (
+    " of the coupling matrix between sampled actuators and eigenfunctions is at most 1e-08;"
+    " refine the mesh so every actuator support contains interior nodes, or change the placement"
 )
-def test_non_finite_values_exit_two(tmp_path, capsys, argv):
-    out = tmp_path / "out.csv"
-    assert main([*argv.split(), "--output", str(out)]) == 2
-    assert "expects a finite number" in capsys.readouterr().err
-    assert not out.exists()
 
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ("--L 0 --reaction oscillating", "domain length must be positive and finite"),
-        ("--N 2", "node count must be an integer >= 3"),
-    ],
-)
-def test_simulate_bad_grid_exits_two(tmp_path, capsys, argv, message):
-    out = tmp_path / "out.csv"
-    assert main(["simulate", *argv.split(), "--T", "0.01", "--output", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, L, top",
-    [
-        ("eigs --M 2..4 --r 0.1 --L 1e-300", "1e-300", 2),
-        ("suffcond --a-bound 3.5 --L 1e-300", "1e-300", 1),
-        ("project --M 2 --r 0.1 --L 1e-300", "1e-300", 2),
-        ("simulate --L 1e-160 --T 0.01", "1e-160", 6),
-        ("simulate --L 1e-200 --reaction oscillating --T 0.01", "1e-200", 1),
-        # pi / L is already inf here, so nothing raises before the eigenvalues
-        ("simulate --L 1e-310", "1e-310", 6),
-        # (pi/L)^2 is finite here, and the largest eigenvalue is not
-        ("eigs --M 2..4 --r 0.1 --L 3e-154", "3e-154", 2),
-        ("suffcond --a-bound 3.5 --L 3e-154", "3e-154", 2),
-        ("simulate --T 0.01 --L 3e-154", "3e-154", 6),
-    ],
-)
-def test_tiny_domain_length_exits_two(tmp_path, capsys, argv, L, top):
-    # the largest eigenvalue (top pi/L)^2 overflows: the run stops with the
-    # length named, not a warning or a traceback
-    samples = tmp_path / "samples.csv"
-    samples.write_text(f"x,value\n0.0,0.0\n{float(L) / 2!r},1.0\n{float(L)!r},0.0\n")
-    extra = ["--input", str(samples)] if argv.startswith("project") else []
-    out = tmp_path / "out.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*argv.split(), *extra, "--output", str(out)]) == 2
-    message = f"error: interval length L = {L} overflows ({top}pi/L)^2"
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ("eigs --M 2..4 --r 0.1 --L 1e308", "L = 1e+308 is too large to place 2 actuators"),
-        ("suffcond --a-bound 3.5 --L 1e308", "L = 1e+308 is too large to place 2 actuators"),
-        ("simulate --T 0.01 --L 1e308", "L = 1e+308 is too large to place 6 actuators"),
-        ("eigs --M 1..3 --r 1e-310", "r = 1e-310 is too small for the row scale of G"),
-        ("eigs --M 1..2 --r 1e-310", "r = 1e-310 is too small for the row scale of G"),
-    ],
-)
-def test_overflowing_length_or_row_scale_exits_two(tmp_path, capsys, argv, message):
+_EXITS = [
+    # flags
+    ("frobnicate --output out.csv", 2,
+     "oblique-stab: error: argument command: invalid choice: 'frobnicate'..."),
+    ("norm --M 3 --r 0.5 --output out.csv", 2,
+     "oblique-stab: error: argument command: invalid choice: 'norm'..."),
+    ("eigs --bc sideways --M 2 --r 0.5 --output out.csv", 2,
+     "error: --bc must be one of dirichlet, neumann; got 'sideways'"),
+    ("eigs --M 0 --r 0.5 --output out.csv", 2, "error: --M must be positive, got 0"),
+    ("eigs --M 5..2 --r 0.5 --output out.csv", 2,
+     "error: --M range must satisfy 1 <= lo <= hi, got '5..2'"),
+    ("eigs --M 0..3 --r 0.5 --output out.csv", 2,
+     "error: --M range must satisfy 1 <= lo <= hi, got '0..3'"),
+    ("project --M 2..4 --r 0.1 --input samples.csv --output out.csv", 2,
+     "error: --M expects an integer, got '2..4'"),
+    ("eigs --M 2 --r 1.5 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got 1.5"),
+    ("eigs --M 2 --r , --output out.csv", 2, "error: --r list is empty"),
+    ("eigs --M 2..12 --r 0.25,0.5 --bc neumann --jobs x --output out.csv", 2,
+     "error: --jobs expects an integer, got 'x'"),
+    ("eigs --centers 1.0 --M 1 --r 0.5 --output out.csv", 2,
+     "error: --centers is only valid with --scheme custom"),
+    ("simulate --feed-on nonsense --T 0.1 --output out.csv", 2,
+     "error: --feed-on expects 't0:t1' or 'off', got 'nonsense'"),
+    ("simulate --feed-on 0.5:0.1 --output out.csv", 2,
+     "error: --feed-on needs 0 <= t0 < t1, got '0.5:0.1'"),
+    ("simulate --reaction sinusoid --T 0.1 --output out.csv", 2,
+     "error: --reaction must be 'constant:<value>', 'oscillating', or 'table:<file>',"
+     " got 'sinusoid'"),
+    ("simulate --T 0.01 --y0 bogus --output out.csv", 2,
+     "error: --y0 must be 'linear:<slope>' or 'samples:<file>', got 'bogus'"),
+    ("simulate --T nan --output out.csv", 2, "error: --T expects a finite number, got 'nan'"),
+    ("simulate --k nan --output out.csv", 2, "error: --k expects a finite number, got 'nan'"),
+    ("simulate --lam inf --output out.csv", 2, "error: --lam expects a finite number, got 'inf'"),
+    ("suffcond --a-bound nan --max-M 5 --output out.csv", 2,
+     "error: --a-bound expects a finite number, got 'nan'"),
+    ("suffcond --a-bound inf --max-M 5 --output out.csv", 2,
+     "error: --a-bound expects a finite number, got 'inf'"),
+    ("eigs --scheme custom --centers nan,1 --M 2 --r 0.1 --output out.csv", 2,
+     "error: --centers expects a finite number, got 'nan'"),
+    ("suffcond --nu 0.1 --r 0.1 --output out.csv", 2,
+     "error: --a-bound is required for this command"),
+    ("suffcond --a-bound -1 --output out.csv", 2, "error: --a-bound must be nonnegative, got -1.0"),
+    ("suffcond --a-bound 3.5 --max-M 0 --output out.csv", 2,
+     "error: --max-M must be positive, got 0"),
+    ("suffcond --a-bound 3.5 --max-M -5 --output out.csv", 2,
+     "error: --max-M must be positive, got -5"),
+    ("suffcond --scheme custom --a-bound 1 --output out.csv", 2,
+     "error: suffcond sweeps M, which --scheme custom fixes"),
+    # custom centers fix M, so suffcond has no --centers flag
+    ("suffcond --scheme custom --centers 1.0 --a-bound 1 --output out.csv", 2,
+     "oblique-stab: error: unrecognized arguments: --centers 1.0"),
+    # files
+    ("eigs --config unknown.cfg --M 2 --r 0.5 --output out.csv", 2,
+     "error: unknown.cfg: unknown config keys ['wobble']"),
+    ("eigs --config no_equals.cfg --M 2 --r 0.5 --output out.csv", 2,
+     "error: no_equals.cfg:1: expected 'key=value', got 'M 2'"),
+    ("project --M 2 --r 0.1 --input missing.csv --output out.csv", 2,
+     "error: cannot read missing.csv: ..."),
+    ("project --M 2 --r 0.1 --input comments.csv --output out.csv", 2,
+     "error: comments.csv contains no data rows"),
+    ("project --M 2 --r 0.1 --input one.csv --output out.csv", 2,
+     "error: one.csv: need at least two samples, got 1"),
+    ("project --M 2 --r 0.1 --input header.csv --output out.csv", 2,
+     "error: header.csv: need at least two samples, got 0"),
+    ("project --M 2 --r 0.1 --input commented.csv --output out.csv", 2,
+     "error: commented.csv: need at least two samples, got 1"),
+    ("simulate --T 0.01 --y0 samples:one.csv --output out.csv", 2,
+     "error: one.csv: need at least two samples, got 1"),
+    ("simulate --T 0.01 --y0 samples:header.csv --output out.csv", 2,
+     "error: header.csv: need at least two samples, got 0"),
+    ("simulate --T 0.01 --y0 samples:commented.csv --output out.csv", 2,
+     "error: commented.csv: need at least two samples, got 1"),
+    ("project --M 2 --r 0.1 --input decreasing.csv --output out.csv", 2,
+     "error: decreasing.csv: sample x values must be strictly increasing"),
+    # np.interp would clamp samples outside [0, L] to a constant
+    ("project --M 2 --r 0.1 --input outside.csv --output out.csv", 2,
+     "error: --input samples must lie inside [0, L]"),
+    ("simulate --T 0.01 --y0 samples:outside.csv --output out.csv", 2,
+     "error: --y0 samples must lie inside [0, L]"),
+    ("simulate --T 0.01 --reaction table:t_header.csv --output out.csv", 2,
+     "error: reaction table must start with a header row 'x,<x1>,<x2>,...'"),
+    ("simulate --T 0.01 --reaction table:x_decreasing.csv --output out.csv", 2,
+     "error: reaction table needs >= 2 strictly increasing x coordinates"),
+    ("simulate --T 0.01 --reaction table:t_decreasing.csv --output out.csv", 2,
+     "error: reaction table needs strictly increasing time values"),
+    ("eigs --M 2 --r 0.5 --output missing/x.csv", 2, "error: cannot write missing/x.csv: ..."),
+    ("project --M 2 --r 0.5 --input samples.csv --output missing/x.csv", 2,
+     "error: cannot write missing/x.csv: ..."),
+    ("simulate --N 101 --T 0.01 --output missing/x.csv", 2,
+     "error: cannot write missing/x.csv: ..."),
+    ("suffcond --a-bound 0 --output missing/x.csv", 2, "error: cannot write missing/x.csv: ..."),
+    # an empty --output writes to stdout, which has no snapshots file beside it
+    ("simulate --N 101 --k 2e-3 --T 0.1 --snapshot-times 0,0.1", 2,
+     "error: --snapshot-times requires --output"),
+    ("simulate --N 101 --k 2e-3 --T 0.1 --snapshot-times 0,0.1 --output ''", 2,
+     "error: --snapshot-times requires --output"),
+    # runs
+    ("simulate --L 0 --reaction oscillating --T 0.01 --output out.csv", 2,
+     "error: domain length must be positive and finite, got 0.0"),
+    ("simulate --N 2 --T 0.01 --output out.csv", 2,
+     "error: node count must be an integer >= 3, got 2"),
+    ("simulate --T 0.0001 --output out.csv", 2,
+     "error: final time 0.0001 is shorter than one step 0.001"),
+    # 1e18 steps cannot be allocated; the run fails before it steps
+    ("simulate --T 1e15 --N 101 --output out.csv", 2,
+     "error: 1000000000000000000 time steps (T/k) need more memory than is available"),
+    # a window that never opens, or flags only the final state, from which no
+    # step is taken, would silently leave free dynamics
+    ("simulate --feed-on 5:6 --N 101 --output out.csv", 2,
+     "error: feedback window [5, 6] starts after the final time 4.5"),
+    ("simulate --feed-on 4.5:5 --N 101 --output out.csv", 2,
+     "error: feedback window [4.5, 5] acts on no step before the final time 4.5"),
+    ("simulate --feed-on 4.5000000001:5 --N 101 --output out.csv", 2,
+     "error: feedback window [4.5000000001, 5] starts after the final time 4.5"),
+    ("simulate --N 101 --T 0.01 --snapshot-times 5 --output out.csv", 2,
+     "error: snapshot times must lie in [0, 0.01], got (5.0,)"),
+    ("simulate --N 101 --T 0.01 --snapshot-times -0.001 --output out.csv", 2,
+     "error: snapshot times must lie in [0, 0.01], got (-0.001,)"),
+    ("simulate --N 101 --T 0.01 --snapshot-times 0,0.011 --output out.csv", 2,
+     "error: snapshot times must lie in [0, 0.01], got (0.0, 0.011)"),
+    # a sweep with no admissible pair; free dynamics build the feedback
+    # operator too, so off rejects what on rejects
+    ("eigs --scheme uni --M 2 --r 0.9 --output out.csv", 2,
+     "error: uniform placement requires M >= r/(1-r): M=2 < 9 for r=0.9"),
+    ("simulate --scheme uni --r 0.9 --M 2 --N 101 --T 0.01 --feed-on off --output out.csv", 2,
+     "error: uniform placement requires M >= r/(1-r): M=2 < 9 for r=0.9"),
+    ("simulate --scheme uni --r 0.9 --M 2 --N 101 --T 0.01 --feed-on 0:0.005 --output out.csv",
+     2, "error: uniform placement requires M >= r/(1-r): M=2 < 9 for r=0.9"),
+    # the largest eigenvalue (top pi/L)^2 overflows; at 1e-310, pi/L is
+    # already inf, and at 3e-154 (pi/L)^2 is finite and the largest is not
+    ("eigs --M 2..4 --r 0.1 --L 1e-300 --output out.csv", 2,
+     "error: interval length L = 1e-300 overflows (2pi/L)^2"),
+    ("suffcond --a-bound 3.5 --L 1e-300 --output out.csv", 2,
+     "error: interval length L = 1e-300 overflows (1pi/L)^2"),
+    ("project --M 2 --r 0.1 --L 1e-300 --input tiny.csv --output out.csv", 2,
+     "error: interval length L = 1e-300 overflows (2pi/L)^2"),
+    ("simulate --L 1e-160 --T 0.01 --output out.csv", 2,
+     "error: interval length L = 1e-160 overflows (6pi/L)^2"),
+    ("simulate --L 1e-200 --reaction oscillating --T 0.01 --output out.csv", 2,
+     "error: interval length L = 1e-200 overflows (1pi/L)^2"),
+    ("simulate --L 1e-310 --output out.csv", 2,
+     "error: interval length L = 1e-310 overflows (6pi/L)^2"),
+    ("eigs --M 2..4 --r 0.1 --L 3e-154 --output out.csv", 2,
+     "error: interval length L = 3e-154 overflows (2pi/L)^2"),
+    ("suffcond --a-bound 3.5 --L 3e-154 --output out.csv", 2,
+     "error: interval length L = 3e-154 overflows (2pi/L)^2"),
+    ("simulate --T 0.01 --L 3e-154 --output out.csv", 2,
+     "error: interval length L = 3e-154 overflows (6pi/L)^2"),
     # a placement numerator (2M - 1) L or the cross-Gram row scale
-    # sqrt(8M/(r pi^2)) overflows: one error line, no warning, no file
-    out = tmp_path / "out.csv"
+    # sqrt(8M/(r pi^2)) overflows
+    ("eigs --M 2..4 --r 0.1 --L 1e308 --output out.csv", 2,
+     "error: interval length L = 1e+308 is too large to place 2 actuators"),
+    ("suffcond --a-bound 3.5 --L 1e308 --output out.csv", 2,
+     "error: interval length L = 1e+308 is too large to place 2 actuators"),
+    ("simulate --T 0.01 --L 1e308 --output out.csv", 2,
+     "error: interval length L = 1e+308 is too large to place 6 actuators"),
+    ("eigs --M 1..3 --r 1e-310 --output out.csv", 2,
+     "error: volume fraction r = 1e-310 is too small for the row scale of G"),
+    ("eigs --M 1..2 --r 1e-310 --output out.csv", 2,
+     "error: volume fraction r = 1e-310 is too small for the row scale of G"),
+    # a side of the margin test or the closed-form count overflows
+    ("suffcond --a-bound 1e160 --output out.csv", 2,
+     "error: the margin test overflows at nu=0.1, a_bound=1e+160"),
+    ("suffcond --a-bound 1e308 --output out.csv", 2,
+     "error: the margin test overflows at nu=0.1, a_bound=1e+308"),
+    ("suffcond --a-bound 3.5 --nu 1e308 --output out.csv", 2,
+     "error: the margin test overflows at nu=1e+308, a_bound=3.5"),
+    ("suffcond --a-bound 3.5 --nu 1e-320 --output out.csv", 2,
+     "error: --L, --nu and --a-bound overflow closed_form_minimal_M"),
+    # numerical failures: a coupling on the grid that fails the sigma-ratio
+    # test of the cross-Gram, on a coarse mesh or a placement eigs rejects
+    ("simulate --N 21 --T 0.01 --feed-on off --output out.csv", 3,
+     "numerical failure: sigma_min/sigma_max 0.000e+00" + _COUPLING),
+    ("simulate --N 21 --T 0.01 --feed-on 0:0.005 --output out.csv", 3,
+     "numerical failure: sigma_min/sigma_max 0.000e+00" + _COUPLING),
+    ("simulate --scheme con --M 9 --r 0.1 --T 0.01 --output out.csv", 3,
+     "numerical failure: sigma_min/sigma_max 8.446e-10" + _COUPLING),
+    ("simulate --bc neumann --scheme con --M 9 --r 0.1 --T 0.01 --output out.csv", 3,
+     "numerical failure: sigma_min/sigma_max 2.048e-10" + _COUPLING),
+    # nearly coincident custom centers defeat the direct-sum split; with no
+    # --output the failed sweep goes to stdout
+    ("eigs --scheme custom --centers 1.0,1.00000001 --M 2 --r 0.2", 3,
+     "numerical failure: 1 of 1 sweep rows failed, the first at M=2 r=0.2: sigma_min/sigma_max"
+     " 3.885e-09 of the cross-Gram is at most 1e-08; the actuator span does not complement the"
+     " spectral subspace"),
+    # nu = 1e308 overflows the once-per-run products: no numpy warning first
+    ("simulate --nu 1e308 --output out.csv", 3,
+     "numerical failure: solution norm is nan at step 1, t = 0.001; the run blew up"
+     " (reduce the time step or the reaction)"),
+    ("simulate --reaction constant:-1e6 --T 0.5 --output out.csv", 3,
+     "numerical failure: solution norm is inf at step 49, t = 0.049; the run blew up"
+     " (reduce the time step or the reaction)"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, rc, err", _EXITS, ids=[argv.replace(" --output out.csv", "") for argv, _, _ in _EXITS]
+)
+def test_exit_code_contract(tmp_path, monkeypatch, capsys, argv, rc, err):
+    monkeypatch.chdir(tmp_path)
+    for name, text in _INPUTS.items():
+        Path(name).write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main([*argv.split(), "--output", str(out)]) == 2
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and line.endswith(message)
-    assert not out.exists()
+        assert main(shlex.split(argv)) == rc
+    *usage, line = capsys.readouterr().err.splitlines()
+    assert line == err or (err.endswith("...") and line.startswith(err[:-3]))
+    if usage:  # argparse prints its usage above its error line
+        assert line.startswith("oblique-stab: error: ") and usage[0].startswith("usage: ")
+    assert sorted(os.listdir()) == sorted(_INPUTS)
 
+
+# ---------------------------------------------------------------- failure modes
 
 def test_tiny_volume_fraction_keeps_closed_forms(tmp_path):
     # r sinc^2 keeps the closed forms of r = 1e-200 nonzero and equal to the
@@ -827,61 +847,6 @@ def test_suffcond_tiny_volume_fraction_exits_zero(tmp_path):
         assert main(["suffcond", "--a-bound", "3.5", "--r", "1e-170", "--output", str(out)]) == 0
     kv = dict(line.split("=", 1) for line in _data_rows(out))
     assert float(kv["op_norm_limit"]) == pytest.approx(1e85, rel=1e-15)
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        ("--a-bound 1e160", "the margin test overflows at nu=0.1, a_bound=1e+160"),
-        ("--a-bound 1e308", "the margin test overflows at nu=0.1, a_bound=1e+308"),
-        ("--a-bound 3.5 --nu 1e308", "the margin test overflows at nu=1e+308, a_bound=3.5"),
-        ("--a-bound 3.5 --nu 1e-320", "--L, --nu and --a-bound overflow closed_form_minimal_M"),
-    ],
-    ids=["a-bound 1e160", "a-bound 1e308", "nu 1e308", "nu 1e-320"],
-)
-def test_suffcond_overflow_exits_two(tmp_path, capsys, argv, message):
-    # a side of the margin test or the closed-form count overflows: one error
-    # line, no traceback
-    out = tmp_path / "out.csv"
-    assert main(["suffcond", *argv.split(), "--output", str(out)]) == 2
-    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
-    assert not out.exists()
-
-
-def test_overflowing_setup_fails_without_a_warning(tmp_path, capsys):
-    # nu = 1e308 overflows the once-per-run products; the failure line alone
-    # reports it, with no numpy warning before it
-    out = tmp_path / "out.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["simulate", "--nu", "1e308", "--output", str(out)]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "numerical failure: solution norm is nan at step 1, t = 0.001; "
-        "the run blew up (reduce the time step or the reaction)"
-    ]
-    assert not out.exists()
-
-
-def test_centers_require_custom_scheme():
-    assert main(["eigs", "--centers", "1.0", "--M", "1", "--r", "0.5"]) == 2
-
-
-def test_simulate_blow_up_exits_three_without_output(tmp_path, capsys):
-    out = tmp_path / "blowup.csv"
-    rc = main(["simulate", "--reaction", "constant:-1e6", "--T", "0.5", "--output", str(out)])
-    assert rc == 3
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "at step" in err and "Warning" not in err
-
-
-def test_simulate_too_many_steps_exits_two(tmp_path, capsys):
-    # 1e18 steps cannot be allocated; the run fails before it steps
-    out = tmp_path / "long.csv"
-    assert main(["simulate", "--T", "1e15", "--N", "101", "--output", str(out)]) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "1000000000000000000 time steps" in err and "Traceback" not in err
 
 
 # With 24 actuators a threaded dgemm rounds the coupling E^T M U differently
@@ -934,37 +899,6 @@ def test_sweep_spectrum_independent_of_blas_threads(tmp_path, argv, rows):
     assert one.read_bytes() == two.read_bytes()
 
 
-def test_numerical_failure_exits_three():
-    # nearly coincident custom centers defeat the direct-sum split
-    assert main([
-        "eigs", "--scheme", "custom", "--centers", "1.0,1.00000001",
-        "--M", "2", "--r", "0.2",
-    ]) == 3
-
-
-def test_unknown_command_exits_nonzero():
-    assert main(["frobnicate"]) == 2
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "eigs --M 2 --r 0.5",
-        "project --M 2 --r 0.5 --input {samples}",
-        "simulate --N 101 --T 0.01",
-        "suffcond --a-bound 0",
-    ],
-    ids=["eigs", "project", "simulate", "suffcond"],
-)
-def test_unwritable_output_exits_two(tmp_path, capsys, argv):
-    samples = tmp_path / "samples.csv"
-    samples.write_text("0.0,1.0\n3.0,1.0\n")
-    out = tmp_path / "missing" / "x.csv"
-    rc = main([*argv.format(samples=samples).split(), "--output", str(out)])
-    assert rc == 2
-    assert f"error: cannot write {out}" in capsys.readouterr().err
-
-
 def test_simulate_files_do_not_depend_on_output_path(tmp_path):
     # the config line leaves --output out, so two runs that differ only in
     # where they write give the same bytes, snapshots file included
@@ -1006,11 +940,6 @@ def test_help_names_every_default_and_required_flag(capsys, command):
             assert helps[flag].endswith("(required)"), flag
         elif default is not None:
             assert helps[flag].endswith(f"(default {default})"), flag
-
-
-def test_norm_alias_is_gone(capsys):
-    assert main(["norm", "--M", "3", "--r", "0.5"]) == 2
-    assert "invalid choice: 'norm'" in capsys.readouterr().err
 
 
 # Each command runs in process, in one fresh interpreter, after which the

@@ -17,6 +17,7 @@ from oblique_stab.errors import (
 from oblique_stab.fem import (
     BLOCK_STEPS,
     ROTATION_ANCHOR_STEPS,
+    ClosedLoopRun,
     FeedbackConfig,
     ReactionField,
     _eigen_system,
@@ -197,18 +198,20 @@ def test_tabulated_reaction_bilinear():
 
 
 @pytest.mark.parametrize(
-    "t_vals, x_vals, table",
+    "t_vals, x_vals, table, message",
     [
-        ([0.0], [0.0, math.nan, 1.0], [[1.0, 2.0, 3.0]]),
-        ([0.0, math.nan], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]]),
-        ([0.0], [0.0, 1.0], [[1.0, math.inf]]),
+        ([0.0], [0.0, math.nan, 1.0], [[1.0, 2.0, 3.0]], "must be finite"),
+        ([0.0, math.nan], [0.0, 1.0], [[1.0, 2.0], [3.0, 4.0]], "must be finite"),
+        ([0.0], [0.0, 1.0], [[1.0, math.inf]], "must be finite"),
+        ([0.0, 1.0], [0.0, 1.0], [[1.0, 2.0]],
+         "shape (1, 2) does not match (2 times, 2 x coordinates)"),
     ],
-    ids=["nan-x", "nan-t", "inf-entry"],
+    ids=["nan-x", "nan-t", "inf-entry", "shape"],
 )
-def test_tabulated_reaction_rejects_non_finite_input(t_vals, x_vals, table):
-    # NaN compares false, so it passed the strictly-increasing checks and the
-    # run later failed as a blow-up
-    with pytest.raises(InvalidArgumentError, match="must be finite"):
+def test_tabulated_reaction_rejects_bad_input(t_vals, x_vals, table, message):
+    # NaN compares false, so without the finiteness check it passed the
+    # strictly-increasing checks and the run later failed as a blow-up
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         tabulated_reaction(t_vals, x_vals, table)
 
 
@@ -639,6 +642,24 @@ def test_log_norm_slope_of_pure_heat():
     grid = make_grid(D, math.pi, 301)
     run = run_closed_loop(grid, 0.1, constant_reaction(0.0), np.sin(grid.nodes), 1.0, 2e-3)
     assert log_norm_slope(run, 0.2, 0.8) == pytest.approx(-0.1, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "t0, t1, norms, error, message",
+    [
+        (0.5, 0.5, [1.0, 0.5, 0.25], InvalidArgumentError, "need t1 > t0, got [0.5, 0.5]"),
+        (0.4, 0.6, [1.0, 0.5, 0.25], InvalidArgumentError,
+         "window [0.4, 0.6] contains fewer than two samples"),
+        (0.0, 1.0, [1.0, 0.0, 0.25], NumericalFailureError,
+         "solution norm vanished inside the slope window"),
+    ],
+    ids=["empty window", "one sample", "zero norm"],
+)
+def test_log_norm_slope_rejects_bad_windows(t0, t1, norms, error, message):
+    times = np.array([0.0, 0.5, 1.0])
+    run = ClosedLoopRun(times, np.array(norms), np.ones(3, dtype=bool), (), None)
+    with pytest.raises(error, match=re.escape(message)):
+        log_norm_slope(run, t0, t1)
 
 
 def test_blow_up_raises_with_step_and_time():

@@ -1,6 +1,7 @@
 """Tests for the cross-Gram assembly and oblique projection operations."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -406,9 +407,24 @@ def test_analytic_unavailable_combinations():
     assert analytic_vartheta(N, Scheme.CON, 3, 0.5) is None
 
 
-def test_analytic_uni_constraint_violation():
-    with pytest.raises(InvalidArgumentError):
-        analytic_vartheta(D, Scheme.UNI, 2, 0.9)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: analytic_vartheta(D, Scheme.UNI, 2, 0.9),
+         "uniform placement requires M >= r/(1-r): M=2 < 9 for r=0.9"),
+        (lambda: analytic_vartheta(D, Scheme.MXE, 0, 0.5),
+         "actuator count must be a positive integer, got 0"),
+        (lambda: analytic_vartheta(N, Scheme.CON, 2.5, 0.5),
+         "actuator count must be a positive integer, got 2.5"),
+        (lambda: vartheta_limit(1.0), "volume fraction must lie in (0, 1), got 1.0"),
+        (lambda: vartheta_limit(math.nan), "volume fraction must lie in (0, 1), got nan"),
+    ],
+    ids=["uni count", "zero count", "fractional count", "r = 1", "r = nan"],
+)
+def test_closed_forms_reject_what_placement_rejects(call, message):
+    # the checks and messages of actuators.place
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        call()
 
 
 def _mp_closed_forms(bc, scheme, M, r):

@@ -1,6 +1,7 @@
 """Tests for the panel-based Gauss-Legendre quadrature."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,9 +51,18 @@ def test_oscillation_panels_scale_with_frequency():
     assert oscillation_panels(40, math.pi) > oscillation_panels(4, math.pi)
 
 
-def test_invalid_interval():
-    with pytest.raises(InvalidArgumentError):
-        integrate(np.sin, 1.0, 0.0)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: integrate(np.sin, 1.0, 0.0), "empty interval [1.0, 0.0]"),
+        (lambda: panel_nodes_weights(0.0, 1.0, 0), "need at least one panel, got 0"),
+        (lambda: oscillation_panels(4.0, 0.0), "interval length must be positive, got 0.0"),
+    ],
+    ids=["empty interval", "no panels", "zero length"],
+)
+def test_invalid_arguments(call, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
