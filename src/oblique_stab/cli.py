@@ -226,9 +226,9 @@ def _load_samples(key: str, path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inside_domain(key: str, samples: tuple[np.ndarray, np.ndarray], L: float):
-    """`samples` once every x lies in [0, L], outside which np.interp would clamp."""
-    if samples[0][0] < -1e-12 or samples[0][-1] > L * (1 + 1e-12):
-        raise InvalidArgumentError(f"--{key} samples must lie inside [0, L]")
+    """`samples` once they span [0, L], to 1e-12 L, which np.interp would fill with constants."""
+    if abs(samples[0][0]) > 1e-12 * L or abs(samples[0][-1] - L) > 1e-12 * L:
+        raise InvalidArgumentError(f"--{key} samples must span [0, L] from x = 0 to x = L")
     return samples
 
 

@@ -29,8 +29,8 @@ One FemGrid from make_grid(bc, L, N) holds the nodes, the mass and stiffness
 matrices and the boundary condition.  The feedback operator keeps the grid it
 was built on, and the time stepper rejects an operator from another grid.
 
-Tridiagonal matrices are (diag, off) pairs.  Once per run the driver forms
-(M [U])^T (M x N, contiguous) and W0 = P_M (-nu S + lambda M) (M x N).
+Tridiagonal matrices are (diag, off) pairs.  The feedback operator holds P_M
+and (M [U])^T (M x N, contiguous); a run forms W0 = P_M (-nu S + lambda M).
 Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a step solves for z = y_new + y
 and needs no product with 2 M - k nu S.  No R is assembled: a run stepped on
 the nodes forms R y = (a o M y + M (a o y)) / 2 from nodal values a taken
@@ -66,8 +66,8 @@ product of z with a cached stack of Q F^i, g_j = Q z_j (zero for a free
 pair; row by row where the powers of F overflow before the state does),
 spread them by one M x n product, and cost four elementwise calls on n
 coefficients a step.  Nothing multiplies by M, solves or transforms per
-step: a real FFT per row maps the rows of Wa and (M [U])^T, y0, step 0's
-right-hand side and force into the eigenbasis once, and each snapshot back.
+step: a real FFT per row maps the rows of Wa and the operator's MUt, y0,
+step 0's right-hand side and force into the eigenbasis once, snapshots back.
 """
 
 from __future__ import annotations
@@ -261,25 +261,32 @@ def tabulated_reaction(
 
 @dataclass(frozen=True)
 class FeedbackOperator:
-    """Discrete oblique projection data on a fixed grid.
+    """Discrete oblique projection data on a fixed grid, as the closed loop reads it.
 
-    grid:     the grid the operator was built on
-    U:        N x M nodal samples of the plain indicator functions
-    E:        N x M nodal samples of the eigenfunctions
-    coupling: A = E^T M U
-    P:        A^{-1} E^T, so the nodal projection of z is U P M z
+    grid:      the grid the operator was built on
+    actuators: the actuators, sampled at the nodes as U, and the eigenfunctions as E
+    P:         A^{-1} E^T (M x N) with A = E^T M U; the nodal projection of z is U P M z
+    MUt:       (M U)^T (M x N, contiguous)
     """
 
     grid: FemGrid
-    U: np.ndarray
-    E: np.ndarray
-    coupling: np.ndarray
+    actuators: ActuatorSet
     P: np.ndarray
+    MUt: np.ndarray
+
+
+def _samples(grid: FemGrid, aset: ActuatorSet) -> tuple[np.ndarray, ...]:
+    """U, E, M U and A = E^T M U, from aset and grid.bc's eigenfunctions at the nodes."""
+    U = indicators(aset, grid.nodes)
+    E = eigenfunctions(build_basis(grid.bc, grid.L, aset.M), grid.nodes)
+    MU = tridiag_matvec(*grid.mass, U)
+    # einsum sums without BLAS, so A does not depend on the BLAS thread count.
+    return U, E, MU, np.einsum("ni,nj->ij", E, MU)
 
 
 def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
-    """Sample actuators and the eigenfunctions of grid.bc on the grid and
-    invert the coupling.
+    """Sample actuators and the eigenfunctions of grid.bc on the grid, invert
+    the coupling, and keep P and (M U)^T.
 
     Raises DirectSumFailureError when sigma_min/sigma_max of the coupling
     matrix A = E^T M U is at most SIGMA_RATIO_THRESHOLD, the test that
@@ -291,11 +298,7 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
         raise InvalidArgumentError(
             f"grid length {grid.L} and actuator domain length {aset.L} differ"
         )
-    basis = build_basis(grid.bc, grid.L, aset.M)
-    U = indicators(aset, grid.nodes)
-    E = eigenfunctions(basis, grid.nodes)
-    # einsum sums without BLAS, so A does not depend on the BLAS thread count.
-    A = np.einsum("ni,nj->ij", E, tridiag_matvec(*grid.mass, U))
+    _, E, MU, A = _samples(grid, aset)
     sv = np.linalg.svd(A, compute_uv=False)
     ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
     if ratio <= SIGMA_RATIO_THRESHOLD:
@@ -305,31 +308,31 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
             "refine the mesh so every actuator support contains interior nodes, "
             "or change the placement"
         )
-    P = np.linalg.solve(A, E.T)
-    for arr in (U, E, A, P):
+    P, MUt = np.linalg.solve(A, E.T), np.ascontiguousarray(MU.T)
+    for arr in (P, MUt):
         arr.flags.writeable = False
-    return FeedbackOperator(grid=grid, U=U, E=E, coupling=A, P=P)
+    return FeedbackOperator(grid=grid, actuators=aset, P=P, MUt=MUt)
 
 
 def discrete_projection_norm(op: FeedbackOperator) -> float:
     """Operator norm of the discrete projection U A^{-1} E^T M in the mass
-    inner product of op.grid.
+    inner product of op.grid, with U, E and A sampled again by _samples.
 
     With the Cholesky factors C C^T = E^T M E and L L^T = U^T M U the norm is
     the largest singular value of L^T A^{-1} C, whose squared singular values
     are the spectrum of A^{-T} (U^T M U) A^{-1} (E^T M E); this is exact for
-    the discrete operator, no sampling involved.  Raises NumericalFailureError
-    when either Gram matrix is not positive definite.
+    the discrete operator.  Raises NumericalFailureError when either Gram
+    matrix is not positive definite.
     """
-    G_E = op.E.T @ tridiag_matvec(*op.grid.mass, op.E)
-    N_U = op.U.T @ tridiag_matvec(*op.grid.mass, op.U)
+    U, E, MU, A = _samples(op.grid, op.actuators)
+    G_E = E.T @ tridiag_matvec(*op.grid.mass, E)
     try:
-        C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(N_U)
+        C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(U.T @ MU)
     except np.linalg.LinAlgError:
         raise NumericalFailureError(
             "sampled eigenfunction or actuator Gram matrix is not positive definite"
         ) from None
-    return float(np.linalg.norm(L.T @ np.linalg.solve(op.coupling, C), 2))
+    return float(np.linalg.norm(L.T @ np.linalg.solve(A, C), 2))
 
 
 @dataclass(frozen=True)
@@ -405,11 +408,17 @@ class _EigenSystem:
         return Q, F
 
 
+def _feedback_read(grid: FemGrid, nu: float, a: float, feedback: FeedbackConfig) -> np.ndarray:
+    """P_M K = (K P_M^T)^T, K = lambda M - nu S - a M symmetric: W0 at a = 0, Wa at static a."""
+    K = [feedback.lam * m - nu * s - m * a for m, s in zip(grid.mass, grid.stiffness)]
+    return np.ascontiguousarray(tridiag_matvec(*K, feedback.operator.P.T).T)
+
+
 def _eigen_system(
     grid: FemGrid, nu: float, a: float, k: float, feedback: FeedbackConfig | None
 ) -> _EigenSystem:
     """The eigenbasis system of the reaction R = a M on grid with time step k."""
-    N, h, (mdiag, moff), (sdiag, soff) = grid.N, grid.h, grid.mass, grid.stiffness
+    N, h = grid.N, grid.h
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     inner = slice(1, -1) if dirichlet else slice(None)
     # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
@@ -422,13 +431,11 @@ def _eigen_system(
         omega[[0, -1]] = N - 1.0
     Cl, Bt = np.zeros((0, 0)), np.zeros((0, idx.size))
     if feedback is not None:
-        # Wa = P_M (K - a M) V vanishes beyond column M up to rounding, since
-        # the sampled eigenfunctions are eigenvectors: the feedback reads the low block
-        op, lam = feedback.operator, feedback.lam
-        K = (lam * mdiag - nu * sdiag - mdiag * a, lam * moff - nu * soff - moff * a)
-        Cl = _trig_sums(tridiag_matvec(*K, op.P.T).T[:, inner], dirichlet)[:, : len(op.P)]
-        MUt = np.ascontiguousarray(tridiag_matvec(*grid.mass, op.U).T)
-        Bt = _trig_sums(MUt[:, inner], dirichlet) * (k / (omega * pi_k))
+        # Wa V vanishes beyond column M up to rounding, since the sampled eigenfunctions are
+        # eigenvectors: the feedback reads the low block, copied out to free Wa's transform
+        Cl = _trig_sums(_feedback_read(grid, nu, a, feedback)[:, inner], dirichlet)
+        Cl = Cl[:, : len(Cl)].copy()
+        Bt = _trig_sums(feedback.operator.MUt[:, inner], dirichlet) * (k / (omega * pi_k))
     ka = k * a
     A1, A2 = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k
     return _EigenSystem(A1, A2, pi_k, omega, omega * mu, Cl, Bt)
@@ -609,11 +616,8 @@ def run_closed_loop(
     with np.errstate(over="ignore", invalid="ignore"):
         plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
         if feedback is not None:
-            P, lam = feedback.operator.P, feedback.lam
-            MUt = np.ascontiguousarray(tridiag_matvec(*grid.mass, feedback.operator.U).T)
-            # W0 = P K = (K P^T)^T, because K = lambda M - nu S is symmetric.
-            K = (lam * mdiag - nu * sdiag, lam * moff - nu * soff)
-            W0 = np.ascontiguousarray(tridiag_matvec(*K, P.T).T)
+            P, MUt = feedback.operator.P, feedback.operator.MUt
+            W0 = _feedback_read(grid, nu, 0.0, feedback)
         factor = None if a_const is not None else tridiag_factor(plus_diag[inner], plus_off[inner])
         a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
         stencil = np.array([moff[0], mdiag[1], moff[0]])
@@ -661,7 +665,7 @@ def run_closed_loop(
             y = rhs
 
         if a_const is not None:
-            W0 = MUt = None  # release step 0's products: the system forms its own read and spread
+            W0 = None  # read by step 0 alone; frees M x N for the system's transforms
             system = _eigen_system(grid, nu, a_const, k, feedback)
             # step 0's right-hand side, step 1's history term k q_0 and y0
             # (V^{-1} y = V^T D y / omega) go to the eigenbasis
@@ -682,17 +686,10 @@ def run_closed_loop(
                     if j <= step < j + len(block):
                         snapshots[slots, inner] = _trig_sums(block[step - j], dirichlet)
 
-    for arr in (times, norms, feedback_flags):
-        arr.flags.writeable = False
-    if snapshots is not None:
-        snapshots.flags.writeable = False
-    return ClosedLoopRun(
-        times=times,
-        norms=norms,
-        feedback_on=feedback_flags,
-        snapshot_times=snap_times,
-        snapshots=snapshots,
-    )
+    for arr in (times, norms, feedback_flags, snapshots):
+        if arr is not None:
+            arr.flags.writeable = False
+    return ClosedLoopRun(times, norms, feedback_flags, snap_times, snapshots)
 
 
 def log_norm_slope(run: ClosedLoopRun, t0: float, t1: float) -> float:

@@ -13,7 +13,7 @@ from oblique_stab.projection import (
     _inner_products,
 )
 from oblique_stab.quadrature import panel_nodes_weights
-from oblique_stab.spectral import BoundaryCondition
+from oblique_stab.spectral import BoundaryCondition, build_basis
 
 # Theta counts as diagonal when no off-diagonal entry exceeds this fraction
 # of its largest diagonal entry.
@@ -113,18 +113,35 @@ def nodal_l2_norm(grid, y) -> float:
     return math.sqrt(max(float(np.add.reduce(y * tridiag_matvec(*grid.mass, y))), 0.0))
 
 
+def nodal_samples(op):
+    """U and E of the feedback operator op: the plain indicators of
+    op.actuators (0 at the support endpoints) and the first M eigenfunctions
+    of op.grid.bc at the nodes, each N x M."""
+    x, aset = op.grid.nodes[:, None], op.actuators
+    c, delta = aset.centers, aset.half_width
+    U = ((x > c - delta) & (x < c + delta)).astype(float)
+    basis = build_basis(op.grid.bc, op.grid.L, aset.M)
+    E = np.column_stack([eval_eigenfunction(basis, i, x[:, 0]) for i in range(1, aset.M + 1)])
+    return U, E
+
+
 def eigh_projection_norm(op) -> float:
     """Discrete projection norm from the symmetric square root of E^T M E.
 
-    With G_E = E^T M E and N_U = U^T M U the squared norm is the largest
-    eigenvalue of G_E^{1/2} A^{-T} N_U A^{-1} G_E^{1/2}, the square root
-    taken from eigh of G_E.
+    With G_E = E^T M E, N_U = U^T M U and A = E^T M U the squared norm is
+    the largest eigenvalue of G_E^{1/2} A^{-T} N_U A^{-1} G_E^{1/2}, the
+    square root taken from eigh of G_E.
     """
-    G_E = op.E.T @ tridiag_matvec(*op.grid.mass, op.E)
-    N_U = op.U.T @ tridiag_matvec(*op.grid.mass, op.U)
+    U, E = nodal_samples(op)
+    MU = tridiag_matvec(*op.grid.mass, U)
+    G_E = E.T @ tridiag_matvec(*op.grid.mass, E)
+    N_U = U.T @ MU
     w, V = np.linalg.eigh(0.5 * (G_E + G_E.T))
     root = (V * np.sqrt(w)) @ V.T
-    X = np.linalg.solve(op.coupling, root)
+    # A summed in the order of feedback_matrices: the tests compare the two
+    # norm formulas, and on an ill-conditioned A a BLAS-summed one moves the
+    # norm by more than they allow
+    X = np.linalg.solve(np.einsum("ni,nj->ij", E, MU), root)
     S = X.T @ N_U @ X
     return float(np.sqrt(np.linalg.eigvalsh(0.5 * (S + S.T))[-1]))
 
@@ -132,7 +149,7 @@ def eigh_projection_norm(op) -> float:
 def project_nodal(op, z):
     """Nodal values of the discrete oblique projection: U P M z."""
     z = np.asarray(z, dtype=float)
-    return op.U @ (op.P @ tridiag_matvec(*op.grid.mass, z))
+    return nodal_samples(op)[0] @ (op.P @ tridiag_matvec(*op.grid.mass, z))
 
 
 def feedback_apply(op, nu: float, lam: float, R, y):
@@ -147,7 +164,7 @@ def feedback_apply(op, nu: float, lam: float, R, y):
         - tridiag_matvec(*R, y)
         + lam * tridiag_matvec(*grid.mass, y)
     )
-    return -(op.U @ (op.P @ resid))
+    return -(nodal_samples(op)[0] @ (op.P @ resid))
 
 
 def low_mode_moments(op, states):
@@ -157,7 +174,7 @@ def low_mode_moments(op, states):
     grid = op.grid
     cut = slice(1, -1) if grid.bc is BoundaryCondition.DIRICHLET else slice(None)
     My = tridiag_matvec(*grid.mass, np.asarray(states, dtype=float).T)
-    return (op.E[cut].T @ My[cut]).T
+    return (nodal_samples(op)[1][cut].T @ My[cut]).T
 
 
 def low_mode_step(op, nu: float, lam: float, k: float, m_prev, m):
@@ -172,7 +189,7 @@ def low_mode_step(op, nu: float, lam: float, k: float, m_prev, m):
     (2 + k nu Lambda) m_{n+1} = (2 - k nu Lambda - 3 k g) m_n + k g m_{n-1}.
     """
     grid = op.grid
-    j = np.arange(1, op.E.shape[1] + 1)
+    j = np.arange(1, op.actuators.M + 1)
     if grid.bc is BoundaryCondition.NEUMANN:
         j = j - 1  # cos((i - 1) pi x / L) is the discrete cosine of index i - 1
     s = np.sin(j * (0.5 * math.pi / (grid.N - 1))) ** 2
@@ -222,7 +239,7 @@ def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, fe
         lam = ld(feedback.lam)
         K = tuple(lam * m - nu * s - a * m for m, s in zip(mass, stiff))
         W0 = tridiag_matvec(*K, feedback.operator.P.astype(ld).T).T
-        MU = tridiag_matvec(*mass, feedback.operator.U.astype(ld))
+        MU = tridiag_matvec(*mass, nodal_samples(feedback.operator)[0].astype(ld))
     y = np.asarray(y0, dtype=float).astype(ld)
     n_steps = int(math.floor(T / float(k) + 1e-9))
     norms = np.empty(n_steps + 1, dtype=ld)

@@ -589,9 +589,11 @@ def test_config_comment_records_settings(tmp_path):
 # choices) and that no file but the inputs appears.  A new guard is one more
 # row.
 _INPUTS = {
-    "samples.csv": "0.0,1.0\n3.0,1.0\n",
+    "samples.csv": "0.0,1.0\n3.141592653589793,1.0\n",
     "tiny.csv": "x,value\n0.0,0.0\n5e-301,1.0\n1e-300,0.0\n",
     "outside.csv": "5.0,1.0\n9.0,1.0\n",
+    "late.csv": "1.0,5.0\n3.141592653589793,5.0\n",
+    "early.csv": "0.0,5.0\n2.0,5.0\n",
     "one.csv": "0.0,1.0\n",
     "header.csv": "x,value\n",
     "commented.csv": "# x,value\nx,value\n1.0,2.0\n",
@@ -684,11 +686,20 @@ _EXITS = [
      "error: commented.csv: need at least two samples, got 1"),
     ("project --M 2 --r 0.1 --input decreasing.csv --output out.csv", 2,
      "error: decreasing.csv: sample x values must be strictly increasing"),
-    # np.interp would clamp samples outside [0, L] to a constant
+    # np.interp would extend the end values as constants over any part of
+    # [0, L] that the samples leave out
     ("project --M 2 --r 0.1 --input outside.csv --output out.csv", 2,
-     "error: --input samples must lie inside [0, L]"),
+     "error: --input samples must span [0, L] from x = 0 to x = L"),
     ("simulate --T 0.01 --y0 samples:outside.csv --output out.csv", 2,
-     "error: --y0 samples must lie inside [0, L]"),
+     "error: --y0 samples must span [0, L] from x = 0 to x = L"),
+    ("project --M 2 --r 0.1 --input late.csv --output out.csv", 2,
+     "error: --input samples must span [0, L] from x = 0 to x = L"),
+    ("simulate --T 0.01 --N 101 --y0 samples:late.csv --output out.csv", 2,
+     "error: --y0 samples must span [0, L] from x = 0 to x = L"),
+    ("project --M 2 --r 0.1 --input early.csv --output out.csv", 2,
+     "error: --input samples must span [0, L] from x = 0 to x = L"),
+    ("simulate --T 0.01 --N 101 --y0 samples:early.csv --output out.csv", 2,
+     "error: --y0 samples must span [0, L] from x = 0 to x = L"),
     ("simulate --T 0.01 --reaction table:t_header.csv --output out.csv", 2,
      "error: reaction table must start with a header row 'x,<x1>,<x2>,...'"),
     ("simulate --T 0.01 --reaction table:x_decreasing.csv --output out.csv", 2,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oblique_stab import fem
 from oblique_stab.actuators import Scheme, place
 from oblique_stab.errors import (
     DirectSumFailureError,
@@ -19,6 +20,7 @@ from oblique_stab.fem import (
     ROTATION_ANCHOR_STEPS,
     ClosedLoopRun,
     FeedbackConfig,
+    FeedbackOperator,
     ReactionField,
     _eigen_system,
     _step_eigenbasis,
@@ -46,6 +48,7 @@ from oracles import (
     low_mode_moments,
     low_mode_step,
     nodal_l2_norm,
+    nodal_samples,
     project_nodal,
     reaction_matrix,
 )
@@ -230,7 +233,7 @@ def test_nodal_projection_annihilates_next_eigenfunction(bc, M=6):
 def test_nodal_projection_fixes_first_actuator(bc):
     grid = make_grid(bc, math.pi, 2001)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
-    coeffs = op.P @ tridiag_matvec(*grid.mass, op.U[:, 0])
+    coeffs = op.P @ tridiag_matvec(*grid.mass, nodal_samples(op)[0][:, 0])
     assert abs(coeffs[0] - 1.0) <= 1e-6
     assert np.max(np.abs(coeffs[1:])) <= 1e-6
 
@@ -275,14 +278,35 @@ def test_discrete_norm_matches_eigh_square_root(bc, scheme):
     assert compared >= 4
 
 
-def test_discrete_norm_rejects_singular_eigenfunction_gram():
+def test_discrete_norm_rejects_singular_eigenfunction_gram(monkeypatch):
     grid = make_grid(D, math.pi, 201)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
-    E = op.E.copy()
-    E[:, 2] = 0.0
+    sample = fem._samples
+
+    def zero_third_eigenfunction(*args):
+        U, E, MU, A = sample(*args)
+        E = E.copy()
+        E[:, 2] = 0.0
+        return U, E, MU, A
+
+    monkeypatch.setattr(fem, "_samples", zero_third_eigenfunction)
     with pytest.raises(NumericalFailureError) as exc:
-        discrete_projection_norm(dataclasses.replace(op, E=E))
+        discrete_projection_norm(op)
     assert "positive definite" in str(exc.value)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+def test_operator_stores_the_spread_it_was_built_from(bc):
+    # the operator keeps P and (M U)^T, the two arrays the closed loop reads
+    grid = make_grid(bc, math.pi, 1001)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    assert [f.name for f in dataclasses.fields(FeedbackOperator)] == [
+        "grid", "actuators", "P", "MUt",
+    ]
+    U, _ = nodal_samples(op)
+    assert np.array_equal(op.MUt, tridiag_matvec(*grid.mass, U).T)
+    for arr in (op.P, op.MUt):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 def test_coarse_mesh_direct_sum_failure():
@@ -362,7 +386,7 @@ def test_feedback_apply_matches_dense_oracle():
     R = reaction_matrix(grid, a)
     y = np.sin(grid.nodes) + 0.1 * grid.nodes
     Sd, Md, Rd = _dense(grid.stiffness), _dense(grid.mass), _dense(R)
-    expected = -op.U @ (op.P @ ((-nu * Sd - Rd + lam * Md) @ y))
+    expected = -nodal_samples(op)[0] @ (op.P @ ((-nu * Sd - Rd + lam * Md) @ y))
     got = feedback_apply(op, nu, lam, R, y)
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -764,6 +788,29 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
     assert np.array_equal(run.feedback_on, flags_ref)
     if feed_on is not None:
         assert run.feedback_on.any() and not run.feedback_on.all()
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("path, calls", [("eigenbasis", 2), ("nodal", 1)])
+def test_closed_loop_reads_the_spread_from_the_operator(monkeypatch, bc, path, calls):
+    # tridiag_matvec forms the feedback read W0, and Wa on the eigenbasis
+    # path, and nothing else: (M U)^T comes from the operator
+    grid = make_grid(bc, math.pi, 1001)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    nu = 0.1
+    reaction = constant_reaction(-3.5) if path == "eigenbasis" else oscillating_reaction(nu, math.pi)
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return tridiag_matvec(*args)
+
+    monkeypatch.setattr(fem, "tridiag_matvec", counted)
+    run_closed_loop(
+        grid, nu, reaction, 0.1 * grid.nodes, 0.01, 1e-3, feedback=FeedbackConfig(operator=op)
+    )
+    assert count == calls
 
 
 # ---------------------------------------------------------------- eigenbasis path
