@@ -30,17 +30,19 @@ matrices and the boundary condition.  The feedback operator keeps the grid it
 was built on, and the time stepper rejects an operator from another grid.
 
 Tridiagonal matrices are (diag, off) pairs.  The feedback operator holds P_M
-and (M [U])^T (M x N, contiguous); a run forms W0 = P_M (-nu S + lambda M).
-Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a step solves for z = y_new + y
-and needs no product with 2 M - k nu S.  No R is assembled: a run stepped on
-the nodes forms R y = (a o M y + M (a o y)) / 2 from nodal values a taken
-once for a static reaction and drawn from ReactionField.rows at every step
-otherwise, and each state's mass product M y serves its norm, the next
-right-hand side and R y.  A step costs two mass products (M y, M (a o y)),
-each one convolution with the stencil (h/6, 2h/3, h/6) plus the two edge
-rows; about ten elementwise passes, with the force q scaled by k once and
-4 M y + k q_prev - 3 k q formed in place; the W0, P_M and (M [U])^T products
-while the feedback acts; and one dpttrs solve, the largest share left.  The
+and (M [U])^T (M x N, contiguous), and a run reads the feedback through P_M
+alone: k c = P_M (k K0 y - q) with K0 = lambda M - nu S and q = k R y, so no
+M x N read is formed.  Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a step
+solves for z = y_new + y and needs no product with 2 M - k nu S.  No R is
+assembled: a run stepped on the nodes forms R y = (a o M y + M (a o y)) / 2
+from nodal values a taken once for a static reaction and drawn from
+ReactionField.rows at every step otherwise, and each state's mass product
+M y serves its norm, the next right-hand side and R y.  A step costs two
+mass products (M y, M (a o y)), each one convolution with the stencil
+(h/6, 2h/3, h/6) plus the two edge rows; about ten elementwise passes, with
+the force q scaled by k once and 4 M y + k q_prev - 3 k q formed in place;
+K0 y, one more such product, and the P_M and (M [U])^T products while the
+feedback acts; and one dpttrs solve, the largest share left.  The
 oscillating reaction's row costs one complex product per node instead of a
 cosine (see oscillating_reaction).
 
@@ -53,12 +55,12 @@ factors anything, and _step_eigenbasis steps the coefficients u = V^{-1} y
 of the system from _eigen_system: u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j Bt
 with diagonal A1, A2, the thin Bt ~ V^{-1} D^{-1} M [U] (M x n) and the
 read g_j = 3 c_j - c_{j-1}, c_j = Cl u_j[:M] while the feedback acts at
-step j and 0 otherwise; step 1 finds c_0 in step 0's force.  W0 stays
-unfolded for step 0, which subtracts P_M R y itself; Cl comes from the
-folded Wa = P_M (-nu S + lambda M - a M) (W0 - a P_M M doubles the drift
-from an extended-precision run).  The sampled eigenfunctions are
-eigenvectors, so Wa V vanishes beyond column M up to rounding: the first M
-coefficients form a closed system, z_j = (u_j[:M], u_{j-1}[:M]) obeys
+step j and 0 otherwise; step 1 finds c_0 in step 0's force.  With
+K = K0 - a M, K V = D V diag(kappa), kappa = (lambda - a) mu - nu sigma, so
+the read P_M K V is P_M D V scaled by kappa, and Cl is its first M columns.
+The sampled eigenfunctions are the first M columns of V up to scale and
+V^T D V is diagonal, so P_M D V vanishes beyond column M up to rounding: the
+first M coefficients form a closed system, z_j = (u_j[:M], u_{j-1}[:M]) obeys
 z_{j+1} = F z_j with one 2M x 2M matrix F per pair (on_j, on_{j-1}), and
 the higher ones are a diagonal recurrence driven by them.  From step 2 on,
 blocks of at most BLOCK_STEPS steps with one pair read their forces by one
@@ -66,7 +68,7 @@ product of z with a cached stack of Q F^i, g_j = Q z_j (zero for a free
 pair; row by row where the powers of F overflow before the state does),
 spread them by one M x n product, and cost four elementwise calls on n
 coefficients a step.  Nothing multiplies by M, solves or transforms per
-step: a real FFT per row maps the rows of Wa and the operator's MUt, y0,
+step: a real FFT per row maps the rows of P_M D and the operator's MUt, y0,
 step 0's right-hand side and force into the eigenbasis once, snapshots back.
 """
 
@@ -266,7 +268,7 @@ class FeedbackOperator:
     grid:      the grid the operator was built on
     actuators: the actuators, sampled at the nodes as U, and the eigenfunctions as E
     P:         A^{-1} E^T (M x N) with A = E^T M U; the nodal projection of z is U P M z
-    MUt:       (M U)^T (M x N, contiguous)
+    MUt:       (M U)^T (M x N, contiguous); a run reads its feedback by P, spreads it by MUt
     """
 
     grid: FemGrid
@@ -408,20 +410,15 @@ class _EigenSystem:
         return Q, F
 
 
-def _feedback_read(grid: FemGrid, nu: float, a: float, feedback: FeedbackConfig) -> np.ndarray:
-    """P_M K = (K P_M^T)^T, K = lambda M - nu S - a M symmetric: W0 at a = 0, Wa at static a."""
-    K = [feedback.lam * m - nu * s - m * a for m, s in zip(grid.mass, grid.stiffness)]
-    return np.ascontiguousarray(tridiag_matvec(*K, feedback.operator.P.T).T)
-
-
 def _eigen_system(
     grid: FemGrid, nu: float, a: float, k: float, feedback: FeedbackConfig | None
 ) -> _EigenSystem:
-    """The eigenbasis system of the reaction R = a M on grid with time step k."""
+    """The eigenbasis system of the reaction R = a M on grid with time step k; its read
+    Cl is P_M D V[:, :M] scaled by the eigenvalues kappa of K = lambda M - nu S - a M."""
     N, h = grid.N, grid.h
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     inner = slice(1, -1) if dirichlet else slice(None)
-    # M V = D V diag(mu), S V = D V diag(sigma) and V^T D V = diag(omega)
+    # M V = D V diag(mu), S V = D V diag(sigma), sigma = 4 s / h, and V^T D V = diag(omega)
     idx = np.arange(1, N - 1) if dirichlet else np.arange(N)
     s = np.sin(idx * (0.5 * math.pi / (N - 1))) ** 2
     mu = h - (2.0 * h / 3.0) * s
@@ -431,10 +428,13 @@ def _eigen_system(
         omega[[0, -1]] = N - 1.0
     Cl, Bt = np.zeros((0, 0)), np.zeros((0, idx.size))
     if feedback is not None:
-        # Wa V vanishes beyond column M up to rounding, since the sampled eigenfunctions are
-        # eigenvectors: the feedback reads the low block, copied out to free Wa's transform
-        Cl = _trig_sums(_feedback_read(grid, nu, a, feedback)[:, inner], dirichlet)
-        Cl = Cl[:, : len(Cl)].copy()
+        # K V = D V diag(kappa), and P_M D V vanishes beyond column M up to rounding
+        PD = feedback.operator.P[:, inner]
+        if not dirichlet:
+            PD = PD.copy()
+            PD[:, [0, -1]] *= 0.5
+        kappa = (feedback.lam - a) * mu - nu * (4.0 / h) * s
+        Cl = _trig_sums(PD, dirichlet)[:, : len(PD)] * kappa[: len(PD)]
         Bt = _trig_sums(feedback.operator.MUt[:, inner], dirichlet) * (k / (omega * pi_k))
     ka = k * a
     A1, A2 = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k
@@ -520,9 +520,8 @@ def run_closed_loop(
     under the boundary condition grid.bc.
 
     The reaction and feedback enter as the external force
-    h(y, t) = -R(t) y + M f(y, t) with
-    f = -U P (-nu S y - R(t) y + lambda M y) while the feedback is active and
-    f = 0 otherwise.  Time stepping solves
+    h(y, t) = -R(t) y + M f(y, t) with f = -U P (K0 y - R(t) y), K0 = lambda M - nu S,
+    while the feedback is active and f = 0 otherwise.  Time stepping solves
     (2 M + k nu S) y_new = (2 M - k nu S) y + k (3 h_prev - h_prev2), that is
     Crank-Nicolson with the implicit force value replaced by the
     extrapolation 2 h_prev - h_prev2, with the ghost value h_prev2 := h_prev
@@ -617,21 +616,21 @@ def run_closed_loop(
         plus_diag, plus_off = 2.0 * mdiag + k * nu * sdiag, 2.0 * moff + k * nu * soff
         if feedback is not None:
             P, MUt = feedback.operator.P, feedback.operator.MUt
-            W0 = _feedback_read(grid, nu, 0.0, feedback)
+            K0 = tuple(feedback.lam * m - nu * s for m, s in zip(grid.mass, grid.stiffness))
         factor = None if a_const is not None else tridiag_factor(plus_diag[inner], plus_off[inner])
         a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
-        stencil = np.array([moff[0], mdiag[1], moff[0]])
 
-        def mass_times(x: np.ndarray) -> np.ndarray:
-            """M x: one convolution with the stencil (h/6, 2h/3, h/6), then the edge rows."""
-            Mx = np.convolve(x, stencil, "same")
-            Mx[0] = mdiag[0] * x[0] + moff[0] * x[1]
-            Mx[-1] = mdiag[-1] * x[-1] + moff[-1] * x[-2]
-            return Mx
+        def stencil_times(T: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+            """T x for T = (diag, off) constant inside: one convolution, then the edge rows."""
+            diag, off = T
+            Tx = np.convolve(x, (off[0], diag[1], off[0]), "same")
+            Tx[0] = diag[0] * x[0] + off[0] * x[1]
+            Tx[-1] = diag[-1] * x[-1] + off[-1] * x[-2]
+            return Tx
 
         work = np.empty(N)
         for j in range(n_steps + 1):
-            My = mass_times(y)
+            My = stencil_times(grid.mass, y)
             # sqrt(y^T M y) as numpy's pairwise sum, not a BLAS dot product, does not
             # depend on the BLAS thread count; a non-finite y gives a non-finite norm
             if slots := record(j, math.sqrt(max(float(np.add.reduce(y * My)), 0.0))):
@@ -640,13 +639,13 @@ def run_closed_loop(
                 break
             a = a_static if a_rows is None else next(a_rows)
             # q = k R y = k (a o M y + M (a o y)) / 2, plus k M [U] c while
-            # the feedback acts, c = P_M (-nu S + lambda M - R) y
+            # the feedback acts, k c = P_M (k K0 y - q) with K0 = lambda M - nu S
             np.multiply(a, y, out=work)
-            q = mass_times(work)
+            q = stencil_times(grid.mass, work)
             q += np.multiply(a, My, out=work)
             q *= 0.5 * k
             if feedback_flags[j]:
-                q += (k * (W0 @ y) - P @ q) @ MUt
+                q += (P @ (k * stencil_times(K0, y) - q)) @ MUt
             # rhs = 4 M y + k q_prev - 3 k q, with the ghost q_prev = q at step 0
             rhs = np.multiply(My, 4.0, out=My)
             rhs += kq_prev if j else q
@@ -665,7 +664,6 @@ def run_closed_loop(
             y = rhs
 
         if a_const is not None:
-            W0 = None  # read by step 0 alone; frees M x N for the system's transforms
             system = _eigen_system(grid, nu, a_const, k, feedback)
             # step 0's right-hand side, step 1's history term k q_0 and y0
             # (V^{-1} y = V^T D y / omega) go to the eigenbasis

@@ -198,19 +198,22 @@ def low_mode_step(op, nu: float, lam: float, k: float, m_prev, m):
     return ((2.0 - k * nu * Lam - 3.0 * k * g) * m + k * g * m_prev) / (2.0 + k * nu * Lam)
 
 
-def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, feedback=None):
-    """Norms of the closed loop with the constant reaction a, in numpy.longdouble.
+def longdouble_closed_loop(grid, nu: float, a, y0, T: float, k: float, feedback=None):
+    """Norms of the closed loop with the static reaction a, in numpy.longdouble.
 
-    The recurrence is the nodal Crank-Nicolson step of run_closed_loop,
+    a is one value or the values at the nodes.  The recurrence is the nodal
+    Crank-Nicolson step of run_closed_loop,
     (2 M + k nu S) z = 4 M y - k (3 q - q_prev) and y_new = z - y, with
-    q = a M y + M U W0 y while the feedback acts, W0 = P (lambda M - nu S - a M)
-    and the ghost value q_prev = q on the first step.  M and S are formed from
-    grid.h, and each step solves the system (its interior block under
-    Dirichlet conditions) by the Thomas algorithm.  On x86-64 Linux longdouble
-    is the 80-bit extended format, with 11 more bits than float64.
+    R y = (a o M y + M (a o y)) / 2, q = R y + M U P (K0 y - R y) while the
+    feedback acts and q = R y otherwise, K0 = lambda M - nu S, and the ghost
+    value q_prev = q on the first step.  M and S are formed from grid.h, and
+    each step solves the system (its interior block under Dirichlet
+    conditions) by the Thomas algorithm.  On x86-64 Linux longdouble is the
+    80-bit extended format, with 11 more bits than float64.
     """
     ld = np.longdouble
-    h, k, nu, a, n = ld(grid.h), ld(k), ld(nu), ld(a), grid.N
+    h, k, nu, n = ld(grid.h), ld(k), ld(nu), grid.N
+    a = np.asarray(a, dtype=float).astype(ld)
 
     def tri(inner, end, off):
         d = np.full(n, inner, dtype=ld)
@@ -237,8 +240,8 @@ def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, fe
 
     if feedback is not None:
         lam = ld(feedback.lam)
-        K = tuple(lam * m - nu * s - a * m for m, s in zip(mass, stiff))
-        W0 = tridiag_matvec(*K, feedback.operator.P.astype(ld).T).T
+        K0 = tuple(lam * m - nu * s for m, s in zip(mass, stiff))
+        P = feedback.operator.P.astype(ld)
         MU = tridiag_matvec(*mass, nodal_samples(feedback.operator)[0].astype(ld))
     y = np.asarray(y0, dtype=float).astype(ld)
     n_steps = int(math.floor(T / float(k) + 1e-9))
@@ -249,9 +252,9 @@ def longdouble_closed_loop(grid, nu: float, a: float, y0, T: float, k: float, fe
         norms[j] = np.sqrt(y @ My)
         if j == n_steps:
             return norms
-        q = a * My
+        q = (a * My + tridiag_matvec(*mass, a * y)) / 2
         if feedback is not None and feedback.active(j * float(k)):
-            q += MU @ (W0 @ y)
+            q += MU @ (P @ (tridiag_matvec(*K0, y) - q))
         rhs = 4 * My - k * (3 * q - (q if q_prev is None else q_prev))
         q_prev = q
         if dirichlet:

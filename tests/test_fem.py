@@ -791,26 +791,26 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
 
 
 @pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
-@pytest.mark.parametrize("path, calls", [("eigenbasis", 2), ("nodal", 1)])
-def test_closed_loop_reads_the_spread_from_the_operator(monkeypatch, bc, path, calls):
-    # tridiag_matvec forms the feedback read W0, and Wa on the eigenbasis
-    # path, and nothing else: (M U)^T comes from the operator
+@pytest.mark.parametrize("path", ["eigenbasis", "nodal"])
+def test_closed_loop_reads_the_spread_from_the_operator(monkeypatch, bc, path):
+    # The feedback is read through P and spread through (M U)^T from the
+    # operator: a run forms no M x N product with a grid matrix, so no
+    # tridiag_matvec call gets a 2-D operand
     grid = make_grid(bc, math.pi, 1001)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
     nu = 0.1
     reaction = constant_reaction(-3.5) if path == "eigenbasis" else oscillating_reaction(nu, math.pi)
-    count = 0
+    shapes = []
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return tridiag_matvec(*args)
+    def recorded(diag, off, X):
+        shapes.append(X.shape)
+        return tridiag_matvec(diag, off, X)
 
-    monkeypatch.setattr(fem, "tridiag_matvec", counted)
+    monkeypatch.setattr(fem, "tridiag_matvec", recorded)
     run_closed_loop(
         grid, nu, reaction, 0.1 * grid.nodes, 0.01, 1e-3, feedback=FeedbackConfig(operator=op)
     )
-    assert count == calls
+    assert all(len(shape) == 1 for shape in shapes), shapes
 
 
 # ---------------------------------------------------------------- eigenbasis path
@@ -842,31 +842,46 @@ def test_eigenbasis_path_matches_nodal_path(bc):
     reason="longdouble is no wider than float64 on this platform",
 )
 @pytest.mark.parametrize(
-    "bc, n_nodes, T, feed_on, bound",
+    "bc, n_nodes, M, T, feed_on, varying, bound",
     [
-        # measured 4.8e-14; the nodal path 4.8e-14
-        (D, 201, 0.3, None, 2e-13),
-        # measured 6.5e-14; the nodal path 5.8e-14
-        (N, 201, 0.3, (0.1, 0.2), 2e-13),
-        # measured 2.5e-14 (2.4e-14 stepped one at a time); the nodal path 6.4e-13
-        (D, 1001, 0.2, None, 1e-13),
-        # measured 2.3e-14 and 7.1e-14, as stepped one at a time: windows
+        # measured 2.4e-14; the nodal path 5.0e-14
+        (D, 201, 6, 0.3, None, False, 2e-13),
+        # measured 5.5e-14; the nodal path 5.7e-14
+        (N, 201, 6, 0.3, (0.1, 0.2), False, 2e-13),
+        # measured 2.6e-14, also stepped one at a time; the nodal path 6.4e-13
+        (D, 1001, 6, 0.2, None, False, 1e-13),
+        # measured 2.1e-14 and 5.5e-14, as stepped one at a time: windows
         # shorter than a block and with their edges inside blocks
-        (D, 201, 0.3, (0.04, 0.06), 2e-13),
-        (N, 201, 0.3, (0.02, 0.15), 2e-13),
+        (D, 201, 6, 0.3, (0.04, 0.06), False, 2e-13),
+        (N, 201, 6, 0.3, (0.02, 0.15), False, 2e-13),
+        # measured 2.2e-14 and 9.6e-15 (2.3e-14 and 9.8e-15 at 2 BLAS
+        # threads); the nodal path 6.5e-13 and 2.6e-14
+        (D, 2001, 100, 0.05, None, False, 5e-14),
+        (N, 2001, 100, 0.05, None, False, 5e-14),
+        # the nodal path with a static reaction varying in x: measured
+        # 6.3e-13, 2.3e-14, 6.5e-13 and 2.5e-14
+        (D, 1001, 6, 0.2, None, True, 2e-12),
+        (N, 1001, 6, 0.2, None, True, 1e-13),
+        (D, 2001, 40, 0.05, None, True, 2e-12),
+        (N, 2001, 40, 0.05, None, True, 1e-13),
     ],
     ids=[
         "dirichlet-201", "neumann-201-window", "dirichlet-1001",
         "dirichlet-201-short-window", "neumann-201-long-window",
+        "dirichlet-2001-M100", "neumann-2001-M100",
+        "nodal-dirichlet-1001", "nodal-neumann-1001",
+        "nodal-dirichlet-2001-M40", "nodal-neumann-2001-M40",
     ],
 )
-def test_eigenbasis_path_near_extended_precision(bc, n_nodes, T, feed_on, bound):
+def test_eigenbasis_path_near_extended_precision(bc, n_nodes, M, T, feed_on, varying, bound):
     grid = make_grid(bc, math.pi, n_nodes)
-    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, M, 0.1))
     feedback = FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on)
     y0 = 0.1 * grid.nodes + 0.05
-    run = run_closed_loop(grid, 0.1, constant_reaction(-3.5), y0, T, 1e-3, feedback=feedback)
-    ref = longdouble_closed_loop(grid, 0.1, -3.5, y0, T, 1e-3, feedback)
+    a = np.cos(grid.nodes) - 3.5 if varying else -3.5
+    react = tabulated_reaction([0.0], grid.nodes, [a]) if varying else constant_reaction(a)
+    run = run_closed_loop(grid, 0.1, react, y0, T, 1e-3, feedback=feedback)
+    ref = longdouble_closed_loop(grid, 0.1, a, y0, T, 1e-3, feedback)
     assert float(np.max(np.abs(run.norms - ref) / ref)) <= bound
 
 
@@ -1028,7 +1043,8 @@ def test_feedback_reads_only_the_low_modes(bc, n_nodes, scheme, M, r):
     read = (W[:, 1:-1] if bc is D else W) @ _dense_sampled_eigenvectors(grid)
     scale = float(np.max(np.abs(read)))
     assert float(np.max(np.abs(read[:, M:]))) <= 1e-11 * scale
-    # the builder's read is the low block, measured at most 6e-14 from it
+    # the builder's read, P_M D V scaled by kappa, is the low block: measured
+    # at most 2.5e-15 of the largest entry from it at N = 201 and 3.6e-14 at N = 1001
     Cl = _eigen_system(grid, nu, a, 1e-3, FeedbackConfig(operator=op, lam=lam)).Cl
     assert Cl.shape == (M, M)
     assert float(np.max(np.abs(Cl - read[:, :M]))) <= 1e-12 * scale
