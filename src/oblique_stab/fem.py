@@ -56,20 +56,20 @@ of the system from _eigen_system: u_{j+1} = A1 o u_j + A2 o u_{j-1} - g_j Bt
 with diagonal A1, A2, the thin Bt ~ V^{-1} D^{-1} M [U] (M x n) and the
 read g_j = 3 c_j - c_{j-1}, c_j = Cl u_j[:M] while the feedback acts at
 step j and 0 otherwise; step 1 finds c_0 in step 0's force.  With
-K = K0 - a M, K V = D V diag(kappa), kappa = (lambda - a) mu - nu sigma, so
-the read P_M K V is P_M D V scaled by kappa, and Cl is its first M columns.
-The sampled eigenfunctions are the first M columns of V up to scale and
-V^T D V is diagonal, so P_M D V vanishes beyond column M up to rounding: the
-first M coefficients form a closed system, z_j = (u_j[:M], u_{j-1}[:M]) obeys
-z_{j+1} = F z_j with one 2M x 2M matrix F per pair (on_j, on_{j-1}), and
-the higher ones are a diagonal recurrence driven by them.  From step 2 on,
-blocks of at most BLOCK_STEPS steps with one pair read their forces by one
-product of z with a cached stack of Q F^i, g_j = Q z_j (zero for a free
-pair; row by row where the powers of F overflow before the state does),
-spread them by one M x n product, and cost four elementwise calls on n
-coefficients a step.  Nothing multiplies by M, solves or transforms per
-step: a real FFT per row maps the rows of P_M D and the operator's MUt, y0,
-step 0's right-hand side and force into the eigenbasis once, snapshots back.
+K = K0 - a M, K V = D V diag(kappa), kappa = (lambda - a) mu - nu sigma.
+The sampled eigenfunctions are V[:, :M] up to a scale c, so with
+W = (M [U])^T V the coupling is A = diag(c) W[:, :M]^T; V^T D V = diag(omega)
+gives P_M K V = W[:, :M]^{-T} [diag(omega o kappa)[:M] 0].  So Cl is one
+M x M solve, and the first M coefficients form a closed system:
+z_j = (u_j[:M], u_{j-1}[:M]) obeys z_{j+1} = F z_j with one 2M x 2M matrix
+F per pair (on_j, on_{j-1}), and the higher ones are a diagonal recurrence
+driven by them.  From step 2 on, blocks of at most BLOCK_STEPS steps with
+one pair read their forces by one product of z with a cached stack of
+Q F^i, g_j = Q z_j (zero for a free pair; row by row where the powers of F
+overflow before the state does), spread them by one M x n product, and
+cost four elementwise calls on n coefficients a step.  Nothing multiplies
+by M, solves or transforms per step: a real FFT per row maps MUt to W, and
+y0, step 0's right-hand side and force to the eigenbasis once, snapshots back.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ class FeedbackOperator:
     grid:      the grid the operator was built on
     actuators: the actuators, sampled at the nodes as U, and the eigenfunctions as E
     P:         A^{-1} E^T (M x N) with A = E^T M U; the nodal projection of z is U P M z
-    MUt:       (M U)^T (M x N, contiguous); a run reads its feedback by P, spreads it by MUt
+    MUt:       (M U)^T (M x N, contiguous); nodal steps read by P and spread by MUt
     """
 
     grid: FemGrid
@@ -391,7 +391,8 @@ def _trig_sums(x: np.ndarray, dirichlet: bool) -> np.ndarray:
 @dataclass(frozen=True)
 class _EigenSystem:
     """The eigenbasis system of the module docstring: pi_k = 2 mu + k nu sigma,
-    ||y||^2 = sum wmu o u^2, Cl is M x M and Bt M x n, with M = 0 without feedback."""
+    ||y||^2 = sum wmu o u^2, Cl = W[:, :M]^{-T} diag(omega o kappa)[:M] (M x M) and
+    Bt = W k / (omega o pi_k) (M x n), with M = 0 without feedback."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -413,8 +414,8 @@ class _EigenSystem:
 def _eigen_system(
     grid: FemGrid, nu: float, a: float, k: float, feedback: FeedbackConfig | None
 ) -> _EigenSystem:
-    """The eigenbasis system of the reaction R = a M on grid with time step k; its read
-    Cl is P_M D V[:, :M] scaled by the eigenvalues kappa of K = lambda M - nu S - a M."""
+    """The eigenbasis system of the reaction R = a M on grid with time step k, from
+    the transform W = (M U)^T V of the operator's MUt alone; P_M is not read."""
     N, h = grid.N, grid.h
     dirichlet = grid.bc is BoundaryCondition.DIRICHLET
     inner = slice(1, -1) if dirichlet else slice(None)
@@ -428,14 +429,12 @@ def _eigen_system(
         omega[[0, -1]] = N - 1.0
     Cl, Bt = np.zeros((0, 0)), np.zeros((0, idx.size))
     if feedback is not None:
-        # K V = D V diag(kappa), and P_M D V vanishes beyond column M up to rounding
-        PD = feedback.operator.P[:, inner]
-        if not dirichlet:
-            PD = PD.copy()
-            PD[:, [0, -1]] *= 0.5
-        kappa = (feedback.lam - a) * mu - nu * (4.0 / h) * s
-        Cl = _trig_sums(PD, dirichlet)[:, : len(PD)] * kappa[: len(PD)]
-        Bt = _trig_sums(feedback.operator.MUt[:, inner], dirichlet) * (k / (omega * pi_k))
+        # P_M K V = W[:, :M]^{-T} [diag(omega o kappa)[:M] 0], kappa the eigenvalues of K
+        W = _trig_sums(feedback.operator.MUt[:, inner], dirichlet)
+        m = len(W)
+        kappa = (feedback.lam - a) * mu[:m] - nu * (4.0 / h) * s[:m]
+        Cl = np.linalg.solve(W[:, :m].T, np.diag(omega[:m] * kappa))
+        Bt = W * (k / (omega * pi_k))
     ka = k * a
     A1, A2 = (4.0 - 3.0 * ka) * mu / pi_k - 1.0, ka * mu / pi_k
     return _EigenSystem(A1, A2, pi_k, omega, omega * mu, Cl, Bt)

@@ -844,17 +844,17 @@ def test_eigenbasis_path_matches_nodal_path(bc):
 @pytest.mark.parametrize(
     "bc, n_nodes, M, T, feed_on, varying, bound",
     [
-        # measured 2.4e-14; the nodal path 5.0e-14
+        # measured 2.43e-14; the nodal path 5.0e-14
         (D, 201, 6, 0.3, None, False, 2e-13),
-        # measured 5.5e-14; the nodal path 5.7e-14
+        # measured 5.52e-14; the nodal path 5.7e-14
         (N, 201, 6, 0.3, (0.1, 0.2), False, 2e-13),
-        # measured 2.6e-14, also stepped one at a time; the nodal path 6.4e-13
+        # measured 2.62e-14, also stepped one at a time; the nodal path 6.4e-13
         (D, 1001, 6, 0.2, None, False, 1e-13),
-        # measured 2.1e-14 and 5.5e-14, as stepped one at a time: windows
+        # measured 2.08e-14 and 5.53e-14, as stepped one at a time: windows
         # shorter than a block and with their edges inside blocks
         (D, 201, 6, 0.3, (0.04, 0.06), False, 2e-13),
         (N, 201, 6, 0.3, (0.02, 0.15), False, 2e-13),
-        # measured 2.2e-14 and 9.6e-15 (2.3e-14 and 9.8e-15 at 2 BLAS
+        # measured 2.32e-14 and 9.64e-15 (2.30e-14 and 9.75e-15 at 2 BLAS
         # threads); the nodal path 6.5e-13 and 2.6e-14
         (D, 2001, 100, 0.05, None, False, 5e-14),
         (N, 2001, 100, 0.05, None, False, 5e-14),
@@ -1015,13 +1015,27 @@ def test_constant_reaction_decays_at_the_exact_rate(bc, M, lam, bound):
 def _dense_sampled_eigenvectors(grid):
     """The eigenvectors V of the uniform grid's M and S as a dense matrix:
     sin(i j pi / (N-1)) on the Dirichlet interior, cos(i j pi / (N-1)) on
-    all nodes under Neumann conditions."""
+    all nodes under Neumann conditions, from the exact angles
+    ((i j) mod 2(N-1)) pi / (N-1) in [0, 2 pi)."""
     n = grid.N
-    if grid.bc is D:
-        i = np.arange(1, n - 1)
-        return np.sin(np.outer(i, i) * (math.pi / (n - 1)))
-    i = np.arange(n)
-    return np.cos(np.outer(i, i) * (math.pi / (n - 1)))
+    i = np.arange(1, n - 1) if grid.bc is D else np.arange(n)
+    angles = (np.outer(i, i) % (2 * (n - 1))) * (math.pi / (n - 1))
+    return np.sin(angles) if grid.bc is D else np.cos(angles)
+
+
+@pytest.mark.parametrize("n_nodes", [3, 4, 5, 17, 1001])
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_trig_sums_match_a_dense_transform(bc, n_nodes):
+    # _trig_sums forms Bt, Cl, step 1's handoff and the snapshots.  Measured
+    # at most 2.6e-16 of sum |x|; against sines and cosines of the unreduced
+    # angles i j pi / (N-1) the oracle itself is off by 8.6e-15 at N = 1001.
+    V = _dense_sampled_eigenvectors(make_grid(bc, 1.0, n_nodes))
+    x = np.random.default_rng(n_nodes).standard_normal((3, len(V)))
+    for rows in (x[0], x):
+        got = fem._trig_sums(rows, bc is D)
+        assert got.shape == rows.shape
+        scale = np.sum(np.abs(rows), axis=-1, keepdims=True)
+        assert float(np.max(np.abs(got - rows @ V) / scale)) <= 1e-15
 
 
 @pytest.mark.parametrize("n_nodes", [201, 1001])
@@ -1043,11 +1057,58 @@ def test_feedback_reads_only_the_low_modes(bc, n_nodes, scheme, M, r):
     read = (W[:, 1:-1] if bc is D else W) @ _dense_sampled_eigenvectors(grid)
     scale = float(np.max(np.abs(read)))
     assert float(np.max(np.abs(read[:, M:]))) <= 1e-11 * scale
-    # the builder's read, P_M D V scaled by kappa, is the low block: measured
-    # at most 2.5e-15 of the largest entry from it at N = 201 and 3.6e-14 at N = 1001
+    # the builder's read, W[:, :M]^{-T} diag(omega o kappa) with W = (M U)^T V,
+    # is the low block: measured at most 3.8e-15 of the largest entry from it
+    # at N = 201 and 3.6e-14 at N = 1001
     Cl = _eigen_system(grid, nu, a, 1e-3, FeedbackConfig(operator=op, lam=lam)).Cl
     assert Cl.shape == (M, M)
     assert float(np.max(np.abs(Cl - read[:, :M]))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+def test_eigen_system_reads_no_projection(bc):
+    # the eigenbasis system is built from (M U)^T alone; P_M serves step 0
+    grid = make_grid(bc, math.pi, 201)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
+    blind = dataclasses.replace(op, P=np.full_like(op.P, np.nan))
+    systems = [
+        _eigen_system(grid, 0.1, -3.5, 1e-3, FeedbackConfig(operator=o, lam=1.0))
+        for o in (op, blind)
+    ]
+    assert np.array_equal(systems[0].Cl, systems[1].Cl)
+    assert np.array_equal(systems[0].Bt, systems[1].Bt)
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize(
+    "scheme, M, r, n_nodes, bound",
+    [
+        # measured 1.9e-16 and 3.8e-16
+        (Scheme.MXE, 6, 0.1, 1001, 2e-15),
+        # measured 7.7e-16 and 1.0e-15 (8.8e-16 and 7.7e-16 at 2 BLAS threads)
+        (Scheme.MXE, 100, 0.1, 2001, 2e-15),
+        # measured 2.0e-16 and 3.9e-16
+        (Scheme.UNI, 8, 0.3, 1001, 2e-15),
+        # measured 5.9e-16 and 3.7e-15
+        (Scheme.CON, 6, 0.5, 1001, 1e-14),
+    ],
+    ids=["mxe-6", "mxe-100", "uni-8", "con-6"],
+)
+def test_low_block_spreads_exactly_the_feedback_law(bc, scheme, M, r, n_nodes, bound):
+    # Bt[:, :M] = W[:, :M] k / (omega o pi_k) and Cl = W[:, :M]^{-T}
+    # diag(omega o kappa), so the low block's force Cl^T Bt[:, :M] is
+    # diag(kappa o k / pi_k)[:M], up to one M x M solve
+    grid = make_grid(bc, math.pi, n_nodes)
+    op = feedback_matrices(grid, place(scheme, math.pi, M, r))
+    nu, lam, a, k, h = 0.1, 1.0, -3.5, 1e-3, grid.h
+    system = _eigen_system(grid, nu, a, k, FeedbackConfig(operator=op, lam=lam))
+    i = np.arange(1, M + 1) if bc is D else np.arange(M)
+    s = np.sin(i * math.pi / (2 * (n_nodes - 1))) ** 2
+    mu = h - (2.0 * h / 3.0) * s
+    kappa = (lam - a) * mu - nu * (4.0 / h) * s
+    target = np.diag(kappa * k / (2.0 * mu + k * nu * (4.0 / h) * s))
+    err = np.abs(system.Cl.T @ system.Bt[:, :M] - target)
+    assert float(np.max(err)) <= bound * float(np.max(np.abs(target)))
 
 
 @pytest.mark.parametrize("feed_on", [None, (0.01, 0.05)], ids=["on", "window"])
