@@ -29,22 +29,22 @@ One FemGrid from make_grid(bc, L, N) holds the nodes, the mass and stiffness
 matrices and the boundary condition.  The feedback operator keeps the grid it
 was built on, and the time stepper rejects an operator from another grid.
 
-Tridiagonal matrices are (diag, off) pairs.  The feedback operator holds P_M
-and (M [U])^T (M x N, contiguous), and a run reads the feedback through P_M
-alone: k c = P_M (k K0 y - q) with K0 = lambda M - nu S and q = k R y, so no
-M x N read is formed.  Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a step
-solves for z = y_new + y and needs no product with 2 M - k nu S.  No R is
-assembled: a run stepped on the nodes forms R y = (a o M y + M (a o y)) / 2
+Tridiagonal matrices are (diag, off) pairs, and one product, _stencil_times,
+forms every product with M, S and K0 = lambda M - nu S, (M [U])^T row by row
+included: a convolution with the three-point stencil, then the two edge rows.
+The feedback operator holds P_M and (M [U])^T (M x N, contiguous), and a run
+reads the feedback through P_M alone: k c = P_M (k K0 y - q) with q = k R y,
+so no M x N read is formed.  Since (2 M + k nu S) + (2 M - k nu S) = 4 M, a
+step solves for z = y_new + y and needs no product with 2 M - k nu S.  No R
+is assembled: a run stepped on the nodes forms R y = (a o M y + M (a o y))/2
 from nodal values a taken once for a static reaction and drawn from
 ReactionField.rows at every step otherwise, and each state's mass product
 M y serves its norm, the next right-hand side and R y.  A step costs two
-mass products (M y, M (a o y)), each one convolution with the stencil
-(h/6, 2h/3, h/6) plus the two edge rows; about ten elementwise passes, with
-the force q scaled by k once and 4 M y + k q_prev - 3 k q formed in place;
-K0 y, one more such product, and the P_M and (M [U])^T products while the
-feedback acts; and one dpttrs solve, the largest share left.  The
-oscillating reaction's row costs one complex product per node instead of a
-cosine (see oscillating_reaction).
+mass products (M y, M (a o y)); about ten elementwise passes, with the force
+q scaled by k once and 4 M y + k q_prev - 3 k q formed in place; K0 y and
+the P_M and (M [U])^T products while the feedback acts; and one dpttrs
+solve, the largest share left.  The oscillating reaction's row costs one
+complex product per node instead of a cosine (see oscillating_reaction).
 
 A static reaction with equal values at every node gives R = a M, and on the
 uniform grid M and S share their eigenvectors V: discrete sines on the
@@ -87,7 +87,7 @@ from .errors import (
     InvalidArgumentError,
     NumericalFailureError,
 )
-from .linalg import tridiag_factor, tridiag_matvec, tridiag_solve
+from .linalg import tridiag_factor, tridiag_solve
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
 
@@ -119,7 +119,10 @@ def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
         raise InvalidArgumentError(f"node count must be an integer >= 3, got {N}")
     N = int(N)
     h = L / (N - 1)
-    nodes = np.linspace(0.0, L, N)
+    try:
+        nodes = np.linspace(0.0, L, N)
+    except MemoryError:
+        raise InvalidArgumentError(f"{N} nodes need more memory than is available") from None
     mdiag = np.full(N, 2.0 * h / 3.0)
     mdiag[0] = mdiag[-1] = h / 3.0
     moff = np.full(N - 1, h / 6.0)
@@ -131,6 +134,18 @@ def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
     return FemGrid(
         bc=bc, L=L, N=N, h=h, nodes=nodes, mass=(mdiag, moff), stiffness=(sdiag, soff)
     )
+
+
+def _stencil_times(T: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """T x for a grid matrix T = (diag, off), constant inside, and each row of a
+    (B, N) x: one convolution with the stencil (off, diag, off), then the edge rows."""
+    if x.ndim == 2:  # rows fill one array; a stacked list of rows stays on the malloc heap
+        return np.apply_along_axis(lambda row: _stencil_times(T, row), 1, x)
+    diag, off = T
+    Tx = np.convolve(x, (off[0], diag[1], off[0]), "same")
+    Tx[0] = diag[0] * x[0] + off[0] * x[1]
+    Tx[-1] = diag[-1] * x[-1] + off[-1] * x[-2]
+    return Tx
 
 
 # A rotated reaction stream re-evaluates cos and sin at every this many steps.
@@ -268,7 +283,8 @@ class FeedbackOperator:
     grid:      the grid the operator was built on
     actuators: the actuators, sampled at the nodes as U, and the eigenfunctions as E
     P:         A^{-1} E^T (M x N) with A = E^T M U; the nodal projection of z is U P M z
-    MUt:       (M U)^T (M x N, contiguous); nodal steps read by P and spread by MUt
+    MUt:       (M U)^T (M x N, contiguous), the mass stencil applied to each row
+               of U^T; nodal steps read by P and spread by MUt
     """
 
     grid: FemGrid
@@ -278,12 +294,13 @@ class FeedbackOperator:
 
 
 def _samples(grid: FemGrid, aset: ActuatorSet) -> tuple[np.ndarray, ...]:
-    """U, E, M U and A = E^T M U, from aset and grid.bc's eigenfunctions at the nodes."""
+    """U and E (N x M), (M U)^T (M x N, contiguous) and A = E^T M U, from aset
+    and grid.bc's eigenfunctions at the nodes."""
     U = indicators(aset, grid.nodes)
     E = eigenfunctions(build_basis(grid.bc, grid.L, aset.M), grid.nodes)
-    MU = tridiag_matvec(*grid.mass, U)
+    MUt = _stencil_times(grid.mass, U.T)
     # einsum sums without BLAS, so A does not depend on the BLAS thread count.
-    return U, E, MU, np.einsum("ni,nj->ij", E, MU)
+    return U, E, MUt, np.einsum("ni,jn->ij", E, MUt)
 
 
 def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
@@ -300,7 +317,7 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
         raise InvalidArgumentError(
             f"grid length {grid.L} and actuator domain length {aset.L} differ"
         )
-    _, E, MU, A = _samples(grid, aset)
+    _, E, MUt, A = _samples(grid, aset)
     sv = np.linalg.svd(A, compute_uv=False)
     ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
     if ratio <= SIGMA_RATIO_THRESHOLD:
@@ -310,7 +327,7 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
             "refine the mesh so every actuator support contains interior nodes, "
             "or change the placement"
         )
-    P, MUt = np.linalg.solve(A, E.T), np.ascontiguousarray(MU.T)
+    P = np.linalg.solve(A, E.T)
     for arr in (P, MUt):
         arr.flags.writeable = False
     return FeedbackOperator(grid=grid, actuators=aset, P=P, MUt=MUt)
@@ -326,10 +343,10 @@ def discrete_projection_norm(op: FeedbackOperator) -> float:
     the discrete operator.  Raises NumericalFailureError when either Gram
     matrix is not positive definite.
     """
-    U, E, MU, A = _samples(op.grid, op.actuators)
-    G_E = E.T @ tridiag_matvec(*op.grid.mass, E)
+    U, E, MUt, A = _samples(op.grid, op.actuators)
+    G_E = E.T @ _stencil_times(op.grid.mass, E.T).T
     try:
-        C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(U.T @ MU)
+        C, L = np.linalg.cholesky(G_E), np.linalg.cholesky(U.T @ MUt.T)
     except np.linalg.LinAlgError:
         raise NumericalFailureError(
             "sampled eigenfunction or actuator Gram matrix is not positive definite"
@@ -560,16 +577,17 @@ def run_closed_loop(
                 f"feedback operator was built on the grid (bc, L, N) = {theirs}, not on {ours}"
             )
 
-    n_steps = int(math.floor(T / k + 1e-9))
-    if n_steps < 1:
+    n_steps = T / k + 1e-9
+    if n_steps < 1.0:
         raise InvalidArgumentError(f"final time {T} is shorter than one step {k}")
     try:
+        n_steps = math.floor(n_steps)
         times = np.arange(n_steps + 1) * k
         norms = np.empty(n_steps + 1)
         feedback_flags = (
             np.zeros(n_steps + 1, dtype=bool) if feedback is None else feedback.active(times)
         )
-    except MemoryError:
+    except (OverflowError, ValueError, MemoryError):  # T/k is inf or too many to hold
         raise InvalidArgumentError(
             f"{n_steps} time steps (T/k) need more memory than is available"
         ) from None
@@ -619,17 +637,9 @@ def run_closed_loop(
         factor = None if a_const is not None else tridiag_factor(plus_diag[inner], plus_off[inner])
         a_rows = None if a_static is not None else reaction.rows(nodes, times[:-1])
 
-        def stencil_times(T: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-            """T x for T = (diag, off) constant inside: one convolution, then the edge rows."""
-            diag, off = T
-            Tx = np.convolve(x, (off[0], diag[1], off[0]), "same")
-            Tx[0] = diag[0] * x[0] + off[0] * x[1]
-            Tx[-1] = diag[-1] * x[-1] + off[-1] * x[-2]
-            return Tx
-
         work = np.empty(N)
         for j in range(n_steps + 1):
-            My = stencil_times(grid.mass, y)
+            My = _stencil_times(grid.mass, y)
             # sqrt(y^T M y) as numpy's pairwise sum, not a BLAS dot product, does not
             # depend on the BLAS thread count; a non-finite y gives a non-finite norm
             if slots := record(j, math.sqrt(max(float(np.add.reduce(y * My)), 0.0))):
@@ -640,11 +650,11 @@ def run_closed_loop(
             # q = k R y = k (a o M y + M (a o y)) / 2, plus k M [U] c while
             # the feedback acts, k c = P_M (k K0 y - q) with K0 = lambda M - nu S
             np.multiply(a, y, out=work)
-            q = stencil_times(grid.mass, work)
+            q = _stencil_times(grid.mass, work)
             q += np.multiply(a, My, out=work)
             q *= 0.5 * k
             if feedback_flags[j]:
-                q += (P @ (k * stencil_times(K0, y) - q)) @ MUt
+                q += (P @ (k * _stencil_times(K0, y) - q)) @ MUt
             # rhs = 4 M y + k q_prev - 3 k q, with the ghost q_prev = q at step 0
             rhs = np.multiply(My, 4.0, out=My)
             rhs += kq_prev if j else q

@@ -1,10 +1,11 @@
-"""Symmetric tridiagonal matrices as (diag, off) pairs: product, factor, solve.
+"""Symmetric tridiagonal matrices as (diag, off) pairs: factor and solve.
 
-The product is plain numpy.  Factor and solve wrap LAPACK dpttrf and dpttrs,
-add the domain checks the FEM layer relies on (shapes, finiteness, positive
-definiteness) and normalise failures to the shared exception types.  They
-are the only scipy users in the package, and scipy is imported on the first
-factor or solve, so only closed loops stepped on the nodes ever load it.
+Both wrap LAPACK dpttrf and dpttrs, add the domain checks the FEM layer
+relies on (shapes, finiteness, positive definiteness) and normalise failures
+to the shared exception types.  They are the only scipy users in the
+package, and scipy is imported on the first factor or solve, so only closed
+loops stepped on the nodes ever load it.  Products with grid matrices are
+fem._stencil_times.
 """
 
 from __future__ import annotations
@@ -20,20 +21,6 @@ from .errors import InvalidArgumentError, NotPositiveDefiniteError
 def _scipy_linalg():  # its import outweighs the rest of the package's
     import scipy.linalg
     return scipy.linalg
-
-
-def tridiag_matvec(diag: np.ndarray, off: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """T X for the symmetric tridiagonal T = (diag, off); X is (n,) or (n, B).
-
-    The products are elementwise, so the result does not depend on how many
-    threads the BLAS library uses.
-    """
-    if X.ndim == 2:
-        diag, off = diag[:, None], off[:, None]
-    out = diag * X
-    out[:-1] += off * X[1:]
-    out[1:] += off * X[:-1]
-    return out
 
 
 def tridiag_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from oblique_stab.actuators import Scheme
-from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import (
     _actuator_family,
     _eigen_family,
@@ -95,6 +94,17 @@ def check_theta_diagonal(data) -> tuple[bool, float]:
     entry, and its largest off-diagonal magnitude."""
     max_diag = float(np.max(np.abs(np.diag(theta(data.gram)))))
     return data.max_offdiag <= DIAG_RTOL * max_diag, data.max_offdiag
+
+
+def tridiag_matvec(diag, off, X):
+    """T X for the symmetric tridiagonal T = (diag, off) with any entries, such
+    as a reaction matrix; X is (n,) or (n, B), multiplied column by column."""
+    if X.ndim == 2:
+        diag, off = diag[:, None], off[:, None]
+    out = diag * X
+    out[:-1] += off * X[1:]
+    out[1:] += off * X[:-1]
+    return out
 
 
 def reaction_matrix(grid, a_nodes):

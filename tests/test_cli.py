@@ -727,6 +727,15 @@ _EXITS = [
     # 1e18 steps cannot be allocated; the run fails before it steps
     ("simulate --T 1e15 --N 101 --output out.csv", 2,
      "error: 1000000000000000000 time steps (T/k) need more memory than is available"),
+    # T/k overflows to inf, or exceeds numpy's largest array
+    ("simulate --k 1e-320 --T 1 --N 101 --output out.csv", 2,
+     "error: inf time steps (T/k) need more memory than is available"),
+    ("simulate --T 1e20 --k 1 --N 101 --output out.csv", 2,
+     "error: 100000000000000000000 time steps (T/k) need more memory than is available"),
+    # 1e14 nodes need 728 TiB, more than any address space, so the grid's
+    # allocation fails without touching memory
+    ("simulate --N 100000000000000 --output out.csv", 2,
+     "error: 100000000000000 nodes need more memory than is available"),
     # a window that never opens, or flags only the final state, from which no
     # step is taken, would silently leave free dynamics
     ("simulate --feed-on 5:6 --N 101 --output out.csv", 2,

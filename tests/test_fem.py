@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from oblique_stab import fem
-from oblique_stab.actuators import Scheme, place
+from oblique_stab.actuators import Scheme, indicators, place
 from oblique_stab.errors import (
     DirectSumFailureError,
     InvalidArgumentError,
@@ -33,7 +33,6 @@ from oblique_stab.fem import (
     run_closed_loop,
     tabulated_reaction,
 )
-from oblique_stab.linalg import tridiag_matvec
 from oblique_stab.projection import (
     assemble_cross_gram,
     build_projection,
@@ -51,6 +50,7 @@ from oracles import (
     nodal_samples,
     project_nodal,
     reaction_matrix,
+    tridiag_matvec,
 )
 
 D = BoundaryCondition.DIRICHLET
@@ -88,8 +88,49 @@ def test_stiffness_matrix_three_nodes():
 
 def test_stiffness_annihilates_constants():
     grid = make_grid(D, 2.0, 17)
-    out = tridiag_matvec(*grid.stiffness, np.ones(17))
+    out = fem._stencil_times(grid.stiffness, np.ones(17))
     assert np.max(np.abs(out)) == 0.0
+
+
+def _grid_pairs(grid, nu=0.1, lam=1.0, k=1e-3):
+    """The grid matrices a run multiplies by: M, S, K0 = lam M - nu S, and the
+    implicit matrix 2 M + k nu S, each a (diag, off) pair."""
+    pairs = {"mass": grid.mass, "stiffness": grid.stiffness}
+    pairs["K0"] = tuple(lam * m - nu * s for m, s in zip(grid.mass, grid.stiffness))
+    pairs["implicit"] = tuple(2.0 * m + k * nu * s for m, s in zip(grid.mass, grid.stiffness))
+    return pairs
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("n", [3, 4, 17, 1001])
+def test_stencil_product_matches_dense(bc, n):
+    grid = make_grid(bc, math.pi, n)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((5, n))
+    for name, T in _grid_pairs(grid).items():
+        dense = _dense(T)
+        block = fem._stencil_times(T, X)
+        assert block.shape == X.shape and block.flags.c_contiguous
+        scale = np.max(np.abs(dense)) * np.max(np.abs(X))
+        assert np.max(np.abs(block - X @ dense)) <= 1e-15 * scale, name
+        # a (B, N) product is its rows' products, with the same rounding
+        for row, x in zip(block, X):
+            assert np.array_equal(row, fem._stencil_times(T, x)), name
+
+
+@pytest.mark.parametrize("bc", [D, N], ids=["dirichlet", "neumann"])
+@pytest.mark.parametrize("n", [3, 4, 17, 1001])
+def test_stencil_product_is_exact_on_indicator_samples(bc, n):
+    # on 0/1 samples every order of the three-term sum rounds alike, so (M U)^T,
+    # A and P do not depend on which product formed them
+    grid = make_grid(bc, math.pi, n)
+    rng = np.random.default_rng(n)
+    X = rng.integers(0, 2, (8, n)).astype(float)
+    X[:2] = [np.ones(n), np.arange(n) % 2]
+    if n == 1001:
+        X = np.vstack([X, indicators(place(Scheme.MXE, math.pi, 6, 0.1), grid.nodes).T])
+    for name, T in _grid_pairs(grid).items():
+        assert np.array_equal(fem._stencil_times(T, X), tridiag_matvec(*T, X.T).T), name
 
 
 def test_too_few_nodes_rejected():
@@ -794,23 +835,25 @@ def test_fused_kernel_matches_stepwise_reference(bc, react, M, feed_on):
 @pytest.mark.parametrize("path", ["eigenbasis", "nodal"])
 def test_closed_loop_reads_the_spread_from_the_operator(monkeypatch, bc, path):
     # The feedback is read through P and spread through (M U)^T from the
-    # operator: a run forms no M x N product with a grid matrix, so no
-    # tridiag_matvec call gets a 2-D operand
+    # operator: a run forms no M x N product with a grid matrix, so every
+    # product it forms has a 1-D operand
     grid = make_grid(bc, math.pi, 1001)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 6, 0.1))
     nu = 0.1
     reaction = constant_reaction(-3.5) if path == "eigenbasis" else oscillating_reaction(nu, math.pi)
     shapes = []
 
-    def recorded(diag, off, X):
-        shapes.append(X.shape)
-        return tridiag_matvec(diag, off, X)
+    product = fem._stencil_times
 
-    monkeypatch.setattr(fem, "tridiag_matvec", recorded)
+    def recorded(T, x):
+        shapes.append(x.shape)
+        return product(T, x)
+
+    monkeypatch.setattr(fem, "_stencil_times", recorded)
     run_closed_loop(
         grid, nu, reaction, 0.1 * grid.nodes, 0.01, 1e-3, feedback=FeedbackConfig(operator=op)
     )
-    assert all(len(shape) == 1 for shape in shapes), shapes
+    assert shapes and all(len(shape) == 1 for shape in shapes), shapes
 
 
 # ---------------------------------------------------------------- eigenbasis path

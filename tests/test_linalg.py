@@ -1,4 +1,5 @@
-"""Tests for the tridiagonal linear-algebra helpers."""
+"""Tests for the tridiagonal factor and solve, and for the general product of
+the test oracles that checks them."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oblique_stab.errors import InvalidArgumentError, NotPositiveDefiniteError
-from oblique_stab.linalg import tridiag_factor, tridiag_matvec, tridiag_solve
+from oblique_stab.linalg import tridiag_factor, tridiag_solve
+from oracles import tridiag_matvec
 
 rng = np.random.default_rng(20240817)
 
