@@ -87,6 +87,13 @@ def check_uni_count(M: int, r: float) -> None:
         )
 
 
+def center_rationals(scheme: Scheme, M: int) -> tuple[np.ndarray, int]:
+    """Integers n_j and d with c_j = n_j L / d: n_j = 2j - 1 and d = 2M for
+    mxe, n_j = j and d = M + 1 for uni; place and the cross-Gram read these."""
+    j = np.arange(1, M + 1)
+    return (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
+
+
 def place(
     scheme: Scheme,
     L: float,
@@ -96,6 +103,8 @@ def place(
 ) -> ActuatorSet:
     """Build an ActuatorSet for one of the placement rules.
 
+    mxe and uni centers are n_j L / d with center_rationals' integers, and
+    con centers the mxe ones of (0, r L) shifted by (1 - r) L / 2.
     centers is only accepted (and required) for Scheme.CUSTOM and must be
     finite and strictly increasing with every support inside (0, L).  This is
     the only check of actuator geometry; whether an accepted set splits the
@@ -112,14 +121,14 @@ def place(
     top = {Scheme.MXE: 2 * M - 1, Scheme.UNI: M, Scheme.CON: (2 * M - 1) * r}.get(scheme, 0)
     if not math.isfinite(top * L):  # the largest numerator of c below
         raise InvalidArgumentError(f"interval length L = {L} is too large to place {M} actuators")
-    j = np.arange(1, M + 1, dtype=float)
-    if scheme is Scheme.MXE:
-        c = (2 * j - 1) * L / (2 * M)
-    elif scheme is Scheme.UNI:
+    if scheme is Scheme.UNI:
         check_uni_count(M, r)
-        c = j * L / (M + 1)
+    if scheme is Scheme.MXE or scheme is Scheme.UNI:
+        n, d = center_rationals(scheme, M)
+        c = n * L / d
     elif scheme is Scheme.CON:
-        c = (1.0 - r) * L / 2.0 + (2 * j - 1) * r * L / (2 * M)
+        n, d = center_rationals(Scheme.MXE, M)
+        c = (1.0 - r) * L / 2.0 + n * r * L / d
     elif scheme is Scheme.CUSTOM:
         c = np.asarray(centers, dtype=float)
         if c.ndim != 1 or c.size != M:

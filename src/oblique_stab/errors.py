@@ -1,4 +1,4 @@
-"""Exception types shared across the library, and the direct-sum threshold.
+"""Exception types shared across the library, the direct-sum threshold and its test.
 
 Two families: invalid input (a caller can fix the arguments) and numerical
 failure (the configuration itself defeats the computation).  The command-line
@@ -26,11 +26,10 @@ class NotPositiveDefiniteError(NumericalFailureError):
 class DirectSumFailureError(NumericalFailureError):
     """The actuator span and the spectral complement fail to split the space.
 
-    Raised by build_projection for the continuous cross-Gram and by
-    feedback_matrices for the coupling matrix on a FEM grid, in both cases
-    when sigma_min/sigma_max is at most SIGMA_RATIO_THRESHOLD: the oblique
-    projection is then undefined, or numerically meaningless, for this
-    configuration.
+    Raised by check_direct_sum, which build_projection calls for the
+    continuous cross-Gram and feedback_matrices for the coupling matrix on a
+    FEM grid: at or below SIGMA_RATIO_THRESHOLD the oblique projection is
+    undefined, or numerically meaningless, for this configuration.
     """
 
 
@@ -43,3 +42,13 @@ class DirectSumFailureError(NumericalFailureError):
 # con at r = 0.1, M = 7 (ratio 2.3e-7) gives vartheta = 3.47e-14 to 2e-10
 # relative.
 SIGMA_RATIO_THRESHOLD = 1e-8
+
+
+def check_direct_sum(ratio: float, matrix: str, remedy: str) -> None:
+    """Raise DirectSumFailureError, naming the matrix and ending in the remedy,
+    when its sigma_min/sigma_max ratio is at most SIGMA_RATIO_THRESHOLD."""
+    if ratio <= SIGMA_RATIO_THRESHOLD:
+        raise DirectSumFailureError(
+            f"sigma_min/sigma_max {ratio:.3e} of {matrix} is at most "
+            f"{SIGMA_RATIO_THRESHOLD:g}; {remedy}"
+        )

@@ -81,12 +81,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .actuators import ActuatorSet, indicators
-from .errors import (
-    SIGMA_RATIO_THRESHOLD,
-    DirectSumFailureError,
-    InvalidArgumentError,
-    NumericalFailureError,
-)
+from .errors import InvalidArgumentError, NumericalFailureError, check_direct_sum
 from .linalg import tridiag_factor, tridiag_solve
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
@@ -307,9 +302,8 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
     """Sample actuators and the eigenfunctions of grid.bc on the grid, invert
     the coupling, and keep P and (M U)^T.
 
-    Raises DirectSumFailureError when sigma_min/sigma_max of the coupling
-    matrix A = E^T M U is at most SIGMA_RATIO_THRESHOLD, the test that
-    build_projection applies to the continuous cross-Gram.  The coupling
+    errors.check_direct_sum tests sigma_min/sigma_max of the coupling matrix
+    A = E^T M U, as build_projection tests the continuous cross-Gram.  The coupling
     fails it where the cross-Gram does, and also when an actuator support
     contains too few nodes; refining the mesh resolves the latter.
     """
@@ -319,14 +313,12 @@ def feedback_matrices(grid: FemGrid, aset: ActuatorSet) -> FeedbackOperator:
         )
     _, E, MUt, A = _samples(grid, aset)
     sv = np.linalg.svd(A, compute_uv=False)
-    ratio = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if ratio <= SIGMA_RATIO_THRESHOLD:
-        raise DirectSumFailureError(
-            f"sigma_min/sigma_max {ratio:.3e} of the coupling matrix between "
-            f"sampled actuators and eigenfunctions is at most {SIGMA_RATIO_THRESHOLD:g}; "
-            "refine the mesh so every actuator support contains interior nodes, "
-            "or change the placement"
-        )
+    check_direct_sum(
+        sv[-1] / sv[0] if sv[0] > 0 else 0.0,
+        "the coupling matrix between sampled actuators and eigenfunctions",
+        "refine the mesh so every actuator support contains interior nodes, "
+        "or change the placement",
+    )
     P = np.linalg.solve(A, E.T)
     for arr in (P, MUt):
         arr.flags.writeable = False

@@ -51,13 +51,14 @@ from .actuators import (
     ActuatorSet,
     Scheme,
     all_breakpoints,
+    center_rationals,
     check_uni_count,
     checked_count,
     checked_fraction,
     indicators,
     normalized_indicator_coeff,
 )
-from .errors import SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError
+from .errors import InvalidArgumentError, check_direct_sum
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
 # Gershgorin radius over smallest diagonal entry at or below which the
@@ -117,28 +118,17 @@ class SufficientConditionReport:
     margin: float
 
 
-def _pi_centers(aset: ActuatorSet) -> np.ndarray:
-    """Actuator centers mapped onto (0, pi); entries are invariant under this."""
-    return aset.centers * (math.pi / aset.L)
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
 
 
 def _factor_key(bc: BoundaryCondition, aset: ActuatorSet) -> tuple:
-    """Memo key (bc, scheme, M, cm_bytes) of the trig factor; cm_bytes holds
-    the centers on (0, pi), and is empty for the exact angles of mxe and uni."""
-    exact = aset.scheme in (Scheme.MXE, Scheme.UNI)
-    return bc, aset.scheme, aset.M, b"" if exact else _pi_centers(aset).tobytes()
-
-
-def _numerators(scheme: Scheme, M: int) -> tuple[np.ndarray, int]:
-    """Integers n_j and d with c_j = pi n_j / d: n_j = 2j - 1 and d = 2M for
-    mxe, n_j = j and d = M + 1 for uni."""
-    j = np.arange(1, M + 1)
-    return (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
+    """Memo key (bc, scheme, M, cm_bytes) of the trig factor; cm_bytes holds the
+    centers on (0, pi), where G is the same, and is empty for mxe and uni."""
+    if aset.scheme in (Scheme.MXE, Scheme.UNI):
+        return bc, aset.scheme, aset.M, b""
+    return bc, aset.scheme, aset.M, (aset.centers * (math.pi / aset.L)).tobytes()
 
 
 @functools.lru_cache(maxsize=1)
@@ -146,16 +136,16 @@ def _trig_table(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) 
     """Read-only trig factor T of the cross-Gram at L = pi.
 
     T[i, j] = sin(m_i c_j) (Dirichlet, m = 1..M) or cos(m_i c_j) (Neumann,
-    m = 0..M-1), which r does not enter.  For mxe and uni, m c_j = pi m n_j / d,
-    and T is a gather from a table of sin(pi p / (2d)), p = 0..4d-1, shifted
-    by d for the cosines.
+    m = 0..M-1), which r does not enter.  For mxe and uni, m c_j = pi m n_j / d
+    with the n_j and d of actuators.center_rationals, and T is a gather from a
+    table of sin(pi p / (2d)), p = 0..4d-1, shifted by d for the cosines.
     """
     dirichlet = bc is BoundaryCondition.DIRICHLET
     m = np.arange(1, M + 1) if dirichlet else np.arange(M)
     if cm_bytes:
         mc = np.multiply.outer(m.astype(float), np.frombuffer(cm_bytes))
         return _frozen(np.sin(mc) if dirichlet else np.cos(mc))
-    n, d = _numerators(scheme, M)
+    n, d = center_rationals(scheme, M)
     # sin on the first half of the first quadrant, cos of the complement on
     # the second, then mirrored: mirrored angles give equal or opposite values
     x = np.pi * np.arange(d + 1) / (2 * d)
@@ -185,7 +175,7 @@ def _trig_factor(
         T = _trig_table(bc, scheme, M, cm_bytes)
         TT = T @ T.T  # BLAS syrk: exactly symmetric
     else:
-        n, d = _numerators(scheme, M)
+        n, d = center_rationals(scheme, M)
         hits = np.zeros(2 * d)
         hits[n] = 1.0
         C = 0.5 * np.fft.fft(hits)[: 2 * M + 1].real  # the halving is exact
@@ -238,9 +228,9 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     which keep a small vartheta accurate where forming G G^T would square the
     condition number.
 
-    Raises DirectSumFailureError when sigma_min/sigma_max of G is at most
-    SIGMA_RATIO_THRESHOLD, the one failure test of the cross-Gram: it also
-    catches centers that placement accepts but that nearly coincide.
+    errors.check_direct_sum tests sigma_min/sigma_max of G, the one failure
+    test of the cross-Gram: it also catches centers that placement accepts but
+    that nearly coincide.
     """
     s = gram.a / gram.m
     radii = s * s.max() * gram.tt_rowsum
@@ -251,12 +241,9 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     else:
         w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
-    if ratio <= SIGMA_RATIO_THRESHOLD:
-        raise DirectSumFailureError(
-            f"sigma_min/sigma_max {ratio:.3e} of the cross-Gram is at most "
-            f"{SIGMA_RATIO_THRESHOLD:g}; the actuator span does not complement "
-            "the spectral subspace"
-        )
+    check_direct_sum(
+        ratio, "the cross-Gram", "the actuator span does not complement the spectral subspace"
+    )
     vartheta = float(w[0])
     return ProjectionData(
         gram=gram,
@@ -333,10 +320,6 @@ def op_norm_limit(r: float) -> float:
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
-def _eigen_family(data: ProjectionData) -> Evaluator:
-    return lambda x: eigenfunctions(data.gram.basis, x)
-
-
 def _actuator_family(data: ProjectionData) -> Evaluator:
     aset = data.gram.actuators
     coeff = normalized_indicator_coeff(aset)
@@ -376,7 +359,7 @@ def apply_projection(data: ProjectionData, f: Evaluator) -> tuple[np.ndarray, Ev
     and an evaluator of P f = sum_j alpha_j u_j.  G in G alpha = [(e_i, f)]
     passed build_projection's direct-sum test.
     """
-    rhs = _inner_products(data, _eigen_family(data), f)
+    rhs = _inner_products(data, lambda x: eigenfunctions(data.gram.basis, x), f)
     alpha = np.linalg.solve(data.gram.entries, rhs)
     return alpha, _expansion(alpha, _actuator_family(data))
 

@@ -7,12 +7,11 @@ import numpy as np
 from oblique_stab.actuators import Scheme
 from oblique_stab.projection import (
     _actuator_family,
-    _eigen_family,
     _expansion,
     _inner_products,
 )
 from oblique_stab.quadrature import panel_nodes_weights
-from oblique_stab.spectral import BoundaryCondition, build_basis
+from oblique_stab.spectral import BoundaryCondition, build_basis, eigenfunctions
 
 # Theta counts as diagonal when no off-diagonal entry exceeds this fraction
 # of its largest diagonal entry.
@@ -79,7 +78,7 @@ def apply_adjoint_projection(data, f):
     """
     rhs = _inner_products(data, _actuator_family(data), f)
     beta = np.linalg.solve(data.gram.entries.T, rhs)
-    return beta, _expansion(beta, _eigen_family(data))
+    return beta, _expansion(beta, lambda x: eigenfunctions(data.gram.basis, x))
 
 
 def theta(gram) -> np.ndarray:

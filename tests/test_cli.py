@@ -60,8 +60,9 @@ if script := shutil.which("oblique-stab"):
 
 def _run_fresh(cwd, args, threads=1):
     """Run `args` in `cwd` as a fresh process that imports this package, with
-    its BLAS library limited to `threads` threads."""
+    its BLAS library limited to `threads` threads and every warning an error."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONWARNINGS"] = "error"
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     return subprocess.run(args, cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
@@ -252,6 +253,26 @@ def test_project_constant_input(tmp_path):
     header = next(ln for ln in text if not ln.startswith("#"))
     assert header == "x,input,oblique,orthogonal"
     assert len(_data_rows(out)) == 1 + len(xs)
+
+
+def test_project_scales_exactly_with_a_power_of_two(tmp_path):
+    # scaling the input by 2^600 scales every number project prints by
+    # 2^600 exactly, residuals included, although their squares overflow
+    rng = np.random.default_rng(1)
+    xs = np.linspace(0.0, math.pi, 2001)
+    a, b = rng.normal(size=(2, 8)) / np.arange(1, 9)
+    ks = np.arange(1, 9)
+    ys = rng.normal() + np.sin(np.outer(xs, ks)) @ a + np.cos(np.outer(xs, ks)) @ b
+    comments = []
+    for scale in (1.0, 2.0**600):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_text("".join(f"{x!r},{y * scale!r}\n" for x, y in zip(xs.tolist(), ys.tolist())))
+        assert main(["project", "--M", "20", "--r", "0.3", "--input", str(src),
+                     "--output", str(out)]) == 0
+        lines = [ln.split(": ")[1] for ln in _lines(out)[1:5]]
+        comments.append([np.array(ln.split(","), dtype=float) for ln in lines])
+    for plain, scaled in zip(*comments):
+        assert np.isfinite(scaled).all() and np.array_equal(scaled, plain * 2.0**600)
 
 
 # Cells are parsed in one batch; a failure must still name the first bad
@@ -604,6 +625,7 @@ _INPUTS = {
     "t_header.csv": "t,0,1\n0,1,2\n",
     "x_decreasing.csv": "x,1,0\n0,1,2\n",
     "t_decreasing.csv": "x,0,1\n1,1,2\n0,1,2\n",
+    "huge.csv": "0,1e308\n3.141592653589793,-1e308\n",
 }
 
 _COUPLING = (
@@ -642,6 +664,9 @@ _EXITS = [
      " got 'sinusoid'"),
     ("simulate --T 0.01 --y0 bogus --output out.csv", 2,
      "error: --y0 must be 'linear:<slope>' or 'samples:<file>', got 'bogus'"),
+    # slope * L overflows; 1e300 gives a finite state whose norm overflows
+    ("simulate --T 0.01 --y0 linear:1e308 --output out.csv", 2,
+     "error: --y0 slope 1e+308 overflows at x = L = 3.14159"),
     ("simulate --T nan --output out.csv", 2, "error: --T expects a finite number, got 'nan'"),
     ("simulate --k nan --output out.csv", 2, "error: --k expects a finite number, got 'nan'"),
     ("simulate --lam inf --output out.csv", 2, "error: --lam expects a finite number, got 'inf'"),
@@ -815,6 +840,9 @@ _EXITS = [
      "numerical failure: 1 of 1 sweep rows failed, the first at M=2 r=0.2: sigma_min/sigma_max"
      " 3.885e-09 of the cross-Gram is at most 1e-08; the actuator span does not complement the"
      " spectral subspace"),
+    # the interpolant's slope between samples +-1e308 overflows: no numpy warning
+    ("project --M 2 --r 0.1 --input huge.csv --output out.csv", 3,
+     "numerical failure: oblique_coefficients is not finite; the input overflows"),
     # nu = 1e308 overflows the once-per-run products: no numpy warning first
     ("simulate --nu 1e308 --output out.csv", 3,
      "numerical failure: solution norm is nan at step 1, t = 0.001; the run blew up"

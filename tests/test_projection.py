@@ -18,7 +18,12 @@ from oblique_stab.actuators import (
     place,
     uni_min_count,
 )
-from oblique_stab.errors import SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError
+from oblique_stab.errors import (
+    SIGMA_RATIO_THRESHOLD,
+    DirectSumFailureError,
+    InvalidArgumentError,
+    check_direct_sum,
+)
 from oblique_stab.projection import (
     analytic_theta_spectrum,
     analytic_vartheta,
@@ -103,6 +108,16 @@ def test_coincident_centers_rejected():
     aset = place(Scheme.CUSTOM, math.pi, 2, 0.2, centers=(1.0, 1.0 + 1e-13))
     with pytest.raises(DirectSumFailureError):
         build_projection(assemble_cross_gram(D, aset))
+
+
+def test_direct_sum_test_is_strict_at_the_threshold():
+    # build_projection and feedback_matrices both reject through this one test
+    with pytest.raises(DirectSumFailureError) as exc:
+        check_direct_sum(SIGMA_RATIO_THRESHOLD, "G", "fix it")
+    assert str(exc.value) == "sigma_min/sigma_max 1.000e-08 of G is at most 1e-08; fix it"
+    assert check_direct_sum(np.nextafter(SIGMA_RATIO_THRESHOLD, 1.0), "G", "fix it") is None
+    with pytest.raises(DirectSumFailureError, match=r"^sigma_min/sigma_max 0\.000e\+00 of G "):
+        check_direct_sum(0.0, "G", "fix it")
 
 
 @pytest.mark.parametrize("bc", [D, N])
@@ -224,7 +239,7 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
     # product to sum: (T T^T)_ik = (C(m_i - m_k) -+ C(m_i + m_k)) / 2 with
     # C(p) = sum_j cos(p c_j), - for the sines and + for the cosines; the
     # Neumann row of ones is the cosine row m = 0
-    cm = projection._pi_centers(aset)
+    cm = aset.centers * (math.pi / aset.L)
     TT = gram.TT
     m = np.arange(1, M + 1) if bc is D else np.arange(M)
     C = np.array([cosine_sum(aset, p) for p in range(2 * M + 1)])
