@@ -322,7 +322,7 @@ def cmd_project(v: argparse.Namespace) -> Result:
 
     aset = place(v.scheme, L, v.M, v.r, centers=v.centers)
     data = build_projection(assemble_cross_gram(v.bc, aset))
-    # a huge input overflows; the finiteness test below names what it spoiled
+    # a huge input overflows: the projections name their coefficients, the test below the rest
     with np.errstate(over="ignore", invalid="ignore"):
         alpha, oblique = apply_projection(data, f)
         gamma, orth = orthogonal_projection_actuators(data, f)

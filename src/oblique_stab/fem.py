@@ -543,11 +543,11 @@ def run_closed_loop(
     step 1 on (see the module docstring).
 
     Raises InvalidArgumentError for nu, T or k not positive and finite, a
-    non-finite y0, lambda or static reaction value, a snapshot time outside
-    [0, T], a feedback window active at no step taken (at none of
-    times[:-1]) or a feedback operator from another grid, and
-    NumericalFailureError, naming the step and its time, at the first state
-    whose norm is not finite.
+    non-finite y0 or one whose L2 norm overflows, a non-finite lambda or
+    static reaction value, a snapshot time outside [0, T], a feedback window
+    active at no step taken (at none of times[:-1]) or a feedback operator
+    from another grid, and NumericalFailureError, naming the step and its
+    time, at the first later state whose norm is not finite.
     """
     for name, x in (("diffusion", nu), ("time step", k), ("final time", T)):
         if not (x > 0.0 and math.isfinite(x)):
@@ -612,6 +612,8 @@ def run_closed_loop(
     def record(j: int, norm: float) -> list[int]:
         """Store the norm of step j and return the snapshot rows it fills."""
         if not math.isfinite(norm):
+            if j == 0:  # y0 is finite, so its norm's squares overflowed
+                raise InvalidArgumentError("the L2 norm of the initial state y0 overflows")
             raise NumericalFailureError(
                 f"solution norm is {norm} at step {j}, t = {times[j]:.12g}; "
                 "the run blew up (reduce the time step or the reaction)"

@@ -13,22 +13,17 @@ vartheta of Theta = G G^T (rows indexed by eigenfunctions):
 
     ||P||^2 = 1 / vartheta,
 
-so vartheta -> 0 means the splitting degenerates.  For the mxe and uni
-placements Theta is diagonal with eigenvalues c r sinc^2(theta); those closed
-forms, their large-M limit r sinc^2(r pi/2) and the margin test on ||P|| live here.
+so vartheta -> 0 means the splitting degenerates.  For mxe placement, and
+uni under Dirichlet conditions, Theta is diagonal with eigenvalues
+c r sinc^2(theta); those closed forms, their large-M limit r sinc^2(r pi/2)
+and the margin test on ||P|| live here.
 
 G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
-trig factor T, sin or cos of m_i c_j.  For mxe and uni the angles are
-rational multiples of pi: T T^T then comes from cosine sums that one FFT
-gives, in O(M^2) and without BLAS, and T, when read, is gathered from one
-exact-angle sine table; con and custom form T T^T as the BLAS product.
-T T^T, |T T^T| off the diagonal and T are kept for the latest (bc, M,
-centers), so a sweep over r at one M computes them once; T and G are formed
-only when something reads them.  The spectrum of Theta = (s s^T) o (T T^T)
-is its sorted diagonal where Weyl's inequality, applied to the factors,
-certifies that to 1e-10 relative (mxe, and uni under Dirichlet conditions),
-otherwise the squared singular values of G from numpy's SVD; this module
-needs no scipy.
+trig factor T, sin or cos of m_i c_j.  T T^T is exact for mxe and uni, whose
+angles are rational multiples of pi, and the BLAS product for con and custom
+(_trig_factor); T and G are formed only when read.  build_projection takes
+the spectrum of Theta = (s s^T) o (T T^T) from these factors, in O(M) where
+T T^T is diagonal; this module needs no scipy.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -58,7 +53,7 @@ from .actuators import (
     indicators,
     normalized_indicator_coeff,
 )
-from .errors import InvalidArgumentError, check_direct_sum
+from .errors import InvalidArgumentError, NumericalFailureError, check_direct_sum
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
 # Gershgorin radius over smallest diagonal entry at or below which the
@@ -72,18 +67,19 @@ class CrossGram:
 
     entries[i, j] = (e_{i+1}, u_{j+1})_{L2} = a_i T[i, j] / m_i with u_j the
     unit-norm indicator; rows follow the eigenfunction index, columns the
-    actuator index.  Kept as read-only factors a, m, T T^T, tt_off =
-    |T T^T| off the diagonal and its row sums tt_rowsum; the trig factor T
-    and the entries are formed read-only on first read.
+    actuator index.  Kept as read-only factors a, m and tt, the _trig_factor
+    of T T^T; T T^T, T and the entries are formed read-only on first read.
     """
 
     actuators: ActuatorSet
     basis: EigenBasis
     a: np.ndarray
     m: np.ndarray
-    TT: np.ndarray
-    tt_off: np.ndarray
-    tt_rowsum: np.ndarray
+    tt: np.ndarray
+
+    @functools.cached_property
+    def TT(self) -> np.ndarray:
+        return self.tt if self.tt.ndim == 2 else _frozen(np.diag(self.tt))
 
     @functools.cached_property
     def T(self) -> np.ndarray:
@@ -96,9 +92,8 @@ class CrossGram:
 
 @dataclass(frozen=True)
 class ProjectionData:
-    """Assembled projector data: the cross-Gram (whose factors give Theta), the
-    spectrum of Theta, the operator norm, and the largest off-diagonal
-    magnitude of Theta."""
+    """The cross-Gram, whose factors give Theta, with Theta's spectrum and largest
+    off-diagonal magnitude and the operator norm."""
 
     gram: CrossGram
     theta_eigenvalues: np.ndarray
@@ -157,51 +152,43 @@ def _trig_table(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) 
 
 
 @functools.lru_cache(maxsize=1)
-def _trig_factor(
-    bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes
-) -> tuple[np.ndarray, ...]:
-    """Read-only T T^T for the trig factor T of _trig_table, |T T^T| with a
-    zeroed diagonal, and the row sums of the latter.
+def _trig_factor(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) -> np.ndarray:
+    """Read-only T T^T for the trig factor T of _trig_table, or its diagonal
+    where T T^T is exactly diagonal.
 
-    For mxe and uni, product to sum gives (T T^T)_ik = (C(|m_i - m_k|) -+
-    C(m_i + m_k)) / 2 with C(p) = sum_j cos(p c_j), - for the sines and + for
-    the cosines.  C(p), p = 0..2M, is the real part of one FFT of the 0/1
-    indicator of the n_j over length 2d, and the Toeplitz and Hankel halves
-    are strided views of C: T T^T is exactly symmetric and takes O(M^2) work,
-    no BLAS call and no T.  The float angles of con and custom would make the
-    sums lose accuracy; they keep the BLAS product T @ T.T.
+    For mxe and uni, (T T^T)_ik = (C(|m_i - m_k|) -+ C(m_i + m_k)) / 2 (- for
+    sines, + for cosines) with the exact sums C(p) = sum_j cos(pi p n_j / d)
+    (Strang, SIAM Rev. 1999): M at p = 0; for mxe 0 below p = 2M and -M there;
+    for uni -1 at even and 0 at odd p.  So T T^T is diag(M/2, ..., M/2, M) for
+    Dirichlet and diag(M, M/2, ..., M/2) for Neumann mxe, (M + 1)/2 I for
+    Dirichlet uni, and for Neumann uni M at (0, 0), (M - 1)/2 elsewhere on the
+    diagonal, -1 between distinct m_i, m_k of equal parity and 0 elsewhere: no
+    T, FFT or BLAS.  con and custom, with float angles, keep the BLAS T @ T.T.
     """
     if cm_bytes:
         T = _trig_table(bc, scheme, M, cm_bytes)
-        TT = T @ T.T  # BLAS syrk: exactly symmetric
+        return _frozen(T @ T.T)  # BLAS syrk: exactly symmetric
+    if scheme is Scheme.MXE:
+        tt = np.full(M, M / 2)
+        tt[-1 if bc is BoundaryCondition.DIRICHLET else 0] = M
+    elif bc is BoundaryCondition.DIRICHLET:
+        tt = np.full(M, (M + 1) / 2)
     else:
-        n, d = center_rationals(scheme, M)
-        hits = np.zeros(2 * d)
-        hits[n] = 1.0
-        C = 0.5 * np.fft.fft(hits)[: 2 * M + 1].real  # the halving is exact
-        # C is even: C(|i - k|) is entry M-1-i+k of [C(M-1) .. C(1), C(0) .. C(M-1)]
-        even = np.concatenate((C[M - 1 : 0 : -1], C[:M]))
-        step = C.itemsize  # C and even are contiguous
-        toeplitz = np.ndarray((M, M), buffer=even, offset=(M - 1) * step, strides=(-step, step))
-        # m_i + m_k is i + k + 2 for the sines (m = 1..M), i + k for the cosines
-        op, first = (np.subtract, 2) if bc is BoundaryCondition.DIRICHLET else (np.add, 0)
-        TT = op(toeplitz, np.ndarray((M, M), buffer=C, offset=first * step, strides=(step, step)))
-    tt_off = np.abs(TT)
-    np.fill_diagonal(tt_off, 0.0)
-    return _frozen(TT), _frozen(tt_off), _frozen(tt_off.sum(axis=1))
+        tt = np.add.outer(np.arange(M), np.arange(M)) % 2 - 1.0  # -1 where m_i + m_k is even
+        np.fill_diagonal(tt, (M - 1) / 2)
+        tt[0, 0] = M
+    return _frozen(tt)
 
 
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     """Assemble the M x M cross-Gram matrix from closed forms, as factors.
 
-    G = a_i T[i, j] / m_i with the trig factor T of _trig_factor; for Neumann
+    G = a_i T[i, j] / m_i with the trig factor T of _trig_table; for Neumann
     conditions the constant eigenfunction's row has a = sqrt(r/M), m = 1.
     No quadrature is used and nothing is rejected: a singular G, such as the
     one of (nearly) coincident centers, is build_projection's to report.
     """
-    M = aset.M
-    factor = _trig_factor(*_factor_key(bc, aset))
-    r = aset.r
+    M, r = aset.M, aset.r
     delta = r * math.pi / (2 * M)
     dirichlet = bc is BoundaryCondition.DIRICHLET
     m = np.arange(1.0, M + 1 if dirichlet else M)
@@ -211,35 +198,38 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     a = row_scale * np.sin(m * delta)
     if not dirichlet:
         a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
-    basis = build_basis(bc, aset.L, M)
-    return CrossGram(aset, basis, _frozen(a), _frozen(m), *factor)
+    tt = _trig_factor(*_factor_key(bc, aset))
+    return CrossGram(aset, build_basis(bc, aset.L, M), _frozen(a), _frozen(m), tt)
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
     """Take the spectrum of Theta = G G^T, vartheta, and the operator norm 1/sqrt(vartheta).
 
-    Since s > 0, |Theta| off the diagonal is (s s^T) o tt_off, and the
-    diagonal is s^2 o diag(T T^T); both come from the cross-Gram's factors,
-    without forming T or G.  The spectrum is the sorted diagonal when the
-    largest Gershgorin radius of Theta, at most s_i max(s) tt_rowsum_i in
-    row i, is at most 1e-10 of its smallest diagonal entry: by Weyl's
-    inequality every eigenvalue then lies within that radius of a diagonal
-    entry.  Otherwise it is the squared singular values of G (numpy's SVD),
-    which keep a small vartheta accurate where forming G G^T would square the
-    condition number.
+    Theta = (s s^T) o (T T^T) with s > 0.  Where gram.tt is the diagonal of
+    T T^T, Theta is diagonal: the spectrum is the sorted s^2 o tt and
+    max_offdiag is 0.0, with no M x M array.  For a dense T T^T it is the
+    sorted diagonal s^2 o diag(T T^T) when the largest Gershgorin radius of
+    Theta, at most s_i max(s) sum_k |T T^T|_ik (k != i) in row i, is at most
+    1e-10 of its smallest diagonal entry, as Weyl's inequality then puts
+    every eigenvalue within that radius of a diagonal entry.  Otherwise, or
+    where the diagonal is not finite, it is the squared singular values of G
+    (numpy's SVD), which keep a small vartheta accurate where forming G G^T
+    would square the condition number.
 
     errors.check_direct_sum tests sigma_min/sigma_max of G, the one failure
     test of the cross-Gram: it also catches centers that placement accepts but
     that nearly coincide.
     """
-    s = gram.a / gram.m
-    radii = s * s.max() * gram.tt_rowsum
-    d = s * s * gram.TT.diagonal()
-    # radii and d are nonnegative, so their sum is finite exactly when both are
-    if np.isfinite(radii + d).all() and radii.max() <= _WEYL_RTOL * d.min():
-        w = np.sort(d)
-    else:
-        w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
+    s, tt = gram.a / gram.m, gram.tt
+    d = s * s * (tt if tt.ndim == 1 else tt.diagonal())
+    certified, max_offdiag = np.isfinite(d).all(), 0.0
+    if tt.ndim == 2:
+        tt_off = np.abs(tt)
+        np.fill_diagonal(tt_off, 0.0)
+        radii = s * s.max() * tt_off.sum(axis=1)
+        certified &= np.isfinite(radii).all() and radii.max() <= _WEYL_RTOL * d.min()
+        max_offdiag = float((np.multiply.outer(s, s) * tt_off).max())
+    w = np.sort(d) if certified else np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
     check_direct_sum(
         ratio, "the cross-Gram", "the actuator span does not complement the spectral subspace"
@@ -250,7 +240,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
         theta_eigenvalues=_frozen(w),
         vartheta=vartheta,
         op_norm=vartheta**-0.5,
-        max_offdiag=float((np.multiply.outer(s, s) * gram.tt_off).max()),
+        max_offdiag=max_offdiag,
     )
 
 
@@ -337,17 +327,25 @@ def _inner_products(data: ProjectionData, family: Evaluator, f: Evaluator) -> np
     n_panels = quadrature.oscillation_panels(top * math.pi / basis.L, basis.L)
     cuts = all_breakpoints(data.gram.actuators)
     x, w = quadrature.panel_nodes_weights(0.0, basis.L, n_panels, cuts)
-    return (w * np.asarray(f(x), dtype=float)) @ family(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # _expansion reports an overflow
+        return (w * np.asarray(f(x), dtype=float)) @ family(x)
 
 
-def _expansion(coeffs: np.ndarray, family: Evaluator) -> Evaluator:
-    """Evaluator of sum_k coeffs[k] * phi_k; a float for scalar x."""
+def _expansion(
+    name: str, A: np.ndarray, rhs: np.ndarray, family: Evaluator
+) -> tuple[np.ndarray, Evaluator]:
+    """The coefficients A^-1 rhs and the evaluator of sum_k coeffs[k] * phi_k,
+    a float for scalar x; raises NumericalFailureError, naming the
+    coefficients, unless they are finite."""
+    coeffs = np.linalg.solve(A, rhs)
+    if not np.isfinite(coeffs).all():
+        raise NumericalFailureError(f"{name} is not finite; the input overflows")
 
     def evaluator(x):
         out = family(x) @ coeffs
         return float(out) if np.ndim(x) == 0 else out
 
-    return evaluator
+    return coeffs, evaluator
 
 
 def apply_projection(data: ProjectionData, f: Evaluator) -> tuple[np.ndarray, Evaluator]:
@@ -357,11 +355,11 @@ def apply_projection(data: ProjectionData, f: Evaluator) -> tuple[np.ndarray, Ev
     panels at the support endpoints.
     Returns the coefficient vector alpha (in the normalised-indicator basis)
     and an evaluator of P f = sum_j alpha_j u_j.  G in G alpha = [(e_i, f)]
-    passed build_projection's direct-sum test.
+    passed build_projection's direct-sum test; an f that overflows, so that
+    alpha is not finite, raises NumericalFailureError without a numpy warning.
     """
     rhs = _inner_products(data, lambda x: eigenfunctions(data.gram.basis, x), f)
-    alpha = np.linalg.solve(data.gram.entries, rhs)
-    return alpha, _expansion(alpha, _actuator_family(data))
+    return _expansion("oblique_coefficients", data.gram.entries, rhs, _actuator_family(data))
 
 
 def orthogonal_projection_actuators(
@@ -373,7 +371,8 @@ def orthogonal_projection_actuators(
     matrix of the normalised indicators (the identity when no supports
     overlap; overlaps contribute their shared length).  N is singular only
     if G is, which build_projection has ruled out.  The oblique projection's
-    residual is never smaller than this one's.
+    residual is never smaller than this one's.  Overflow raises as in
+    apply_projection.
     """
     aset = data.gram.actuators
     family = _actuator_family(data)
@@ -383,8 +382,7 @@ def orthogonal_projection_actuators(
     overlap = np.minimum.outer(hi, hi) - np.maximum.outer(lo, lo)
     N = normalized_indicator_coeff(aset) ** 2 * np.maximum(overlap, 0.0)
     np.fill_diagonal(N, 1.0)
-    gamma = np.linalg.solve(N, rhs)
-    return gamma, _expansion(gamma, family)
+    return _expansion("orthogonal_coefficients", N, rhs, family)
 
 
 def check_sufficient_condition(

@@ -77,8 +77,10 @@ def apply_adjoint_projection(data, f):
     evaluator of sum_i beta_i e_i.
     """
     rhs = _inner_products(data, _actuator_family(data), f)
-    beta = np.linalg.solve(data.gram.entries.T, rhs)
-    return beta, _expansion(beta, lambda x: eigenfunctions(data.gram.basis, x))
+    return _expansion(
+        "adjoint_coefficients", data.gram.entries.T, rhs,
+        lambda x: eigenfunctions(data.gram.basis, x),
+    )
 
 
 def theta(gram) -> np.ndarray:

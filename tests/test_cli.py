@@ -664,9 +664,12 @@ _EXITS = [
      " got 'sinusoid'"),
     ("simulate --T 0.01 --y0 bogus --output out.csv", 2,
      "error: --y0 must be 'linear:<slope>' or 'samples:<file>', got 'bogus'"),
-    # slope * L overflows; 1e300 gives a finite state whose norm overflows
+    # slope * L overflows; 1e300 gives a finite state whose norm overflows,
+    # rejected before the run steps
     ("simulate --T 0.01 --y0 linear:1e308 --output out.csv", 2,
      "error: --y0 slope 1e+308 overflows at x = L = 3.14159"),
+    ("simulate --T 0.01 --y0 linear:1e300 --output out.csv", 2,
+     "error: the L2 norm of the initial state y0 overflows"),
     ("simulate --T nan --output out.csv", 2, "error: --T expects a finite number, got 'nan'"),
     ("simulate --k nan --output out.csv", 2, "error: --k expects a finite number, got 'nan'"),
     ("simulate --lam inf --output out.csv", 2, "error: --lam expects a finite number, got 'inf'"),

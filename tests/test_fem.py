@@ -410,6 +410,16 @@ def test_feedback_operator_from_another_grid_rejected(built_on):
         )
 
 
+@pytest.mark.parametrize("bc", [D, N])
+def test_initial_state_whose_norm_overflows_rejected(bc):
+    # y0 = 1e300 x is finite, but y0^T M y0 is not: no step has been taken,
+    # so the run rejects y0 instead of reporting a blow-up at step 0
+    grid = make_grid(bc, math.pi, 101)
+    y0 = 1e300 * grid.nodes
+    with pytest.raises(InvalidArgumentError, match="^the L2 norm of the initial state y0"):
+        run_closed_loop(grid, 0.1, constant_reaction(-1.0), y0, 0.01, 1e-3)
+
+
 def test_feedback_apply_zero_state():
     grid = make_grid(D, math.pi, 201)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))

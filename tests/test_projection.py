@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from oblique_stab.errors import (
     SIGMA_RATIO_THRESHOLD,
     DirectSumFailureError,
     InvalidArgumentError,
+    NumericalFailureError,
     check_direct_sum,
 )
 from oblique_stab.projection import (
@@ -259,7 +261,7 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI])
 def test_certified_spectrum_forms_no_trig_table(bc, scheme):
     # the Weyl test, the sorted diagonal and max_offdiag read only a, m and
-    # the FFT-built T T^T; T and G are formed on first read, by the SVD
+    # the closed-form T T^T; T and G are formed on first read, by the SVD
     # fallback (Neumann uni from M = 3 on) or by a projection, and that T is
     # the exact-angle gather bit for bit
     for M in range(2, 201):
@@ -289,14 +291,17 @@ def test_cross_gram_memo_matches_cold_build(L):
 
 
 def test_cross_gram_arrays_are_read_only():
+    # the factor is the diagonal of T T^T for Dirichlet uni and T T^T itself
+    # for Neumann uni; TT, T and the entries are formed on read
     aset = place(Scheme.UNI, math.pi, 5, 0.3)
-    for bc in (D, N):
+    for bc, ndim in ((D, 1), (N, 2)):
         gram = assemble_cross_gram(bc, aset)
         cached = projection._trig_factor(bc, Scheme.UNI, 5, b"")
-        for arr in (*cached, gram.a, gram.m, gram.entries):
+        assert cached is gram.tt and cached.ndim == ndim
+        for arr in (cached, gram.a, gram.m, gram.TT, gram.T, gram.entries):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+                arr[(0,) * arr.ndim] = 1.0
 
 
 # ---------------------------------------------------------------- build
@@ -317,18 +322,15 @@ def test_single_neumann_actuator_vartheta_is_r():
 
 
 def test_identity_gram_gives_norm_one():
+    # T T^T = I given as its diagonal and as the full matrix
     gram = assemble_cross_gram(D, place(Scheme.MXE, math.pi, 3, 0.4))
-    ident = type(gram)(
-        actuators=gram.actuators,
-        basis=gram.basis,
-        a=np.ones(3),
-        m=np.ones(3),
-        TT=np.eye(3),
-        tt_off=np.zeros((3, 3)),
-        tt_rowsum=np.zeros(3),
-    )
-    data = build_projection(ident)
-    assert data.op_norm == pytest.approx(1.0, rel=1e-14)
+    for tt in (np.ones(3), np.eye(3)):
+        ident = type(gram)(
+            actuators=gram.actuators, basis=gram.basis, a=np.ones(3), m=np.ones(3), tt=tt
+        )
+        data = build_projection(ident)
+        assert data.op_norm == pytest.approx(1.0, rel=1e-14)
+        assert data.max_offdiag == 0.0
 
 
 def test_near_coincident_centers_fail_direct_sum():
@@ -533,13 +535,83 @@ def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
 def test_trig_gram_product_is_exactly_symmetric(bc, scheme):
-    # _trig_factor reads the mxe and uni T T^T off symmetric strided views of
-    # one cosine-sum vector and keeps the con T @ T.T as BLAS syrk returns
-    # it, without symmetrising either, and CrossGram promises an exactly
-    # symmetric Theta
+    # _trig_factor writes the mxe and uni T T^T from closed forms and keeps
+    # the con T @ T.T as BLAS syrk returns it, without symmetrising either,
+    # and CrossGram promises an exactly symmetric Theta
     for M in range(2, 201):
         TT = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)).TT
         assert np.array_equal(TT, TT.T), (bc, scheme, M)
+
+
+def _extended_trig_gram(bc, scheme, M):
+    """T T^T of the mxe or uni trig factor from 40-digit cosine sums.
+
+    Product to sum gives (T T^T)_ik = (C(|m_i - m_k|) -+ C(m_i + m_k)) / 2
+    with C(p) = sum_j cos(pi p n_j / d); each C(p) is summed in mpmath from a
+    40-digit table of cos(pi q / d), the index q = p n_j mod 2d exact.
+    """
+    import mpmath
+
+    j = np.arange(1, M + 1)
+    n, d = (2 * j - 1, 2 * M) if scheme is Scheme.MXE else (j, M + 1)
+    with mpmath.workdps(40):
+        table = [mpmath.cos(mpmath.pi * q / d) for q in range(2 * d)]
+        C = [mpmath.fsum(table[q] for q in (p * n) % (2 * d)) for p in range(2 * M + 1)]
+        m = range(1, M + 1) if bc is D else range(M)
+        sign = -1 if bc is D else 1
+        return [[(C[abs(mi - mk)] + sign * C[mi + mk]) / 2 for mk in m] for mi in m]
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI])
+def test_closed_form_trig_gram_matches_extended_sums(bc, scheme):
+    # the closed forms are exact: every entry, zeros included, agrees with the
+    # 40-digit sums far below double rounding
+    for M in [*range(1, 41), 200]:
+        gram = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3))
+        diagonal = scheme is Scheme.MXE or bc is D
+        assert gram.tt.shape == ((M,) if diagonal else (M, M))
+        exact = _extended_trig_gram(bc, scheme, M)
+        err = max(abs(float(x - e)) for row, ex in zip(gram.TT, exact) for x, e in zip(row, ex))
+        assert err <= 1e-30, (bc, scheme, M, err)
+
+
+@pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
+def test_diagonal_theta_has_exactly_zero_offdiag(bc, scheme):
+    for M in range(1, 401):
+        data = _build(bc, scheme, M, 0.3)
+        assert data.max_offdiag == 0.0, (bc, scheme, M)
+        assert data.gram.tt.ndim == 1 and "T" not in data.gram.__dict__
+
+
+def test_neumann_uni_max_offdiag_is_that_of_formed_theta():
+    for M in [*range(1, 61), 200]:
+        for r in (0.1, 0.5):
+            data = _build(N, Scheme.UNI, M, r)
+            formed = theta(data.gram)
+            offdiag = np.max(np.abs(formed - np.diag(np.diag(formed))))
+            assert data.max_offdiag == offdiag, (M, r)
+            assert bool(offdiag > 0.0) == (M > 2)  # m = 0, 1 alone have unequal parity
+
+
+@pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
+def test_diagonal_theta_spectrum_forms_no_square_array(monkeypatch, bc, scheme):
+    # no FFT and, at M = 2000, no M x M array (32 MB): the factors and the
+    # spectrum are a few vectors of M entries
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the closed-form T T^T takes no FFT")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    aset = place(scheme, math.pi, 2000, 0.3)
+    projection._trig_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        data = build_projection(assemble_cross_gram(bc, aset))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert data.max_offdiag == 0.0 and data.theta_eigenvalues.shape == (2000,)
 
 
 def _svd_branch_grams(monkeypatch, asets):
@@ -707,6 +779,25 @@ def test_orthogonal_projection_with_overlapping_supports():
     gamma, proj = orthogonal_projection_actuators(data, lambda x: x**2)
     assert np.max(np.abs(gamma - exact)) <= 1e-12
     assert proj(1.2) == pytest.approx(coeff * (exact[0] + exact[1]), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "project, name",
+    [(apply_projection, "oblique"), (orthogonal_projection_actuators, "orthogonal")],
+)
+def test_overflowing_input_raises_without_warning(project, name):
+    # the interpolant between +-1e308 is -inf inside (0, pi); that used to
+    # give NaN coefficients after a numpy RuntimeWarning
+    data = _build(D, Scheme.MXE, 2, 0.1)
+
+    def f(x):
+        return np.interp(x, [0.0, math.pi], [1e308, -1e308])
+
+    message = f"{name}_coefficients is not finite; the input overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailureError, match=f"^{message}$"):
+            project(data, f)
 
 
 @pytest.mark.parametrize(
