@@ -270,7 +270,6 @@ Result = tuple[list[tuple[str | None, list[str]]], str | None]
 
 
 def cmd_eigs(v: argparse.Namespace) -> Result:
-    # M outside, r inside: the rows of one M share the cross-Gram's trig factor
     pairs = [(M, r) for M in v.M for r in v.r]
     if v.scheme is Scheme.UNI:
         # skip the pairs uni placement rejects, as suffcond does; if that is
@@ -335,17 +334,16 @@ def cmd_project(v: argparse.Namespace) -> Result:
         def residual(g) -> float:
             return s * math.sqrt(max(w @ ((fx - g(x)) / s) ** 2, 0.0))
 
-        comments = {
-            "oblique_coefficients": alpha,
-            "orthogonal_coefficients": gamma,
+        residuals = {
             "oblique_residual_l2": [residual(oblique)],
             "orthogonal_residual_l2": [residual(orth)],
         }
         cols = {"input": f(xs), "oblique": oblique(xs), "orthogonal": orth(xs)}
-    for name, value in [*comments.items(), *((f"{k} column", c) for k, c in cols.items())]:
+    for name, value in [*residuals.items(), *((f"{k} column", c) for k, c in cols.items())]:
         if not np.isfinite(value).all():
             raise NumericalFailureError(f"{name} is not finite; the input overflows")
 
+    comments = {"oblique_coefficients": alpha, "orthogonal_coefficients": gamma, **residuals}
     lines = [f"# {name}: " + ",".join(map(_fmt, value)) for name, value in comments.items()]
     lines.append("x," + ",".join(cols))
     rows = zip(xs.tolist(), *(c.tolist() for c in cols.values()))
@@ -559,6 +557,9 @@ def main(argv: list[str] | None = None) -> int:
             _write(path, [config, *lines])
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an M x M or nodes x M array numpy cannot allocate
+        print(f"error: this run needs more memory than is available: {exc}", file=sys.stderr)
         return 2
     except NumericalFailureError as exc:
         failure = str(exc)

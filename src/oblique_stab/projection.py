@@ -20,10 +20,9 @@ and the margin test on ||P|| live here.
 
 G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  T T^T is exact for mxe and uni, whose
-angles are rational multiples of pi, and the BLAS product for con and custom
-(_trig_factor); T and G are formed only when read.  build_projection takes
-the spectrum of Theta = (s s^T) o (T T^T) from these factors, in O(M) where
-T T^T is diagonal; this module needs no scipy.
+angles are rational multiples of pi, and the BLAS product for con and custom.
+build_projection takes the spectrum of Theta = (s s^T) o (T T^T) from these
+factors in O(M) where T T^T is diagonal, else from the SVD of G; no scipy.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -56,10 +55,6 @@ from .actuators import (
 from .errors import InvalidArgumentError, NumericalFailureError, check_direct_sum
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
-# Gershgorin radius over smallest diagonal entry at or below which the
-# sorted diagonal of Theta is its spectrum to this relative accuracy.
-_WEYL_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class CrossGram:
@@ -67,8 +62,8 @@ class CrossGram:
 
     entries[i, j] = (e_{i+1}, u_{j+1})_{L2} = a_i T[i, j] / m_i with u_j the
     unit-norm indicator; rows follow the eigenfunction index, columns the
-    actuator index.  Kept as read-only factors a, m and tt, the _trig_factor
-    of T T^T; T T^T, T and the entries are formed read-only on first read.
+    actuator index.  Kept as read-only factors a, m and tt, T T^T or its
+    diagonal; T and the entries are formed read-only on first read.
     """
 
     actuators: ActuatorSet
@@ -78,12 +73,8 @@ class CrossGram:
     tt: np.ndarray
 
     @functools.cached_property
-    def TT(self) -> np.ndarray:
-        return self.tt if self.tt.ndim == 2 else _frozen(np.diag(self.tt))
-
-    @functools.cached_property
     def T(self) -> np.ndarray:
-        return _trig_table(*_factor_key(self.basis.bc, self.actuators))
+        return _trig_table(self.basis.bc, self.actuators)
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
@@ -118,17 +109,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _factor_key(bc: BoundaryCondition, aset: ActuatorSet) -> tuple:
-    """Memo key (bc, scheme, M, cm_bytes) of the trig factor; cm_bytes holds the
-    centers on (0, pi), where G is the same, and is empty for mxe and uni."""
-    if aset.scheme in (Scheme.MXE, Scheme.UNI):
-        return bc, aset.scheme, aset.M, b""
-    return bc, aset.scheme, aset.M, (aset.centers * (math.pi / aset.L)).tobytes()
-
-
-@functools.lru_cache(maxsize=1)
-def _trig_table(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) -> np.ndarray:
-    """Read-only trig factor T of the cross-Gram at L = pi.
+def _trig_table(bc: BoundaryCondition, aset: ActuatorSet) -> np.ndarray:
+    """Read-only trig factor T of the cross-Gram of aset, at L = pi.
 
     T[i, j] = sin(m_i c_j) (Dirichlet, m = 1..M) or cos(m_i c_j) (Neumann,
     m = 0..M-1), which r does not enter.  For mxe and uni, m c_j = pi m n_j / d
@@ -136,11 +118,11 @@ def _trig_table(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) 
     table of sin(pi p / (2d)), p = 0..4d-1, shifted by d for the cosines.
     """
     dirichlet = bc is BoundaryCondition.DIRICHLET
-    m = np.arange(1, M + 1) if dirichlet else np.arange(M)
-    if cm_bytes:
-        mc = np.multiply.outer(m.astype(float), np.frombuffer(cm_bytes))
+    m = np.arange(1, aset.M + 1) if dirichlet else np.arange(aset.M)
+    if aset.scheme not in (Scheme.MXE, Scheme.UNI):
+        mc = np.multiply.outer(m.astype(float), aset.centers * (math.pi / aset.L))
         return _frozen(np.sin(mc) if dirichlet else np.cos(mc))
-    n, d = center_rationals(scheme, M)
+    n, d = center_rationals(aset.scheme, aset.M)
     # sin on the first half of the first quadrant, cos of the complement on
     # the second, then mirrored: mirrored angles give equal or opposite values
     x = np.pi * np.arange(d + 1) / (2 * d)
@@ -151,9 +133,8 @@ def _trig_table(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) 
     return _frozen(table[p - 4 * d * (p // (4 * d))])  # p mod 4d; // is faster than % here
 
 
-@functools.lru_cache(maxsize=1)
-def _trig_factor(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes) -> np.ndarray:
-    """Read-only T T^T for the trig factor T of _trig_table, or its diagonal
+def _trig_factor(bc: BoundaryCondition, aset: ActuatorSet) -> np.ndarray:
+    """Read-only T T^T for the trig factor T of mxe or uni, or its diagonal
     where T T^T is exactly diagonal.
 
     For mxe and uni, (T T^T)_ik = (C(|m_i - m_k|) -+ C(m_i + m_k)) / 2 (- for
@@ -163,12 +144,10 @@ def _trig_factor(bc: BoundaryCondition, scheme: Scheme, M: int, cm_bytes: bytes)
     Dirichlet and diag(M, M/2, ..., M/2) for Neumann mxe, (M + 1)/2 I for
     Dirichlet uni, and for Neumann uni M at (0, 0), (M - 1)/2 elsewhere on the
     diagonal, -1 between distinct m_i, m_k of equal parity and 0 elsewhere: no
-    T, FFT or BLAS.  con and custom, with float angles, keep the BLAS T @ T.T.
+    T, FFT or BLAS.
     """
-    if cm_bytes:
-        T = _trig_table(bc, scheme, M, cm_bytes)
-        return _frozen(T @ T.T)  # BLAS syrk: exactly symmetric
-    if scheme is Scheme.MXE:
+    M = aset.M
+    if aset.scheme is Scheme.MXE:
         tt = np.full(M, M / 2)
         tt[-1 if bc is BoundaryCondition.DIRICHLET else 0] = M
     elif bc is BoundaryCondition.DIRICHLET:
@@ -198,8 +177,13 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     a = row_scale * np.sin(m * delta)
     if not dirichlet:
         a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
-    tt = _trig_factor(*_factor_key(bc, aset))
-    return CrossGram(aset, build_basis(bc, aset.L, M), _frozen(a), _frozen(m), tt)
+    basis, a, m = build_basis(bc, aset.L, M), _frozen(a), _frozen(m)
+    if aset.scheme in (Scheme.MXE, Scheme.UNI):
+        return CrossGram(aset, basis, a, m, _trig_factor(bc, aset))
+    T = _trig_table(bc, aset)  # con and custom, with float angles
+    gram = CrossGram(aset, basis, a, m, _frozen(T @ T.T))  # BLAS syrk: exactly symmetric
+    gram.__dict__["T"] = T  # the cached T: formed once, for T T^T
+    return gram
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
@@ -207,29 +191,24 @@ def build_projection(gram: CrossGram) -> ProjectionData:
 
     Theta = (s s^T) o (T T^T) with s > 0.  Where gram.tt is the diagonal of
     T T^T, Theta is diagonal: the spectrum is the sorted s^2 o tt and
-    max_offdiag is 0.0, with no M x M array.  For a dense T T^T it is the
-    sorted diagonal s^2 o diag(T T^T) when the largest Gershgorin radius of
-    Theta, at most s_i max(s) sum_k |T T^T|_ik (k != i) in row i, is at most
-    1e-10 of its smallest diagonal entry, as Weyl's inequality then puts
-    every eigenvalue within that radius of a diagonal entry.  Otherwise, or
-    where the diagonal is not finite, it is the squared singular values of G
-    (numpy's SVD), which keep a small vartheta accurate where forming G G^T
-    would square the condition number.
+    max_offdiag is 0.0, with no M x M array.  For a dense T T^T, or where
+    s^2 o tt is not finite, it is the squared singular values of G (numpy's
+    SVD), which keep a small vartheta accurate where forming G G^T would
+    square the condition number.
 
     errors.check_direct_sum tests sigma_min/sigma_max of G, the one failure
     test of the cross-Gram: it also catches centers that placement accepts but
     that nearly coincide.
     """
     s, tt = gram.a / gram.m, gram.tt
-    d = s * s * (tt if tt.ndim == 1 else tt.diagonal())
-    certified, max_offdiag = np.isfinite(d).all(), 0.0
-    if tt.ndim == 2:
+    if tt.ndim == 1:
+        w, max_offdiag = np.sort(s * s * tt), 0.0
+    else:
         tt_off = np.abs(tt)
         np.fill_diagonal(tt_off, 0.0)
-        radii = s * s.max() * tt_off.sum(axis=1)
-        certified &= np.isfinite(radii).all() and radii.max() <= _WEYL_RTOL * d.min()
-        max_offdiag = float((np.multiply.outer(s, s) * tt_off).max())
-    w = np.sort(d) if certified else np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
+        w, max_offdiag = None, float((np.multiply.outer(s, s) * tt_off).max())
+    if w is None or not np.isfinite(w).all():
+        w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
     check_direct_sum(
         ratio, "the cross-Gram", "the actuator span does not complement the spectral subspace"

@@ -83,11 +83,17 @@ def apply_adjoint_projection(data, f):
     )
 
 
+def trig_gram(gram) -> np.ndarray:
+    """T T^T of the cross-Gram's trig factor as an M x M array: gram.tt, or
+    the diagonal matrix of gram.tt where only its diagonal is kept."""
+    return gram.tt if gram.tt.ndim == 2 else np.diag(gram.tt)
+
+
 def theta(gram) -> np.ndarray:
     """Theta = G G^T formed from the cross-Gram's factors as (s s^T) o (T T^T)
     with s = a / m > 0; exactly symmetric, since T T^T is."""
     s = gram.a / gram.m
-    return np.multiply.outer(s, s) * gram.TT
+    return np.multiply.outer(s, s) * trig_gram(gram)
 
 
 def check_theta_diagonal(data) -> tuple[bool, float]:

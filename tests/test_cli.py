@@ -764,6 +764,10 @@ _EXITS = [
     # allocation fails without touching memory
     ("simulate --N 100000000000000 --output out.csv", 2,
      "error: 100000000000000 nodes need more memory than is available"),
+    # so does the Neumann uni T T^T at M = 5e6 (182 TiB), which numpy
+    # reports as a MemoryError
+    ("eigs --M 5000000 --r 0.1 --scheme uni --bc neumann --output out.csv", 2,
+     "error: this run needs more memory than is available: Unable to allocate ..."),
     # a window that never opens, or flags only the final state, from which no
     # step is taken, would silently leave free dynamics
     ("simulate --feed-on 5:6 --N 101 --output out.csv", 2,
@@ -931,10 +935,10 @@ def test_simulate_rows_independent_of_blas_threads(tmp_path, case):
     assert one.read_bytes() == two.read_bytes()
 
 
-# Theta is certified diagonal for every mxe row and for Dirichlet uni, so its
-# spectrum is the sorted diagonal and T T^T comes from FFT cosine sums; for
-# Neumann uni it is not, and the spectrum is sigma(G)^2 from an SVD, with no
-# threaded G G^T product or eigensolver.  Every byte of the file must agree.
+# T T^T is diagonal in closed form for every mxe row and for Dirichlet uni,
+# so Theta's spectrum is its sorted diagonal; for Neumann uni T T^T is dense,
+# and the spectrum is sigma(G)^2 from an SVD, with no threaded G G^T product
+# or eigensolver.  Every byte of the file must agree.
 @pytest.mark.parametrize(
     "argv, rows",
     [

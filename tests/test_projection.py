@@ -1,5 +1,6 @@
 """Tests for the cross-Gram assembly and oblique projection operations."""
 
+import gc
 import math
 import re
 import tracemalloc
@@ -47,6 +48,7 @@ from oracles import (
     exact_angle_trig_table,
     integrate,
     theta,
+    trig_gram,
 )
 
 D = BoundaryCondition.DIRICHLET
@@ -242,7 +244,7 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
     # C(p) = sum_j cos(p c_j), - for the sines and + for the cosines; the
     # Neumann row of ones is the cosine row m = 0
     cm = aset.centers * (math.pi / aset.L)
-    TT = gram.TT
+    TT = trig_gram(gram)
     m = np.arange(1, M + 1) if bc is D else np.arange(M)
     C = np.array([cosine_sum(aset, p) for p in range(2 * M + 1)])
     sign = -1.0 if bc is D else 1.0
@@ -259,15 +261,15 @@ def test_factored_theta_matches_its_oracles(bc, scheme, M, r):
 
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI])
-def test_certified_spectrum_forms_no_trig_table(bc, scheme):
-    # the Weyl test, the sorted diagonal and max_offdiag read only a, m and
-    # the closed-form T T^T; T and G are formed on first read, by the SVD
-    # fallback (Neumann uni from M = 3 on) or by a projection, and that T is
-    # the exact-angle gather bit for bit
+def test_diagonal_spectrum_forms_no_trig_table(bc, scheme):
+    # the sorted diagonal and max_offdiag read only a, m and the closed-form
+    # T T^T; T and G are formed on first read, by the SVD (Neumann uni, whose
+    # T T^T is dense, at every M) or by a projection, and that T is the
+    # exact-angle gather bit for bit
     for M in range(2, 201):
         gram = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3))
         data = build_projection(gram)
-        formed = bc is N and scheme is Scheme.UNI and M > 2
+        formed = bc is N and scheme is Scheme.UNI
         assert ("T" in gram.__dict__) is formed and ("entries" in gram.__dict__) is formed
         if M in (2, 50, 200):
             apply_projection(data, np.cos)
@@ -275,30 +277,32 @@ def test_certified_spectrum_forms_no_trig_table(bc, scheme):
         assert np.array_equal(gram.T, exact_angle_trig_table(bc, scheme, M))
 
 
-@pytest.mark.parametrize("L", [math.pi, 2.0])
-def test_cross_gram_memo_matches_cold_build(L):
-    aset = place(Scheme.MXE, L, 7, 0.3)
-    warm = [assemble_cross_gram(bc, aset) for bc in (D, D, N, D)]
-    for gram in warm:
-        projection._trig_factor.cache_clear()
-        cold = assemble_cross_gram(gram.basis.bc, aset)
-        assert np.array_equal(gram.entries, cold.entries)
-        assert np.array_equal(theta(gram), theta(cold))
-    # another r at the same M and centers reuses the factor
-    hits = projection._trig_factor.cache_info().hits
-    assemble_cross_gram(D, place(Scheme.MXE, L, 7, 0.5))
-    assert projection._trig_factor.cache_info().hits == hits + 1
+def test_float_angle_trig_table_is_formed_once(monkeypatch):
+    # con and custom need T for their BLAS T T^T; the cross-Gram keeps that T
+    # for G, the SVD and the projections instead of forming it again
+    calls, table = [], projection._trig_table
+    monkeypatch.setattr(projection, "_trig_table", lambda *a: calls.append(1) or table(*a))
+    for bc in (D, N):
+        for aset in (
+            place(Scheme.CON, math.pi, 6, 0.5),
+            place(Scheme.CUSTOM, math.pi, 3, 0.2, centers=(0.7, 1.5, 2.4)),
+        ):
+            gram = assemble_cross_gram(bc, aset)
+            assert len(calls) == 1 and "T" in gram.__dict__
+            apply_projection(build_projection(gram), np.cos)
+            assert len(calls) == 1 and np.array_equal(gram.T, table(bc, aset))
+            calls.clear()
 
 
 def test_cross_gram_arrays_are_read_only():
     # the factor is the diagonal of T T^T for Dirichlet uni and T T^T itself
-    # for Neumann uni; TT, T and the entries are formed on read
+    # for Neumann uni; T and the entries are formed on read
     aset = place(Scheme.UNI, math.pi, 5, 0.3)
     for bc, ndim in ((D, 1), (N, 2)):
         gram = assemble_cross_gram(bc, aset)
-        cached = projection._trig_factor(bc, Scheme.UNI, 5, b"")
-        assert cached is gram.tt and cached.ndim == ndim
-        for arr in (cached, gram.a, gram.m, gram.TT, gram.T, gram.entries):
+        assert gram.tt.ndim == ndim
+        spectrum = build_projection(gram).theta_eigenvalues
+        for arr in (gram.tt, gram.a, gram.m, gram.T, gram.entries, spectrum):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
@@ -321,16 +325,19 @@ def test_single_neumann_actuator_vartheta_is_r():
     assert data.vartheta == pytest.approx(0.3, rel=1e-13)
 
 
-def test_identity_gram_gives_norm_one():
-    # T T^T = I given as its diagonal and as the full matrix
+def test_identity_gram_gives_norm_one(monkeypatch):
+    # Theta = I from T T^T = I given as its diagonal, which reads no T, and
+    # from the mxe T, whose rows are orthogonal, scaled to unit rows with
+    # its T T^T given as the full matrix, which the SVD of G reads
     gram = assemble_cross_gram(D, place(Scheme.MXE, math.pi, 3, 0.4))
-    for tt in (np.ones(3), np.eye(3)):
-        ident = type(gram)(
-            actuators=gram.actuators, basis=gram.basis, a=np.ones(3), m=np.ones(3), tt=tt
-        )
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for m, tt in ((np.ones(3), np.ones(3)), (np.sqrt(gram.tt), np.diag(gram.tt))):
+        ident = type(gram)(actuators=gram.actuators, basis=gram.basis, a=np.ones(3), m=m, tt=tt)
         data = build_projection(ident)
         assert data.op_norm == pytest.approx(1.0, rel=1e-14)
         assert data.max_offdiag == 0.0
+        assert len(calls) == tt.ndim - 1
 
 
 def test_near_coincident_centers_fail_direct_sum():
@@ -347,6 +354,28 @@ def test_theta_eigenvalues_sorted_and_consistent():
     assert data.op_norm == pytest.approx(1.0 / math.sqrt(vals[0]))
 
 
+def _mp_sigma(bc, r, cm):
+    """Singular values of the cross-Gram at L = pi for the mpmath centers cm
+    on (0, pi) and the volume fraction r, at the working precision."""
+    import mpmath
+
+    M = len(cm)
+    r, pi = mpmath.mpf(r), mpmath.pi
+    delta = r * pi / (2 * M)
+    coef = mpmath.sqrt(8 * M / (r * pi**2))
+    G = mpmath.matrix(M, M)
+    for i in range(M):
+        for j in range(M):
+            if bc is D:
+                k = i + 1
+                G[i, j] = coef * mpmath.sin(k * delta) * mpmath.sin(k * cm[j]) / k
+            elif i == 0:
+                G[i, j] = mpmath.sqrt(r / M)
+            else:
+                G[i, j] = coef * mpmath.sin(i * delta) * mpmath.cos(i * cm[j]) / i
+    return mpmath.svd_r(G, compute_uv=False)
+
+
 def _mp_vartheta_con(bc, M, r):
     """vartheta of the con placement and the condition number
     sigma_max/sigma_min of its cross-Gram, from a 60-digit SVD."""
@@ -354,20 +383,8 @@ def _mp_vartheta_con(bc, M, r):
 
     with mpmath.workdps(60):
         r, pi = mpmath.mpf(r), mpmath.pi
-        delta = r * pi / (2 * M)
-        coef = mpmath.sqrt(8 * M / (r * pi**2))
         cm = [(1 - r) * pi / 2 + (2 * j - 1) * r * pi / (2 * M) for j in range(1, M + 1)]
-        G = mpmath.matrix(M, M)
-        for i in range(M):
-            for j in range(M):
-                if bc is D:
-                    k = i + 1
-                    G[i, j] = coef * mpmath.sin(k * delta) * mpmath.sin(k * cm[j]) / k
-                elif i == 0:
-                    G[i, j] = mpmath.sqrt(r / M)
-                else:
-                    G[i, j] = coef * mpmath.sin(i * delta) * mpmath.cos(i * cm[j]) / i
-        sigma = mpmath.svd_r(G, compute_uv=False)
+        sigma = _mp_sigma(bc, r, cm)
         return float(min(sigma) ** 2), float(max(sigma) / min(sigma))
 
 
@@ -494,7 +511,7 @@ def test_spectrum_rejects_r_whose_step_rounds_to_zero(bc, scheme):
 
 
 def test_analytic_spectrum_matches_numeric():
-    # these Theta pass the Weyl certificate at every M, so the spectrum is
+    # these T T^T are diagonal in closed form at every M, so the spectrum is
     # the sorted diagonal, and it matches the closed form entry by entry
     for bc, scheme in ((D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)):
         for r in (0.1, 0.3, 0.5):
@@ -507,11 +524,10 @@ def test_analytic_spectrum_matches_numeric():
     assert analytic_theta_spectrum(N, Scheme.UNI, 6, 0.3) is None
 
 
-def test_weyl_certificate_from_factors_matches_formed_theta():
-    # the certificate reads Theta's factors; max_offdiag is still that of the
+def test_diagonal_spectrum_from_factors_matches_formed_theta():
+    # the spectrum reads Theta's factors; max_offdiag is still that of the
     # formed Theta, bit for bit (test_analytic_spectrum_matches_numeric checks
-    # the spectrum), and the exact-angle table keeps vartheta within 4e-15 of
-    # the closed form
+    # the spectrum), and vartheta is within 4e-15 of the closed form
     for M in range(2, 201):
         for bc, scheme in ((D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)):
             for r in (0.1, 0.3, 0.5):
@@ -539,7 +555,7 @@ def test_trig_gram_product_is_exactly_symmetric(bc, scheme):
     # the con T @ T.T as BLAS syrk returns it, without symmetrising either,
     # and CrossGram promises an exactly symmetric Theta
     for M in range(2, 201):
-        TT = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)).TT
+        TT = trig_gram(assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)))
         assert np.array_equal(TT, TT.T), (bc, scheme, M)
 
 
@@ -572,7 +588,8 @@ def test_closed_form_trig_gram_matches_extended_sums(bc, scheme):
         diagonal = scheme is Scheme.MXE or bc is D
         assert gram.tt.shape == ((M,) if diagonal else (M, M))
         exact = _extended_trig_gram(bc, scheme, M)
-        err = max(abs(float(x - e)) for row, ex in zip(gram.TT, exact) for x, e in zip(row, ex))
+        TT = trig_gram(gram)
+        err = max(abs(float(x - e)) for row, ex in zip(TT, exact) for x, e in zip(row, ex))
         assert err <= 1e-30, (bc, scheme, M, err)
 
 
@@ -603,7 +620,6 @@ def test_diagonal_theta_spectrum_forms_no_square_array(monkeypatch, bc, scheme):
 
     monkeypatch.setattr(np.fft, "fft", no_fft)
     aset = place(scheme, math.pi, 2000, 0.3)
-    projection._trig_factor.cache_clear()
     tracemalloc.start()
     try:
         data = build_projection(assemble_cross_gram(bc, aset))
@@ -670,32 +686,82 @@ def _nudged_mxe(bc, nudge, M=8, r=0.3):
     )
 
 
-def _weyl_ratio(theta):
-    """Largest Gershgorin radius of theta over its smallest diagonal entry."""
-    off = np.abs(theta - np.diag(np.diag(theta)))
-    return off.sum(axis=1).max() / np.diag(theta).min()
-
-
 @pytest.mark.parametrize("bc", [D, N])
-@pytest.mark.parametrize("nudge", [1e-3, 1e-11])
+@pytest.mark.parametrize("nudge", [1e-3, 1e-11, 1e-12])
 def test_nearly_diagonal_theta_spectrum_from_svd(bc, nudge):
-    # the nudge lifts Theta's radius ratio to about 7e-2 and 7e-10, past the
-    # 1e-10 certificate, so the spectrum is sigma(G)^2, bit for bit
+    # custom centers give a dense T T^T however close they sit to the mxe
+    # ones, so the spectrum is sigma(G)^2, bit for bit, and agrees with the
+    # eigenvalues of the formed Theta
     data = _nudged_mxe(bc, nudge)
-    assert _weyl_ratio(theta(data.gram)) > 1e-10
+    assert data.gram.tt.ndim == 2 and data.max_offdiag > 0.0
     sigma = np.linalg.svd(data.gram.entries, compute_uv=False)
     assert np.array_equal(data.theta_eigenvalues, sigma[::-1] ** 2)
-
-
-@pytest.mark.parametrize("bc", [D, N])
-def test_barely_nudged_theta_spectrum_is_its_sorted_diagonal(bc):
-    # a 1e-12 nudge leaves the radius ratio near 7e-11, inside the certificate
-    data = _nudged_mxe(bc, 1e-12)
-    assert _weyl_ratio(theta(data.gram)) <= 1e-10
-    assert np.array_equal(data.theta_eigenvalues, np.sort(np.diag(theta(data.gram))))
     assert np.allclose(
         data.theta_eigenvalues, np.linalg.eigvalsh(theta(data.gram)), rtol=1e-10, atol=0.0
     )
+
+
+@pytest.mark.parametrize(
+    "bc, scheme, M, rs, nudge",
+    [
+        (N, Scheme.UNI, 2, (0.1, 0.3, 0.5), None),
+        (D, Scheme.CON, 2, (0.1, 0.5, 0.9), None),
+        (N, Scheme.CON, 2, (0.1, 0.5, 0.9), None),
+        (D, Scheme.CON, 9, (0.9,), None),
+        (D, Scheme.MXE, 8, (0.1, 0.3, 0.5), 1e-12),
+        (N, Scheme.MXE, 8, (0.1, 0.3, 0.5), 1e-12),
+        (D, Scheme.UNI, 3, (0.1, 0.3, 0.5), 0.0),
+        (N, Scheme.UNI, 2, (0.1, 0.3, 0.5), 1e-12),
+    ],
+    ids=[
+        "neumann uni", "dirichlet con", "neumann con", "dirichlet con M=9",
+        "dirichlet near mxe", "neumann near mxe", "dirichlet at uni", "neumann near uni",
+    ],
+)
+def test_dense_near_diagonal_vartheta_matches_mpmath(bc, scheme, M, rs, nudge):
+    # a dense T T^T whose Theta is diagonal or within about 1e-10 of it: the
+    # uni and con centers exactly, custom ones the float centers of the scheme
+    # moved by nudge * (0, 1, ..., M-1); sigma(G)^2 is within 2e-15 of a
+    # 40-digit SVD
+    import mpmath
+
+    for r in rs:
+        if nudge is None:
+            aset = place(scheme, math.pi, M, r)
+            with mpmath.workdps(40):
+                r_mp, pi, j = mpmath.mpf(r), mpmath.pi, range(1, M + 1)
+                if scheme is Scheme.UNI:
+                    cm = [k * pi / (M + 1) for k in j]
+                else:
+                    cm = [(1 - r_mp) * pi / 2 + (2 * k - 1) * r_mp * pi / (2 * M) for k in j]
+        else:
+            centers = place(scheme, math.pi, M, 0.3).centers + nudge * np.arange(M)
+            aset = place(Scheme.CUSTOM, math.pi, M, r, centers=centers)
+            cm = [mpmath.mpf(float(c)) for c in centers]
+        data = build_projection(assemble_cross_gram(bc, aset))
+        assert data.gram.tt.ndim == 2
+        with mpmath.workdps(40):
+            exact = min(_mp_sigma(bc, r, cm)) ** 2
+            err = float(abs(mpmath.mpf(data.vartheta) / exact - 1))
+        assert err <= 2e-15, (r, err)
+
+
+def test_dropped_projection_releases_its_arrays():
+    # nothing outlives the projection data: at M = 500 the dense T T^T, T and
+    # G of Neumann uni take 2 MB each
+    build_projection(assemble_cross_gram(N, place(Scheme.UNI, math.pi, 3, 0.3)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        data = build_projection(assemble_cross_gram(N, place(Scheme.UNI, math.pi, 500, 0.3)))
+        assert "entries" in data.gram.__dict__
+        del data
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held <= 1e5, held
 
 
 def test_vartheta_limit_reference_values():
