@@ -11,7 +11,6 @@ from .actuators import ActuatorSet, Scheme, place
 from .errors import (
     DirectSumFailureError,
     InvalidArgumentError,
-    NotPositiveDefiniteError,
     NumericalFailureError,
 )
 from .fem import (
@@ -55,7 +54,6 @@ __all__ = [
     "FeedbackConfig",
     "FeedbackOperator",
     "InvalidArgumentError",
-    "NotPositiveDefiniteError",
     "NumericalFailureError",
     "ProjectionData",
     "Scheme",

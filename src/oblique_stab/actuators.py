@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, checked_positive
 
 # Relative slack for geometric comparisons; placement formulas are exact in
 # real arithmetic and only rounding noise has to be absorbed.
@@ -110,9 +110,7 @@ def place(
     the only check of actuator geometry; whether an accepted set splits the
     space with the spectral complement is build_projection's test.
     """
-    L = float(L)
-    if not math.isfinite(L) or L <= 0.0:
-        raise InvalidArgumentError(f"interval length must be positive, got {L}")
+    L = checked_positive("interval length", L)
     M, r = checked_count(M), checked_fraction(r)
     delta = r * L / (2 * M)
 
@@ -135,7 +133,7 @@ def place(
             raise InvalidArgumentError(f"expected {M} centers, got shape {c.shape}")
         if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0.0)):
             raise InvalidArgumentError("custom centers must be finite and strictly increasing")
-    else:  # pragma: no cover - enum is closed
+    else:  # not a Scheme member
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
 
     if c[0] - delta < -_GEOM_RTOL * L or c[-1] + delta > L * (1.0 + _GEOM_RTOL):

@@ -1,4 +1,4 @@
-"""Exception types shared across the library, the direct-sum threshold and its test.
+"""Exception types, the argument checks shared by the layers, and the direct-sum test.
 
 Two families: invalid input (a caller can fix the arguments) and numerical
 failure (the configuration itself defeats the computation).  The command-line
@@ -10,17 +10,15 @@ is a direct-sum failure.
 
 from __future__ import annotations
 
+import math
+
 
 class InvalidArgumentError(ValueError):
     """An argument lies outside the domain of the operation."""
 
 
 class NumericalFailureError(ArithmeticError):
-    """Base class for failures of the computation itself."""
-
-
-class NotPositiveDefiniteError(NumericalFailureError):
-    """A matrix required to be symmetric positive definite is not."""
+    """A failure of the computation itself, such as a factor of an indefinite matrix."""
 
 
 class DirectSumFailureError(NumericalFailureError):
@@ -31,6 +29,20 @@ class DirectSumFailureError(NumericalFailureError):
     FEM grid: at or below SIGMA_RATIO_THRESHOLD the oblique projection is
     undefined, or numerically meaningless, for this configuration.
     """
+
+
+def checked_positive(name: str, x) -> float:
+    """x as a float; raises InvalidArgumentError, naming it, unless it is positive and finite."""
+    x = float(x)
+    if not (x > 0.0 and math.isfinite(x)):
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {x}")
+    return x
+
+
+def check_member(kind: type, x) -> None:
+    """Raises InvalidArgumentError, naming the enum kind, unless x is one of its members."""
+    if not isinstance(x, kind):
+        raise InvalidArgumentError(f"{x!r} is not a {kind.__name__} member")
 
 
 # At or below this sigma_min/sigma_max of the cross-Gram G, or of the FEM

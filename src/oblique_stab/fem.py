@@ -2,7 +2,7 @@
 
 Space discretization of
 
-    d/dt y = nu y_xx - a(x, t) y - P(-nu y_xx - a y + lambda y),    y(0) = y0,
+    d/dt y = nu y_xx - a(x, t) y - P(nu y_xx - a y + lambda y),    y(0) = y0,
 
 on (0, L) with homogeneous Dirichlet or Neumann boundary conditions, where P
 is the oblique projection onto the actuator span along the complement of the
@@ -81,7 +81,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .actuators import ActuatorSet, indicators
-from .errors import InvalidArgumentError, NumericalFailureError, check_direct_sum
+from .errors import (
+    InvalidArgumentError, NumericalFailureError, check_direct_sum, check_member, checked_positive
+)
 from .linalg import tridiag_factor, tridiag_solve
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
 
@@ -108,8 +110,8 @@ class FemGrid:
 
 
 def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
-    if not (L > 0.0 and math.isfinite(L)):
-        raise InvalidArgumentError(f"domain length must be positive and finite, got {L}")
+    check_member(BoundaryCondition, bc)
+    L = checked_positive("domain length", L)
     if int(N) != N or N < 3:
         raise InvalidArgumentError(f"node count must be an integer >= 3, got {N}")
     N = int(N)
@@ -188,8 +190,7 @@ def oscillating_reaction(nu: float, L: float) -> ReactionField:
     base - 2 |cos 4t| |Re w|.  Every ROTATION_ANCHOR_STEPS steps w is
     re-anchored from cos and sin, and that row is values(x, t) exactly.
     """
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
+    checked_positive("diffusion", nu)
     base = -35.0 * nu * float(build_basis(BoundaryCondition.DIRICHLET, L, 1).alphas[0])
 
     def values(x: np.ndarray, t: float) -> np.ndarray:
@@ -549,9 +550,7 @@ def run_closed_loop(
     from another grid, and NumericalFailureError, naming the step and its
     time, at the first later state whose norm is not finite.
     """
-    for name, x in (("diffusion", nu), ("time step", k), ("final time", T)):
-        if not (x > 0.0 and math.isfinite(x)):
-            raise InvalidArgumentError(f"{name} must be positive and finite, got {x}")
+    nu, k, T = map(checked_positive, ("diffusion", "time step", "final time"), (nu, k, T))
     snap_times = tuple(float(t) for t in snapshot_times)
     if not all(0.0 <= t <= T for t in snap_times):
         raise InvalidArgumentError(f"snapshot times must lie in [0, {T:g}], got {snap_times}")

@@ -14,7 +14,7 @@ import functools
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotPositiveDefiniteError
+from .errors import InvalidArgumentError, NumericalFailureError
 
 
 @functools.cache
@@ -39,7 +39,7 @@ def tridiag_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.nd
         raise InvalidArgumentError("tridiagonal entries must be finite")
     fd, fe, info = _scipy_linalg().lapack.dpttrf(d, e)
     if info > 0:
-        raise NotPositiveDefiniteError(
+        raise NumericalFailureError(
             f"tridiagonal matrix is not positive definite: pivot {info} is not positive"
         )
     return fd, fe

@@ -52,7 +52,9 @@ from .actuators import (
     indicators,
     normalized_indicator_coeff,
 )
-from .errors import InvalidArgumentError, NumericalFailureError, check_direct_sum
+from .errors import (
+    InvalidArgumentError, NumericalFailureError, check_direct_sum, check_member, checked_positive
+)
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
 
@@ -239,6 +241,8 @@ def analytic_vartheta(
     delta = r pi/(2M) it is the term of analytic_theta_spectrum at i = M-1 for
     mxe (the extra eigenvalue at M = 1) and at i = M for uni.
     """
+    check_member(BoundaryCondition, bc)
+    check_member(Scheme, scheme)
     limit = vartheta_limit(r)
     M = checked_count(M)
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
@@ -378,8 +382,8 @@ def check_sufficient_condition(
     |a| is a conservative choice); margin is lhs - rhs.  Both sides are float
     products, not powers, so an overflow raises InvalidArgumentError.
     """
-    if not (nu > 0.0 and math.isfinite(nu)):
-        raise InvalidArgumentError(f"diffusion must be positive and finite, got {nu}")
+    checked_positive("diffusion", nu)
+    M, op_norm = checked_count(M), checked_positive("operator norm", op_norm)
     if not (a_bound >= 0.0 and math.isfinite(a_bound)):
         raise InvalidArgumentError(f"a_bound must be nonnegative and finite, got {a_bound}")
     alpha_next = float(build_basis(bc, L, M + 1).alphas[-1])
@@ -387,9 +391,9 @@ def check_sufficient_condition(
     if not math.isfinite(margin):
         raise InvalidArgumentError(f"the margin test overflows at nu={nu:g}, a_bound={a_bound:g}")
     return SufficientConditionReport(
-        M=int(M),
+        M=M,
         alpha_next=alpha_next,
-        op_norm=float(op_norm),
+        op_norm=op_norm,
         satisfied=margin > 0.0,
         margin=margin,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_member, checked_positive
 
 
 class BoundaryCondition(enum.Enum):
@@ -47,11 +47,10 @@ class EigenBasis:
 
 
 def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
-    """Construct the first M eigenpairs on (0, L); an L so small that the largest
-    eigenvalue overflows raises InvalidArgumentError, as a non-positive one does."""
-    L = float(L)
-    if not math.isfinite(L) or L <= 0.0:
-        raise InvalidArgumentError(f"interval length must be positive and finite, got {L}")
+    """Construct the first M eigenpairs on (0, L); a bc that is not a member, and an L
+    not positive or so small that the largest eigenvalue overflows, raise InvalidArgumentError."""
+    check_member(BoundaryCondition, bc)
+    L = checked_positive("interval length", L)
     if int(M) != M or M < 1:
         raise InvalidArgumentError(f"eigenpair count must be a positive integer, got {M}")
     M = int(M)

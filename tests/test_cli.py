@@ -857,6 +857,10 @@ _EXITS = [
     ("simulate --reaction constant:-1e6 --T 0.5 --output out.csv", 3,
      "numerical failure: solution norm is inf at step 49, t = 0.049; the run blew up"
      " (reduce the time step or the reaction)"),
+    # under Neumann conditions k nu S swamps the mass matrix in floating point,
+    # so LAPACK's factor of 2 M + k nu S meets a pivot that is not positive
+    ("simulate --bc neumann --reaction oscillating --nu 1e14 --k 1 --T 2 --output out.csv", 3,
+     "numerical failure: tridiagonal matrix is not positive definite: pivot 1001 is not positive"),
 ]
 
 
