@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, checked_positive
+from .errors import InvalidArgumentError, checked_count, checked_positive
 
 # Relative slack for geometric comparisons; placement formulas are exact in
 # real arithmetic and only rounding noise has to be absorbed.
@@ -62,13 +62,6 @@ class ActuatorSet:
 def uni_min_count(r: float) -> int:
     """Smallest M that uniform placement accepts: M >= r/(1 - r)."""
     return math.ceil(r / (1.0 - r) * (1.0 - _GEOM_RTOL))
-
-
-def checked_count(M) -> int:
-    """M as an int; raises unless it is a positive integer."""
-    if int(M) != M or M < 1:
-        raise InvalidArgumentError(f"actuator count must be a positive integer, got {M}")
-    return int(M)
 
 
 def checked_fraction(r) -> float:
@@ -111,7 +104,7 @@ def place(
     space with the spectral complement is build_projection's test.
     """
     L = checked_positive("interval length", L)
-    M, r = checked_count(M), checked_fraction(r)
+    M, r = checked_count("actuator count", M), checked_fraction(r)
     delta = r * L / (2 * M)
 
     if (centers is not None) != (scheme is Scheme.CUSTOM):

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .actuators import Scheme, all_breakpoints, place, uni_min_count
-from .errors import DirectSumFailureError, InvalidArgumentError, NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .fem import (
     FeedbackConfig,
     constant_reaction,
@@ -48,6 +48,7 @@ from .projection import (
     check_sufficient_condition,
     op_norm_limit,
     orthogonal_projection_actuators,
+    sweep_rows,
     vartheta_limit,
 )
 from .quadrature import panel_nodes_weights
@@ -275,18 +276,19 @@ def cmd_eigs(v: argparse.Namespace) -> Result:
         # skip the pairs uni placement rejects, as suffcond does; if that is
         # every pair, placing the first one says why
         pairs = [(M, r) for M, r in pairs if M >= uni_min_count(r)] or pairs[:1]
+    # one sweep per r, read in M-major order, the order in which a row's error is raised
+    sweeps = {r: sweep_rows(v.bc, v.scheme, v.L, [M for M, q in pairs if q == r], r, v.centers)
+              for r in v.r}
     rows = []
     for M, r in pairs:
-        aset = place(v.scheme, v.L, M, r, centers=v.centers)
-        try:
-            data = build_projection(assemble_cross_gram(v.bc, aset))
-        except DirectSumFailureError as exc:
+        _, vartheta, op_norm, max_offdiag, exc = next(sweeps[r])
+        if exc is not None:
             # a failed row keeps its M and r and leaves every numeric cell empty
             failure = f"M={M} r={_cfmt(r)}: {exc}"
             rows.append((M, r, (None,) * 5, "direct_sum_failure", failure))
             continue
         ana = analytic_vartheta(v.bc, v.scheme, M, r)
-        cells = (data.vartheta, ana, data.op_norm, vartheta_limit(r), data.max_offdiag)
+        cells = (vartheta, ana, op_norm, vartheta_limit(r), max_offdiag)
         rows.append((M, r, cells, "ok", None))
     rows.sort(key=lambda row: (row[1], row[0]))
 
@@ -398,14 +400,13 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
 
     found = failure = None
     least = uni_min_count(r) if scheme is Scheme.UNI else 1
-    for M in range(least, v.max_M + 1):
-        try:
-            data = build_projection(assemble_cross_gram(bc, place(scheme, L, M, r)))
-        except DirectSumFailureError as exc:
+    # rows come a chunk at a time: no chunk past the first satisfied M is formed
+    for M, _, op_norm, _, exc in sweep_rows(bc, scheme, L, range(least, v.max_M + 1), r):
+        if exc is not None:
             # a failed M counts as not satisfied; the file names the first
             failure = failure or f"M={M}: {exc}"
             continue
-        report = check_sufficient_condition(v.nu, bc, M, data.op_norm, v.a_bound, L=L)
+        report = check_sufficient_condition(v.nu, bc, M, op_norm, v.a_bound, L=L)
         if report.satisfied:
             found = report
             break

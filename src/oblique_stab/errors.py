@@ -39,6 +39,14 @@ def checked_positive(name: str, x) -> float:
     return x
 
 
+def checked_count(name: str, n, least: int = 1) -> int:
+    """n as an int; raises InvalidArgumentError, naming it, unless it is an integer >= least."""
+    if int(n) != n or n < least:
+        rule = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise InvalidArgumentError(f"{name} must be {rule}, got {n}")
+    return int(n)
+
+
 def check_member(kind: type, x) -> None:
     """Raises InvalidArgumentError, naming the enum kind, unless x is one of its members."""
     if not isinstance(x, kind):

@@ -82,7 +82,8 @@ import numpy as np
 
 from .actuators import ActuatorSet, indicators
 from .errors import (
-    InvalidArgumentError, NumericalFailureError, check_direct_sum, check_member, checked_positive
+    InvalidArgumentError, NumericalFailureError, check_direct_sum, check_member, checked_count,
+    checked_positive,
 )
 from .linalg import tridiag_factor, tridiag_solve
 from .spectral import BoundaryCondition, build_basis, eigenfunctions
@@ -108,13 +109,14 @@ class FemGrid:
     mass: tuple[np.ndarray, np.ndarray]
     stiffness: tuple[np.ndarray, np.ndarray]
 
+    def __post_init__(self):
+        # the stepper and the feedback branch on bc, whoever built the grid
+        check_member(BoundaryCondition, self.bc)
+
 
 def make_grid(bc: BoundaryCondition, L: float, N: int) -> FemGrid:
-    check_member(BoundaryCondition, bc)
     L = checked_positive("domain length", L)
-    if int(N) != N or N < 3:
-        raise InvalidArgumentError(f"node count must be an integer >= 3, got {N}")
-    N = int(N)
+    N = checked_count("node count", N, least=3)
     h = L / (N - 1)
     try:
         nodes = np.linspace(0.0, L, N)

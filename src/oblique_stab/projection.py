@@ -23,6 +23,8 @@ trig factor T, sin or cos of m_i c_j.  T T^T is exact for mxe and uni, whose
 angles are rational multiples of pi, and the BLAS product for con and custom.
 build_projection takes the spectrum of Theta = (s s^T) o (T T^T) from these
 factors in O(M) where T T^T is diagonal, else from the SVD of G; no scipy.
+sweep_rows gives a sweep's rows at one r, those of diagonal shapes from
+array passes over chunks of at most SWEEP_CHUNK stacked entries.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -47,13 +49,15 @@ from .actuators import (
     all_breakpoints,
     center_rationals,
     check_uni_count,
-    checked_count,
     checked_fraction,
     indicators,
     normalized_indicator_coeff,
+    place,
+    uni_min_count,
 )
 from .errors import (
-    InvalidArgumentError, NumericalFailureError, check_direct_sum, check_member, checked_positive
+    SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError, NumericalFailureError,
+    check_direct_sum, check_member, checked_count, checked_positive,
 )
 from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
 
@@ -135,53 +139,72 @@ def _trig_table(bc: BoundaryCondition, aset: ActuatorSet) -> np.ndarray:
     return _frozen(table[p - 4 * d * (p // (4 * d))])  # p mod 4d; // is faster than % here
 
 
-def _trig_factor(bc: BoundaryCondition, aset: ActuatorSet) -> np.ndarray:
-    """Read-only T T^T for the trig factor T of mxe or uni, or its diagonal
-    where T T^T is exactly diagonal.
+def _trig_factor(M: int) -> np.ndarray:
+    """Read-only T T^T for the trig factor T of Neumann uni.
 
     For mxe and uni, (T T^T)_ik = (C(|m_i - m_k|) -+ C(m_i + m_k)) / 2 (- for
     sines, + for cosines) with the exact sums C(p) = sum_j cos(pi p n_j / d)
     (Strang, SIAM Rev. 1999): M at p = 0; for mxe 0 below p = 2M and -M there;
     for uni -1 at even and 0 at odd p.  So T T^T is diag(M/2, ..., M/2, M) for
     Dirichlet and diag(M, M/2, ..., M/2) for Neumann mxe, (M + 1)/2 I for
-    Dirichlet uni, and for Neumann uni M at (0, 0), (M - 1)/2 elsewhere on the
-    diagonal, -1 between distinct m_i, m_k of equal parity and 0 elsewhere: no
-    T, FFT or BLAS.
+    Dirichlet uni, which _factors forms, and for Neumann uni M at (0, 0),
+    (M - 1)/2 elsewhere on the diagonal, -1 between distinct m_i, m_k of equal
+    parity and 0 elsewhere: no T, FFT or BLAS.
     """
-    M = aset.M
-    if aset.scheme is Scheme.MXE:
-        tt = np.full(M, M / 2)
-        tt[-1 if bc is BoundaryCondition.DIRICHLET else 0] = M
-    elif bc is BoundaryCondition.DIRICHLET:
-        tt = np.full(M, (M + 1) / 2)
-    else:
-        tt = np.add.outer(np.arange(M), np.arange(M)) % 2 - 1.0  # -1 where m_i + m_k is even
-        np.fill_diagonal(tt, (M - 1) / 2)
-        tt[0, 0] = M
+    tt = np.add.outer(np.arange(M), np.arange(M)) % 2 - 1.0  # -1 where m_i + m_k is even
+    np.fill_diagonal(tt, (M - 1) / 2)
+    tt[0, 0] = M
     return _frozen(tt)
+
+
+def _factors(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> tuple:
+    """The cross-Gram factors of the counts Ms at one r, stacked count after
+    count: each count's start and row scale, a and m, and the diagonal tt of
+    T T^T for mxe and Dirichlet uni, else None.  One cross-Gram is a stack of
+    one count; a sweep stacks many with the same float operations.
+
+    With delta = r pi/(2M), the row of eigen index k has a = row_scale
+    sin(k delta), row_scale = sqrt(8M/(r pi^2)), and m = k, for sin(k x),
+    k = 1..M (Dirichlet), or cos(k x), k = 0..M-1 (Neumann), whose constant
+    row k = 0 has a = sqrt(r/M) and m = 1.
+    """
+    sizes = np.asarray(Ms)
+    starts = np.cumsum(sizes) - sizes
+    dirichlet = bc is BoundaryCondition.DIRICHLET
+    m = np.arange(float(starts[-1] + sizes[-1])) - np.repeat(starts, sizes)
+    m += dirichlet
+    with np.errstate(all="ignore"):  # an infinite row scale is the caller's to report
+        row_scale = np.sqrt(8 * sizes / (r * math.pi**2))
+        a = np.repeat(r * math.pi / (2 * sizes), sizes)  # in place from here: a few M-arrays
+        a *= m
+        np.sin(a, out=a)
+        a *= np.repeat(row_scale, sizes)
+    if not dirichlet:
+        a[starts], m[starts] = np.sqrt(r / sizes), 1.0
+    tt = None
+    if scheme is Scheme.MXE:
+        tt = np.repeat(sizes / 2, sizes)
+        tt[starts + (sizes - 1) * dirichlet] = sizes  # M at k = M (Dirichlet) or k = 0
+    elif scheme is Scheme.UNI and dirichlet:
+        tt = np.repeat((sizes + 1) / 2, sizes)
+    return starts, row_scale, a, m, tt
 
 
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     """Assemble the M x M cross-Gram matrix from closed forms, as factors.
 
-    G = a_i T[i, j] / m_i with the trig factor T of _trig_table; for Neumann
-    conditions the constant eigenfunction's row has a = sqrt(r/M), m = 1.
+    G = a_i T[i, j] / m_i with the trig factor T of _trig_table and the a
+    and m of _factors.
     No quadrature is used and nothing is rejected: a singular G, such as the
     one of (nearly) coincident centers, is build_projection's to report.
     """
     M, r = aset.M, aset.r
-    delta = r * math.pi / (2 * M)
-    dirichlet = bc is BoundaryCondition.DIRICHLET
-    m = np.arange(1.0, M + 1 if dirichlet else M)
-    row_scale = math.sqrt(8 * M / (r * math.pi**2))
-    if not math.isfinite(row_scale):
+    _, row_scale, a, m, tt = _factors(bc, aset.scheme, [M], r)
+    if not math.isfinite(row_scale[0]):
         raise InvalidArgumentError(f"volume fraction r = {r} is too small for the row scale of G")
-    a = row_scale * np.sin(m * delta)
-    if not dirichlet:
-        a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
     basis, a, m = build_basis(bc, aset.L, M), _frozen(a), _frozen(m)
-    if aset.scheme in (Scheme.MXE, Scheme.UNI):
-        return CrossGram(aset, basis, a, m, _trig_factor(bc, aset))
+    if tt is not None or aset.scheme is Scheme.UNI:
+        return CrossGram(aset, basis, a, m, _trig_factor(M) if tt is None else _frozen(tt))
     T = _trig_table(bc, aset)  # con and custom, with float angles
     gram = CrossGram(aset, basis, a, m, _frozen(T @ T.T))  # BLAS syrk: exactly symmetric
     gram.__dict__["T"] = T  # the cached T: formed once, for T T^T
@@ -225,6 +248,69 @@ def build_projection(gram: CrossGram) -> ProjectionData:
     )
 
 
+# The most entries a sweep stacks at once, unless one row alone has more.
+SWEEP_CHUNK = 2048
+
+
+def _chunks(Ms):
+    """Ms, each checked, in runs of at most SWEEP_CHUNK entries."""
+    chunk, size = [], 0
+    for M in Ms:
+        M = checked_count("actuator count", M)
+        if chunk and size + M > SWEEP_CHUNK:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(M)
+        size += M
+    if chunk:
+        yield chunk
+
+
+def _stacked_vartheta(bc, scheme, Ms, r):
+    """Each M's least s^2 o tt, and whether it is build_projection's vartheta."""
+    starts, row_scale, a, m, tt = _factors(bc, scheme, Ms, r)
+    with np.errstate(all="ignore"):  # rows that overflow go row by row
+        s = a / m
+        w = s * s * tt
+        lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
+        ok = np.isfinite(row_scale) & np.isfinite(hi) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD)
+    return lo.tolist(), ok.tolist()
+
+
+def sweep_rows(bc, scheme, L, Ms, r, centers=None) -> Iterator[tuple]:
+    """(M, vartheta, op_norm, max_offdiag, failure) for each M in Ms at one r,
+    bit for bit those of place, assemble_cross_gram and build_projection.
+
+    failure is build_projection's DirectSumFailureError, with None in the
+    numbers; an InvalidArgumentError is raised once the rows before it are
+    yielded.  For mxe and Dirichlet uni the rows are stacked in chunks, each
+    formed when the reader reaches it.  A row that fails the direct sum,
+    overflows or that placement may reject, and every row of other shapes,
+    goes row by row.
+    """
+    stacked = (  # an L in this range keeps the products of place and build_basis normal
+        centers is None and isinstance(r, float) and 0.0 < r < 1.0
+        and isinstance(L, float) and 2.0**-256 <= L <= 2.0**256
+        and (scheme is Scheme.MXE and isinstance(bc, BoundaryCondition)
+             or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET)
+    )
+    least = uni_min_count(r) if stacked and scheme is Scheme.UNI else 1
+    for chunk in _chunks(Ms):
+        lo, ok = (_stacked_vartheta(bc, scheme, chunk, r) if stacked
+                  else (chunk, [False] * len(chunk)))
+        for M, vartheta, fast in zip(chunk, lo, ok):
+            if fast and M >= least:
+                yield M, vartheta, vartheta**-0.5, 0.0, None
+                continue
+            aset = place(scheme, L, M, r, centers=centers)
+            try:
+                data = build_projection(assemble_cross_gram(bc, aset))
+            except DirectSumFailureError as exc:
+                yield M, None, None, None, exc
+                continue
+            yield M, data.vartheta, data.op_norm, data.max_offdiag, None
+
+
 def _sinc2(r: float, theta):
     """r (sin(theta)/theta)^2, theta > 0: every closed-form eigenvalue of Theta."""
     return r * (np.sin(theta) / theta) ** 2
@@ -244,7 +330,7 @@ def analytic_vartheta(
     check_member(BoundaryCondition, bc)
     check_member(Scheme, scheme)
     limit = vartheta_limit(r)
-    M = checked_count(M)
+    M = checked_count("actuator count", M)
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
         check_uni_count(M, r)
         return (M + 1) / M * limit
@@ -383,7 +469,7 @@ def check_sufficient_condition(
     products, not powers, so an overflow raises InvalidArgumentError.
     """
     checked_positive("diffusion", nu)
-    M, op_norm = checked_count(M), checked_positive("operator norm", op_norm)
+    M, op_norm = checked_count("actuator count", M), checked_positive("operator norm", op_norm)
     if not (a_bound >= 0.0 and math.isfinite(a_bound)):
         raise InvalidArgumentError(f"a_bound must be nonnegative and finite, got {a_bound}")
     alpha_next = float(build_basis(bc, L, M + 1).alphas[-1])

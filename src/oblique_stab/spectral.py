@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_member, checked_positive
+from .errors import InvalidArgumentError, check_member, checked_count, checked_positive
 
 
 class BoundaryCondition(enum.Enum):
@@ -51,9 +51,7 @@ def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
     not positive or so small that the largest eigenvalue overflows, raise InvalidArgumentError."""
     check_member(BoundaryCondition, bc)
     L = checked_positive("interval length", L)
-    if int(M) != M or M < 1:
-        raise InvalidArgumentError(f"eigenpair count must be a positive integer, got {M}")
-    M = int(M)
+    M = checked_count("eigenpair count", M)
     top = M if bc is BoundaryCondition.DIRICHLET else max(M - 1, 1)
     big = np.finfo(float).max
     scale = (math.pi / L) ** 2 if math.pi / L <= math.sqrt(big) else math.inf  # ** would raise

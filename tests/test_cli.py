@@ -13,6 +13,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import oblique_stab
-from oblique_stab import cli
+from oblique_stab import cli, projection
 from oblique_stab.cli import main
 from oblique_stab.errors import InvalidArgumentError
 
@@ -170,6 +171,33 @@ def test_failure_message_names_first_failed_row_of_file(tmp_path, capsys):
         ("0.5", "direct_sum_failure"),
     ]
     assert "2 of 2 sweep rows failed, the first at M=2 r=0.1:" in capsys.readouterr().err
+
+
+def test_sweep_memory_is_bounded_by_the_chunk_cap(tmp_path):
+    # the stacked rows of a sweep live one chunk at a time: M = 2..200 at two
+    # r stacks 40,198 entries, 0.32 MB per float array at once, in 22 chunks
+    argv = ["eigs", "--M", "2..200", "--r", "0.1,0.5", "--output", str(tmp_path / "s.csv")]
+    assert main(argv) == 0  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300_000, peak
+
+
+def test_suffcond_forms_no_chunk_after_its_answer(tmp_path, monkeypatch):
+    formed = []
+    stacked = projection._stacked_vartheta
+    monkeypatch.setattr(
+        projection, "_stacked_vartheta", lambda *a: formed.append(a[2]) or stacked(*a)
+    )
+    out = tmp_path / "s.csv"
+    assert main(["suffcond", "--a-bound", "3.5", "--max-M", "3000", "--output", str(out)]) == 0
+    found = int(out.read_text().splitlines()[1].partition("=")[2])
+    assert found in formed[-1] and formed[0][0] == 1
+    assert [M for chunk in formed for M in chunk] == list(range(1, formed[-1][-1] + 1))
 
 
 _SWEEP_GEOMETRY = {
@@ -822,6 +850,10 @@ _EXITS = [
      "error: volume fraction r = 1e-310 is too small for the row scale of G"),
     ("eigs --M 1..2 --r 1e-310 --output out.csv", 2,
      "error: volume fraction r = 1e-310 is too small for the row scale of G"),
+    # the first failing row in M-major order: r = 1.5 at M = 1, not r = 0.1 at
+    # M = 2, whose (2pi/L)^2 overflows
+    ("eigs --M 1..3 --r 0.1,1.5 --L 3e-154 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got 1.5"),
     # a side of the margin test or the closed-form count overflows
     ("suffcond --a-bound 1e160 --output out.csv", 2,
      "error: the margin test overflows at nu=0.1, a_bound=1e+160"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oblique_stab
-from oblique_stab import errors
+from oblique_stab import actuators, errors
 from oblique_stab.actuators import Scheme, place
 from oblique_stab.errors import InvalidArgumentError
 from oblique_stab.fem import (
@@ -22,6 +22,7 @@ from oblique_stab.projection import (
     analytic_vartheta,
     assemble_cross_gram,
     check_sufficient_condition,
+    sweep_rows,
 )
 from oblique_stab.spectral import BoundaryCondition, build_basis
 
@@ -71,6 +72,9 @@ _NOT_MEMBERS = [
      lambda: analytic_theta_spectrum("dirichlet", Scheme.MXE, 6, 0.1)),
     # run_closed_loop takes its grid from make_grid
     ("make_grid", "BoundaryCondition", lambda: make_grid("dirichlet", math.pi, 101)),
+    # the stepper reads the grid's bc, so a grid built by hand is checked too
+    ("FemGrid", "BoundaryCondition", lambda: dataclasses.replace(
+        make_grid(BoundaryCondition.NEUMANN, math.pi, 101), bc="dirichlet")),
     ("feedback_matrices", "BoundaryCondition", lambda: feedback_matrices(
         dataclasses.replace(make_grid(D, math.pi, 101), bc="dirichlet"),
         place(Scheme.MXE, math.pi, 3, 0.1))),
@@ -107,3 +111,26 @@ def test_not_positive_definite_is_a_numerical_failure():
     # no caller told the subclass apart from its base, so only the base is left
     assert "NotPositiveDefiniteError" not in oblique_stab.__all__
     assert not hasattr(errors, "NotPositiveDefiniteError")
+
+
+# each count and the message errors.checked_count gives it
+_COUNTS = [
+    ("place", "actuator count must be a positive integer, got 0",
+     lambda: place(Scheme.MXE, math.pi, 0, 0.1)),
+    ("build_basis", "eigenpair count must be a positive integer, got 2.5",
+     lambda: build_basis(D, math.pi, 2.5)),
+    ("make_grid", "node count must be an integer >= 3, got 2", lambda: make_grid(D, math.pi, 2)),
+    ("sweep_rows-mxe", "actuator count must be a positive integer, got -1",
+     lambda: list(sweep_rows(D, Scheme.MXE, math.pi, [3, -1], 0.1))),
+    ("sweep_rows-con", "actuator count must be a positive integer, got 0",
+     lambda: list(sweep_rows(D, Scheme.CON, math.pi, [0], 0.1))),
+]
+
+
+@pytest.mark.parametrize("message, call", [row[1:] for row in _COUNTS],
+                         ids=[row[0] for row in _COUNTS])
+def test_counts_have_one_check(message, call):
+    with pytest.raises(InvalidArgumentError) as info:
+        call()
+    assert str(info.value) == message
+    assert actuators.checked_count is errors.checked_count  # no second copy

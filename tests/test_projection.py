@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import struct
 import tracemalloc
 import warnings
 
@@ -36,6 +37,7 @@ from oblique_stab.projection import (
     check_sufficient_condition,
     op_norm_limit,
     orthogonal_projection_actuators,
+    sweep_rows,
     vartheta_limit,
 )
 from oblique_stab.spectral import BoundaryCondition, build_basis
@@ -551,9 +553,9 @@ def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
 def test_trig_gram_product_is_exactly_symmetric(bc, scheme):
-    # _trig_factor writes the mxe and uni T T^T from closed forms and keeps
-    # the con T @ T.T as BLAS syrk returns it, without symmetrising either,
-    # and CrossGram promises an exactly symmetric Theta
+    # _factors and _trig_factor write the mxe and uni T T^T from closed forms,
+    # assemble_cross_gram keeps the con T @ T.T as BLAS syrk returns it,
+    # neither symmetrised, and CrossGram promises an exactly symmetric Theta
     for M in range(2, 201):
         TT = trig_gram(assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)))
         assert np.array_equal(TT, TT.T), (bc, scheme, M)
@@ -1056,3 +1058,83 @@ def test_build_succeeds_for_extremiser_family(bc, M, r):
     data = _build(bc, Scheme.MXE, M, r)
     assert data.vartheta > 0
     assert data.op_norm >= 1.0
+
+
+def _row_outcome(bc, scheme, M, r):
+    """(vartheta, op_norm, max_offdiag) as bytes, the failure's text, or the
+    InvalidArgumentError's, from place, assemble_cross_gram and build_projection."""
+    try:
+        data = _build(bc, scheme, M, r)
+    except (DirectSumFailureError, InvalidArgumentError) as exc:
+        return type(exc).__name__, str(exc)
+    return struct.pack("3d", data.vartheta, data.op_norm, data.max_offdiag)
+
+
+def _sweep_outcomes(bc, scheme, Ms, r):
+    outcomes = []
+    try:
+        for _, vartheta, op_norm, max_offdiag, failure in sweep_rows(bc, scheme, math.pi, Ms, r):
+            if failure is None:
+                outcomes.append(struct.pack("3d", vartheta, op_norm, max_offdiag))
+            else:
+                assert vartheta is op_norm is max_offdiag is None
+                outcomes.append((type(failure).__name__, str(failure)))
+    except InvalidArgumentError as exc:
+        outcomes.append(("InvalidArgumentError", str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-6, 0.1, 0.5, 0.999])
+@pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
+def test_sweep_rows_are_the_row_by_row_projection_bit_for_bit(bc, scheme, r):
+    # M = 1..400 stacks 80,200 entries, about 40 chunks; uni rejects M below
+    # r/(1 - r), and the sweep raises that at the first such row, as placement does
+    expected = []
+    for M in range(1, 401):
+        expected.append(_row_outcome(bc, scheme, M, r))
+        if expected[-1][0] == "InvalidArgumentError":
+            break
+    assert _sweep_outcomes(bc, scheme, range(1, 401), r) == expected
+    if scheme is Scheme.UNI:
+        Ms = range(uni_min_count(r), 401)
+        assert _sweep_outcomes(bc, scheme, Ms, r) == [_row_outcome(bc, scheme, M, r) for M in Ms]
+
+
+@pytest.mark.parametrize("bc, scheme, Ms", [
+    (N, Scheme.UNI, range(1, 30)),  # dense T T^T: the SVD, row by row
+    (D, Scheme.CON, range(1, 30)),  # fails the direct sum from M = 9 on
+    (D, Scheme.MXE, [5, 3000, 2, 2048, 2049, 1]),  # rows at and beyond the cap
+])
+def test_sweep_rows_of_every_shape_are_the_row_by_row_projection(bc, scheme, Ms):
+    assert _sweep_outcomes(bc, scheme, Ms, 0.1) == [_row_outcome(bc, scheme, M, 0.1) for M in Ms]
+
+
+def test_sweep_chunks_are_capped_in_order():
+    Ms = [*range(1, 300), 5000, 7, projection.SWEEP_CHUNK, 1]
+    chunks = list(projection._chunks(Ms))
+    assert [M for chunk in chunks for M in chunk] == Ms
+    assert all(sum(chunk) <= projection.SWEEP_CHUNK or len(chunk) == 1 for chunk in chunks)
+    # a chunk closes only where the next count would pass the cap
+    assert all(sum(a) + b[0] > projection.SWEEP_CHUNK for a, b in zip(chunks, chunks[1:]))
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI])
+def test_cross_gram_factors_are_the_row_formulas_bit_for_bit(bc, scheme):
+    # the row-by-row formulas, as one cross-Gram wrote them before the sweep
+    # stacked its rows
+    for r in (1e-300, 1e-6, 0.1, 0.5, 0.9):
+        for M in range(uni_min_count(r) if scheme is Scheme.UNI else 1, 60):
+            gram = assemble_cross_gram(bc, place(scheme, math.pi, M, r))
+            delta = r * math.pi / (2 * M)
+            m = np.arange(1.0, M + 1 if bc is D else M)
+            a = math.sqrt(8 * M / (r * math.pi**2)) * np.sin(m * delta)
+            if bc is N:
+                a, m = np.append(math.sqrt(r / M), a), np.append(1.0, m)
+            assert gram.a.tobytes() == a.tobytes() and gram.m.tobytes() == m.tobytes()
+            if scheme is Scheme.MXE:
+                tt = np.full(M, M / 2)
+                tt[-1 if bc is D else 0] = M
+                assert gram.tt.tobytes() == tt.tobytes()
+            elif bc is D:
+                assert gram.tt.tobytes() == np.full(M, (M + 1) / 2).tobytes()
