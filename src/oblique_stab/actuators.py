@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, checked_count, checked_positive
+from .errors import InvalidArgumentError, check_member, checked_count, checked_positive
 
 # Relative slack for geometric comparisons; placement formulas are exact in
 # real arithmetic and only rounding noise has to be absorbed.
@@ -60,7 +60,8 @@ class ActuatorSet:
 
 
 def uni_min_count(r: float) -> int:
-    """Smallest M that uniform placement accepts: M >= r/(1 - r)."""
+    """Smallest M that uniform placement accepts: M >= r/(1 - r), r checked."""
+    r = checked_fraction(r)
     return math.ceil(r / (1.0 - r) * (1.0 - _GEOM_RTOL))
 
 
@@ -103,6 +104,7 @@ def place(
     the only check of actuator geometry; whether an accepted set splits the
     space with the spectral complement is build_projection's test.
     """
+    check_member(Scheme, scheme)
     L = checked_positive("interval length", L)
     M, r = checked_count("actuator count", M), checked_fraction(r)
     delta = r * L / (2 * M)
@@ -120,14 +122,12 @@ def place(
     elif scheme is Scheme.CON:
         n, d = center_rationals(Scheme.MXE, M)
         c = (1.0 - r) * L / 2.0 + n * r * L / d
-    elif scheme is Scheme.CUSTOM:
+    else:  # custom
         c = np.asarray(centers, dtype=float)
         if c.ndim != 1 or c.size != M:
             raise InvalidArgumentError(f"expected {M} centers, got shape {c.shape}")
         if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0.0)):
             raise InvalidArgumentError("custom centers must be finite and strictly increasing")
-    else:  # not a Scheme member
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}")
 
     if c[0] - delta < -_GEOM_RTOL * L or c[-1] + delta > L * (1.0 + _GEOM_RTOL):
         raise InvalidArgumentError(

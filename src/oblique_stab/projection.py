@@ -19,10 +19,9 @@ c r sinc^2(theta); those closed forms, their large-M limit r sinc^2(r pi/2)
 and the margin test on ||P|| live here.
 
 G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
-trig factor T, sin or cos of m_i c_j.  T T^T is exact for mxe and uni, whose
-angles are rational multiples of pi, and the BLAS product for con and custom.
-build_projection takes the spectrum of Theta = (s s^T) o (T T^T) from these
-factors in O(M) where T T^T is diagonal, else from the SVD of G; no scipy.
+trig factor T, sin or cos of m_i c_j.  build_projection takes the spectrum
+of Theta = (s s^T) o (T T^T) in O(M) from the closed-form diagonal of T T^T
+for mxe and Dirichlet uni, else from the SVD of G; no scipy.
 sweep_rows gives a sweep's rows at one r, those of diagonal shapes from
 array passes over chunks of at most SWEEP_CHUNK stacked entries.
 
@@ -68,15 +67,15 @@ class CrossGram:
 
     entries[i, j] = (e_{i+1}, u_{j+1})_{L2} = a_i T[i, j] / m_i with u_j the
     unit-norm indicator; rows follow the eigenfunction index, columns the
-    actuator index.  Kept as read-only factors a, m and tt, T T^T or its
-    diagonal; T and the entries are formed read-only on first read.
+    actuator index.  Kept as read-only factors a, m and tt, the diagonal of a
+    diagonal T T^T or None; T and the entries are formed read-only on read.
     """
 
     actuators: ActuatorSet
     basis: EigenBasis
     a: np.ndarray
     m: np.ndarray
-    tt: np.ndarray
+    tt: np.ndarray | None
 
     @functools.cached_property
     def T(self) -> np.ndarray:
@@ -139,24 +138,6 @@ def _trig_table(bc: BoundaryCondition, aset: ActuatorSet) -> np.ndarray:
     return _frozen(table[p - 4 * d * (p // (4 * d))])  # p mod 4d; // is faster than % here
 
 
-def _trig_factor(M: int) -> np.ndarray:
-    """Read-only T T^T for the trig factor T of Neumann uni.
-
-    For mxe and uni, (T T^T)_ik = (C(|m_i - m_k|) -+ C(m_i + m_k)) / 2 (- for
-    sines, + for cosines) with the exact sums C(p) = sum_j cos(pi p n_j / d)
-    (Strang, SIAM Rev. 1999): M at p = 0; for mxe 0 below p = 2M and -M there;
-    for uni -1 at even and 0 at odd p.  So T T^T is diag(M/2, ..., M/2, M) for
-    Dirichlet and diag(M, M/2, ..., M/2) for Neumann mxe, (M + 1)/2 I for
-    Dirichlet uni, which _factors forms, and for Neumann uni M at (0, 0),
-    (M - 1)/2 elsewhere on the diagonal, -1 between distinct m_i, m_k of equal
-    parity and 0 elsewhere: no T, FFT or BLAS.
-    """
-    tt = np.add.outer(np.arange(M), np.arange(M)) % 2 - 1.0  # -1 where m_i + m_k is even
-    np.fill_diagonal(tt, (M - 1) / 2)
-    tt[0, 0] = M
-    return _frozen(tt)
-
-
 def _factors(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> tuple:
     """The cross-Gram factors of the counts Ms at one r, stacked count after
     count: each count's start and row scale, a and m, and the diagonal tt of
@@ -166,7 +147,9 @@ def _factors(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> tuple:
     With delta = r pi/(2M), the row of eigen index k has a = row_scale
     sin(k delta), row_scale = sqrt(8M/(r pi^2)), and m = k, for sin(k x),
     k = 1..M (Dirichlet), or cos(k x), k = 0..M-1 (Neumann), whose constant
-    row k = 0 has a = sqrt(r/M) and m = 1.
+    row k = 0 has a = sqrt(r/M) and m = 1.  The exact cosine sums make tt
+    diag(M/2, ..., M/2, M) (Dirichlet) or diag(M, M/2, ..., M/2) (Neumann)
+    for mxe and (M + 1)/2 for Dirichlet uni.
     """
     sizes = np.asarray(Ms)
     starts = np.cumsum(sizes) - sizes
@@ -193,8 +176,8 @@ def _factors(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> tuple:
 def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     """Assemble the M x M cross-Gram matrix from closed forms, as factors.
 
-    G = a_i T[i, j] / m_i with the trig factor T of _trig_table and the a
-    and m of _factors.
+    G = a_i T[i, j] / m_i with the trig factor T of _trig_table and the a,
+    m and tt of _factors.
     No quadrature is used and nothing is rejected: a singular G, such as the
     one of (nearly) coincident centers, is build_projection's to report.
     """
@@ -202,37 +185,47 @@ def assemble_cross_gram(bc: BoundaryCondition, aset: ActuatorSet) -> CrossGram:
     _, row_scale, a, m, tt = _factors(bc, aset.scheme, [M], r)
     if not math.isfinite(row_scale[0]):
         raise InvalidArgumentError(f"volume fraction r = {r} is too small for the row scale of G")
-    basis, a, m = build_basis(bc, aset.L, M), _frozen(a), _frozen(m)
-    if tt is not None or aset.scheme is Scheme.UNI:
-        return CrossGram(aset, basis, a, m, _trig_factor(M) if tt is None else _frozen(tt))
-    T = _trig_table(bc, aset)  # con and custom, with float angles
-    gram = CrossGram(aset, basis, a, m, _frozen(T @ T.T))  # BLAS syrk: exactly symmetric
-    gram.__dict__["T"] = T  # the cached T: formed once, for T T^T
-    return gram
+    tt = None if tt is None else _frozen(tt)
+    return CrossGram(aset, build_basis(bc, aset.L, M), _frozen(a), _frozen(m), tt)
+
+
+def _max_offdiag(gram: CrossGram, s: np.ndarray) -> float:
+    """Theta's largest |s_i s_k (T T^T)_ik|, i != k: 0.0 where gram.tt is kept.
+
+    For Neumann uni, (T T^T)_ik = (C(|m_i - m_k|) + C(m_i + m_k)) / 2 with the
+    exact sums C(p) = sum_j cos(pi p j / (M + 1)), -1 at even and 0 at odd
+    p > 0 (Strang, SIAM Rev. 1999): -1 between distinct m_i, m_k of equal
+    parity, else 0.  So it is the product of the two largest s of one parity,
+    or 0.0.  Con and custom read the BLAS T T^T of the cached T.
+    """
+    if gram.tt is not None:
+        return 0.0
+    if gram.actuators.scheme is Scheme.UNI:
+        tops = (np.sort(s[parity::2])[-2:] for parity in (0, 1))
+        return max((float(top[0] * top[1]) for top in tops if top.size == 2), default=0.0)
+    T = gram.T
+    tt_off = np.abs(T @ T.T)  # BLAS syrk: exactly symmetric
+    np.fill_diagonal(tt_off, 0.0)
+    return float((np.multiply.outer(s, s) * tt_off).max())
 
 
 def build_projection(gram: CrossGram) -> ProjectionData:
     """Take the spectrum of Theta = G G^T, vartheta, and the operator norm 1/sqrt(vartheta).
 
     Theta = (s s^T) o (T T^T) with s > 0.  Where gram.tt is the diagonal of
-    T T^T, Theta is diagonal: the spectrum is the sorted s^2 o tt and
-    max_offdiag is 0.0, with no M x M array.  For a dense T T^T, or where
-    s^2 o tt is not finite, it is the squared singular values of G (numpy's
-    SVD), which keep a small vartheta accurate where forming G G^T would
-    square the condition number.
+    T T^T, Theta is diagonal: the spectrum is the sorted s^2 o tt, at most 2r
+    as s^2 <= 2r/M and tt <= M, with no M x M array.  Otherwise it is the
+    squared singular values of G (numpy's SVD), which keep a small vartheta
+    accurate where forming G G^T would square the condition number.
 
     errors.check_direct_sum tests sigma_min/sigma_max of G, the one failure
     test of the cross-Gram: it also catches centers that placement accepts but
     that nearly coincide.
     """
-    s, tt = gram.a / gram.m, gram.tt
-    if tt.ndim == 1:
-        w, max_offdiag = np.sort(s * s * tt), 0.0
+    s = gram.a / gram.m
+    if gram.tt is not None:
+        w = np.sort(s * s * gram.tt)
     else:
-        tt_off = np.abs(tt)
-        np.fill_diagonal(tt_off, 0.0)
-        w, max_offdiag = None, float((np.multiply.outer(s, s) * tt_off).max())
-    if w is None or not np.isfinite(w).all():
         w = np.linalg.svd(gram.entries, compute_uv=False)[::-1] ** 2
     ratio = math.sqrt(w[0] / w[-1]) if w[-1] > 0 else 0.0
     check_direct_sum(
@@ -244,7 +237,7 @@ def build_projection(gram: CrossGram) -> ProjectionData:
         theta_eigenvalues=_frozen(w),
         vartheta=vartheta,
         op_norm=vartheta**-0.5,
-        max_offdiag=max_offdiag,
+        max_offdiag=_max_offdiag(gram, s),
     )
 
 
@@ -273,7 +266,7 @@ def _stacked_vartheta(bc, scheme, Ms, r):
         s = a / m
         w = s * s * tt
         lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
-        ok = np.isfinite(row_scale) & np.isfinite(hi) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD)
+        ok = np.isfinite(row_scale) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD)
     return lo.tolist(), ok.tolist()
 
 

@@ -84,9 +84,24 @@ def apply_adjoint_projection(data, f):
 
 
 def trig_gram(gram) -> np.ndarray:
-    """T T^T of the cross-Gram's trig factor as an M x M array: gram.tt, or
-    the diagonal matrix of gram.tt where only its diagonal is kept."""
-    return gram.tt if gram.tt.ndim == 2 else np.diag(gram.tt)
+    """T T^T of the cross-Gram's trig factor as an M x M array.
+
+    The diagonal matrix of gram.tt where the cross-Gram keeps it (mxe,
+    Dirichlet uni), the BLAS product of gram.T for con and custom, and for
+    Neumann uni the closed form from the exact sums C(p) = sum_j cos(pi p j /
+    (M + 1)), M at p = 0, -1 at even and 0 at odd p > 0: M at (0, 0),
+    (M - 1)/2 elsewhere on the diagonal, -1 between distinct m_i, m_k of equal
+    parity and 0 elsewhere.
+    """
+    if gram.tt is not None:
+        return np.diag(gram.tt)
+    if gram.actuators.scheme is not Scheme.UNI:
+        return gram.T @ gram.T.T
+    M = gram.actuators.M
+    tt = np.add.outer(np.arange(M), np.arange(M)) % 2 - 1.0  # -1 where m_i + m_k is even
+    np.fill_diagonal(tt, (M - 1) / 2)
+    tt[0, 0] = M
+    return tt
 
 
 def theta(gram) -> np.ndarray:

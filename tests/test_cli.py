@@ -187,6 +187,21 @@ def test_sweep_memory_is_bounded_by_the_chunk_cap(tmp_path):
     assert peak <= 300_000, peak
 
 
+def test_neumann_uni_sweep_keeps_no_dense_trig_gram(tmp_path):
+    # Neumann uni rows go row by row through the SVD of G; max_offdiag comes
+    # from s, so no M x M T T^T is formed beside T and G (3.7 MB when it was)
+    out = str(tmp_path / "s.csv")
+    geometry = ["--bc", "neumann", "--scheme", "uni", "--r", "0.1,0.5", "--output", out]
+    assert main(["eigs", "--M", "2..3", *geometry]) == 0  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(["eigs", "--M", "2..200", *geometry]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+
+
 def test_suffcond_forms_no_chunk_after_its_answer(tmp_path, monkeypatch):
     formed = []
     stacked = projection._stacked_vartheta
@@ -654,6 +669,7 @@ _INPUTS = {
     "x_decreasing.csv": "x,1,0\n0,1,2\n",
     "t_decreasing.csv": "x,0,1\n1,1,2\n0,1,2\n",
     "huge.csv": "0,1e308\n3.141592653589793,-1e308\n",
+    "big.csv": "".join(f"{i * math.pi / 2000!r},2e307\n" for i in range(2001)),
 }
 
 _COUPLING = (
@@ -792,8 +808,8 @@ _EXITS = [
     # allocation fails without touching memory
     ("simulate --N 100000000000000 --output out.csv", 2,
      "error: 100000000000000 nodes need more memory than is available"),
-    # so does the Neumann uni T T^T at M = 5e6 (182 TiB), which numpy
-    # reports as a MemoryError
+    # so does the Neumann uni trig factor T at M = 5e6 (182 TiB), which
+    # numpy reports as a MemoryError
     ("eigs --M 5000000 --r 0.1 --scheme uni --bc neumann --output out.csv", 2,
      "error: this run needs more memory than is available: Unable to allocate ..."),
     # a window that never opens, or flags only the final state, from which no
@@ -818,6 +834,18 @@ _EXITS = [
      "error: uniform placement requires M >= r/(1-r): M=2 < 9 for r=0.9"),
     ("simulate --scheme uni --r 0.9 --M 2 --N 101 --T 0.01 --feed-on 0:0.005 --output out.csv",
      2, "error: uniform placement requires M >= r/(1-r): M=2 < 9 for r=0.9"),
+    # the least uni count r/(1-r) needs r in (0, 1): no division by zero at
+    # r = 1 and no negative count beyond it
+    ("eigs --scheme uni --M 2 --r 1 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got 1.0"),
+    ("suffcond --scheme uni --r 1 --a-bound 3.5 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got 1.0"),
+    ("suffcond --scheme uni --r 1.5 --a-bound 3.5 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got 1.5"),
+    ("suffcond --scheme uni --r -0.5 --a-bound 3.5 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got -0.5"),
+    ("suffcond --scheme uni --r 0 --a-bound 3.5 --output out.csv", 2,
+     "error: volume fraction must lie in (0, 1), got 0.0"),
     # the largest eigenvalue (top pi/L)^2 overflows; at 1e-310, pi/L is
     # already inf, and at 3e-154 (pi/L)^2 is finite and the largest is not
     ("eigs --M 2..4 --r 0.1 --L 1e-300 --output out.csv", 2,
@@ -882,6 +910,9 @@ _EXITS = [
     # the interpolant's slope between samples +-1e308 overflows: no numpy warning
     ("project --M 2 --r 0.1 --input huge.csv --output out.csv", 3,
      "numerical failure: oblique_coefficients is not finite; the input overflows"),
+    # finite coefficients, but the squared residual of 2e307 overflows
+    ("project --M 6 --r 0.1 --input big.csv --output out.csv", 3,
+     "numerical failure: oblique_residual_l2 is not finite; the input overflows"),
     # nu = 1e308 overflows the once-per-run products: no numpy warning first
     ("simulate --nu 1e308 --output out.csv", 3,
      "numerical failure: solution norm is nan at step 1, t = 0.001; the run blew up"

@@ -70,6 +70,7 @@ _NOT_MEMBERS = [
     ("analytic_vartheta-scheme", "Scheme", lambda: analytic_vartheta(D, "uni", 6, 0.1)),
     ("analytic_theta_spectrum", "BoundaryCondition",
      lambda: analytic_theta_spectrum("dirichlet", Scheme.MXE, 6, 0.1)),
+    ("place", "Scheme", lambda: place("mxe", math.pi, 3, 0.1)),
     # run_closed_loop takes its grid from make_grid
     ("make_grid", "BoundaryCondition", lambda: make_grid("dirichlet", math.pi, 101)),
     # the stepper reads the grid's bc, so a grid built by hand is checked too

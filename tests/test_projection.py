@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oblique_stab import projection
@@ -280,8 +280,8 @@ def test_diagonal_spectrum_forms_no_trig_table(bc, scheme):
 
 
 def test_float_angle_trig_table_is_formed_once(monkeypatch):
-    # con and custom need T for their BLAS T T^T; the cross-Gram keeps that T
-    # for G, the SVD and the projections instead of forming it again
+    # con and custom read T for G, the SVD, their BLAS T T^T and the
+    # projections; the cross-Gram forms it once, on first read
     calls, table = [], projection._trig_table
     monkeypatch.setattr(projection, "_trig_table", lambda *a: calls.append(1) or table(*a))
     for bc in (D, N):
@@ -290,21 +290,22 @@ def test_float_angle_trig_table_is_formed_once(monkeypatch):
             place(Scheme.CUSTOM, math.pi, 3, 0.2, centers=(0.7, 1.5, 2.4)),
         ):
             gram = assemble_cross_gram(bc, aset)
-            assert len(calls) == 1 and "T" in gram.__dict__
             apply_projection(build_projection(gram), np.cos)
             assert len(calls) == 1 and np.array_equal(gram.T, table(bc, aset))
             calls.clear()
 
 
 def test_cross_gram_arrays_are_read_only():
-    # the factor is the diagonal of T T^T for Dirichlet uni and T T^T itself
-    # for Neumann uni; T and the entries are formed on read
+    # the factor is the diagonal of T T^T for Dirichlet uni and None for
+    # Neumann uni; T and the entries are formed on read
     aset = place(Scheme.UNI, math.pi, 5, 0.3)
-    for bc, ndim in ((D, 1), (N, 2)):
+    for bc, ndim in ((D, 1), (N, None)):
         gram = assemble_cross_gram(bc, aset)
-        assert gram.tt.ndim == ndim
+        assert (gram.tt is None) if ndim is None else gram.tt.ndim == ndim
         spectrum = build_projection(gram).theta_eigenvalues
         for arr in (gram.tt, gram.a, gram.m, gram.T, gram.entries, spectrum):
+            if arr is None:
+                continue
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
@@ -328,18 +329,18 @@ def test_single_neumann_actuator_vartheta_is_r():
 
 
 def test_identity_gram_gives_norm_one(monkeypatch):
-    # Theta = I from T T^T = I given as its diagonal, which reads no T, and
-    # from the mxe T, whose rows are orthogonal, scaled to unit rows with
-    # its T T^T given as the full matrix, which the SVD of G reads
+    # Theta = I from T T^T = I given as its diagonal, and from the mxe T,
+    # whose rows are orthogonal, scaled to unit rows with the diagonal of its
+    # T T^T; a kept diagonal reads no T and takes no SVD
     gram = assemble_cross_gram(D, place(Scheme.MXE, math.pi, 3, 0.4))
     svd, calls = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-    for m, tt in ((np.ones(3), np.ones(3)), (np.sqrt(gram.tt), np.diag(gram.tt))):
+    for m, tt in ((np.ones(3), np.ones(3)), (np.sqrt(gram.tt), gram.tt)):
         ident = type(gram)(actuators=gram.actuators, basis=gram.basis, a=np.ones(3), m=m, tt=tt)
         data = build_projection(ident)
         assert data.op_norm == pytest.approx(1.0, rel=1e-14)
         assert data.max_offdiag == 0.0
-        assert len(calls) == tt.ndim - 1
+        assert len(calls) == 0
 
 
 def test_near_coincident_centers_fail_direct_sum():
@@ -553,9 +554,10 @@ def test_max_offdiag_is_that_of_formed_theta(bc, scheme, M):
 @pytest.mark.parametrize("bc", [D, N])
 @pytest.mark.parametrize("scheme", [Scheme.MXE, Scheme.UNI, Scheme.CON])
 def test_trig_gram_product_is_exactly_symmetric(bc, scheme):
-    # _factors and _trig_factor write the mxe and uni T T^T from closed forms,
-    # assemble_cross_gram keeps the con T @ T.T as BLAS syrk returns it,
-    # neither symmetrised, and CrossGram promises an exactly symmetric Theta
+    # _factors writes the mxe and Dirichlet uni diagonal and the oracle the
+    # Neumann uni T T^T from closed forms, and the con T @ T.T that
+    # _max_offdiag reads is kept as BLAS syrk returns it, neither symmetrised:
+    # an exactly symmetric Theta
     for M in range(2, 201):
         TT = trig_gram(assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3)))
         assert np.array_equal(TT, TT.T), (bc, scheme, M)
@@ -588,7 +590,7 @@ def test_closed_form_trig_gram_matches_extended_sums(bc, scheme):
     for M in [*range(1, 41), 200]:
         gram = assemble_cross_gram(bc, place(scheme, math.pi, M, 0.3))
         diagonal = scheme is Scheme.MXE or bc is D
-        assert gram.tt.shape == ((M,) if diagonal else (M, M))
+        assert (gram.tt.shape == (M,)) if diagonal else (gram.tt is None)
         exact = _extended_trig_gram(bc, scheme, M)
         TT = trig_gram(gram)
         err = max(abs(float(x - e)) for row, ex in zip(TT, exact) for x, e in zip(row, ex))
@@ -604,13 +606,45 @@ def test_diagonal_theta_has_exactly_zero_offdiag(bc, scheme):
 
 
 def test_neumann_uni_max_offdiag_is_that_of_formed_theta():
-    for M in [*range(1, 61), 200]:
-        for r in (0.1, 0.5):
-            data = _build(N, Scheme.UNI, M, r)
-            formed = theta(data.gram)
+    # max_offdiag comes from s alone, the product of the two largest s of one
+    # parity; bit for bit that of Theta formed from the oracle's dense T T^T,
+    # at every M uni placement accepts up to 400 (r = 0.999 needs M >= 999).
+    # build_projection's SVD runs at a few M; the rest call the helper it calls
+    for r in (1e-300, 1e-6, 0.1, 0.5, 0.999):
+        for M in range(uni_min_count(r), 401) if r < 0.999 else (999, 1000):
+            gram = assemble_cross_gram(N, place(Scheme.UNI, math.pi, M, r))
+            if M in (1, 2, 3, 50, 400, 999):
+                got = build_projection(gram).max_offdiag
+            else:
+                got = projection._max_offdiag(gram, gram.a / gram.m)
+            formed = theta(gram)
             offdiag = np.max(np.abs(formed - np.diag(np.diag(formed))))
-            assert data.max_offdiag == offdiag, (M, r)
+            assert got == offdiag, (M, r)
             assert bool(offdiag > 0.0) == (M > 2)  # m = 0, 1 alone have unequal parity
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)]),
+    Ms=st.lists(st.integers(min_value=1, max_value=100_000), min_size=1, max_size=3),
+    r=st.floats(min_value=5e-324, max_value=1 - 2**-53),
+)
+@example(shape=(D, Scheme.MXE), Ms=[1, 2, 100_000], r=5e-324)
+@example(shape=(D, Scheme.MXE), Ms=[1, 2, 100_000], r=1e-300)
+@example(shape=(D, Scheme.MXE), Ms=[1, 2, 100_000], r=1 - 2**-53)
+@example(shape=(N, Scheme.MXE), Ms=[1, 2, 100_000], r=1 - 2**-53)
+@example(shape=(D, Scheme.UNI), Ms=[1, 2, 100_000], r=1 - 2**-53)
+def test_diagonal_spectrum_is_at_most_2r_where_the_row_scale_is_finite(shape, Ms, r):
+    # build_projection takes no fallback and _stacked_vartheta no finiteness
+    # test for s^2 o tt: wherever the row scale is finite, s^2 <= 2r/M by
+    # sin x <= x and tt <= M, so s^2 o tt is finite and at most 2r, to rounding
+    bc, scheme = shape
+    _, row_scale, a, m, tt = projection._factors(bc, scheme, Ms, r)
+    finite = np.repeat(np.isfinite(row_scale), Ms)
+    s = a[finite] / m[finite]
+    w = s * s * tt[finite]
+    assert np.isfinite(w).all()
+    assert np.all(w <= 2 * r * (1 + 1e-15)), (w.max() / r, Ms)
 
 
 @pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
@@ -695,7 +729,7 @@ def test_nearly_diagonal_theta_spectrum_from_svd(bc, nudge):
     # ones, so the spectrum is sigma(G)^2, bit for bit, and agrees with the
     # eigenvalues of the formed Theta
     data = _nudged_mxe(bc, nudge)
-    assert data.gram.tt.ndim == 2 and data.max_offdiag > 0.0
+    assert data.gram.tt is None and data.max_offdiag > 0.0
     sigma = np.linalg.svd(data.gram.entries, compute_uv=False)
     assert np.array_equal(data.theta_eigenvalues, sigma[::-1] ** 2)
     assert np.allclose(
@@ -741,7 +775,7 @@ def test_dense_near_diagonal_vartheta_matches_mpmath(bc, scheme, M, rs, nudge):
             aset = place(Scheme.CUSTOM, math.pi, M, r, centers=centers)
             cm = [mpmath.mpf(float(c)) for c in centers]
         data = build_projection(assemble_cross_gram(bc, aset))
-        assert data.gram.tt.ndim == 2
+        assert data.gram.tt is None
         with mpmath.workdps(40):
             exact = min(_mp_sigma(bc, r, cm)) ** 2
             err = float(abs(mpmath.mpf(data.vartheta) / exact - 1))
@@ -749,8 +783,8 @@ def test_dense_near_diagonal_vartheta_matches_mpmath(bc, scheme, M, rs, nudge):
 
 
 def test_dropped_projection_releases_its_arrays():
-    # nothing outlives the projection data: at M = 500 the dense T T^T, T and
-    # G of Neumann uni take 2 MB each
+    # nothing outlives the projection data: at M = 500 the T and G of
+    # Neumann uni take 2 MB each
     build_projection(assemble_cross_gram(N, place(Scheme.UNI, math.pi, 3, 0.3)))
     gc.collect()
     tracemalloc.start()
