@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +42,13 @@ from .fem import (
     tabulated_reaction,
 )
 from .projection import (
-    analytic_vartheta,
     apply_projection,
     assemble_cross_gram,
     build_projection,
     check_sufficient_condition,
     op_norm_limit,
     orthogonal_projection_actuators,
-    sweep_rows,
+    sweep_chunks,
     vartheta_limit,
 )
 from .quadrature import panel_nodes_weights
@@ -270,46 +270,81 @@ def _write(path: str | None, lines: list[str]) -> None:
 Result = tuple[list[tuple[str | None, list[str]]], str | None]
 
 
+def _eigs_rows(v: argparse.Namespace, r: float, Ms: list[int]):
+    """The rows of the sweep at one r: their lines, the text of each failed
+    row, {M: vartheta} of the ok rows, and (M, error) of the row that raised,
+    or None.
+
+    r and vartheta_limit are formatted once into a row template, and each run
+    of ok rows in a chunk is written by one % over the repeated template.  A
+    max_offdiag column of zeros, as every diagonal Theta has, is a 0 in it.
+    """
+    lines, failures, table, done = [], [], {}, 0
+    r_text, limit = _fmt(r), None
+    try:
+        for chunk in sweep_chunks(v.bc, v.scheme, v.L, Ms, r, v.centers):
+            n = len(chunk.M)
+            done += n
+            if n > len(chunk.failures):
+                limit = limit or _fmt(vartheta_limit(r))
+                zero = not any(chunk.max_offdiag)
+                analytic = "" if chunk.analytic is None else "%.17g"
+                offdiag = "0" if zero else "%.17g"
+                template = f"%d,{r_text},%.17g,{analytic},%.17g,{limit},{offdiag},ok"
+                cols = (chunk.M, chunk.vartheta, chunk.analytic, chunk.op_norm,
+                        None if zero else chunk.max_offdiag)
+                cols = [c for c in cols if c is not None]
+            start = 0
+            for i in [*sorted(chunk.failures), n]:
+                if i > start:
+                    values = chain.from_iterable(zip(*(c[start:i] for c in cols)))
+                    lines.append("\n".join([template] * (i - start)) % tuple(values))
+                    table.update(zip(chunk.M[start:i], chunk.vartheta[start:i]))
+                if i < n:
+                    # a failed row keeps its M and r and leaves every numeric cell empty
+                    failures.append(f"M={chunk.M[i]} r={_cfmt(r)}: {chunk.failures[i]}")
+                    lines.append(f"{chunk.M[i]},{r_text},,,,,,direct_sum_failure")
+                start = i + 1
+    except (InvalidArgumentError, MemoryError) as exc:
+        return lines, failures, table, (Ms[done], exc)
+    return lines, failures, table, None
+
+
 def cmd_eigs(v: argparse.Namespace) -> Result:
+    """vartheta, its closed form, ||P||, the large-M limit and Theta's largest
+    off-diagonal entry for every M and r, listed by (r, M), with the slope
+    comments of each r after the rows.
+
+    Each r is swept in turn.  A row that fails the direct sum leaves its
+    numeric cells empty and makes the run exit 3.  Of the errors of several
+    r, the one raised is that of the first failing row in M-major order, as
+    a row-by-row sweep would raise it.
+    """
     pairs = [(M, r) for M in v.M for r in v.r]
     if v.scheme is Scheme.UNI:
         # skip the pairs uni placement rejects, as suffcond does; if that is
         # every pair, placing the first one says why
         pairs = [(M, r) for M, r in pairs if M >= uni_min_count(r)] or pairs[:1]
-    # one sweep per r, read in M-major order, the order in which a row's error is raised
-    sweeps = {r: sweep_rows(v.bc, v.scheme, v.L, [M for M, q in pairs if q == r], r, v.centers)
-              for r in v.r}
-    rows = []
-    for M, r in pairs:
-        _, vartheta, op_norm, max_offdiag, exc = next(sweeps[r])
-        if exc is not None:
-            # a failed row keeps its M and r and leaves every numeric cell empty
-            failure = f"M={M} r={_cfmt(r)}: {exc}"
-            rows.append((M, r, (None,) * 5, "direct_sum_failure", failure))
-            continue
-        ana = analytic_vartheta(v.bc, v.scheme, M, r)
-        cells = (vartheta, ana, op_norm, vartheta_limit(r), max_offdiag)
-        rows.append((M, r, cells, "ok", None))
-    rows.sort(key=lambda row: (row[1], row[0]))
+    sweeps = {r: _eigs_rows(v, r, [M for M, q in pairs if q == r]) for r in dict.fromkeys(v.r)}
+    errors = [(error[0], v.r.index(r), error[1]) for r, (*_, error) in sweeps.items() if error]
+    if errors:
+        raise min(errors, key=lambda e: e[:2])[2]
 
     lines = [
         "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta,status"
     ]
-    by_r: dict[float, dict[int, float]] = {}
-    for M, r, cells, status, _ in rows:
-        if status == "ok":
-            by_r.setdefault(r, {})[M] = cells[0]
-        text = ",".join("" if x is None else _fmt(x) for x in cells)
-        lines.append(f"{M},{_fmt(r)},{text},{status}")
-    for r in sorted(by_r):
-        table = by_r[r]
+    failures = []
+    for r in sorted(sweeps):
+        lines += sweeps[r][0]
+        failures += sweeps[r][1]
+    for r in sorted(sweeps):
+        table = sweeps[r][2]
         for lo, hi in _SLOPE_WINDOWS:
             if lo in table and hi in table:
                 slope = (table[hi] - table[lo]) / (hi - lo)
                 lines.append(f"# slope r={_cfmt(r)} M[{lo},{hi}]: {_fmt(slope)}")
-    failures = [row[4] for row in rows if row[4] is not None]
     if failures:
-        failure = f"{len(failures)} of {len(rows)} sweep rows failed, the first at {failures[0]}"
+        failure = f"{len(failures)} of {len(pairs)} sweep rows failed, the first at {failures[0]}"
         return [(v.output, lines)], failure
     return [(v.output, lines)], None
 
@@ -401,7 +436,10 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
     found = failure = None
     least = uni_min_count(r) if scheme is Scheme.UNI else 1
     # rows come a chunk at a time: no chunk past the first satisfied M is formed
-    for M, _, op_norm, _, exc in sweep_rows(bc, scheme, L, range(least, v.max_M + 1), r):
+    chunks = sweep_chunks(bc, scheme, L, range(least, v.max_M + 1), r)
+    rows = ((M, op_norm, chunk.failures.get(i)) for chunk in chunks
+            for i, (M, op_norm) in enumerate(zip(chunk.M, chunk.op_norm)))
+    for M, op_norm, exc in rows:
         if exc is not None:
             # a failed M counts as not satisfied; the file names the first
             failure = failure or f"M={M}: {exc}"

@@ -22,8 +22,9 @@ G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  build_projection takes the spectrum
 of Theta = (s s^T) o (T T^T) in O(M) from the closed-form diagonal of T T^T
 for mxe and Dirichlet uni, else from the SVD of G; no scipy.
-sweep_rows gives a sweep's rows at one r, those of diagonal shapes from
-array passes over chunks of at most SWEEP_CHUNK stacked entries.
+sweep_chunks gives a sweep's rows at one r as columns, a chunk of at most
+SWEEP_CHUNK stacked entries at a time; for diagonal shapes one array pass
+over a chunk gives its vartheta and closed-form columns.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -37,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -259,54 +260,108 @@ def _chunks(Ms):
         yield chunk
 
 
-def _stacked_vartheta(bc, scheme, Ms, r):
-    """Each M's least s^2 o tt, and whether it is build_projection's vartheta."""
+def _stacked_vartheta(bc, scheme, Ms, r, least_M, limit):
+    """For each M of Ms at one r, the smallest s^2 o tt, NaN where it is not
+    build_projection's vartheta, and analytic_vartheta by the float operations
+    of the scalar one, given limit = vartheta_limit(r); with the indices of
+    the NaN rows: an M below least_M, a row scale that overflows or a failed
+    direct sum."""
     starts, row_scale, a, m, tt = _factors(bc, scheme, Ms, r)
-    with np.errstate(all="ignore"):  # rows that overflow go row by row
+    M = np.asarray(Ms)
+    with np.errstate(all="ignore"):  # NaN rows go row by row; theta = 0 at M = 1 is set below
         s = a / m
         w = s * s * tt
         lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
-        ok = np.isfinite(row_scale) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD)
-    return lo.tolist(), ok.tolist()
+        ok = np.isfinite(row_scale) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD) & (M >= least_M)
+        if scheme is Scheme.UNI:
+            analytic = (M + 1) / M * limit
+        else:
+            analytic = _sinc2(r, (M - 1) * r * math.pi / (2 * M))
+            analytic[M == 1] = r if bc is BoundaryCondition.NEUMANN else 2.0 * limit
+    slow = ~ok
+    lo[slow] = np.nan
+    return lo.tolist(), analytic.tolist(), np.flatnonzero(slow).tolist()
 
 
-def sweep_rows(bc, scheme, L, Ms, r, centers=None) -> Iterator[tuple]:
-    """(M, vartheta, op_norm, max_offdiag, failure) for each M in Ms at one r,
-    bit for bit those of place, assemble_cross_gram and build_projection.
+class SweepChunk(NamedTuple):
+    """Consecutive rows of a sweep at one r, as columns of equal length.
 
-    failure is build_projection's DirectSumFailureError, with None in the
-    numbers; an InvalidArgumentError is raised once the rows before it are
-    yielded.  For mxe and Dirichlet uni the rows are stacked in chunks, each
-    formed when the reader reaches it.  A row that fails the direct sum,
-    overflows or that placement may reject, and every row of other shapes,
-    goes row by row.
+    vartheta, op_norm and max_offdiag are build_projection's and analytic is
+    analytic_vartheta's, or None where the shape has no closed form.  A row
+    that fails the direct sum has None in each of them and its
+    DirectSumFailureError in failures, under its index in the chunk.
     """
+
+    M: list
+    vartheta: list
+    op_norm: list
+    analytic: list | None
+    max_offdiag: list
+    failures: dict
+
+
+def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
+    """The rows of each M in Ms at one r as SweepChunks, bit for bit those of
+    place, assemble_cross_gram, build_projection and analytic_vartheta.
+
+    A chunk stacks at most SWEEP_CHUNK entries, unless one row alone has
+    more, and is formed when the reader reaches it.  For mxe and Dirichlet
+    uni one array pass over a chunk gives every row's vartheta, op_norm and
+    analytic.  A row that fails the direct sum, overflows or that placement
+    may reject, and every row of other shapes, goes row by row.  A row's
+    InvalidArgumentError, or MemoryError, is raised once a chunk of the rows
+    before it is yielded.
+    """
+    diagonal = scheme is Scheme.MXE or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET
     stacked = (  # an L in this range keeps the products of place and build_basis normal
-        centers is None and isinstance(r, float) and 0.0 < r < 1.0
+        diagonal and centers is None and isinstance(bc, BoundaryCondition)
+        and isinstance(r, float) and 0.0 < r < 1.0
         and isinstance(L, float) and 2.0**-256 <= L <= 2.0**256
-        and (scheme is Scheme.MXE and isinstance(bc, BoundaryCondition)
-             or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET)
     )
     least = uni_min_count(r) if stacked and scheme is Scheme.UNI else 1
+    limit = vartheta_limit(r) if stacked else None
     for chunk in _chunks(Ms):
-        lo, ok = (_stacked_vartheta(bc, scheme, chunk, r) if stacked
-                  else (chunk, [False] * len(chunk)))
-        for M, vartheta, fast in zip(chunk, lo, ok):
-            if fast and M >= least:
-                yield M, vartheta, vartheta**-0.5, 0.0, None
-                continue
-            aset = place(scheme, L, M, r, centers=centers)
+        n = len(chunk)
+        if stacked:
+            vartheta, analytic, slow = _stacked_vartheta(bc, scheme, chunk, r, least, limit)
+            op_norm = [v**-0.5 for v in vartheta]
+        else:
+            vartheta, op_norm, slow = [None] * n, [None] * n, range(n)
+            analytic = [None] * n if diagonal else None
+        cols = SweepChunk(chunk, vartheta, op_norm, analytic, [0.0] * n, {})
+        error = None
+        for i in slow:
             try:
+                aset = place(scheme, L, chunk[i], r, centers=centers)
                 data = build_projection(assemble_cross_gram(bc, aset))
             except DirectSumFailureError as exc:
-                yield M, None, None, None, exc
+                cols.failures[i] = exc
+                vartheta[i] = op_norm[i] = cols.max_offdiag[i] = None
+                if analytic is not None:
+                    analytic[i] = None
                 continue
-            yield M, data.vartheta, data.op_norm, data.max_offdiag, None
+            except (InvalidArgumentError, MemoryError) as exc:
+                error = exc
+                for column in filter(None, cols[:5]):  # keep the rows before it
+                    del column[i:]
+                break
+            vartheta[i], op_norm[i] = data.vartheta, data.op_norm
+            cols.max_offdiag[i] = data.max_offdiag
+            if analytic is not None:
+                analytic[i] = analytic_vartheta(bc, scheme, chunk[i], r)
+        yield cols
+        if error is not None:
+            raise error
 
 
 def _sinc2(r: float, theta):
-    """r (sin(theta)/theta)^2, theta > 0: every closed-form eigenvalue of Theta."""
-    return r * (np.sin(theta) / theta) ** 2
+    """r (sin(theta)/theta)^2, theta > 0: every closed-form eigenvalue of Theta.
+
+    The square is a product, as numpy forms an array's: a numpy scalar's
+    ** 2 calls libm pow, which can miss the exact square by an ulp.
+    """
+    q = np.sin(theta) / theta
+    return r * (q * q)
 
 
 def analytic_vartheta(

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 
-from oblique_stab.actuators import Scheme
+from oblique_stab.actuators import Scheme, place, uni_min_count
+from oblique_stab.errors import DirectSumFailureError
 from oblique_stab.projection import (
     _actuator_family,
     _expansion,
     _inner_products,
+    analytic_vartheta,
+    assemble_cross_gram,
+    build_projection,
+    vartheta_limit,
 )
 from oblique_stab.quadrature import panel_nodes_weights
 from oblique_stab.spectral import BoundaryCondition, build_basis, eigenfunctions
@@ -116,6 +121,52 @@ def check_theta_diagonal(data) -> tuple[bool, float]:
     entry, and its largest off-diagonal magnitude."""
     max_diag = float(np.max(np.abs(np.diag(theta(data.gram)))))
     return data.max_offdiag <= DIAG_RTOL * max_diag, data.max_offdiag
+
+
+def eigs_lines(bc, scheme, L, Ms, rs, centers=None):
+    """The lines of an `eigs` file after its `# config:` line, and its failure
+    message or None, row by row: place, assemble_cross_gram, build_projection,
+    analytic_vartheta, vartheta_limit and one %.17g per cell.
+
+    Rows are formed in M-major order, so an InvalidArgumentError is that of
+    the first failing row in that order, and listed by (r, M).
+    """
+    pairs = [(M, r) for M in Ms for r in rs]
+    if scheme is Scheme.UNI:
+        pairs = [(M, r) for M, r in pairs if M >= uni_min_count(r)] or pairs[:1]
+    rows = []
+    for M, r in pairs:
+        aset = place(scheme, L, M, r, centers=centers)
+        try:
+            data = build_projection(assemble_cross_gram(bc, aset))
+        except DirectSumFailureError as exc:
+            rows.append((M, r, (None,) * 5, "direct_sum_failure", f"M={M} r={'%.12g' % r}: {exc}"))
+            continue
+        ana = analytic_vartheta(bc, scheme, M, r)
+        cells = (data.vartheta, ana, data.op_norm, vartheta_limit(r), data.max_offdiag)
+        rows.append((M, r, cells, "ok", None))
+    rows.sort(key=lambda row: (row[1], row[0]))
+
+    lines = [
+        "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta,status"
+    ]
+    by_r = {}
+    for M, r, cells, status, _ in rows:
+        if status == "ok":
+            by_r.setdefault(r, {})[M] = cells[0]
+        text = ",".join("" if x is None else "%.17g" % x for x in cells)
+        lines.append(f"{M},{'%.17g' % r},{text},{status}")
+    for r in sorted(by_r):
+        table = by_r[r]
+        for lo, hi in ((10, 20), (50, 60), (110, 120)):
+            if lo in table and hi in table:
+                slope = (table[hi] - table[lo]) / (hi - lo)
+                lines.append(f"# slope r={'%.12g' % r} M[{lo},{hi}]: {'%.17g' % slope}")
+    failures = [row[4] for row in rows if row[4] is not None]
+    if failures:
+        failure = f"{len(failures)} of {len(rows)} sweep rows failed, the first at {failures[0]}"
+        return lines, failure
+    return lines, None
 
 
 def tridiag_matvec(diag, off, X):

@@ -25,6 +25,8 @@ from oblique_stab import cli, projection
 from oblique_stab.cli import main
 from oblique_stab.errors import InvalidArgumentError
 
+from oracles import eigs_lines
+
 
 def _lines(path):
     return path.read_text().splitlines()
@@ -270,6 +272,46 @@ def test_eigs_uni_sweep_skips_m_below_constraint(tmp_path):
         *((M, 0.1) for M in range(2, 21)), *((M, 0.9) for M in range(9, 21))
     ]
     assert all(row[-1] == "ok" for row in body)
+
+
+# (flags, --r): eigs runs whose files the column writer must write as the
+# row-by-row one does
+_ROW_BY_ROW = [
+    # the closed-form shapes, stacked in about 40 chunks per r; uni skips the
+    # M below r/(1 - r), every M at r = 0.999
+    *((f"--bc {bc} --M 1..400", "1e-300,1e-6,0.1,0.5,0.999") for bc in ("dirichlet", "neumann")),
+    ("--scheme uni --M 1..400", "1e-300,1e-6,0.1,0.5,0.999"),
+    # an L past the stacked range goes row by row
+    ("--M 1..60 --L 1e100", "0.1,0.5"),
+    # direct-sum failures, and shapes with no closed form
+    ("--scheme con --M 1..40", "0.5,0.1"),
+    ("--bc neumann --scheme uni --M 1..40", "0.1,0.5"),
+    ("--scheme custom --centers 1.0,1.00000001 --M 2", "0.5,0.1"),
+    # duplicate and unordered r lists
+    ("--M 2..130", "0.5,0.1,0.5,0.3"),
+    ("--scheme uni --M 2..40", "0.9,0.1,0.9"),
+    # errors, that of the first failing row in M-major order
+    ("--M 2..30", "1e-307,5e-308"),
+    ("--M 2..30", "5e-308,1e-307"),
+    ("--M 1..3 --L 3e-154", "0.1,1.5"),
+    ("--scheme uni --M 2..3", "0.9,0.95"),
+]
+
+
+@pytest.mark.parametrize("flags, rs", _ROW_BY_ROW)
+def test_eigs_file_is_the_row_by_row_writers_byte_for_byte(tmp_path, capsys, flags, rs):
+    argv = ["eigs", *flags.split(), "--r", rs]
+    v, config = cli._settings(cli.build_parser().parse_args(argv))
+    out = tmp_path / "e.csv"
+    rc = main([*argv, "--output", str(out)])
+    err = capsys.readouterr().err
+    try:
+        lines, failure = eigs_lines(v.bc, v.scheme, v.L, v.M, v.r, v.centers)
+    except InvalidArgumentError as exc:
+        assert (rc, err, out.exists()) == (2, f"error: {exc}\n", False)
+        return
+    assert out.read_bytes() == ("\n".join([config, *lines]) + "\n").encode()
+    assert (rc, err) == ((3, f"numerical failure: {failure}\n") if failure else (0, ""))
 
 
 # ---------------------------------------------------------------- project
@@ -882,6 +924,10 @@ _EXITS = [
     # M = 2, whose (2pi/L)^2 overflows
     ("eigs --M 1..3 --r 0.1,1.5 --L 3e-154 --output out.csv", 2,
      "error: volume fraction must lie in (0, 1), got 1.5"),
+    # the row scale overflows from M = 12 at r = 5e-308 and from M = 23 at
+    # r = 1e-307, each r forming its rows in turn
+    ("eigs --M 2..30 --r 1e-307,5e-308 --output out.csv", 2,
+     "error: volume fraction r = 5e-308 is too small for the row scale of G"),
     # a side of the margin test or the closed-form count overflows
     ("suffcond --a-bound 1e160 --output out.csv", 2,
      "error: the margin test overflows at nu=0.1, a_bound=1e+160"),

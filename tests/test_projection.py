@@ -37,7 +37,7 @@ from oblique_stab.projection import (
     check_sufficient_condition,
     op_norm_limit,
     orthogonal_projection_actuators,
-    sweep_rows,
+    sweep_chunks,
     vartheta_limit,
 )
 from oblique_stab.spectral import BoundaryCondition, build_basis
@@ -1095,43 +1095,55 @@ def test_build_succeeds_for_extremiser_family(bc, M, r):
 
 
 def _row_outcome(bc, scheme, M, r):
-    """(vartheta, op_norm, max_offdiag) as bytes, the failure's text, or the
-    InvalidArgumentError's, from place, assemble_cross_gram and build_projection."""
+    """(vartheta, op_norm, max_offdiag) and, where one is known, analytic_vartheta
+    as bytes, the failure's text, or the InvalidArgumentError's, from place,
+    assemble_cross_gram, build_projection and analytic_vartheta."""
     try:
         data = _build(bc, scheme, M, r)
     except (DirectSumFailureError, InvalidArgumentError) as exc:
         return type(exc).__name__, str(exc)
-    return struct.pack("3d", data.vartheta, data.op_norm, data.max_offdiag)
+    analytic = analytic_vartheta(bc, scheme, M, r)
+    return struct.pack("3d", data.vartheta, data.op_norm, data.max_offdiag) + (
+        b"" if analytic is None else struct.pack("d", analytic)
+    )
 
 
 def _sweep_outcomes(bc, scheme, Ms, r):
     outcomes = []
     try:
-        for _, vartheta, op_norm, max_offdiag, failure in sweep_rows(bc, scheme, math.pi, Ms, r):
-            if failure is None:
-                outcomes.append(struct.pack("3d", vartheta, op_norm, max_offdiag))
-            else:
-                assert vartheta is op_norm is max_offdiag is None
-                outcomes.append((type(failure).__name__, str(failure)))
+        for chunk in sweep_chunks(bc, scheme, math.pi, Ms, r):
+            n = len(chunk.M)
+            analytic = [None] * n if chunk.analytic is None else chunk.analytic
+            columns = (chunk.vartheta, chunk.op_norm, chunk.max_offdiag, analytic)
+            assert {len(column) for column in columns} == {n}
+            for i, (vartheta, op_norm, max_offdiag, ana) in enumerate(zip(*columns)):
+                failure = chunk.failures.get(i)
+                if failure is None:
+                    outcomes.append(struct.pack("3d", vartheta, op_norm, max_offdiag) + (
+                        b"" if ana is None else struct.pack("d", ana)
+                    ))
+                else:
+                    assert vartheta is op_norm is max_offdiag is ana is None
+                    outcomes.append((type(failure).__name__, str(failure)))
     except InvalidArgumentError as exc:
         outcomes.append(("InvalidArgumentError", str(exc)))
     return outcomes
 
 
-@pytest.mark.parametrize("r", [1e-300, 1e-6, 0.1, 0.5, 0.999])
+@pytest.mark.parametrize("r", [1e-307, 1e-300, 1e-6, 0.1, 0.5, 0.999])
 @pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
 def test_sweep_rows_are_the_row_by_row_projection_bit_for_bit(bc, scheme, r):
     # M = 1..400 stacks 80,200 entries, about 40 chunks; uni rejects M below
-    # r/(1 - r), and the sweep raises that at the first such row, as placement does
-    expected = []
-    for M in range(1, 401):
-        expected.append(_row_outcome(bc, scheme, M, r))
-        if expected[-1][0] == "InvalidArgumentError":
-            break
-    assert _sweep_outcomes(bc, scheme, range(1, 401), r) == expected
-    if scheme is Scheme.UNI:
-        Ms = range(uni_min_count(r), 401)
-        assert _sweep_outcomes(bc, scheme, Ms, r) == [_row_outcome(bc, scheme, M, r) for M in Ms]
+    # r/(1 - r), and the sweep raises that at the first such row, as placement
+    # does; at r = 1e-307 the row scale overflows from M = 23 on, inside the
+    # first chunk, whose rows before it the sweep yields before it raises
+    for start in (1, uni_min_count(r)) if scheme is Scheme.UNI else (1,):
+        expected = []
+        for M in range(start, 401):
+            expected.append(_row_outcome(bc, scheme, M, r))
+            if expected[-1][0] == "InvalidArgumentError":
+                break
+        assert _sweep_outcomes(bc, scheme, range(start, 401), r) == expected
 
 
 @pytest.mark.parametrize("bc, scheme, Ms", [
@@ -1141,6 +1153,37 @@ def test_sweep_rows_are_the_row_by_row_projection_bit_for_bit(bc, scheme, r):
 ])
 def test_sweep_rows_of_every_shape_are_the_row_by_row_projection(bc, scheme, Ms):
     assert _sweep_outcomes(bc, scheme, Ms, 0.1) == [_row_outcome(bc, scheme, M, 0.1) for M in Ms]
+
+
+# the grid on which squaring sin(theta)/theta by libm pow moved 4 of its
+# 7,586 closed-form values by an ulp (mxe under both conditions, at M = 146,
+# r = 0.3 and M = 138, r = 0.6)
+_ANALYTIC_RS = [1e-300, 1e-6, 0.01, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.999]
+
+
+@pytest.mark.parametrize("bc, scheme", [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)])
+def test_stacked_analytic_vartheta_is_the_per_row_one_bit_for_bit(bc, scheme):
+    for r in _ANALYTIC_RS:
+        Ms = range(uni_min_count(r) if scheme is Scheme.UNI else 1, 201)
+        stacked = [x for chunk in sweep_chunks(bc, scheme, math.pi, Ms, r) for x in chunk.analytic]
+        per_row = [analytic_vartheta(bc, scheme, M, r) for M in Ms]
+        assert struct.pack(f"{len(Ms)}d", *stacked) == struct.pack(f"{len(Ms)}d", *per_row), r
+
+
+def test_closed_form_square_is_the_rounded_exact_square():
+    # the cells where libm pow missed the square of q = sin(theta)/theta by an
+    # ulp (mxe under both conditions); the product is the 40-digit square of q
+    # rounded once
+    import mpmath
+
+    for M, r, cell in [(146, 0.3, "0.27872631879670168"), (138, 0.6, "0.44412003852429865")]:
+        theta = (M - 1) * r * math.pi / (2 * M)
+        q = float(np.sin(theta) / theta)
+        with mpmath.workdps(40):
+            square = float(mpmath.mpf(q) ** 2)
+        for bc in (D, N):
+            vartheta = analytic_vartheta(bc, Scheme.MXE, M, r)
+            assert vartheta == r * square and "%.17g" % vartheta == cell
 
 
 def test_sweep_chunks_are_capped_in_order():
