@@ -10,9 +10,9 @@ Subcommands
     suffcond  find the smallest actuator count passing the stabilisability
               margin test, and the closed-form threshold from the limit norm
 
-`_FLAGS` gives each flag its parser and help, and `_COMMANDS` gives each
-command its handler and the default of each flag it takes.  `main` parses,
-calls the handler, and writes the files it returns.
+`_FLAGS` gives each flag its parser, from `inputs`, and its help, and
+`_COMMANDS` gives each command its handler and the default of each flag it
+takes.  `main` parses, calls the handler, and writes the files it returns.
 
 All output is CSV-like text with `#` comment lines, a header row, and reals
 printed with 17 significant digits, so identical configurations produce
@@ -32,16 +32,23 @@ import numpy as np
 
 from .actuators import Scheme, all_breakpoints, place, uni_min_count
 from .errors import InvalidArgumentError, NumericalFailureError
-from .fem import (
-    FeedbackConfig,
-    constant_reaction,
-    feedback_matrices,
-    make_grid,
-    oscillating_reaction,
-    run_closed_loop,
-    tabulated_reaction,
+from .fem import FeedbackConfig, feedback_matrices, make_grid, run_closed_loop
+from .inputs import (
+    data_lines,
+    inside_domain,
+    load_samples,
+    parse_count,
+    parse_enum,
+    parse_feed_on,
+    parse_float,
+    parse_float_list,
+    parse_int,
+    parse_m_values,
+    parse_reaction,
+    parse_y0,
 )
 from .projection import (
+    analytic_varthetas,
     apply_projection,
     assemble_cross_gram,
     build_projection,
@@ -68,177 +75,10 @@ def _cfmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
-# A flag's parser takes the flag's name, for its messages, and its raw text.
-
-
-def _parse_enum(kind):
-    def parse(key: str, text: str):
-        try:
-            return kind(text.strip().lower())
-        except ValueError:
-            choices = ", ".join(member.value for member in kind)
-            raise InvalidArgumentError(f"--{key} must be one of {choices}; got {text!r}") from None
-
-    return parse
-
-
-def _parse_float(key: str, text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise InvalidArgumentError(f"--{key} expects a number, got {text!r}") from None
-    if not math.isfinite(val):
-        raise InvalidArgumentError(f"--{key} expects a finite number, got {text!r}")
-    return val
-
-
-def _parse_floats(key: str, texts: list[str]) -> np.ndarray:
-    """`_parse_float` of each text, with one finiteness check; on a failure the
-    texts are parsed again in order, stripped, so the first bad one is named."""
-    try:
-        vals = np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        vals = None
-    if vals is None or not np.isfinite(vals).all():
-        for text in texts:
-            _parse_float(key, text.strip())
-    return vals
-
-
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidArgumentError(f"--{key} expects an integer, got {text!r}") from None
-
-
-def _parse_count(key: str, text: str) -> int:
-    val = _parse_int(key, text)
-    if val < 1:
-        raise InvalidArgumentError(f"--{key} must be positive, got {val}")
-    return val
-
-
-def _parse_m_values(key: str, text: str) -> list[int]:
-    """Either a single count '6' or an inclusive range '2..200'."""
-    lo_s, sep, hi_s = text.strip().partition("..")
-    if not sep:
-        return [_parse_count(key, text)]
-    lo, hi = _parse_int(key, lo_s), _parse_int(key, hi_s)
-    if lo < 1 or hi < lo:
-        raise InvalidArgumentError(f"--{key} range must satisfy 1 <= lo <= hi, got {text!r}")
-    return list(range(lo, hi + 1))
-
-
-def _parse_float_list(key: str, text: str) -> list[float]:
-    items = [s for s in (part.strip() for part in text.split(",")) if s]
-    if not items:
-        raise InvalidArgumentError(f"--{key} list is empty")
-    return _parse_floats(key, items).tolist()
-
-
-def _parse_feed_on(key: str, text: str) -> tuple[float, float] | bool:
-    """'t0:t1' for a closed activity window, 'off' (False) to disable the feedback."""
-    text = text.strip().lower()
-    if text == "off":
-        return False
-    t0_s, sep, t1_s = text.partition(":")
-    if not sep:
-        raise InvalidArgumentError(f"--{key} expects 't0:t1' or 'off', got {text!r}")
-    t0, t1 = _parse_float(key, t0_s), _parse_float(key, t1_s)
-    if not t1 > t0 or t0 < 0.0:
-        raise InvalidArgumentError(f"--{key} needs 0 <= t0 < t1, got {text!r}")
-    return t0, t1
-
-
-def _data_lines(path: str) -> list[tuple[int, str]]:
-    """(line number, stripped line) of each line that is neither blank nor a `#` comment."""
-    try:
-        raw = Path(path).read_text()
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read {path}: {exc}") from None
-    lines = enumerate(map(str.strip, raw.splitlines()), start=1)
-    return [(n, line) for n, line in lines if line and line[0] != "#"]
-
-
-def _read_table_lines(path: str) -> list[list[str]]:
-    rows = [line.split(",") for _, line in _data_lines(path)]
-    if not rows:
-        raise InvalidArgumentError(f"{path} contains no data rows")
-    return rows
-
-
-def _parse_reaction(text: str, nu: float, L: float):
-    text = text.strip()
-    if text.startswith("constant:"):
-        return constant_reaction(_parse_float("reaction", text[len("constant:"):]))
-    if text == "oscillating":
-        return oscillating_reaction(nu, L)
-    if text.startswith("table:"):
-        rows = _read_table_lines(text[len("table:"):])
-        head, body = rows[0], rows[1:]
-        if head[0].strip().lower() != "x" or len(head) < 3:
-            raise InvalidArgumentError(
-                "reaction table must start with a header row 'x,<x1>,<x2>,...'"
-            )
-        xs = _parse_floats("reaction", head[1:])
-        # the rows before the first of another length, in file order
-        n = next((i for i, row in enumerate(body) if len(row) != len(head)), len(body))
-        texts = [s for row in body[:n] for s in row]
-        table = _parse_floats("reaction", texts).reshape(n, len(head))
-        if n < len(body):
-            raise InvalidArgumentError("reaction table rows have inconsistent lengths")
-        if not n:
-            raise InvalidArgumentError("reaction table has no time rows")
-        return tabulated_reaction(table[:, 0], xs, table[:, 1:])
-    raise InvalidArgumentError(
-        f"--reaction must be 'constant:<value>', 'oscillating', or 'table:<file>', got {text!r}"
-    )
-
-
-def _parse_y0(text: str, nodes: np.ndarray, L: float) -> np.ndarray:
-    text = text.strip()
-    if text.startswith("linear:"):
-        slope = _parse_float("y0", text[len("linear:"):])
-        if not math.isfinite(slope * L):  # the largest of slope * nodes
-            raise InvalidArgumentError(f"--y0 slope {slope:g} overflows at x = L = {L:g}")
-        return slope * nodes
-    if text.startswith("samples:"):
-        xs, vals = _inside_domain("y0", _load_samples("y0", text[len("samples:"):]), L)
-        return np.interp(nodes, xs, vals)
-    raise InvalidArgumentError(
-        f"--y0 must be 'linear:<slope>' or 'samples:<file>', got {text!r}"
-    )
-
-
-def _load_samples(key: str, path: str) -> tuple[np.ndarray, np.ndarray]:
-    rows = _read_table_lines(path)
-    try:
-        float(rows[0][0])
-    except ValueError:
-        rows = rows[1:]  # a header row
-    n = next((i for i, row in enumerate(rows) if len(row) < 2), len(rows))
-    cells = _parse_floats(key, [s for row in rows[:n] for s in row[:2]])
-    if n < len(rows):
-        raise InvalidArgumentError(f"{path}: each sample row needs 'x,value'")
-    if n < 2:
-        raise InvalidArgumentError(f"{path}: need at least two samples, got {n}")
-    if np.any(np.diff(cells[0::2]) <= 0.0):
-        raise InvalidArgumentError(f"{path}: sample x values must be strictly increasing")
-    return cells[0::2], cells[1::2]
-
-
-def _inside_domain(key: str, samples: tuple[np.ndarray, np.ndarray], L: float):
-    """`samples` once they span [0, L], to 1e-12 L, which np.interp would fill with constants."""
-    if abs(samples[0][0]) > 1e-12 * L or abs(samples[0][-1] - L) > 1e-12 * L:
-        raise InvalidArgumentError(f"--{key} samples must span [0, L] from x = 0 to x = L")
-    return samples
-
-
 def _load_config_file(path: str) -> dict[str, str]:
     """Plain-text settings, one `key=value` per line, `#` comments."""
     cfg: dict[str, str] = {}
-    for lineno, line in _data_lines(path):
+    for lineno, line in data_lines(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise InvalidArgumentError(
@@ -275,25 +115,25 @@ def _eigs_rows(v: argparse.Namespace, r: float, Ms: list[int]):
     row, {M: vartheta} of the ok rows, and (M, error) of the row that raised,
     or None.
 
-    r and vartheta_limit are formatted once into a row template, and each run
-    of ok rows in a chunk is written by one % over the repeated template.  A
-    max_offdiag column of zeros, as every diagonal Theta has, is a 0 in it.
+    Once a chunk has an ok row, which places at r, r and vartheta_limit are
+    formatted into a row template and analytic_varthetas gives the closed
+    forms of all of Ms; each run of ok rows in a chunk is then written by one
+    % over the repeated template.
     """
     lines, failures, table, done = [], [], {}, 0
-    r_text, limit = _fmt(r), None
+    r_text, template = _fmt(r), None
     try:
         for chunk in sweep_chunks(v.bc, v.scheme, v.L, Ms, r, v.centers):
             n = len(chunk.M)
-            done += n
-            if n > len(chunk.failures):
-                limit = limit or _fmt(vartheta_limit(r))
-                zero = not any(chunk.max_offdiag)
-                analytic = "" if chunk.analytic is None else "%.17g"
-                offdiag = "0" if zero else "%.17g"
-                template = f"%d,{r_text},%.17g,{analytic},%.17g,{limit},{offdiag},ok"
-                cols = (chunk.M, chunk.vartheta, chunk.analytic, chunk.op_norm,
-                        None if zero else chunk.max_offdiag)
+            if template is None and n > len(chunk.failures):
+                analytic = analytic_varthetas(v.bc, v.scheme, Ms, r)
+                cell = "" if analytic is None else "%.17g"
+                template = f"%d,{r_text},%.17g,{cell},%.17g,{_fmt(vartheta_limit(r))},%.17g,ok"
+            if template is not None:
+                cols = (chunk.M, chunk.vartheta, analytic and analytic[done:done + n],
+                        chunk.op_norm, chunk.max_offdiag)
                 cols = [c for c in cols if c is not None]
+            done += n
             start = 0
             for i in [*sorted(chunk.failures), n]:
                 if i > start:
@@ -351,7 +191,7 @@ def cmd_eigs(v: argparse.Namespace) -> Result:
 
 def cmd_project(v: argparse.Namespace) -> Result:
     L = v.L
-    xs, vals = _inside_domain("input", v.input, L)
+    xs, vals = inside_domain("input", v.input, L)
 
     def f(x):
         return np.interp(np.asarray(x, dtype=float), xs, vals)
@@ -392,8 +232,8 @@ def cmd_simulate(v: argparse.Namespace) -> Result:
     if v.snapshot_times is not None and not v.output:
         raise InvalidArgumentError("--snapshot-times requires --output")
     grid = make_grid(v.bc, v.L, v.N)
-    reaction = _parse_reaction(v.reaction, v.nu, v.L)
-    y0 = _parse_y0(v.y0, grid.nodes, v.L)
+    reaction = parse_reaction(v.reaction, v.nu, v.L)
+    y0 = parse_y0(v.y0, grid.nodes, v.L)
     # built even for free dynamics, so --feed-on off accepts only what on does
     op = feedback_matrices(grid, place(v.scheme, v.L, v.M, v.r, centers=v.centers))
     feedback = None
@@ -476,38 +316,38 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
 
 # flag -> (parser of its raw text, or None to keep the text; help)
 _FLAGS = {
-    "bc": (_parse_enum(BoundaryCondition), "boundary condition: dirichlet or neumann"),
-    "scheme": (_parse_enum(Scheme), "actuator placement: mxe, uni, con, or custom"),
-    "centers": (_parse_float_list, "comma-separated centers, required with --scheme custom"),
-    "M": (_parse_count, "actuator count"),
-    "r": (_parse_float, "volume fraction in (0, 1)"),
-    "L": (_parse_float, "domain length"),
-    "jobs": (_parse_int, "accepted for compatibility; sweeps run serially and this has no effect"),
-    "nu": (_parse_float, "diffusion coefficient"),
-    "lam": (_parse_float, "feedback shift lambda"),
-    "N": (_parse_int, "grid node count"),
-    "k": (_parse_float, "time step"),
-    "T": (_parse_float, "final time"),
+    "bc": (parse_enum(BoundaryCondition), "boundary condition: dirichlet or neumann"),
+    "scheme": (parse_enum(Scheme), "actuator placement: mxe, uni, con, or custom"),
+    "centers": (parse_float_list, "comma-separated centers, required with --scheme custom"),
+    "M": (parse_count, "actuator count"),
+    "r": (parse_float, "volume fraction in (0, 1)"),
+    "L": (parse_float, "domain length"),
+    "jobs": (parse_int, "accepted for compatibility; sweeps run serially and this has no effect"),
+    "nu": (parse_float, "diffusion coefficient"),
+    "lam": (parse_float, "feedback shift lambda"),
+    "N": (parse_int, "grid node count"),
+    "k": (parse_float, "time step"),
+    "T": (parse_float, "final time"),
     "feed-on": (
-        _parse_feed_on,
+        parse_feed_on,
         "feedback activity window 't0:t1', or 'off' for free dynamics; on throughout without it",
     ),
     "reaction": (None, "'constant:<value>', 'oscillating', or 'table:<file>'"),
     "y0": (None, "'linear:<slope>' or 'samples:<file>'"),
     "snapshot-times": (
-        _parse_float_list,
+        parse_float_list,
         "comma-separated times whose states go to <output stem>_snapshots",
     ),
-    "input": (_load_samples, "CSV of 'x,value' samples of the function to project"),
+    "input": (load_samples, "CSV of 'x,value' samples of the function to project"),
     "output": (None, "output file; stdout without it"),
-    "a-bound": (_parse_float, "bound on the reaction magnitude in the margin test"),
-    "max-M": (_parse_count, "largest actuator count tried by the sweep"),
+    "a-bound": (parse_float, "bound on the reaction magnitude in the margin test"),
+    "max-M": (parse_count, "largest actuator count tried by the sweep"),
 }
 
 # eigs sweeps every M and r it is given; the other commands take one of each
 _SWEPT = {
-    "M": (_parse_m_values, "actuator count, or an inclusive range lo..hi"),
-    "r": (_parse_float_list, "comma-separated volume fractions in (0, 1)"),
+    "M": (parse_m_values, "actuator count, or an inclusive range lo..hi"),
+    "r": (parse_float_list, "comma-separated volume fractions in (0, 1)"),
 }
 
 _PI = repr(math.pi)

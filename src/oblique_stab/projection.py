@@ -24,7 +24,8 @@ of Theta = (s s^T) o (T T^T) in O(M) from the closed-form diagonal of T T^T
 for mxe and Dirichlet uni, else from the SVD of G; no scipy.
 sweep_chunks gives a sweep's rows at one r as columns, a chunk of at most
 SWEEP_CHUNK stacked entries at a time; for diagonal shapes one array pass
-over a chunk gives its vartheta and closed-form columns.
+over a chunk gives its vartheta column; analytic_varthetas gives the closed
+forms of a list of counts by another.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -260,75 +261,64 @@ def _chunks(Ms):
         yield chunk
 
 
-def _stacked_vartheta(bc, scheme, Ms, r, least_M, limit):
+def _stacked_vartheta(bc, scheme, Ms, r, least_M):
     """For each M of Ms at one r, the smallest s^2 o tt, NaN where it is not
-    build_projection's vartheta, and analytic_vartheta by the float operations
-    of the scalar one, given limit = vartheta_limit(r); with the indices of
-    the NaN rows: an M below least_M, a row scale that overflows or a failed
-    direct sum."""
+    build_projection's vartheta, with the indices of the NaN rows: an M below
+    least_M, a row scale that overflows or a failed direct sum."""
     starts, row_scale, a, m, tt = _factors(bc, scheme, Ms, r)
-    M = np.asarray(Ms)
-    with np.errstate(all="ignore"):  # NaN rows go row by row; theta = 0 at M = 1 is set below
+    with np.errstate(all="ignore"):  # NaN rows go row by row
         s = a / m
         w = s * s * tt
         lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
-        ok = np.isfinite(row_scale) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD) & (M >= least_M)
-        if scheme is Scheme.UNI:
-            analytic = (M + 1) / M * limit
-        else:
-            analytic = _sinc2(r, (M - 1) * r * math.pi / (2 * M))
-            analytic[M == 1] = r if bc is BoundaryCondition.NEUMANN else 2.0 * limit
+        ok = np.isfinite(row_scale) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD)
+        ok &= np.asarray(Ms) >= least_M
     slow = ~ok
     lo[slow] = np.nan
-    return lo.tolist(), analytic.tolist(), np.flatnonzero(slow).tolist()
+    return lo.tolist(), np.flatnonzero(slow).tolist()
 
 
 class SweepChunk(NamedTuple):
     """Consecutive rows of a sweep at one r, as columns of equal length.
 
-    vartheta, op_norm and max_offdiag are build_projection's and analytic is
-    analytic_vartheta's, or None where the shape has no closed form.  A row
-    that fails the direct sum has None in each of them and its
+    vartheta, op_norm and max_offdiag are build_projection's.  A row that
+    fails the direct sum has None in each of them and its
     DirectSumFailureError in failures, under its index in the chunk.
     """
 
     M: list
     vartheta: list
     op_norm: list
-    analytic: list | None
     max_offdiag: list
     failures: dict
 
 
 def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
     """The rows of each M in Ms at one r as SweepChunks, bit for bit those of
-    place, assemble_cross_gram, build_projection and analytic_vartheta.
+    place, assemble_cross_gram and build_projection.
 
     A chunk stacks at most SWEEP_CHUNK entries, unless one row alone has
     more, and is formed when the reader reaches it.  For mxe and Dirichlet
-    uni one array pass over a chunk gives every row's vartheta, op_norm and
-    analytic.  A row that fails the direct sum, overflows or that placement
+    uni one array pass over a chunk gives every row's vartheta and op_norm.
+    A row that fails the direct sum, overflows or that placement
     may reject, and every row of other shapes, goes row by row.  A row's
     InvalidArgumentError, or MemoryError, is raised once a chunk of the rows
     before it is yielded.
     """
-    diagonal = scheme is Scheme.MXE or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET
     stacked = (  # an L in this range keeps the products of place and build_basis normal
-        diagonal and centers is None and isinstance(bc, BoundaryCondition)
-        and isinstance(r, float) and 0.0 < r < 1.0
+        centers is None and isinstance(r, float) and 0.0 < r < 1.0
         and isinstance(L, float) and 2.0**-256 <= L <= 2.0**256
+        and (scheme is Scheme.MXE and isinstance(bc, BoundaryCondition)
+             or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET)
     )
     least = uni_min_count(r) if stacked and scheme is Scheme.UNI else 1
-    limit = vartheta_limit(r) if stacked else None
     for chunk in _chunks(Ms):
         n = len(chunk)
         if stacked:
-            vartheta, analytic, slow = _stacked_vartheta(bc, scheme, chunk, r, least, limit)
+            vartheta, slow = _stacked_vartheta(bc, scheme, chunk, r, least)
             op_norm = [v**-0.5 for v in vartheta]
         else:
             vartheta, op_norm, slow = [None] * n, [None] * n, range(n)
-            analytic = [None] * n if diagonal else None
-        cols = SweepChunk(chunk, vartheta, op_norm, analytic, [0.0] * n, {})
+        cols = SweepChunk(chunk, vartheta, op_norm, [0.0] * n, {})
         error = None
         for i in slow:
             try:
@@ -337,18 +327,14 @@ def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
             except DirectSumFailureError as exc:
                 cols.failures[i] = exc
                 vartheta[i] = op_norm[i] = cols.max_offdiag[i] = None
-                if analytic is not None:
-                    analytic[i] = None
                 continue
             except (InvalidArgumentError, MemoryError) as exc:
                 error = exc
-                for column in filter(None, cols[:5]):  # keep the rows before it
+                for column in cols[:4]:  # keep the rows before it
                     del column[i:]
                 break
             vartheta[i], op_norm[i] = data.vartheta, data.op_norm
             cols.max_offdiag[i] = data.max_offdiag
-            if analytic is not None:
-                analytic[i] = analytic_vartheta(bc, scheme, chunk[i], r)
         yield cols
         if error is not None:
             raise error
@@ -377,16 +363,30 @@ def analytic_vartheta(
     """
     check_member(BoundaryCondition, bc)
     check_member(Scheme, scheme)
-    limit = vartheta_limit(r)
+    checked_fraction(r)
     M = checked_count("actuator count", M)
     if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
         check_uni_count(M, r)
-        return (M + 1) / M * limit
+    values = analytic_varthetas(bc, scheme, [M], r)
+    return None if values is None else values[0]
+
+
+def analytic_varthetas(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> list | None:
+    """analytic_vartheta at each count of Ms, by one array pass.
+
+    The counts are ones analytic_vartheta accepts at r, as those of a sweep
+    that placed a row at r are, and only r is checked again.  The one closed
+    form of the module: analytic_vartheta is this at Ms = [M].
+    """
+    limit, M = vartheta_limit(r), np.asarray(Ms)
+    if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
+        return ((M + 1) / M * limit).tolist()
     if scheme is not Scheme.MXE:
         return None
-    if M > 1:
-        return float(_sinc2(r, (M - 1) * r * math.pi / (2 * M)))
-    return r if bc is BoundaryCondition.NEUMANN else 2.0 * limit
+    with np.errstate(all="ignore"):  # theta = 0 at M = 1 is set below
+        values = _sinc2(r, (M - 1) * r * math.pi / (2 * M))
+    values[M == 1] = r if bc is BoundaryCondition.NEUMANN else 2.0 * limit
+    return values.tolist()
 
 
 def analytic_theta_spectrum(

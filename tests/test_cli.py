@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import oblique_stab
-from oblique_stab import cli, projection
+from oblique_stab import cli, inputs, projection
 from oblique_stab.cli import main
 from oblique_stab.errors import InvalidArgumentError
 
@@ -379,14 +379,14 @@ def test_sample_reader_names_first_bad_cell(tmp_path, text, message):
     src = tmp_path / "input.csv"
     src.write_text(text)
     with pytest.raises(InvalidArgumentError) as exc:
-        cli._load_samples("input", str(src))
+        inputs.load_samples("input", str(src))
     assert str(exc.value).endswith(message)
 
 
 def test_sample_reader_strips_cells_and_skips_header(tmp_path):
     src = tmp_path / "input.csv"
     src.write_text("# samples\n x , value \n\n 0.0 , 1 \n1.5,\t2 , 9, note\n  3e0 ,3.25\n")
-    xs, vals = cli._load_samples("input", str(src))
+    xs, vals = inputs.load_samples("input", str(src))
     assert xs.tolist() == [0.0, 1.5, 3.0] and vals.tolist() == [1.0, 2.0, 3.25]
 
 
@@ -404,7 +404,7 @@ def test_reaction_table_names_first_bad_cell(tmp_path, text, message):
     src = tmp_path / "react.csv"
     src.write_text(text)
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
-        cli._parse_reaction(f"table:{src}", 0.1, math.pi)
+        inputs.parse_reaction(f"table:{src}", 0.1, math.pi)
 
 
 # From 98 actuators the quadrature product (w f(x)) @ family(x) runs on
