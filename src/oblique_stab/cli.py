@@ -53,6 +53,7 @@ from .projection import (
     assemble_cross_gram,
     build_projection,
     check_sufficient_condition,
+    closed_form_minimal_M,
     op_norm_limit,
     orthogonal_projection_actuators,
     sweep_chunks,
@@ -289,15 +290,7 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
             found = report
             break
 
-    norm_lim = op_norm_limit(r)
-    # con packs its supports around L/2, so its norm does not follow the
-    # limit norm (at r = 0.1 the direct sum fails from M = 9 on): no closed form
-    closed_form_m = ""
-    if scheme is not Scheme.CON:
-        X = (L / math.pi) * math.sqrt((6.0 + 4.0 * norm_lim**2) / v.nu) * v.a_bound
-        if not math.isfinite(X):
-            raise InvalidArgumentError("--L, --nu and --a-bound overflow closed_form_minimal_M")
-        closed_form_m = max(least, math.ceil(X - 1.0 if bc is BoundaryCondition.DIRICHLET else X))
+    count = closed_form_minimal_M(v.nu, bc, scheme, r, v.a_bound, L)
 
     if found is None:
         lines = ["swept_minimal_M=-1", f"# margin test not satisfied for any M <= {v.max_M}"]
@@ -306,8 +299,8 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
         lines.append(f"op_norm_at_minimal_M={_fmt(found.op_norm)}")
         lines.append(f"alpha_next={_fmt(found.alpha_next)}")
         lines.append(f"margin={_fmt(found.margin)}")
-    lines.append(f"closed_form_minimal_M={closed_form_m}")
-    lines.append(f"op_norm_limit={_fmt(norm_lim)}")
+    lines.append(f"closed_form_minimal_M={'' if count is None else count}")
+    lines.append(f"op_norm_limit={_fmt(op_norm_limit(r))}")
     if failure:
         lines.append(f"# first failed {failure}")
         return [(v.output, lines)], f"the sweep failed first at {failure}"

@@ -15,8 +15,8 @@ vartheta of Theta = G G^T (rows indexed by eigenfunctions):
 
 so vartheta -> 0 means the splitting degenerates.  For mxe placement, and
 uni under Dirichlet conditions, Theta is diagonal with eigenvalues
-c r sinc^2(theta); those closed forms, their large-M limit r sinc^2(r pi/2)
-and the margin test on ||P|| live here.
+c r sinc^2(theta); those closed forms, their large-M limit r sinc^2(r pi/2),
+the margin test on ||P|| and its inverse at the limit norm live here.
 
 G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  build_projection takes the spectrum
@@ -60,7 +60,7 @@ from .errors import (
     SIGMA_RATIO_THRESHOLD, DirectSumFailureError, InvalidArgumentError, NumericalFailureError,
     check_direct_sum, check_member, checked_count, checked_positive,
 )
-from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions
+from .spectral import BoundaryCondition, EigenBasis, build_basis, eigenfunctions, eigenvalues
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,13 @@ def _trig_table(bc: BoundaryCondition, aset: ActuatorSet) -> np.ndarray:
     return _frozen(table[p - 4 * d * (p // (4 * d))])  # p mod 4d; // is faster than % here
 
 
+def _closed_form(bc, scheme) -> bool:
+    """Theta is diagonal in closed form: mxe, and Dirichlet uni."""
+    return isinstance(bc, BoundaryCondition) and (
+        scheme is Scheme.MXE or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET
+    )
+
+
 def _factors(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> tuple:
     """The cross-Gram factors of the counts Ms at one r, stacked count after
     count: each count's start and row scale, a and m, and the diagonal tt of
@@ -167,11 +174,10 @@ def _factors(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> tuple:
     if not dirichlet:
         a[starts], m[starts] = np.sqrt(r / sizes), 1.0
     tt = None
-    if scheme is Scheme.MXE:
-        tt = np.repeat(sizes / 2, sizes)
-        tt[starts + (sizes - 1) * dirichlet] = sizes  # M at k = M (Dirichlet) or k = 0
-    elif scheme is Scheme.UNI and dirichlet:
-        tt = np.repeat((sizes + 1) / 2, sizes)
+    if _closed_form(bc, scheme):  # (M + 1)/2 for uni, M/2 for mxe
+        tt = np.repeat((sizes + (scheme is Scheme.UNI)) / 2, sizes)
+        if scheme is Scheme.MXE:
+            tt[starts + (sizes - 1) * dirichlet] = sizes  # M at k = M (Dirichlet) or k = 0
     return starts, row_scale, a, m, tt
 
 
@@ -306,9 +312,7 @@ def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
     """
     stacked = (  # an L in this range keeps the products of place and build_basis normal
         centers is None and isinstance(r, float) and 0.0 < r < 1.0
-        and isinstance(L, float) and 2.0**-256 <= L <= 2.0**256
-        and (scheme is Scheme.MXE and isinstance(bc, BoundaryCondition)
-             or scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET)
+        and isinstance(L, float) and 2.0**-256 <= L <= 2.0**256 and _closed_form(bc, scheme)
     )
     least = uni_min_count(r) if stacked and scheme is Scheme.UNI else 1
     for chunk in _chunks(Ms):
@@ -350,14 +354,11 @@ def _sinc2(r: float, theta):
     return r * (q * q)
 
 
-def analytic_vartheta(
-    bc: BoundaryCondition, scheme: Scheme, M: int, r: float
-) -> float | None:
+def analytic_vartheta(bc: BoundaryCondition, scheme: Scheme, M: int, r: float) -> float | None:
     """Closed-form smallest eigenvalue of Theta, where one is known.
 
-    Covered: mxe under both boundary conditions, uni under Dirichlet (subject
-    to M >= r/(1-r)).  Returns None for every other combination; no closed
-    form is known there and callers fall back to the numeric spectrum.  With
+    Covered: the pairs of _closed_form, uni subject to M >= r/(1-r).  None
+    elsewhere, where callers fall back to the numeric spectrum.  With
     delta = r pi/(2M) it is the term of analytic_theta_spectrum at i = M-1 for
     mxe (the extra eigenvalue at M = 1) and at i = M for uni.
     """
@@ -379,10 +380,10 @@ def analytic_varthetas(bc: BoundaryCondition, scheme: Scheme, Ms, r: float) -> l
     form of the module: analytic_vartheta is this at Ms = [M].
     """
     limit, M = vartheta_limit(r), np.asarray(Ms)
-    if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
-        return ((M + 1) / M * limit).tolist()
-    if scheme is not Scheme.MXE:
+    if not _closed_form(bc, scheme):
         return None
+    if scheme is Scheme.UNI:
+        return ((M + 1) / M * limit).tolist()
     with np.errstate(all="ignore"):  # theta = 0 at M = 1 is set below
         values = _sinc2(r, (M - 1) * r * math.pi / (2 * M))
     values[M == 1] = r if bc is BoundaryCondition.NEUMANN else 2.0 * limit
@@ -502,13 +503,14 @@ def orthogonal_projection_actuators(
     return _expansion("orthogonal_coefficients", N, rhs, family)
 
 
+def _check_margin_inputs(nu: float, a_bound: float) -> None:
+    checked_positive("diffusion", nu)
+    if not (a_bound >= 0.0 and math.isfinite(a_bound)):
+        raise InvalidArgumentError(f"a_bound must be nonnegative and finite, got {a_bound}")
+
+
 def check_sufficient_condition(
-    nu: float,
-    bc: BoundaryCondition,
-    M: int,
-    op_norm: float,
-    a_bound: float,
-    L: float = math.pi,
+    nu: float, bc: BoundaryCondition, M: int, op_norm: float, a_bound: float, L: float = math.pi
 ) -> SufficientConditionReport:
     """Test the stabilisability margin nu*alpha_{M+1} > (6 + 4||P||^2) * a_bound^2.
 
@@ -516,18 +518,32 @@ def check_sufficient_condition(
     |a| is a conservative choice); margin is lhs - rhs.  Both sides are float
     products, not powers, so an overflow raises InvalidArgumentError.
     """
-    checked_positive("diffusion", nu)
+    _check_margin_inputs(nu, a_bound)
     M, op_norm = checked_count("actuator count", M), checked_positive("operator norm", op_norm)
-    if not (a_bound >= 0.0 and math.isfinite(a_bound)):
-        raise InvalidArgumentError(f"a_bound must be nonnegative and finite, got {a_bound}")
-    alpha_next = float(build_basis(bc, L, M + 1).alphas[-1])
+    alpha_next = float(eigenvalues(bc, L, M + 1))
     margin = nu * alpha_next - (6.0 + 4.0 * op_norm * op_norm) * (a_bound * a_bound)
     if not math.isfinite(margin):
         raise InvalidArgumentError(f"the margin test overflows at nu={nu:g}, a_bound={a_bound:g}")
     return SufficientConditionReport(
-        M=M,
-        alpha_next=alpha_next,
-        op_norm=op_norm,
-        satisfied=margin > 0.0,
-        margin=margin,
+        M=M, alpha_next=alpha_next, op_norm=op_norm, satisfied=margin > 0.0, margin=margin
     )
+
+
+def closed_form_minimal_M(
+    nu: float, bc: BoundaryCondition, scheme: Scheme, r: float, a_bound: float, L: float = math.pi
+) -> int | None:
+    """The least M, at least uni_min_count(r) for uni, passing the margin test at
+    op_norm_limit(r), or None where Theta has no closed form: k = M + 1 (Dirichlet)
+    or M is the least above X = (L/pi) sqrt((6 + 4||P||^2)/nu) a_bound.  Near an
+    integer X the inverse and the float test may round to different counts."""
+    check_member(BoundaryCondition, bc)
+    check_member(Scheme, scheme)
+    _check_margin_inputs(nu, a_bound)
+    L, norm = checked_positive("interval length", L), op_norm_limit(r)
+    if not _closed_form(bc, scheme):
+        return None
+    X = (L / math.pi) * math.sqrt((6.0 + 4.0 * norm**2) / nu) * a_bound
+    if not math.isfinite(X):
+        raise InvalidArgumentError("--L, --nu and --a-bound overflow closed_form_minimal_M")
+    least = uni_min_count(r) if scheme is Scheme.UNI else 1
+    return max(least, math.floor(X) + (bc is BoundaryCondition.NEUMANN))

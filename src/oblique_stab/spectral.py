@@ -46,21 +46,28 @@ class EigenBasis:
     alphas: np.ndarray
 
 
-def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
-    """Construct the first M eigenpairs on (0, L); a bc that is not a member, and an L
-    not positive or so small that the largest eigenvalue overflows, raise InvalidArgumentError."""
+def eigenvalues(bc: BoundaryCondition, L: float, i) -> np.ndarray:
+    """alpha_i at the index i, a number or an array; a bc that is not a member, and an L
+    not positive or so small that an alpha overflows, raise InvalidArgumentError."""
     check_member(BoundaryCondition, bc)
     L = checked_positive("interval length", L)
-    M = checked_count("eigenpair count", M)
-    top = M if bc is BoundaryCondition.DIRICHLET else max(M - 1, 1)
+    k = np.asarray(i, dtype=float)
+    if bc is BoundaryCondition.NEUMANN:
+        k = k - 1.0
+    top = max(int(k.max()), 1)
     big = np.finfo(float).max
     scale = (math.pi / L) ** 2 if math.pi / L <= math.sqrt(big) else math.inf  # ** would raise
     if not scale * top**2 <= big:  # the largest alpha below
         raise InvalidArgumentError(f"interval length L = {L} overflows ({top}pi/L)^2")
-    i = np.arange(1, M + 1, dtype=float)
-    alphas = scale * (i if bc is BoundaryCondition.DIRICHLET else i - 1.0) ** 2
+    return scale * (k * k)
+
+
+def build_basis(bc: BoundaryCondition, L: float, M: int) -> EigenBasis:
+    """Construct the first M eigenpairs on (0, L); raises as eigenvalues does."""
+    M = checked_count("eigenpair count", M)
+    alphas = eigenvalues(bc, L, np.arange(1.0, M + 1))
     alphas.flags.writeable = False
-    return EigenBasis(bc=bc, L=L, M=M, alphas=alphas)
+    return EigenBasis(bc=bc, L=float(L), M=M, alphas=alphas)
 
 
 def eigenfunctions(basis: EigenBasis, x) -> np.ndarray:

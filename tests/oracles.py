@@ -13,6 +13,8 @@ from oblique_stab.projection import (
     analytic_vartheta,
     assemble_cross_gram,
     build_projection,
+    check_sufficient_condition,
+    op_norm_limit,
     vartheta_limit,
 )
 from oblique_stab.quadrature import panel_nodes_weights
@@ -368,3 +370,22 @@ def integrate(f, a: float, b: float, *, n_panels: int = 8, breakpoints=()) -> fl
     quadrature.panel_nodes_weights."""
     x, w = panel_nodes_weights(a, b, n_panels, breakpoints)
     return float(w @ np.asarray(f(x), dtype=float))
+
+
+def minimal_M_by_margin_test(nu: float, bc, r: float, a_bound: float, L: float, least: int) -> int:
+    """The least M >= least whose check_sufficient_condition at op_norm_limit(r)
+    holds, by doubling and bisection: the float margin never falls as M grows."""
+    norm = op_norm_limit(r)
+
+    def holds(M):
+        return check_sufficient_condition(nu, bc, M, norm, a_bound, L).satisfied
+
+    if holds(least):
+        return least
+    lo, hi = least, 2 * least
+    while not holds(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi

@@ -653,6 +653,11 @@ def test_suffcond_direct_sum_failure_still_writes_file(tmp_path, capsys):
         ("--scheme con --r 0.1 --a-bound 0.5", ""),
         # the limit norm gives M = 1, which uni placement at r = 0.6 rejects
         ("--scheme uni --r 0.6 --a-bound 0", "2"),
+        # Neumann uni has no closed-form Theta, and its norm grows like sqrt(M)
+        ("--bc neumann --scheme uni --r 0.3 --a-bound 3.5 --max-M 40", ""),
+        # X = 2 exactly, where the margin at M = 1 (Dirichlet) or 2 (Neumann) is -5.6e-17
+        ("--nu 0.1 --r 0.1 --a-bound 0.09291716600073399", "2"),
+        ("--bc neumann --nu 0.1 --r 0.1 --a-bound 0.09291716600073399", "3"),
     ],
 )
 def test_suffcond_closed_form_only_where_placement_reaches_it(tmp_path, argv, closed_form):
@@ -937,6 +942,11 @@ _EXITS = [
      "error: the margin test overflows at nu=1e+308, a_bound=3.5"),
     ("suffcond --a-bound 3.5 --nu 1e-320 --output out.csv", 2,
      "error: --L, --nu and --a-bound overflow closed_form_minimal_M"),
+    # a uni sweep with no admissible M still checks what the closed-form count reads
+    ("suffcond --scheme uni --r 0.9 --max-M 5 --nu 0 --a-bound 1 --output out.csv", 2,
+     "error: diffusion must be positive and finite, got 0.0"),
+    ("suffcond --scheme uni --r 0.9 --max-M 5 --L -1 --a-bound 1 --output out.csv", 2,
+     "error: interval length must be positive and finite, got -1.0"),
     # numerical failures: a coupling on the grid that fails the sigma-ratio
     # test of the cross-Gram, on a coarse mesh or a placement eigs rejects
     ("simulate --N 21 --T 0.01 --feed-on off --output out.csv", 3,
@@ -1174,6 +1184,9 @@ _CONTRACTS = [
     ("project --M 6 --r 0.1 --input samples.csv --output project.csv", 0, ["project.csv"]),
     ("suffcond --a-bound 3.5 --output suff.csv", 0, ["suff.csv"]),
     ("suffcond --scheme uni --r 0.6 --a-bound 3.5 --output suff_uni.csv", 0, ["suff_uni.csv"]),
+    # no closed form for Neumann uni, so nothing for --nu 1e-320 to overflow
+    ("suffcond --bc neumann --scheme uni --nu 1e-320 --a-bound 3.5 --max-M 5"
+     " --output suff_neumann_uni.csv", 0, ["suff_neumann_uni.csv"]),
     ("simulate --T 0.001 --output one_step.csv", 0, ["one_step.csv"]),
     ("simulate --feed-on 0:0.0005 --T 0.01 --output step0_window.csv", 0, ["step0_window.csv"]),
     ("simulate --bc neumann --reaction oscillating --feed-on 0:0.005 --T 0.01 --output osc.csv",

@@ -22,6 +22,7 @@ from oblique_stab.projection import (
     analytic_vartheta,
     assemble_cross_gram,
     check_sufficient_condition,
+    closed_form_minimal_M,
     sweep_chunks,
 )
 from oblique_stab.spectral import BoundaryCondition, build_basis
@@ -45,6 +46,10 @@ _POSITIVE = [
     ("build_basis", "interval length", lambda x: build_basis(D, x, 3)),
     ("check_sufficient_condition", "diffusion",
      lambda x: check_sufficient_condition(x, D, 5, 1.5, 1.0)),
+    ("closed_form_minimal_M-nu", "diffusion",
+     lambda x: closed_form_minimal_M(x, D, Scheme.MXE, 0.1, 1.0)),
+    ("closed_form_minimal_M-L", "interval length",
+     lambda x: closed_form_minimal_M(0.1, D, Scheme.MXE, 0.1, 1.0, x)),
 ]
 
 
@@ -68,6 +73,10 @@ _NOT_MEMBERS = [
     ("analytic_vartheta-bc", "BoundaryCondition",
      lambda: analytic_vartheta("dirichlet", Scheme.UNI, 6, 0.1)),
     ("analytic_vartheta-scheme", "Scheme", lambda: analytic_vartheta(D, "uni", 6, 0.1)),
+    ("closed_form_minimal_M-bc", "BoundaryCondition",
+     lambda: closed_form_minimal_M(0.1, "neumann", Scheme.MXE, 0.1, 1.0)),
+    ("closed_form_minimal_M-scheme", "Scheme",
+     lambda: closed_form_minimal_M(0.1, D, "mxe", 0.1, 1.0)),
     ("analytic_theta_spectrum", "BoundaryCondition",
      lambda: analytic_theta_spectrum("dirichlet", Scheme.MXE, 6, 0.1)),
     ("place", "Scheme", lambda: place("mxe", math.pi, 3, 0.1)),

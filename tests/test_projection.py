@@ -1,5 +1,6 @@
 """Tests for the cross-Gram assembly and oblique projection operations."""
 
+import functools
 import gc
 import math
 import re
@@ -36,6 +37,7 @@ from oblique_stab.projection import (
     assemble_cross_gram,
     build_projection,
     check_sufficient_condition,
+    closed_form_minimal_M,
     op_norm_limit,
     orthogonal_projection_actuators,
     sweep_chunks,
@@ -50,6 +52,7 @@ from oracles import (
     eval_eigenfunction,
     exact_angle_trig_table,
     integrate,
+    minimal_M_by_margin_test,
     theta,
     trig_gram,
 )
@@ -1019,6 +1022,68 @@ def test_sufficient_condition_threshold():
     rep = check_sufficient_condition(1.0, D, 2, op_norm=1.0, a_bound=0.9)
     assert rep.satisfied == (1.0 * 9.0 > 10.0 * 0.81)
     assert rep.margin == pytest.approx(9.0 - 8.1)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("L", [1e-3, 0.7, math.pi, 10.0, 1e4, 1e150])
+def test_sufficient_condition_alpha_next_matches_the_basis(bc, L):
+    # the one alpha at M + 1 is, bit for bit, the last of the M + 1 of build_basis
+    alphas = build_basis(bc, L, 3001).alphas
+    report = functools.partial(check_sufficient_condition, 0.1, bc, op_norm=2.0, a_bound=1.0, L=L)
+    assert [report(M).alpha_next for M in range(1, 3001)] == alphas[1:].tolist()
+
+
+def _closed_form_x(nu, r, a_bound, L):
+    return (L / math.pi) * math.sqrt((6.0 + 4.0 * op_norm_limit(r) ** 2) / nu) * a_bound
+
+
+def test_closed_form_count_inverts_the_margin_test():
+    rng = np.random.default_rng(7)
+    pairs = [(D, Scheme.MXE), (N, Scheme.MXE), (D, Scheme.UNI)]
+    checked = 0
+    for _ in range(3000):
+        bc, scheme = pairs[rng.integers(3)]
+        r, nu, L = rng.uniform(0.01, 0.99), 10 ** rng.uniform(-3, 1), 10 ** rng.uniform(-1, 2)
+        a_bound = rng.uniform(0.0, 5000.0) / _closed_form_x(nu, r, 1.0, L)
+        X = _closed_form_x(nu, r, a_bound, L)
+        if abs(X - round(X)) <= 1e-9 * X:  # there the two may round apart
+            continue
+        least = uni_min_count(r) if scheme is Scheme.UNI else 1
+        expected = minimal_M_by_margin_test(nu, bc, r, a_bound, L, least)
+        assert closed_form_minimal_M(nu, bc, scheme, r, a_bound, L) == expected, (bc, scheme, X)
+        checked += 1
+    assert checked > 2900
+
+
+def test_closed_form_count_is_strict_at_an_integer_x():
+    # X = 2 exactly: the margin at the count whose alpha_{M+1} gives X is -5.6e-17
+    a_bound = 0.09291716600073399
+    assert _closed_form_x(0.1, 0.1, a_bound, math.pi) == 2.0
+    for bc, count in ((D, 2), (N, 3)):
+        assert closed_form_minimal_M(0.1, bc, Scheme.MXE, 0.1, a_bound) == count
+        assert minimal_M_by_margin_test(0.1, bc, 0.1, a_bound, math.pi, 1) == count
+        report = check_sufficient_condition(0.1, bc, count - 1, op_norm_limit(0.1), a_bound)
+        assert not report.satisfied and report.margin == pytest.approx(-5.6e-17, rel=0.01)
+
+
+@pytest.mark.parametrize("bc", [D, N])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_one_rule_gives_the_closed_forms(monkeypatch, bc, scheme):
+    # a sweep stacks its rows, analytic_vartheta has a value and the margin
+    # test has a closed-form count for the same (bc, scheme) pairs
+    formed = []
+    stacked = projection._stacked_vartheta
+    monkeypatch.setattr(
+        projection, "_stacked_vartheta", lambda *a: formed.append(a[2]) or stacked(*a)
+    )
+    centers = [0.5, 1.5, 2.5] if scheme is Scheme.CUSTOM else None
+    list(sweep_chunks(bc, scheme, math.pi, [3], 0.3, centers))
+    closed = [
+        formed == [[3]],
+        analytic_vartheta(bc, scheme, 3, 0.3) is not None,
+        closed_form_minimal_M(0.1, bc, scheme, 0.3, 3.5) is not None,
+    ]
+    assert closed == [scheme is Scheme.MXE or (bc, scheme) == (D, Scheme.UNI)] * 3
 
 
 # ---------------------------------------------------------------- invariants
