@@ -12,7 +12,10 @@ Subcommands
 
 `_FLAGS` gives each flag its parser, from `inputs`, and its help, and
 `_COMMANDS` gives each command its handler and the default of each flag it
-takes.  `main` parses, calls the handler, and writes the files it returns.
+takes.  `main` builds the flags of the command it parses alone, calls the
+handler, and writes the files it returns.  Each handler imports the modules
+it runs, so `eigs`, `project` and `suffcond` never load `fem`, and
+`simulate` never loads `projection` or `quadrature`.
 
 All output is CSV-like text with `#` comment lines, a header row, and reals
 printed with 17 significant digits, so identical configurations produce
@@ -32,7 +35,6 @@ import numpy as np
 
 from .actuators import Scheme, all_breakpoints, place, uni_min_count
 from .errors import InvalidArgumentError, NumericalFailureError
-from .fem import FeedbackConfig, feedback_matrices, make_grid, run_closed_loop
 from .inputs import (
     data_lines,
     inside_domain,
@@ -47,19 +49,6 @@ from .inputs import (
     parse_reaction,
     parse_y0,
 )
-from .projection import (
-    analytic_varthetas,
-    apply_projection,
-    assemble_cross_gram,
-    build_projection,
-    check_sufficient_condition,
-    closed_form_minimal_M,
-    op_norm_limit,
-    orthogonal_projection_actuators,
-    sweep_chunks,
-    vartheta_limit,
-)
-from .quadrature import panel_nodes_weights
 from .spectral import BoundaryCondition
 
 _SLOPE_WINDOWS = ((10, 20), (50, 60), (110, 120))
@@ -121,6 +110,8 @@ def _eigs_rows(v: argparse.Namespace, r: float, Ms: list[int]):
     forms of all of Ms; each run of ok rows in a chunk is then written by one
     % over the repeated template.
     """
+    from .projection import analytic_varthetas, sweep_chunks, vartheta_limit
+
     lines, failures, table, done = [], [], {}, 0
     r_text, template = _fmt(r), None
     try:
@@ -191,6 +182,11 @@ def cmd_eigs(v: argparse.Namespace) -> Result:
 
 
 def cmd_project(v: argparse.Namespace) -> Result:
+    from .projection import (
+        apply_projection, assemble_cross_gram, build_projection, orthogonal_projection_actuators,
+    )
+    from .quadrature import panel_nodes_weights
+
     L = v.L
     xs, vals = inside_domain("input", v.input, L)
 
@@ -230,6 +226,8 @@ def cmd_project(v: argparse.Namespace) -> Result:
 
 
 def cmd_simulate(v: argparse.Namespace) -> Result:
+    from .fem import FeedbackConfig, feedback_matrices, make_grid, run_closed_loop
+
     if v.snapshot_times is not None and not v.output:
         raise InvalidArgumentError("--snapshot-times requires --output")
     grid = make_grid(v.bc, v.L, v.N)
@@ -268,6 +266,10 @@ def cmd_simulate(v: argparse.Namespace) -> Result:
 
 
 def cmd_suffcond(v: argparse.Namespace) -> Result:
+    from .projection import (
+        check_sufficient_condition, closed_form_minimal_M, op_norm_limit, sweep_chunks,
+    )
+
     bc, scheme, L, r = v.bc, v.scheme, v.L, v.r
     if scheme is Scheme.CUSTOM:
         raise InvalidArgumentError("suffcond sweeps M, which --scheme custom fixes")
@@ -397,7 +399,9 @@ def _settings(args: argparse.Namespace) -> tuple[argparse.Namespace, str]:
     return values, "# config: " + " ".join(parts)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's name, and the flags of `command` alone: no option comes
+    before the command, so no other command's flags can be parsed."""
     parser = argparse.ArgumentParser(
         prog="oblique-stab",
         description="Oblique-projection feedback stabilisation toolkit.",
@@ -405,6 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=f"{name} command")
+        if name != command:
+            continue
         for flag, default in defaults.items():
             text = _spec(name, flag)[1]
             if default is REQUIRED:
@@ -417,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .fem import constant_reaction, oscillating_reaction, tabulated_reaction
 
 
 def parse_enum(kind):
@@ -114,6 +113,8 @@ def read_table_lines(path: str) -> list[list[str]]:
 
 
 def parse_reaction(text: str, nu: float, L: float):
+    from .fem import constant_reaction, oscillating_reaction, tabulated_reaction
+
     text = text.strip()
     if text.startswith("constant:"):
         return constant_reaction(parse_float("reaction", text[len("constant:"):]))

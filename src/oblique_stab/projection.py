@@ -288,7 +288,8 @@ class SweepChunk(NamedTuple):
 
     vartheta, op_norm and max_offdiag are build_projection's.  A row that
     fails the direct sum has None in each of them and its
-    DirectSumFailureError in failures, under its index in the chunk.
+    DirectSumFailureError, without a traceback, in failures, under its index
+    in the chunk.
     """
 
     M: list
@@ -329,7 +330,8 @@ def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
                 aset = place(scheme, L, chunk[i], r, centers=centers)
                 data = build_projection(assemble_cross_gram(bc, aset))
             except DirectSumFailureError as exc:
-                cols.failures[i] = exc
+                # its traceback would keep the row's frames, and their M x M arrays, alive
+                cols.failures[i] = exc.with_traceback(None)
                 vartheta[i] = op_norm[i] = cols.max_offdiag[i] = None
                 continue
             except (InvalidArgumentError, MemoryError) as exc:

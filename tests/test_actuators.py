@@ -14,6 +14,7 @@ from oblique_stab.actuators import (
     indicators,
     normalized_indicator_coeff,
     place,
+    uni_min_count,
 )
 from oblique_stab.errors import InvalidArgumentError
 
@@ -74,6 +75,33 @@ def test_uni_boundary_of_constraint_admitted():
     bounds = _bounds(aset)
     assert bounds[0][0] >= -1e-12
     assert bounds[-1][1] <= math.pi + 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 99])
+def test_uni_count_forgives_rounding_alone(k):
+    # r/(1-r) a part in 1e8 above the integer k is not rounding: it needs k + 1
+    x = k * (1 + 1e-8)
+    r = x / (1 + x)
+    assert uni_min_count(r) == k + 1
+    with pytest.raises(InvalidArgumentError, match="M >= r/\\(1-r\\)"):
+        place(Scheme.UNI, math.pi, k, r)
+    assert place(Scheme.UNI, math.pi, k + 1, r).M == k + 1
+
+
+@pytest.mark.parametrize("L", [math.pi, 1e-3, 1e6])
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_custom_supports_leave_the_domain_by_rounding_alone(end, L):
+    # a support 1e-14 L outside (0, L) is rounding and is accepted; 1e-9 L is not
+    M, r = 2, 0.2
+    delta = r * L / (2 * M)
+
+    def centers(out):
+        return (delta - out * L, L / 2) if end == "first" else (L / 2, L - delta + out * L)
+
+    aset = place(Scheme.CUSTOM, L, M, r, centers=centers(1e-14))
+    assert aset.half_width == delta
+    with pytest.raises(InvalidArgumentError, match="supports must lie inside"):
+        place(Scheme.CUSTOM, L, M, r, centers=centers(1e-9))
 
 
 def _disjoint(aset) -> bool:

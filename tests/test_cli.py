@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import oblique_stab
-from oblique_stab import cli, inputs, projection
+from oblique_stab import cli, fem, inputs, projection
 from oblique_stab.cli import main
 from oblique_stab.errors import InvalidArgumentError
 
@@ -204,6 +204,33 @@ def test_neumann_uni_sweep_keeps_no_dense_trig_gram(tmp_path):
     assert peak < 3_000_000, peak
 
 
+def test_failed_sweep_rows_keep_no_arrays_alive(tmp_path):
+    # a con sweep fails the direct sum from M = 9 on; a failure kept with its
+    # traceback held its row's cross-Gram, G and T (13.96 MB peak, and
+    # 44.4 MB in the kept chunks at r = 0.5); without it, 1.2 MB and 78 kB
+    out = str(tmp_path / "s.csv")
+    geometry = ["--scheme", "con", "--r", "0.1,0.5", "--output", out]
+    assert main(["eigs", "--M", "2..10", *geometry]) == 3  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        assert main(["eigs", "--M", "2..200", *geometry]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+        chunks = list(projection.sweep_chunks(
+            oblique_stab.BoundaryCondition.DIRICHLET, oblique_stab.Scheme.CON, math.pi,
+            range(2, 201), 0.5,
+        ))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+    assert held < 1_000_000, held
+    failures = [exc for chunk in chunks for exc in chunk.failures.values()]
+    assert len(failures) == 181
+    assert all(
+        exc.__traceback__ is exc.__context__ is exc.__cause__ is None for exc in failures
+    )
+
+
 def test_suffcond_forms_no_chunk_after_its_answer(tmp_path, monkeypatch):
     formed = []
     stacked = projection._stacked_vartheta
@@ -301,7 +328,7 @@ _ROW_BY_ROW = [
 @pytest.mark.parametrize("flags, rs", _ROW_BY_ROW)
 def test_eigs_file_is_the_row_by_row_writers_byte_for_byte(tmp_path, capsys, flags, rs):
     argv = ["eigs", *flags.split(), "--r", rs]
-    v, config = cli._settings(cli.build_parser().parse_args(argv))
+    v, config = cli._settings(cli.build_parser(argv[0]).parse_args(argv))
     out = tmp_path / "e.csv"
     rc = main([*argv, "--output", str(out)])
     err = capsys.readouterr().err
@@ -495,16 +522,14 @@ def test_simulate_snapshots(tmp_path):
 
 def test_snapshot_rows_are_per_cell_formatting(tmp_path, monkeypatch):
     # each row is the node then every snapshot's value there, "%.17g" per cell
-    import oblique_stab.cli as cli
-
     runs = []
-    run_closed_loop = cli.run_closed_loop
+    run_closed_loop = fem.run_closed_loop
 
     def spy(grid, *args, **kwargs):
         runs.append((grid.nodes, run_closed_loop(grid, *args, **kwargs)))
         return runs[-1][1]
 
-    monkeypatch.setattr(cli, "run_closed_loop", spy)
+    monkeypatch.setattr(fem, "run_closed_loop", spy)
     out = tmp_path / "run.csv"
     rc = main([
         "simulate", "--N", "101", "--k", "2e-3", "--T", "0.02",
@@ -1120,24 +1145,38 @@ def test_help_names_every_default_and_required_flag(capsys, command):
             assert helps[flag].endswith(f"(default {default})"), flag
 
 
+def test_usage_lists_every_command_whichever_is_parsed(capsys):
+    # main builds the flags of the command it parses alone, and the names of all
+    choices = "{" + ",".join(cli._COMMANDS) + "}"
+    assert main(["--help"]) == 0
+    top = capsys.readouterr().out
+    assert choices in top
+    assert all(re.search(rf"^    {name} +{name} command$", top, re.M) for name in cli._COMMANDS)
+    assert main(["eigs", "extra"]) == 2
+    err = capsys.readouterr().err
+    assert choices in err and err.endswith("error: unrecognized arguments: extra\n")
+    assert main(["simulate", "--a-bound", "3"]) == 2
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --a-bound 3\n")
+
+
 # Each command runs in process, in one fresh interpreter, after which the
-# script prints whether scipy has been imported.
+# script prints the names of the modules loaded.
 _COLD_START = """
 import sys
 from oblique_stab.cli import main
 out = sys.argv[1]
 for argv, rc in {runs!r}:
     assert main([*argv, "--output", out]) == rc, argv
-print("scipy" in sys.modules)
+print(*sys.modules)
 """
 
 
-def _loads_scipy(tmp_path, runs):
+def _loaded_modules(tmp_path, runs):
     runs = [(argv.split(), rc) for argv, rc in runs]
     script = _COLD_START.format(runs=runs)
     proc = _run_fresh(tmp_path, [sys.executable, "-c", script, str(tmp_path / "out.csv")])
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 def test_commands_off_the_nodal_path_never_load_scipy(tmp_path):
@@ -1149,7 +1188,7 @@ def test_commands_off_the_nodal_path_never_load_scipy(tmp_path):
     # window acting on step 0 alone stop at or right after the shared step 0.
     samples = tmp_path / "samples.csv"
     samples.write_text("x,value\n0,0\n1.5,1\n3.141592653589793,0\n")
-    assert not _loads_scipy(tmp_path, [
+    assert "scipy" not in _loaded_modules(tmp_path, [
         ("--help", 0),
         ("eigs --M 2..200 --r 0.1,0.5", 0),
         ("eigs --bc neumann --scheme uni --M 2..60 --r 0.3", 0),
@@ -1168,7 +1207,26 @@ def test_simulate_loads_scipy(tmp_path):
     # a reaction that varies in x or t is stepped on the nodes, whose
     # tridiagonal factor and solves need LAPACK dpttrf/dpttrs from scipy,
     # so the guard above can fail
-    assert _loads_scipy(tmp_path, [("simulate --reaction oscillating --T 0.01", 0)])
+    assert "scipy" in _loaded_modules(tmp_path, [("simulate --reaction oscillating --T 0.01", 0)])
+
+
+@pytest.mark.parametrize("runs, unused", [
+    ([], ("fem", "linalg", "projection", "quadrature")),
+    ([("eigs --M 2..20 --r 0.1,0.5", 0), ("eigs --scheme con --M 2..10 --r 0.1", 3),
+      ("eigs --bc neumann --scheme uni --M 2..20 --r 0.3", 0), ("suffcond --a-bound 3.5", 0),
+      ("project --M 6 --r 0.1 --input samples.csv", 0)], ("fem", "linalg")),
+    ([("simulate --T 0.01", 0), ("simulate --reaction oscillating --T 0.01", 0),
+      ("simulate --reaction table:reaction.csv --T 0.01 --snapshot-times 0", 0),
+      ("simulate --feed-on off --T 0.01", 0)], ("projection", "quadrature")),
+], ids=["import", "sweeps and projection", "simulate"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, runs, unused):
+    # importing the CLI loads no command's modules; eigs, suffcond and project
+    # run no finite elements, and simulate no projection or quadrature
+    (tmp_path / "samples.csv").write_text("x,value\n0,0\n1.5,1\n3.141592653589793,0\n")
+    _write_reaction_table(tmp_path / "reaction.csv")
+    loaded = _loaded_modules(tmp_path, runs)
+    assert "oblique_stab.cli" in loaded
+    assert not loaded & {f"oblique_stab.{name}" for name in unused}
 
 
 # Each command as a shell runs it: the exit code, the files that must be

@@ -719,6 +719,19 @@ def test_log_norm_slope_of_pure_heat():
     assert log_norm_slope(run, 0.2, 0.8) == pytest.approx(-0.1, abs=1e-4)
 
 
+def test_log_norm_slope_is_the_least_squares_fit():
+    # a decaying norm with a ripple: the least-squares slope over the window
+    # differs from the slope between its end samples (-0.99 against -1.11)
+    times = np.linspace(0.0, 1.0, 101)
+    logs = -times + 0.05 * np.sin(2 * math.pi * 2.25 * times)
+    run = ClosedLoopRun(times, np.exp(logs), np.ones(101, dtype=bool), (), None)
+    t, y = times[20:81], logs[20:81]
+    dt = t - t.mean()
+    expected = float(dt @ (y - y.mean()) / (dt @ dt))
+    assert abs((y[-1] - y[0]) / (t[-1] - t[0]) - expected) > 0.1
+    assert log_norm_slope(run, 0.2, 0.8) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "t0, t1, norms, error, message",
     [
