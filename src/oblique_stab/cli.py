@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -105,40 +104,32 @@ def _eigs_rows(v: argparse.Namespace, r: float, Ms: list[int]):
     row, {M: vartheta} of the ok rows, and (M, error) of the row that raised,
     or None.
 
-    Once a chunk has an ok row, which places at r, r and vartheta_limit are
+    At the first ok row, which places at r, r and vartheta_limit are
     formatted into a row template and analytic_varthetas gives the closed
-    forms of all of Ms; each run of ok rows in a chunk is then written by one
-    % over the repeated template.
+    forms of all of Ms; each ok row is then one % over the template.
     """
-    from .projection import analytic_varthetas, sweep_chunks, vartheta_limit
+    from .projection import analytic_varthetas, sweep_rows, vartheta_limit
 
-    lines, failures, table, done = [], [], {}, 0
+    lines, failures, table = [], [], {}
     r_text, template = _fmt(r), None
     try:
-        for chunk in sweep_chunks(v.bc, v.scheme, v.L, Ms, r, v.centers):
-            n = len(chunk.M)
-            if template is None and n > len(chunk.failures):
-                analytic = analytic_varthetas(v.bc, v.scheme, Ms, r)
-                cell = "" if analytic is None else "%.17g"
+        for i, (M, vartheta, op_norm, offdiag, failure) in enumerate(
+            sweep_rows(v.bc, v.scheme, v.L, Ms, r, v.centers)
+        ):
+            if failure is not None:
+                # a failed row keeps its M and r and leaves every numeric cell empty
+                failures.append(f"M={M} r={_cfmt(r)}: {failure}")
+                lines.append(f"{M},{r_text},,,,,,direct_sum_failure")
+                continue
+            if template is None:
+                analytic = analytic_varthetas(v.bc, v.scheme, Ms, r) or []
+                cell = "%.17g" if analytic else ""
                 template = f"%d,{r_text},%.17g,{cell},%.17g,{_fmt(vartheta_limit(r))},%.17g,ok"
-            if template is not None:
-                cols = (chunk.M, chunk.vartheta, analytic and analytic[done:done + n],
-                        chunk.op_norm, chunk.max_offdiag)
-                cols = [c for c in cols if c is not None]
-            done += n
-            start = 0
-            for i in [*sorted(chunk.failures), n]:
-                if i > start:
-                    values = chain.from_iterable(zip(*(c[start:i] for c in cols)))
-                    lines.append("\n".join([template] * (i - start)) % tuple(values))
-                    table.update(zip(chunk.M[start:i], chunk.vartheta[start:i]))
-                if i < n:
-                    # a failed row keeps its M and r and leaves every numeric cell empty
-                    failures.append(f"M={chunk.M[i]} r={_cfmt(r)}: {chunk.failures[i]}")
-                    lines.append(f"{chunk.M[i]},{r_text},,,,,,direct_sum_failure")
-                start = i + 1
+            # analytic is empty where Theta has no closed form
+            lines.append(template % (M, vartheta, *analytic[i:i + 1], op_norm, offdiag))
+            table[M] = vartheta
     except (InvalidArgumentError, MemoryError) as exc:
-        return lines, failures, table, (Ms[done], exc)
+        return lines, failures, table, (Ms[len(lines)], exc)
     return lines, failures, table, None
 
 
@@ -267,7 +258,7 @@ def cmd_simulate(v: argparse.Namespace) -> Result:
 
 def cmd_suffcond(v: argparse.Namespace) -> Result:
     from .projection import (
-        check_sufficient_condition, closed_form_minimal_M, op_norm_limit, sweep_chunks,
+        check_sufficient_condition, closed_form_minimal_M, op_norm_limit, sweep_rows,
     )
 
     bc, scheme, L, r = v.bc, v.scheme, v.L, v.r
@@ -278,11 +269,8 @@ def cmd_suffcond(v: argparse.Namespace) -> Result:
 
     found = failure = None
     least = uni_min_count(r) if scheme is Scheme.UNI else 1
-    # rows come a chunk at a time: no chunk past the first satisfied M is formed
-    chunks = sweep_chunks(bc, scheme, L, range(least, v.max_M + 1), r)
-    rows = ((M, op_norm, chunk.failures.get(i)) for chunk in chunks
-            for i, (M, op_norm) in enumerate(zip(chunk.M, chunk.op_norm)))
-    for M, op_norm, exc in rows:
+    # sweep_rows forms a chunk when the loop reaches it: none past the first satisfied M
+    for M, _, op_norm, _, exc in sweep_rows(bc, scheme, L, range(least, v.max_M + 1), r):
         if exc is not None:
             # a failed M counts as not satisfied; the file names the first
             failure = failure or f"M={M}: {exc}"

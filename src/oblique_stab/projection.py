@@ -22,10 +22,10 @@ G[i, j] = s_i T[i, j] with a row scale s > 0 that depends only on r and a
 trig factor T, sin or cos of m_i c_j.  build_projection takes the spectrum
 of Theta = (s s^T) o (T T^T) in O(M) from the closed-form diagonal of T T^T
 for mxe and Dirichlet uni, else from the SVD of G; no scipy.
-sweep_chunks gives a sweep's rows at one r as columns, a chunk of at most
+sweep_rows gives a sweep's rows at one r in order, formed a chunk of at most
 SWEEP_CHUNK stacked entries at a time; for diagonal shapes one array pass
-over a chunk gives its vartheta column; analytic_varthetas gives the closed
-forms of a list of counts by another.
+over a chunk gives the varthetas of its rows; analytic_varthetas gives the
+closed forms of a list of counts by another.
 
 The cross-Gram closed forms are evaluated at L = pi: the rescaling
 x -> pi*x/L leaves cross-Gram entries, Theta, and operator norms invariant,
@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -269,8 +269,8 @@ def _chunks(Ms):
 
 def _stacked_vartheta(bc, scheme, Ms, r, least_M):
     """For each M of Ms at one r, the smallest s^2 o tt, NaN where it is not
-    build_projection's vartheta, with the indices of the NaN rows: an M below
-    least_M, a row scale that overflows or a failed direct sum."""
+    build_projection's vartheta: an M below least_M, a row scale that
+    overflows or a failed direct sum."""
     starts, row_scale, a, m, tt = _factors(bc, scheme, Ms, r)
     with np.errstate(all="ignore"):  # NaN rows go row by row
         s = a / m
@@ -278,38 +278,24 @@ def _stacked_vartheta(bc, scheme, Ms, r, least_M):
         lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
         ok = np.isfinite(row_scale) & (np.sqrt(lo / hi) > SIGMA_RATIO_THRESHOLD)
         ok &= np.asarray(Ms) >= least_M
-    slow = ~ok
-    lo[slow] = np.nan
-    return lo.tolist(), np.flatnonzero(slow).tolist()
+    lo[~ok] = np.nan
+    return lo.tolist()
 
 
-class SweepChunk(NamedTuple):
-    """Consecutive rows of a sweep at one r, as columns of equal length.
+def sweep_rows(bc, scheme, L, Ms, r, centers=None) -> Iterator[tuple]:
+    """(M, vartheta, op_norm, max_offdiag, failure) of each M in Ms at one r,
+    in order, bit for bit those of place, assemble_cross_gram and
+    build_projection.
 
-    vartheta, op_norm and max_offdiag are build_projection's.  A row that
-    fails the direct sum has None in each of them and its
-    DirectSumFailureError, without a traceback, in failures, under its index
-    in the chunk.
-    """
-
-    M: list
-    vartheta: list
-    op_norm: list
-    max_offdiag: list
-    failures: dict
-
-
-def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
-    """The rows of each M in Ms at one r as SweepChunks, bit for bit those of
-    place, assemble_cross_gram and build_projection.
-
-    A chunk stacks at most SWEEP_CHUNK entries, unless one row alone has
-    more, and is formed when the reader reaches it.  For mxe and Dirichlet
-    uni one array pass over a chunk gives every row's vartheta and op_norm.
-    A row that fails the direct sum, overflows or that placement
+    failure is the row's DirectSumFailureError, without a traceback, and the
+    three numbers None, or None.  A chunk of at most SWEEP_CHUNK stacked
+    entries, unless one row alone has more, is formed when the reader reaches
+    it: for mxe and Dirichlet uni one array pass over it gives every row's
+    vartheta.  A row that fails the direct sum, overflows or that placement
     may reject, and every row of other shapes, goes row by row.  A row's
-    InvalidArgumentError, or MemoryError, is raised once a chunk of the rows
-    before it is yielded.
+    InvalidArgumentError, or MemoryError, is raised once the rows before it
+    are yielded; that of a count that is not a positive integer, once the
+    rows of the chunks before its own are.
     """
     stacked = (  # an L in this range keeps the products of place and build_basis normal
         centers is None and isinstance(r, float) and 0.0 < r < 1.0
@@ -317,33 +303,21 @@ def sweep_chunks(bc, scheme, L, Ms, r, centers=None) -> Iterator[SweepChunk]:
     )
     least = uni_min_count(r) if stacked and scheme is Scheme.UNI else 1
     for chunk in _chunks(Ms):
-        n = len(chunk)
         if stacked:
-            vartheta, slow = _stacked_vartheta(bc, scheme, chunk, r, least)
-            op_norm = [v**-0.5 for v in vartheta]
+            varthetas = _stacked_vartheta(bc, scheme, chunk, r, least)
         else:
-            vartheta, op_norm, slow = [None] * n, [None] * n, range(n)
-        cols = SweepChunk(chunk, vartheta, op_norm, [0.0] * n, {})
-        error = None
-        for i in slow:
+            varthetas = [math.nan] * len(chunk)
+        for M, vartheta in zip(chunk, varthetas):
+            if not math.isnan(vartheta):
+                yield M, vartheta, vartheta**-0.5, 0.0, None
+                continue
             try:
-                aset = place(scheme, L, chunk[i], r, centers=centers)
-                data = build_projection(assemble_cross_gram(bc, aset))
+                data = build_projection(assemble_cross_gram(bc, place(scheme, L, M, r, centers)))
             except DirectSumFailureError as exc:
                 # its traceback would keep the row's frames, and their M x M arrays, alive
-                cols.failures[i] = exc.with_traceback(None)
-                vartheta[i] = op_norm[i] = cols.max_offdiag[i] = None
+                yield M, None, None, None, exc.with_traceback(None)
                 continue
-            except (InvalidArgumentError, MemoryError) as exc:
-                error = exc
-                for column in cols[:4]:  # keep the rows before it
-                    del column[i:]
-                break
-            vartheta[i], op_norm[i] = data.vartheta, data.op_norm
-            cols.max_offdiag[i] = data.max_offdiag
-        yield cols
-        if error is not None:
-            raise error
+            yield M, data.vartheta, data.op_norm, data.max_offdiag, None
 
 
 def _sinc2(r: float, theta):
@@ -359,8 +333,9 @@ def _sinc2(r: float, theta):
 def analytic_vartheta(bc: BoundaryCondition, scheme: Scheme, M: int, r: float) -> float | None:
     """Closed-form smallest eigenvalue of Theta, where one is known.
 
-    Covered: the pairs of _closed_form, uni subject to M >= r/(1-r).  None
-    elsewhere, where callers fall back to the numeric spectrum.  With
+    Covered: the pairs of _closed_form.  None elsewhere, where callers fall
+    back to the numeric spectrum; a uni M below r/(1-r), which placement
+    rejects, raises under either condition.  With
     delta = r pi/(2M) it is the term of analytic_theta_spectrum at i = M-1 for
     mxe (the extra eigenvalue at M = 1) and at i = M for uni.
     """
@@ -368,7 +343,7 @@ def analytic_vartheta(bc: BoundaryCondition, scheme: Scheme, M: int, r: float) -
     check_member(Scheme, scheme)
     checked_fraction(r)
     M = checked_count("actuator count", M)
-    if scheme is Scheme.UNI and bc is BoundaryCondition.DIRICHLET:
+    if scheme is Scheme.UNI:
         check_uni_count(M, r)
     values = analytic_varthetas(bc, scheme, [M], r)
     return None if values is None else values[0]
@@ -546,6 +521,6 @@ def closed_form_minimal_M(
         return None
     X = (L / math.pi) * math.sqrt((6.0 + 4.0 * norm**2) / nu) * a_bound
     if not math.isfinite(X):
-        raise InvalidArgumentError("--L, --nu and --a-bound overflow closed_form_minimal_M")
+        raise InvalidArgumentError("L, nu and a_bound overflow the closed-form count")
     least = uni_min_count(r) if scheme is Scheme.UNI else 1
     return max(least, math.floor(X) + (bc is BoundaryCondition.NEUMANN))

@@ -14,6 +14,7 @@ from oblique_stab.projection import (
     assemble_cross_gram,
     build_projection,
     check_sufficient_condition,
+    closed_form_minimal_M,
     op_norm_limit,
     vartheta_limit,
 )
@@ -168,6 +169,44 @@ def eigs_lines(bc, scheme, L, Ms, rs, centers=None):
     if failures:
         failure = f"{len(failures)} of {len(rows)} sweep rows failed, the first at {failures[0]}"
         return lines, failure
+    return lines, None
+
+
+def suffcond_lines(bc, scheme, L, r, nu, a_bound, max_M):
+    """The lines of a `suffcond` file after its `# config:` line, and its
+    failure message, with which the run exits 3, or None, by a row-by-row
+    search: place, assemble_cross_gram, build_projection and
+    check_sufficient_condition at each M from the least that placement
+    accepts, up to the first satisfied one.  A failed M is not satisfied,
+    and the first one is named in a comment.
+    """
+    found = failure = None
+    for M in range(uni_min_count(r) if scheme is Scheme.UNI else 1, max_M + 1):
+        aset = place(scheme, L, M, r)
+        try:
+            data = build_projection(assemble_cross_gram(bc, aset))
+        except DirectSumFailureError as exc:
+            failure = failure or f"M={M}: {exc}"
+            continue
+        report = check_sufficient_condition(nu, bc, M, data.op_norm, a_bound, L)
+        if report.satisfied:
+            found = report
+            break
+    count = closed_form_minimal_M(nu, bc, scheme, r, a_bound, L)
+    if found is None:
+        lines = ["swept_minimal_M=-1", f"# margin test not satisfied for any M <= {max_M}"]
+    else:
+        lines = [
+            f"swept_minimal_M={found.M}",
+            f"op_norm_at_minimal_M={'%.17g' % found.op_norm}",
+            f"alpha_next={'%.17g' % found.alpha_next}",
+            f"margin={'%.17g' % found.margin}",
+        ]
+    lines.append(f"closed_form_minimal_M={'' if count is None else count}")
+    lines.append(f"op_norm_limit={'%.17g' % op_norm_limit(r)}")
+    if failure:
+        lines.append(f"# first failed {failure}")
+        return lines, f"the sweep failed first at {failure}"
     return lines, None
 
 

@@ -25,7 +25,7 @@ from oblique_stab import cli, fem, inputs, projection
 from oblique_stab.cli import main
 from oblique_stab.errors import InvalidArgumentError
 
-from oracles import eigs_lines
+from oracles import eigs_lines, suffcond_lines
 
 
 def _lines(path):
@@ -207,7 +207,7 @@ def test_neumann_uni_sweep_keeps_no_dense_trig_gram(tmp_path):
 def test_failed_sweep_rows_keep_no_arrays_alive(tmp_path):
     # a con sweep fails the direct sum from M = 9 on; a failure kept with its
     # traceback held its row's cross-Gram, G and T (13.96 MB peak, and
-    # 44.4 MB in the kept chunks at r = 0.5); without it, 1.2 MB and 78 kB
+    # 44.4 MB in the kept rows at r = 0.5); without it, 1.2 MB and 78 kB
     out = str(tmp_path / "s.csv")
     geometry = ["--scheme", "con", "--r", "0.1,0.5", "--output", out]
     assert main(["eigs", "--M", "2..10", *geometry]) == 3  # imports and first-call caches
@@ -215,7 +215,7 @@ def test_failed_sweep_rows_keep_no_arrays_alive(tmp_path):
     try:
         assert main(["eigs", "--M", "2..200", *geometry]) == 3
         peak = tracemalloc.get_traced_memory()[1]
-        chunks = list(projection.sweep_chunks(
+        rows = list(projection.sweep_rows(
             oblique_stab.BoundaryCondition.DIRICHLET, oblique_stab.Scheme.CON, math.pi,
             range(2, 201), 0.5,
         ))
@@ -224,7 +224,7 @@ def test_failed_sweep_rows_keep_no_arrays_alive(tmp_path):
         tracemalloc.stop()
     assert peak < 3_000_000, peak
     assert held < 1_000_000, held
-    failures = [exc for chunk in chunks for exc in chunk.failures.values()]
+    failures = [failure for *_, failure in rows if failure is not None]
     assert len(failures) == 181
     assert all(
         exc.__traceback__ is exc.__context__ is exc.__cause__ is None for exc in failures
@@ -671,6 +671,30 @@ def test_suffcond_direct_sum_failure_still_writes_file(tmp_path, capsys):
     assert "the sweep failed first at M=9:" in capsys.readouterr().err
 
 
+# suffcond runs whose files the row sweep must write as a row-by-row search does
+_SUFFCOND_BY_ROW = [
+    "--a-bound 3.5",
+    "--bc neumann --a-bound 3.5",
+    "--scheme uni --r 0.6 --a-bound 3.5",
+    "--bc neumann --scheme uni --r 0.3 --a-bound 1",
+    "--scheme con --a-bound 3.5 --max-M 30",  # fails the direct sum from M = 9 on
+    "--a-bound 3.5 --L 1e100",  # past the stacked range: row by row, never satisfied
+    "--a-bound 50 --max-M 3000 --r 0.5",  # satisfied at M = 629, in the 109th chunk
+]
+
+
+@pytest.mark.parametrize("flags", _SUFFCOND_BY_ROW)
+def test_suffcond_file_is_the_row_by_row_searchs_byte_for_byte(tmp_path, capsys, flags):
+    argv = ["suffcond", *flags.split()]
+    v, config = cli._settings(cli.build_parser(argv[0]).parse_args(argv))
+    out = tmp_path / "s.csv"
+    rc = main([*argv, "--output", str(out)])
+    err = capsys.readouterr().err
+    lines, failure = suffcond_lines(v.bc, v.scheme, v.L, v.r, v.nu, v.a_bound, v.max_M)
+    assert out.read_bytes() == ("\n".join([config, *lines]) + "\n").encode()
+    assert (rc, err) == ((3, f"numerical failure: {failure}\n") if failure else (0, ""))
+
+
 @pytest.mark.parametrize(
     "argv, closed_form",
     [
@@ -966,7 +990,7 @@ _EXITS = [
     ("suffcond --a-bound 3.5 --nu 1e308 --output out.csv", 2,
      "error: the margin test overflows at nu=1e+308, a_bound=3.5"),
     ("suffcond --a-bound 3.5 --nu 1e-320 --output out.csv", 2,
-     "error: --L, --nu and --a-bound overflow closed_form_minimal_M"),
+     "error: L, nu and a_bound overflow the closed-form count"),
     # a uni sweep with no admissible M still checks what the closed-form count reads
     ("suffcond --scheme uni --r 0.9 --max-M 5 --nu 0 --a-bound 1 --output out.csv", 2,
      "error: diffusion must be positive and finite, got 0.0"),

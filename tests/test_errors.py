@@ -23,7 +23,7 @@ from oblique_stab.projection import (
     assemble_cross_gram,
     check_sufficient_condition,
     closed_form_minimal_M,
-    sweep_chunks,
+    sweep_rows,
 )
 from oblique_stab.spectral import BoundaryCondition, build_basis
 
@@ -130,10 +130,10 @@ _COUNTS = [
     ("build_basis", "eigenpair count must be a positive integer, got 2.5",
      lambda: build_basis(D, math.pi, 2.5)),
     ("make_grid", "node count must be an integer >= 3, got 2", lambda: make_grid(D, math.pi, 2)),
-    ("sweep_chunks-mxe", "actuator count must be a positive integer, got -1",
-     lambda: list(sweep_chunks(D, Scheme.MXE, math.pi, [3, -1], 0.1))),
-    ("sweep_chunks-con", "actuator count must be a positive integer, got 0",
-     lambda: list(sweep_chunks(D, Scheme.CON, math.pi, [0], 0.1))),
+    ("sweep_rows-mxe", "actuator count must be a positive integer, got -1",
+     lambda: list(sweep_rows(D, Scheme.MXE, math.pi, [3, -1], 0.1))),
+    ("sweep_rows-con", "actuator count must be a positive integer, got 0",
+     lambda: list(sweep_rows(D, Scheme.CON, math.pi, [0], 0.1))),
 ]
 
 

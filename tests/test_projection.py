@@ -40,7 +40,7 @@ from oblique_stab.projection import (
     closed_form_minimal_M,
     op_norm_limit,
     orthogonal_projection_actuators,
-    sweep_chunks,
+    sweep_rows,
     vartheta_limit,
 )
 from oblique_stab.spectral import BoundaryCondition, build_basis
@@ -466,6 +466,17 @@ def test_closed_forms_reject_what_placement_rejects(call, message):
     # the checks and messages of actuators.place
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         call()
+
+
+@pytest.mark.parametrize("closed_form", [analytic_vartheta, analytic_theta_spectrum])
+@pytest.mark.parametrize("bc", [D, N])
+def test_closed_forms_reject_a_uni_count_under_either_condition(closed_form, bc):
+    # Neumann uni has no closed form, yet a count placement rejects is an error
+    with pytest.raises(InvalidArgumentError) as placed:
+        place(Scheme.UNI, math.pi, 1, 0.9)
+    with pytest.raises(InvalidArgumentError) as closed:
+        closed_form(bc, Scheme.UNI, 1, 0.9)
+    assert str(closed.value) == str(placed.value)
 
 
 def _mp_closed_forms(bc, scheme, M, r):
@@ -1077,7 +1088,7 @@ def test_one_rule_gives_the_closed_forms(monkeypatch, bc, scheme):
         projection, "_stacked_vartheta", lambda *a: formed.append(a[2]) or stacked(*a)
     )
     centers = [0.5, 1.5, 2.5] if scheme is Scheme.CUSTOM else None
-    list(sweep_chunks(bc, scheme, math.pi, [3], 0.3, centers))
+    list(sweep_rows(bc, scheme, math.pi, [3], 0.3, centers))
     closed = [
         formed == [[3]],
         analytic_vartheta(bc, scheme, 3, 0.3) is not None,
@@ -1175,27 +1186,26 @@ def _row_outcome(bc, scheme, M, r):
 
 
 def _sweep_outcomes(bc, scheme, Ms, r):
-    outcomes = []
+    rows, error = [], []
     try:
-        for chunk in sweep_chunks(bc, scheme, math.pi, Ms, r):
-            n = len(chunk.M)
-            # the closed forms of the counts of a chunk with a row that did not fail
-            analytic = n > len(chunk.failures) and analytic_varthetas(bc, scheme, chunk.M, r)
-            analytic = analytic or [None] * n
-            columns = (chunk.vartheta, chunk.op_norm, chunk.max_offdiag, analytic)
-            assert {len(column) for column in columns} == {n}
-            for i, (vartheta, op_norm, max_offdiag, ana) in enumerate(zip(*columns)):
-                failure = chunk.failures.get(i)
-                if failure is None:
-                    outcomes.append(struct.pack("3d", vartheta, op_norm, max_offdiag) + (
-                        b"" if ana is None else struct.pack("d", ana)
-                    ))
-                else:
-                    assert vartheta is op_norm is max_offdiag is None
-                    outcomes.append((type(failure).__name__, str(failure)))
+        for row in sweep_rows(bc, scheme, math.pi, Ms, r):
+            rows.append(row)
     except InvalidArgumentError as exc:
-        outcomes.append(("InvalidArgumentError", str(exc)))
-    return outcomes
+        error.append(("InvalidArgumentError", str(exc)))
+    # the closed forms of the swept counts, by one array pass, once a row did not fail
+    counts = [row[0] for row in rows]
+    analytic = any(row[-1] is None for row in rows) and analytic_varthetas(bc, scheme, counts, r)
+    analytic = analytic or [None] * len(rows)
+    outcomes = []
+    for (_, vartheta, op_norm, max_offdiag, failure), ana in zip(rows, analytic):
+        if failure is None:
+            outcomes.append(struct.pack("3d", vartheta, op_norm, max_offdiag) + (
+                b"" if ana is None else struct.pack("d", ana)
+            ))
+        else:
+            assert vartheta is op_norm is max_offdiag is None
+            outcomes.append((type(failure).__name__, str(failure)))
+    return outcomes + error
 
 
 @pytest.mark.parametrize("r", [1e-307, 1e-300, 1e-6, 0.1, 0.5, 0.999])
