@@ -49,38 +49,9 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
+# the names imported above, then those of _LAZY
 __all__ = [
-    "ActuatorSet",
-    "BoundaryCondition",
-    "ClosedLoopRun",
-    "CrossGram",
-    "DirectSumFailureError",
-    "EigenBasis",
-    "FeedbackConfig",
-    "FeedbackOperator",
-    "InvalidArgumentError",
-    "NumericalFailureError",
-    "ProjectionData",
-    "Scheme",
-    "SufficientConditionReport",
-    "analytic_theta_spectrum",
-    "analytic_vartheta",
-    "apply_projection",
-    "assemble_cross_gram",
-    "build_basis",
-    "build_projection",
-    "check_sufficient_condition",
-    "constant_reaction",
-    "discrete_projection_norm",
-    "feedback_matrices",
-    "log_norm_slope",
-    "make_grid",
-    "op_norm_limit",
-    "orthogonal_projection_actuators",
-    "oscillating_reaction",
-    "place",
-    "run_closed_loop",
-    "tabulated_reaction",
-    "vartheta_limit",
-    "__version__",
+    "ActuatorSet", "BoundaryCondition", "DirectSumFailureError", "EigenBasis",
+    "InvalidArgumentError", "NumericalFailureError", "Scheme", "build_basis", "place",
+    *_LAZY, "__version__",
 ]

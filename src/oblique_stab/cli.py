@@ -1,8 +1,8 @@
 """Command-line front end: sweeps, projections, and closed-loop runs.
 
 Subcommands
-    eigs      sweep (M, r) and tabulate vartheta, operator norm, and the
-              large-M limit
+    eigs      sweep (M, r) in M-major order, raising the first error met,
+              and tabulate vartheta, operator norm, and the large-M limit
     project   apply the oblique and orthogonal projections to a sampled
               function and compare residuals
     simulate  integrate the closed-loop (or free) reaction-diffusion system
@@ -99,73 +99,53 @@ def _write(path: str | None, lines: list[str]) -> None:
 Result = tuple[list[tuple[str | None, list[str]]], str | None]
 
 
-def _eigs_rows(v: argparse.Namespace, r: float, Ms: list[int]):
-    """The rows of the sweep at one r: their lines, the text of each failed
-    row, {M: vartheta} of the ok rows, and (M, error) of the row that raised,
-    or None.
-
-    At the first ok row, which places at r, r and vartheta_limit are
-    formatted into a row template and analytic_varthetas gives the closed
-    forms of all of Ms; each ok row is then one % over the template.
-    """
-    from .projection import analytic_varthetas, sweep_rows, vartheta_limit
-
-    lines, failures, table = [], [], {}
-    r_text, template = _fmt(r), None
-    try:
-        for i, (M, vartheta, op_norm, offdiag, failure) in enumerate(
-            sweep_rows(v.bc, v.scheme, v.L, Ms, r, v.centers)
-        ):
-            if failure is not None:
-                # a failed row keeps its M and r and leaves every numeric cell empty
-                failures.append(f"M={M} r={_cfmt(r)}: {failure}")
-                lines.append(f"{M},{r_text},,,,,,direct_sum_failure")
-                continue
-            if template is None:
-                analytic = analytic_varthetas(v.bc, v.scheme, Ms, r) or []
-                cell = "%.17g" if analytic else ""
-                template = f"%d,{r_text},%.17g,{cell},%.17g,{_fmt(vartheta_limit(r))},%.17g,ok"
-            # analytic is empty where Theta has no closed form
-            lines.append(template % (M, vartheta, *analytic[i:i + 1], op_norm, offdiag))
-            table[M] = vartheta
-    except (InvalidArgumentError, MemoryError) as exc:
-        return lines, failures, table, (Ms[len(lines)], exc)
-    return lines, failures, table, None
-
-
 def cmd_eigs(v: argparse.Namespace) -> Result:
     """vartheta, its closed form, ||P||, the large-M limit and Theta's largest
     off-diagonal entry for every M and r, listed by (r, M), with the slope
     comments of each r after the rows.
 
-    Each r is swept in turn.  A row that fails the direct sum leaves its
-    numeric cells empty and makes the run exit 3.  Of the errors of several
-    r, the one raised is that of the first failing row in M-major order, as
-    a row-by-row sweep would raise it.
+    The sweep_rows stream of each r is read in M-major order, so the error
+    of the first failing row in that order is raised where it is met.  Each
+    r's rows are then written with r, vartheta_limit and the closed forms of
+    all its counts computed once.  A row that fails the direct sum leaves
+    its numeric cells empty and makes the run exit 3.
     """
+    from .projection import analytic_varthetas, sweep_rows, vartheta_limit
+
     pairs = [(M, r) for M in v.M for r in v.r]
     if v.scheme is Scheme.UNI:
         # skip the pairs uni placement rejects, as suffcond does; if that is
         # every pair, placing the first one says why
         pairs = [(M, r) for M, r in pairs if M >= uni_min_count(r)] or pairs[:1]
-    sweeps = {r: _eigs_rows(v, r, [M for M, q in pairs if q == r]) for r in dict.fromkeys(v.r)}
-    errors = [(error[0], v.r.index(r), error[1]) for r, (*_, error) in sweeps.items() if error]
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
+    Ms = {r: [M for M, q in pairs if q == r] for r in dict.fromkeys(v.r)}
+    streams = {r: sweep_rows(v.bc, v.scheme, v.L, Ms[r], r, v.centers) for r in Ms}
+    rows = {r: [] for r in Ms}
+    for _, r in pairs:
+        rows[r].append(next(streams[r]))
 
     lines = [
         "M,r,vartheta_numeric,vartheta_analytic,op_norm,vartheta_limit,max_offdiag_theta,status"
     ]
-    failures = []
-    for r in sorted(sweeps):
-        lines += sweeps[r][0]
-        failures += sweeps[r][1]
-    for r in sorted(sweeps):
-        table = sweeps[r][2]
+    failures, slopes = [], []
+    for r in sorted(rows):
+        r_text, table = _fmt(r), {}
+        # analytic is empty, and so is its cell, where Theta has no closed form
+        analytic = analytic_varthetas(v.bc, v.scheme, Ms[r], r) or []
+        cell = "%.17g" if analytic else ""
+        template = f"%d,{r_text},%.17g,{cell},%.17g,{_fmt(vartheta_limit(r))},%.17g,ok"
+        for i, (M, vartheta, op_norm, offdiag, failure) in enumerate(rows[r]):
+            if failure is not None:
+                # a failed row keeps its M and r and leaves every numeric cell empty
+                failures.append(f"M={M} r={_cfmt(r)}: {failure}")
+                lines.append(f"{M},{r_text},,,,,,direct_sum_failure")
+                continue
+            lines.append(template % (M, vartheta, *analytic[i:i + 1], op_norm, offdiag))
+            table[M] = vartheta
         for lo, hi in _SLOPE_WINDOWS:
             if lo in table and hi in table:
                 slope = (table[hi] - table[lo]) / (hi - lo)
-                lines.append(f"# slope r={_cfmt(r)} M[{lo},{hi}]: {_fmt(slope)}")
+                slopes.append(f"# slope r={_cfmt(r)} M[{lo},{hi}]: {_fmt(slope)}")
+    lines += slopes
     if failures:
         failure = f"{len(failures)} of {len(pairs)} sweep rows failed, the first at {failures[0]}"
         return [(v.output, lines)], failure

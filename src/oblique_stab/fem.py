@@ -354,7 +354,8 @@ class FeedbackConfig:
     """Feedback operator, shift lambda, and the interval where it is active.
 
     feed_on=None keeps the feedback on for the whole run; otherwise it acts
-    for t0 <= t <= t1 (closed interval) and the free dynamics runs outside.
+    for t0 <= t <= t1 (closed interval), each end widened by 1e-9 of its
+    magnitude, and the free dynamics runs outside.
     """
 
     operator: FeedbackOperator
@@ -364,7 +365,7 @@ class FeedbackConfig:
     def active(self, t: float | np.ndarray) -> bool | np.ndarray:
         """Whether the feedback acts at time t; elementwise for an array of times."""
         t0, t1 = (-math.inf, math.inf) if self.feed_on is None else self.feed_on
-        return (t0 - 1e-9 <= t) & (t <= t1 + 1e-9)
+        return (t0 - 1e-9 * abs(t0) <= t) & (t <= t1 + 1e-9 * abs(t1))
 
 
 @dataclass(frozen=True)

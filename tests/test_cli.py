@@ -341,6 +341,28 @@ def test_eigs_file_is_the_row_by_row_writers_byte_for_byte(tmp_path, capsys, fla
     assert (rc, err) == ((3, f"numerical failure: {failure}\n") if failure else (0, ""))
 
 
+@pytest.mark.parametrize("flags, rc, closed_form", [
+    ("--M 2..40 --r 0.5,0.1,0.5", 0, True),
+    # con has no closed form, and some of its rows fail the direct sum
+    ("--scheme con --M 2..12 --r 0.1,0.5", 3, False),
+])
+def test_eigs_computes_the_closed_forms_once_per_distinct_r(
+    tmp_path, monkeypatch, flags, rc, closed_form
+):
+    calls, real = [], projection.analytic_varthetas
+
+    def spy(bc, scheme, Ms, r):
+        calls.append((r, real(bc, scheme, Ms, r)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(projection, "analytic_varthetas", spy)
+    out = tmp_path / "e.csv"
+    assert main(["eigs", *flags.split(), "--output", str(out)]) == rc
+    assert sorted(r for r, _ in calls) == [0.1, 0.5]
+    assert all((values is not None) == closed_form for _, values in calls)
+    assert ("direct_sum_failure" in out.read_text()) == (rc == 3)
+
+
 # ---------------------------------------------------------------- project
 
 def test_project_constant_input(tmp_path):
@@ -491,6 +513,16 @@ def test_simulate_feed_on_window(tmp_path):
     assert flags[0] == "1"
     assert flags[-1] == "0"
     assert "0" in flags and "1" in flags
+
+
+@pytest.mark.parametrize("window, steps", [("5e-10:6e-10", (50, 60)), ("0:1e-10", (0, 10))])
+def test_simulate_feed_on_window_at_a_small_time_scale(tmp_path, window, steps):
+    out = tmp_path / "small.csv"
+    argv = ["simulate", "--k", "1e-11", "--T", "1e-9", "--feed-on", window, "--N", "101"]
+    assert main([*argv, "--output", str(out)]) == 0
+    flags = [r.split(",")[2] for r in _data_rows(out)[1:]]
+    on = [j for j, flag in enumerate(flags) if flag == "1"]
+    assert (len(flags), on) == (101, list(range(steps[0], steps[1] + 1)))
 
 
 def test_simulate_feed_on_window_at_the_last_step_taken(tmp_path):

@@ -455,6 +455,19 @@ def test_feedback_window_membership():
     assert always.active(123.0)
 
 
+@pytest.mark.parametrize("feed_on, steps", [((5e-10, 6e-10), (50, 60)), ((0.0, 1e-10), (0, 10))])
+def test_feedback_window_tolerance_is_relative_to_its_ends(feed_on, steps):
+    # at k = 1e-11 an absolute 1e-9 slack would flag every one of the 101 steps
+    grid = make_grid(D, math.pi, 21)
+    op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 2, 0.2))
+    run = run_closed_loop(
+        grid, 0.1, constant_reaction(-1.0), np.sin(grid.nodes), 1e-9, 1e-11,
+        feedback=FeedbackConfig(operator=op, lam=1.0, feed_on=feed_on),
+    )
+    assert len(run.times) == 101
+    assert np.flatnonzero(run.feedback_on).tolist() == list(range(steps[0], steps[1] + 1))
+
+
 def test_inactive_feedback_equals_free_run():
     # a window that opens at the last step taken leaves every earlier state,
     # and the norm of each, as in the free dynamics
@@ -489,7 +502,7 @@ def test_feedback_window_after_final_time_is_rejected():
     [
         # active only at t = 1, the final state, from which no step is taken
         ((1.0, 3.0), "feedback window [1, 3] acts on no step before the final time 1"),
-        # active() flags t = 1 within its 1e-9 tolerance, which does not help
+        # active() flags t = 1 within its relative 1e-9 tolerance, which does not help
         ((1.0000000001, 3.0), "feedback window [1.0000000001, 3] starts after the final time 1"),
         # between two steps
         ((0.5011, 0.5019), "feedback window [0.50109999999999999, 0.50190000000000001] acts on no step"),
@@ -507,7 +520,7 @@ def test_feedback_window_acting_on_no_step_is_rejected(feed_on, message):
 
 
 def test_feedback_window_at_the_last_step_taken_is_accepted():
-    # within active()'s 1e-9 tolerance of step n - 1, the window acts on one step
+    # within active()'s relative 1e-9 tolerance of step n - 1, the window acts on one step
     grid = make_grid(D, math.pi, 151)
     op = feedback_matrices(grid, place(Scheme.MXE, math.pi, 4, 0.2))
     run = run_closed_loop(
